@@ -87,7 +87,6 @@ class PullInEstimate:
     lambda_hi: float
     analytic_lower: Fraction | None
     analytic_upper: float | None
-    method: str
     dim: int
     consistent: bool | None = None
     near_fold: BranchPoint | None = None
@@ -301,16 +300,8 @@ def pull_in_voltage(
     tol: float = DEFAULT_TOL,
     *,
     op: OperatorMatrix | None = None,
-    method: str = "bisection-on-convergence",
 ) -> PullInEstimate:
-    """Bracket the pull-in voltage by bisection on solver convergence.
-
-    method "mu1-extrapolation" instead coarsens the bisection and refines
-    the upper end by extrapolating the stability eigenvalue to zero; it is
-    a cheaper, less conservative estimate.
-    """
-    if method not in ("bisection-on-convergence", "mu1-extrapolation"):
-        raise ValueError(f"unknown method {method!r}")
+    """Bracket the pull-in voltage by bisection on solver convergence."""
     ws = _Workspace(bp, grid, op)
     homogeneous = bp.alpha == 0 and bp.beta == 0
     lower_exact, upper_nu = analytic_pull_in_bounds(ws.op)
@@ -338,11 +329,7 @@ def pull_in_voltage(
     if sol is None:
         raise RuntimeError("no convergent voltage found above 1e-12")
 
-    coarse = rel_width if method == "bisection-on-convergence" else min(
-        1e-2, rel_width * 100
-    )
-    mu_samples: list[tuple[float, float]] = []
-    while (hi - lo) > coarse * lo:
+    while (hi - lo) > rel_width * lo:
         mid = 0.5 * (lo + hi)
         out = _solve_at(ws, mid, tol, sol[0])
         if isinstance(out, DivergenceReport):
@@ -351,23 +338,6 @@ def pull_in_voltage(
             hi = mid
         else:
             lo, sol = mid, out
-            if method == "mu1-extrapolation":
-                u = out[1]
-                mu_samples.append(
-                    (mid, ws.op.smallest_weighted_eigenvalue(2.0 * mid / (1.0 - u) ** 3))
-                )
-
-    if method == "mu1-extrapolation":
-        extrapolated = False
-        if len(mu_samples) >= 2:
-            (l1, m1), (l2, m2) = mu_samples[-2], mu_samples[-1]
-            if m1 > m2 > 0:
-                extrap = l2 + m2 * (l2 - l1) / (m1 - m2)
-                hi = float(np.clip(extrap, lo, hi))
-                notes.append("upper end from stability-eigenvalue extrapolation")
-                extrapolated = True
-        if not extrapolated:
-            notes.append("extrapolation unavailable; coarse bracket kept")
 
     v, u, rho, _ = sol
     near_fold = _make_point(ws, lo, v, u, rho, compute_mu1=True)
@@ -376,7 +346,6 @@ def pull_in_voltage(
         lambda_hi=hi,
         analytic_lower=lower_exact if homogeneous else None,
         analytic_upper=upper_nu if homogeneous else None,
-        method=method,
         dim=grid.dim,
         near_fold=near_fold,
         notes=notes,

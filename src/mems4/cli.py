@@ -1,19 +1,30 @@
 """Command-line driver: bounds tables, certificates, branch sweeps,
 pull-in estimation, profiles, and the sub-solution search.
 
+Every command runs one chain: load the configuration (a --config file,
+then flags), key the run directory on the canonical inputs, write
+config.json, print the run directory, then compute and write the
+artifacts.  Rational values and specs may be negative: "--beta -1/5" and
+"--alpha-grid -1/3:0:4" parse as values.
+
 Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
-or flagged, 3+ usage and I/O errors.
+or flagged, 3+ usage and I/O errors.  Usage errors include --mesh outside
+16..16384, --tol <= 0, --rel-width outside (0, 1) and --jobs < 1; the
+certify fanout never starts more workers than dimensions or CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +45,7 @@ from mems4.closed_forms import (
     rational_to_decimal,
     singular_voltage,
 )
-from mems4.radial_operator import build_grid
+from mems4.radial_operator import RadialField, build_grid
 from mems4.store import (
     default_out_root,
     rational_json,
@@ -49,11 +60,21 @@ EXIT_FALSIFIED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+# Finest mesh accepted: on the gamma = 1.5 grid, whose rows scale like
+# h_min^-4, the eigenvalue nu1 stops converging under refinement at
+# n = 16384, and a larger mesh only costs memory and time.
+MAX_MESH = 16384
+
 CLAIM_SELECTORS = ("m3-gap", "m2-subsolution", "m3-stability", "thresholds")
 FAMILIES = ("perturbed-touchdown", "touchdown-m")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Values such as -1/5 or -1/3:0:4 are arguments, not flags.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # usage errors exit 3, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -77,10 +98,14 @@ class RunConfig:
     def __post_init__(self):
         self.alpha = Fraction(self.alpha)
         self.beta = Fraction(self.beta)
-        if self.mesh < 16:
-            raise ValueError("mesh must have at least 16 nodes")
+        if not 16 <= self.mesh <= MAX_MESH:
+            raise ValueError(f"mesh must have 16..{MAX_MESH} nodes")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if not 0 < self.rel_width < 1:
+            raise ValueError("rel-width must lie strictly between 0 and 1")
         if not is_admissible(self.boundary):
             raise ValueError("boundary pair is not admissible")
         if self.out_format not in ("csv", "json"):
@@ -96,17 +121,10 @@ class RunConfig:
         return BoundaryPair(self.alpha, self.beta)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dimensions": list(self.dimensions),
-            "alpha": format_rational(self.alpha),
-            "beta": format_rational(self.beta),
-            "mesh": self.mesh,
-            "gamma": self.gamma,
-            "tol": self.tol,
-            "rel_width": self.rel_width,
-            "format": self.out_format,
-            "jobs": self.jobs,
-        }
+        d = asdict(self)
+        d["format"] = d.pop("out_format")
+        d["alpha"], d["beta"] = format_rational(self.alpha), format_rational(self.beta)
+        return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunConfig":
@@ -163,225 +181,137 @@ def parse_fraction_grid(text: str) -> list[Fraction]:
     return [start + k * step for k in range(count)]
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON config file; flags override")
-    p.add_argument("--out", type=Path, help="output root (default $MEMS4_OUT or ./mems4-out)")
-    p.add_argument("--format", choices=("csv", "json"), help="table format")
-    p.add_argument("--jobs", type=int, help="worker pool size for per-dimension fanout")
-    p.add_argument("--mesh", type=int, help="interior node count")
-    p.add_argument("--gamma", type=float, help="mesh grading exponent")
-    p.add_argument("--tol", type=float, help="solver residual tolerance")
-    p.add_argument("--rel-width", type=float, help="pull-in bracket relative width")
-    p.add_argument("--alpha", help="boundary value at r=1 (exact rational)")
-    p.add_argument("--beta", help="boundary slope at r=1 (exact rational)")
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for a fanout of ``tasks``: at most ``jobs``, and
+    never more than the tasks or the CPUs."""
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_COMMON_ARGUMENTS = (
+    _arg("--config", type=Path, help="JSON config file; flags override"),
+    _arg("--out", type=Path, help="output root (default $MEMS4_OUT or ./mems4-out)"),
+    _arg("--format", choices=("csv", "json"), help="table format"),
+    _arg("--jobs", type=int, help="worker pool size for per-dimension fanout"),
+    _arg("--mesh", type=int, help=f"interior node count, 16..{MAX_MESH}"),
+    _arg("--gamma", type=float, help="mesh grading exponent"),
+    _arg("--tol", type=float, help="solver residual tolerance, > 0"),
+    _arg("--rel-width", type=float, help="pull-in bracket relative width, in (0, 1)"),
+    _arg("--alpha", help="boundary value at r=1 (exact rational)"),
+    _arg("--beta", help="boundary slope at r=1 (exact rational)"),
+)
+_DIM = _arg("--dim", type=int, required=True)
+
+# (flag attribute, config key): a flag given on the command line
+# overrides the --config file.
+_OVERRIDES = (
+    ("dim", "dimensions"), ("mesh", "mesh"), ("gamma", "gamma"), ("tol", "tol"),
+    ("rel_width", "rel_width"), ("format", "format"), ("jobs", "jobs"),
+    ("alpha", "alpha"), ("beta", "beta"),
+)
 
 
 def _load_config(args) -> RunConfig:
-    base = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text())
-    cfg = RunConfig.from_json_dict(base)
-    if getattr(args, "dim", None) is not None:
-        cfg.dimensions = [args.dim]
-    if getattr(args, "mesh", None) is not None:
-        cfg.mesh = args.mesh
-    if getattr(args, "gamma", None) is not None:
-        cfg.gamma = args.gamma
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "rel_width", None) is not None:
-        cfg.rel_width = args.rel_width
-    if getattr(args, "format", None) is not None:
-        cfg.out_format = args.format
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "alpha", None) is not None:
-        cfg.alpha = Fraction(args.alpha)
-    if getattr(args, "beta", None) is not None:
-        cfg.beta = Fraction(args.beta)
-    cfg.__post_init__()  # re-validate after overrides
-    return cfg
+    d = json.loads(Path(args.config).read_text()) if args.config else {}
+    for flag, key in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            d[key] = [value] if key == "dimensions" else value
+    return RunConfig.from_json_dict(d)
 
 
-def _out_root(args) -> Path:
-    return Path(args.out) if args.out else default_out_root()
+# (column, exact value in dimension n); Fractions render as num/den plus
+# a decimal column in CSV and as rational_json in JSON.
+_BOUNDS_COLUMNS = (
+    ("lower_quadratic", quadratic_lower_bound),
+    ("singular_voltage", singular_voltage),
+    ("hardy", hardy_rellich),
+    ("half_hardy", lambda n: hardy_rellich(n) / 2),
+    ("voltage_27", lambda n: 27 * singular_voltage(n)),
+    ("double_voltage_le_hardy", lambda n: 2 * singular_voltage(n) <= hardy_rellich(n)),
+    ("voltage27_le_half_hardy", lambda n: 27 * singular_voltage(n) <= hardy_rellich(n) / 2),
+)
 
 
-# ---------------------------------------------------------------------------
-# bounds
-# ---------------------------------------------------------------------------
-
-
-def bounds_rows(n_min: int, n_max: int) -> list[dict]:
-    rows = []
-    for n in range(n_min, n_max + 1):
-        l1 = quadratic_lower_bound(n)
-        lb = singular_voltage(n)
-        h = hardy_rellich(n)
-        rows.append(
-            {
-                "n": n,
-                "lower_quadratic": l1,
-                "singular_voltage": lb,
-                "hardy": h,
-                "half_hardy": h / 2,
-                "voltage_27": 27 * lb,
-                "double_voltage_le_hardy": 2 * lb <= h,
-                "voltage27_le_half_hardy": 27 * lb <= h / 2,
-            }
-        )
-    return rows
-
-
-def cmd_bounds(args) -> int:
-    cfg = _load_config(args)
+def _bounds_inputs(args, cfg) -> dict:
     n_min, n_max = parse_range(args.n)
     if not 1 <= n_min <= n_max <= 64:
-        print("bounds: need 1 <= nmin <= nmax <= 64", file=sys.stderr)
-        return EXIT_USAGE
-    rows = bounds_rows(n_min, n_max)
-    run = run_directory(
-        _out_root(args), "bounds", {"n": [n_min, n_max], "config": cfg.to_json_dict()}
-    )
-    write_json(run / "config.json", {"command": "bounds", "config": cfg.to_json_dict()})
-    try:
-        if cfg.out_format == "json":
-            payload = [
-                {
-                    "n": r["n"],
-                    "lower_quadratic": rational_json(r["lower_quadratic"]),
-                    "singular_voltage": rational_json(r["singular_voltage"]),
-                    "hardy": rational_json(r["hardy"]),
-                    "half_hardy": rational_json(r["half_hardy"]),
-                    "voltage_27": rational_json(r["voltage_27"]),
-                    "double_voltage_le_hardy": r["double_voltage_le_hardy"],
-                    "voltage27_le_half_hardy": r["voltage27_le_half_hardy"],
-                }
-                for r in rows
-            ]
-            write_json(run / "tables" / "bounds.json", {"rows": payload})
-            target = run / "tables" / "bounds.json"
+        raise ValueError("need 1 <= nmin <= nmax <= 64")
+    return {"n": [n_min, n_max]}
+
+
+def _csv_fields(row: dict) -> list[tuple[str, object]]:
+    fields = []
+    for name, value in row.items():
+        if isinstance(value, Fraction):
+            fields += [(name, format_rational(value)),
+                       (f"{name}_decimal", rational_to_decimal(value))]
         else:
-            header = [
-                "n",
-                "lower_quadratic",
-                "lower_quadratic_decimal",
-                "singular_voltage",
-                "singular_voltage_decimal",
-                "hardy",
-                "hardy_decimal",
-                "half_hardy",
-                "half_hardy_decimal",
-                "voltage_27",
-                "voltage_27_decimal",
-                "double_voltage_le_hardy",
-                "voltage27_le_half_hardy",
-            ]
-            csv_rows = [
-                [
-                    r["n"],
-                    format_rational(r["lower_quadratic"]),
-                    rational_to_decimal(r["lower_quadratic"]),
-                    format_rational(r["singular_voltage"]),
-                    rational_to_decimal(r["singular_voltage"]),
-                    format_rational(r["hardy"]),
-                    rational_to_decimal(r["hardy"]),
-                    format_rational(r["half_hardy"]),
-                    rational_to_decimal(r["half_hardy"]),
-                    format_rational(r["voltage_27"]),
-                    rational_to_decimal(r["voltage_27"]),
-                    r["double_voltage_le_hardy"],
-                    r["voltage27_le_half_hardy"],
-                ]
-                for r in rows
-            ]
-            write_csv(run / "tables" / "bounds.csv", header, csv_rows)
-            target = run / "tables" / "bounds.csv"
-    except OSError as exc:
-        print(f"bounds: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(target)
-    return EXIT_OK
+            fields.append((name, value))
+    return fields
 
 
-# ---------------------------------------------------------------------------
-# certify
-# ---------------------------------------------------------------------------
+def _run_bounds(args, cfg, inputs, run) -> list[str]:
+    n_min, n_max = inputs["n"]
+    rows = [
+        {"n": n, **{name: value(n) for name, value in _BOUNDS_COLUMNS}}
+        for n in range(n_min, n_max + 1)
+    ]
+    if cfg.out_format == "json":
+        payload = [
+            {k: rational_json(v) if isinstance(v, Fraction) else v for k, v in row.items()}
+            for row in rows
+        ]
+        write_json(run / "tables" / "bounds.json", {"rows": payload})
+    else:
+        header = [name for name, _ in _csv_fields(rows[0])]
+        cells = [[value for _, value in _csv_fields(row)] for row in rows]
+        write_csv(run / "tables" / "bounds.csv", header, cells)
+    return []
 
 
-def _one_certificate(selector: str, n: int) -> dict:
-    if selector == "m3-gap":
-        cert = certify.certify_m3_gap(n)
-    elif selector == "m2-subsolution":
-        cert = certify.certify_m2_subsolution(n)
-    elif selector == "m3-stability":
-        cert = certify.certify_m3_stability(n)
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ValueError(selector)
-    return cert.to_json_dict()
+def _one_certificate(claim: str, n: int) -> dict:
+    certifier = {
+        "m3-gap": certify.certify_m3_gap,
+        "m2-subsolution": certify.certify_m2_subsolution,
+        "m3-stability": certify.certify_m3_stability,
+    }[claim]
+    return certifier(n).to_json_dict()
 
 
-def cmd_certify(args) -> int:
-    cfg = _load_config(args)
+def _certify_inputs(args, cfg) -> dict:
     n_min, n_max = parse_range(args.n)
     if not 1 <= n_min <= n_max:
-        print("certify: invalid dimension range", file=sys.stderr)
-        return EXIT_USAGE
-    run = run_directory(
-        _out_root(args),
-        "certify",
-        {"claim": args.claim, "n": [n_min, n_max], "config": cfg.to_json_dict()},
-    )
-    write_json(
-        run / "config.json",
-        {"command": "certify", "claim": args.claim, "n": [n_min, n_max],
-         "config": cfg.to_json_dict()},
-    )
-    statuses = []
+        raise ValueError("invalid dimension range")
+    return {"claim": args.claim, "n": [n_min, n_max]}
+
+
+def _run_certify(args, cfg, inputs, run) -> list[str]:
+    n_min, n_max = inputs["n"]
     if args.claim == "thresholds":
         cert = certify.certify_thresholds(n_min, n_max)
         write_json(run / "certificates" / f"thresholds-{n_min}-{n_max}.json", cert.to_json_dict())
-        rows = certify.threshold_table(n_min, n_max)
-        write_csv(
-            run / "tables" / "thresholds.csv",
-            [
-                "n", "singular_voltage", "hardy",
-                "double_voltage_le_hardy", "voltage27_le_half_hardy", "voltage_positive",
-            ],
-            [
-                [
-                    r.dimension,
-                    format_rational(r.singular_voltage),
-                    format_rational(r.hardy),
-                    r.double_voltage_le_hardy,
-                    r.voltage27_le_half_hardy,
-                    r.voltage_positive,
-                ]
-                for r in rows
-            ],
-        )
-        statuses.append(cert.status)
+        header = ["n", "singular_voltage", "hardy", "double_voltage_le_hardy",
+                  "voltage27_le_half_hardy", "voltage_positive"]
+        rows = [
+            [format_rational(v) if isinstance(v, Fraction) else v for v in astuple(r)]
+            for r in certify.threshold_table(n_min, n_max)
+        ]
+        write_csv(run / "tables" / "thresholds.csv", header, rows)
+        return [cert.status]
+    dims = list(range(n_min, n_max + 1))
+    workers = worker_count(cfg.jobs, len(dims))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_one_certificate, [args.claim] * len(dims), dims))
     else:
-        dims = list(range(n_min, n_max + 1))
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(_one_certificate, [args.claim] * len(dims), dims))
-        else:
-            results = [_one_certificate(args.claim, n) for n in dims]
-        for n, payload in zip(dims, results):
-            write_json(run / "certificates" / f"{args.claim}-{n}.json", payload)
-            statuses.append(payload["status"])
-    print(run)
-    if any(s == "falsified" for s in statuses):
-        return EXIT_FALSIFIED
-    if any(s == "inconclusive" for s in statuses):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# branch / pullin / profile
-# ---------------------------------------------------------------------------
+        results = [_one_certificate(args.claim, n) for n in dims]
+    for n, payload in zip(dims, results):
+        write_json(run / "certificates" / f"{args.claim}-{n}.json", payload)
+    return [payload["status"] for payload in results]
 
 
 def _branch_record(pt: BranchPoint) -> dict:
@@ -396,8 +326,9 @@ def _branch_record(pt: BranchPoint) -> dict:
     }
 
 
-def _write_profile(path: Path, radii, values) -> None:
-    write_csv(path, ["r", "u"], [[f"{r:.17g}", f"{u:.17g}"] for r, u in zip(radii, values)])
+def _write_profile(path: Path, profile: RadialField) -> None:
+    rows = [[f"{r:.17g}", f"{u:.17g}"] for r, u in zip(profile.grid.nodes, profile.values)]
+    write_csv(path, ["r", "u"], rows)
 
 
 def _auto_lambda_grid(cfg: RunConfig, dim: int, count: int = 12) -> list[float]:
@@ -406,235 +337,194 @@ def _auto_lambda_grid(cfg: RunConfig, dim: int, count: int = 12) -> list[float]:
     return list(np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
 
 
-def cmd_branch(args) -> int:
-    cfg = _load_config(args)
+def _branch_inputs(args, cfg) -> dict:
     dim = cfg.dimensions[0]
-    try:
-        lambdas = parse_lambda_spec(args.lam)
-    except ValueError as exc:
-        print(f"branch: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lambdas = parse_lambda_spec(args.lam)
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
-    run = run_directory(
-        _out_root(args),
-        "branch",
-        {"dim": dim, "lambdas": lambdas, "config": cfg.to_json_dict()},
-    )
-    write_json(
-        run / "config.json",
-        {"command": "branch", "dim": dim, "lambdas": lambdas, "config": cfg.to_json_dict()},
-    )
-    grid = build_grid(cfg.mesh, cfg.gamma, dim)
-    result = continue_branch(cfg.boundary, grid, lambdas, tol=cfg.tol)
+    return {"dim": dim, "lambdas": lambdas}
+
+
+def _run_branch(args, cfg, inputs, run) -> list[str]:
+    grid = build_grid(cfg.mesh, cfg.gamma, inputs["dim"])
+    result = continue_branch(cfg.boundary, grid, inputs["lambdas"], tol=cfg.tol)
     records = [_branch_record(pt) for pt in result.points]
     if result.stopped_at is not None:
-        records.append(
-            {
-                "schema_version": 1,
-                "diverged_at": result.stopped_at,
-                "reason": result.divergence.reason,
-            }
-        )
+        records.append({"schema_version": 1, "diverged_at": result.stopped_at,
+                        "reason": result.divergence.reason})
     write_jsonl(run / "branch.jsonl", records)
     if args.profiles and result.points:
-        idx = np.unique(
-            np.linspace(0, len(result.points) - 1, args.profiles).astype(int)
-        )
-        for i in idx:
+        for i in np.unique(np.linspace(0, len(result.points) - 1, args.profiles).astype(int)):
             pt = result.points[i]
-            _write_profile(
-                run / "profiles" / f"lambda-{pt.lam:.6g}.csv",
-                grid.nodes,
-                pt.field.values,
-            )
-    print(run)
-    if not result.points:
-        return EXIT_FALSIFIED
-    return EXIT_OK
+            _write_profile(run / "profiles" / f"lambda-{pt.lam:.6g}.csv", pt.field)
+    return [] if result.points else ["diverged"]
 
 
-def cmd_pullin(args) -> int:
-    cfg = _load_config(args)
-    dim = cfg.dimensions[0]
+def _run_pullin(args, cfg, inputs, run) -> list[str]:
+    dim = inputs["dim"]
     grid = build_grid(cfg.mesh, cfg.gamma, dim)
-    est = pull_in_voltage(
-        cfg.boundary, grid, rel_width=cfg.rel_width, tol=cfg.tol, method=args.method
-    )
-    verdict = regularity_verdict(est, est.near_fold, dim)
-    run = run_directory(
-        _out_root(args), "pullin", {"dim": dim, "config": cfg.to_json_dict()}
-    )
-    write_json(
-        run / "config.json",
-        {"command": "pullin", "dim": dim, "config": cfg.to_json_dict()},
-    )
+    est = pull_in_voltage(cfg.boundary, grid, rel_width=cfg.rel_width, tol=cfg.tol)
     payload = {
         "dim": dim,
         "lambda_lo": est.lambda_lo,
         "lambda_hi": est.lambda_hi,
-        "method": est.method,
-        "analytic_lower": None
-        if est.analytic_lower is None
-        else rational_json(est.analytic_lower),
+        "method": "bisection-on-convergence",
+        "analytic_lower": None if est.analytic_lower is None else rational_json(est.analytic_lower),
         "analytic_upper": est.analytic_upper,
         "consistent": est.consistent,
         "near_fold_max": est.near_fold.max_value,
         "near_fold_mu1": est.near_fold.mu1,
-        "regularity_verdict": verdict,
+        "regularity_verdict": regularity_verdict(est, est.near_fold, dim),
         "notes": est.notes,
     }
     write_json(run / "pullin.json", payload)
-    _write_profile(
-        run / "profiles" / "near-fold.csv", grid.nodes, est.near_fold.field.values
-    )
-    print(run)
+    _write_profile(run / "profiles" / "near-fold.csv", est.near_fold.field)
     if est.consistent is False or any("flagged" in n for n in est.notes):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        return ["inconclusive"]
+    return []
 
 
-def cmd_profile(args) -> int:
-    cfg = _load_config(args)
-    dim = cfg.dimensions[0]
-    grid = build_grid(cfg.mesh, cfg.gamma, dim)
-    pt = minimal_solution(float(args.lam), cfg.boundary, grid, tol=cfg.tol)
-    run = run_directory(
-        _out_root(args),
-        "profile",
-        {"dim": dim, "lambda": float(args.lam), "config": cfg.to_json_dict()},
-    )
-    write_json(
-        run / "config.json",
-        {"command": "profile", "dim": dim, "lambda": float(args.lam),
-         "config": cfg.to_json_dict()},
-    )
+def _run_profile(args, cfg, inputs, run) -> list[str]:
+    grid = build_grid(cfg.mesh, cfg.gamma, inputs["dim"])
+    pt = minimal_solution(inputs["lambda"], cfg.boundary, grid, tol=cfg.tol)
     if isinstance(pt, BranchPoint):
-        _write_profile(run / "profiles" / f"lambda-{pt.lam:.6g}.csv", grid.nodes, pt.field.values)
+        _write_profile(run / "profiles" / f"lambda-{pt.lam:.6g}.csv", pt.field)
         write_json(run / "point.json", _branch_record(pt))
-        print(run)
-        return EXIT_OK
-    write_json(
-        run / "divergence.json",
-        {"lambda": pt.lam, "reason": pt.reason, "last_max": pt.last_max},
-    )
-    print(run)
-    return EXIT_FALSIFIED
+        return []
+    write_json(run / "divergence.json",
+               {"lambda": pt.lam, "reason": pt.reason, "last_max": pt.last_max})
+    return ["diverged"]
 
 
-# ---------------------------------------------------------------------------
-# search-subsolution
-# ---------------------------------------------------------------------------
+def _search_params(args) -> list:
+    if args.family == "perturbed-touchdown":
+        alphas = parse_fraction_grid(args.alpha_grid) if args.alpha_grid else []
+        betas = parse_fraction_grid(args.beta_grid) if args.beta_grid else []
+        return [(a, b) for a in alphas for b in betas]
+    return parse_fraction_grid(args.m) if args.m else []
 
 
-def cmd_search(args) -> int:
-    cfg = _load_config(args)
+def _search_inputs(args, cfg) -> dict:
     dim = cfg.dimensions[0]
     if not 9 <= dim <= 16:
-        print(
-            f"search-subsolution: dimension {dim} outside the open range 9..16 "
-            "(treating as a sanity run)",
-            file=sys.stderr,
-        )
+        print(f"search-subsolution: dimension {dim} outside the open range 9..16 "
+              "(treating as a sanity run)", file=sys.stderr)
+    params = [str(p) for p in _search_params(args)]
+    return {"dim": dim, "family": args.family, "params": params}
+
+
+def _run_search(args, cfg, inputs, run) -> list[str]:
     lam = Fraction(args.lam) if args.lam else None
-    try:
-        if args.family == "perturbed-touchdown":
-            alphas = parse_fraction_grid(args.alpha_grid) if args.alpha_grid else []
-            betas = parse_fraction_grid(args.beta_grid) if args.beta_grid else []
-            grid_params = [(a, b) for a in alphas for b in betas]
-        else:
-            grid_params = parse_fraction_grid(args.m) if args.m else []
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"search-subsolution: bad family spec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = certify.subsolution_search(dim, args.family, grid_params, lam=lam)
-    run = run_directory(
-        _out_root(args),
-        "search-subsolution",
-        {
-            "dim": dim,
-            "family": args.family,
-            "params": [str(p) for p in grid_params],
-            "config": cfg.to_json_dict(),
-        },
-    )
-    write_json(
-        run / "config.json",
-        {"command": "search-subsolution", "dim": dim, "family": args.family,
-         "config": cfg.to_json_dict()},
-    )
+    report = certify.subsolution_search(inputs["dim"], args.family, _search_params(args), lam=lam)
     write_json(run / "search.json", report.to_json_dict())
-    print(run)
     print(f"candidates: {len(report.candidates)}, passing: {len(report.passing)}")
-    statuses = [
-        c.status for cand in report.candidates for c in cand.checks.values()
-    ]
-    if any(s == "inconclusive" for s in statuses):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return [c.status for cand in report.candidates for c in cand.checks.values()]
 
 
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    ``inputs`` validates the command's own arguments and returns the
+    fields that, with the configuration, key the run directory; all of
+    them except ``unrecorded`` are also written to config.json.  ``run``
+    computes and writes the artifacts and returns their statuses;
+    the first status of ``exit_codes`` among them picks the exit code.
+    """
+
+    name: str
+    help: str
+    arguments: tuple
+    inputs: Callable[[argparse.Namespace, RunConfig], dict]
+    run: Callable[[argparse.Namespace, RunConfig, dict, Path], list[str]]
+    exit_codes: tuple[tuple[str, int], ...] = ()
+    unrecorded: tuple[str, ...] = ()
+
+
+def _dim_inputs(args, cfg) -> dict:
+    return {"dim": cfg.dimensions[0]}
+
+
+COMMANDS = (
+    Command(
+        "bounds", "exact bound and threshold table",
+        (_arg("--n", default="1..40", help="dimension range, e.g. 1..40"),),
+        _bounds_inputs, _run_bounds, unrecorded=("n",),
+    ),
+    Command(
+        "certify", "exact-arithmetic certificates",
+        (
+            _arg("claim", choices=CLAIM_SELECTORS),
+            _arg("--n", default="17..30", help="dimension range"),
+        ),
+        _certify_inputs, _run_certify,
+        exit_codes=(("falsified", EXIT_FALSIFIED), ("inconclusive", EXIT_INCONCLUSIVE)),
+    ),
+    Command(
+        "branch", "minimal-branch sweep",
+        (
+            _DIM,
+            _arg("--lambda", dest="lam", default="auto", help="start:stop:count or auto"),
+            _arg("--profiles", type=int, default=0, help="dump k profiles"),
+        ),
+        _branch_inputs, _run_branch, exit_codes=(("diverged", EXIT_FALSIFIED),),
+    ),
+    Command(
+        "pullin", "pull-in voltage bracket", (_DIM,),
+        _dim_inputs, _run_pullin, exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),),
+    ),
+    Command(
+        "profile", "single deflection profile",
+        (_DIM, _arg("--lambda", dest="lam", required=True, type=float)),
+        lambda args, cfg: {"dim": cfg.dimensions[0], "lambda": args.lam},
+        _run_profile, exit_codes=(("diverged", EXIT_FALSIFIED),),
+    ),
+    Command(
+        "search-subsolution", "parametrized sub-solution search",
+        (
+            _DIM,
+            _arg("--family", choices=FAMILIES, required=True),
+            _arg("--alpha-grid", dest="alpha_grid", help="rational grid start:stop:count"),
+            _arg("--beta-grid", dest="beta_grid", help="rational grid start:stop:count"),
+            _arg("--m", help="profile parameters, single value or start:stop:count"),
+            _arg("--lambda", dest="lam", help="voltage (exact rational); default H_N/2"),
+        ),
+        _search_inputs, _run_search,
+        exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),), unrecorded=("params",),
+    ),
+)
+
+
+def _execute(command: Command, args) -> int:
+    cfg = _load_config(args)
+    inputs = command.inputs(args, cfg)
+    config = cfg.to_json_dict()
+    out_root = Path(args.out) if args.out else default_out_root()
+    run = run_directory(out_root, command.name, {**inputs, "config": config})
+    recorded = {k: v for k, v in inputs.items() if k not in command.unrecorded}
+    write_json(run / "config.json", {"command": command.name, **recorded, "config": config})
+    print(run)
+    statuses = command.run(args, cfg, inputs, run)
+    return next((code for status, code in command.exit_codes if status in statuses), EXIT_OK)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mems4", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="exact bound and threshold table")
-    p.add_argument("--n", default="1..40", help="dimension range, e.g. 1..40")
-    _common_flags(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("certify", help="exact-arithmetic certificates")
-    p.add_argument("claim", choices=CLAIM_SELECTORS)
-    p.add_argument("--n", default="17..30", help="dimension range")
-    _common_flags(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("branch", help="minimal-branch sweep")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default="auto", help="start:stop:count or auto")
-    p.add_argument("--profiles", type=int, default=0, help="dump k profiles")
-    _common_flags(p)
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("pullin", help="pull-in voltage bracket")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("bisection-on-convergence", "mu1-extrapolation"),
-        default="bisection-on-convergence",
-    )
-    _common_flags(p)
-    p.set_defaults(func=cmd_pullin)
-
-    p = sub.add_parser("profile", help="single deflection profile")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True, type=float)
-    _common_flags(p)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("search-subsolution", help="parametrized sub-solution search")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--alpha-grid", dest="alpha_grid", help="rational grid start:stop:count")
-    p.add_argument("--beta-grid", dest="beta_grid", help="rational grid start:stop:count")
-    p.add_argument("--m", help="profile parameters, single value or start:stop:count")
-    p.add_argument("--lambda", dest="lam", help="voltage (exact rational); default H_N/2")
-    _common_flags(p)
-    p.set_defaults(func=cmd_search)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flags, options in command.arguments + _COMMON_ARGUMENTS:
+            p.add_argument(*flags, **options)
+        p.set_defaults(spec=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"mems4: {exc}", file=sys.stderr)
+        return _execute(args.spec, args)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"mems4 {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"mems4: I/O error: {exc}", file=sys.stderr)

@@ -266,19 +266,6 @@ def touchdown_profile(m: Rational) -> PowerSum:
     return PowerSum.of((1, 0), (Fraction(-3 * m, d), FOUR_THIRDS), (Fraction(4, d), m))
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Per-dimension exact constants used throughout."""
-
-    dimension: int
-    singular_voltage: Fraction
-    hardy_rellich: Fraction
-
-    @staticmethod
-    def for_dimension(n: int) -> "Constants":
-        return Constants(_check_dimension(n), singular_voltage(n), hardy_rellich(n))
-
-
 def envelope_coefficient(
     lambda_star: Rational, n: int, rel_prec: Fraction = Fraction(1, 10**12)
 ) -> Fraction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded, solve_banded
 
 from mems4.closed_forms import BoundaryPair, PowerSum
 
@@ -58,9 +58,6 @@ class RadialField:
             raise ValueError("value vector does not match the grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
-
-    def max(self) -> float:
-        return float(np.max(self.values))
 
 
 def sample_power_sum(ps: PowerSum, radii: np.ndarray) -> np.ndarray:
@@ -130,13 +127,9 @@ class OperatorMatrix:
         """Upper symmetric-banded storage of the weighted matrix A."""
         return self._banded
 
-    def weights(self) -> np.ndarray:
-        """Quadrature weights (cell volumes, surface measure dropped)."""
-        return self.cells
-
-    def laplacian(self, v: np.ndarray, bv: float = 0.0, bs: float = 0.0) -> np.ndarray:
+    def laplacian(self, v: np.ndarray, bv: float = 0.0) -> np.ndarray:
         """Discrete radial Laplacian at the interior nodes for a field with
-        boundary value bv and boundary slope bs at r = 1."""
+        boundary value bv at r = 1."""
         out = self.s_diag * v
         out[:-1] += self.s_off * v[1:]
         out[1:] += self.s_off * v[:-1]
@@ -174,8 +167,6 @@ class OperatorMatrix:
     def solve_shifted(self, rhs: np.ndarray, shift_diag: np.ndarray) -> np.ndarray:
         """Solve (A - W diag(shift_diag)) x = W rhs with banded LU (the
         shifted matrix need not be definite near a fold)."""
-        from scipy.linalg import solve_banded
-
         n = self.grid.n
         ab = np.zeros((5, n))
         ab[0, 2:] = self._banded[0, 2:]

@@ -218,21 +218,6 @@ def test_pull_in_nonhomogeneous_has_no_analytic_bounds():
     assert est.lambda_lo <= est.lambda_hi
 
 
-def test_pull_in_mu1_extrapolation():
-    grid = build_grid(128, 1.5, 3)
-    est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-4, method="mu1-extrapolation")
-    ref = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-4)
-    assert est.method == "mu1-extrapolation"
-    # the extrapolated bracket must overlap the bisection one loosely
-    assert est.lambda_lo <= ref.lambda_hi * 1.01
-    assert est.lambda_hi >= ref.lambda_lo * 0.97
-
-
-def test_pull_in_rejects_unknown_method(grid3):
-    with pytest.raises(ValueError):
-        pull_in_voltage(HOMOGENEOUS, grid3, method="arclength")
-
-
 def test_regularity_verdict_low_dimension(grid3):
     est = pull_in_voltage(HOMOGENEOUS, grid3, rel_width=1e-5)
     assert regularity_verdict(est, est.near_fold, 3) == "regular-consistent"

@@ -6,11 +6,14 @@ from pathlib import Path
 import pytest
 
 from mems4.cli import (
+    MAX_MESH,
     RunConfig,
+    build_parser,
     main,
     parse_fraction_grid,
     parse_lambda_spec,
     parse_range,
+    worker_count,
 )
 from fractions import Fraction
 
@@ -55,6 +58,49 @@ def test_config_validation():
         RunConfig(alpha=F(2), beta=F(0))  # inadmissible
     with pytest.raises(ValueError):
         RunConfig(out_format="xml")
+    with pytest.raises(ValueError):
+        RunConfig(mesh=MAX_MESH + 1)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            RunConfig(tol=tol)
+    for rel_width in (0.0, -1e-3, 1.0):
+        with pytest.raises(ValueError):
+            RunConfig(rel_width=rel_width)
+    RunConfig(mesh=MAX_MESH)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--rel-width", "0"], ["--rel-width=-1e-3"], ["--tol", "-1"], ["--mesh", str(MAX_MESH + 1)]],
+)
+def test_bad_run_config_exits_before_solving(tmp_path, flags):
+    assert run_cli("pullin", "--dim", "3", *flags, "--out", str(tmp_path)) == 3
+    assert not any(tmp_path.iterdir())
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert worker_count(1, 10) == 1
+    assert worker_count(3, 10) == 3
+    assert worker_count(64, 10) == 4
+    assert worker_count(64, 2) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(64, 10) == 1
+
+
+def test_negative_rationals_parse_as_values(tmp_path):
+    code = run_cli(
+        "pullin", "--dim", "3", "--beta", "-1/5", "--mesh", "64", "--rel-width", "1e-3",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    config = json.loads(find_one(tmp_path, "config.json").read_text())
+    assert config["config"]["beta"] == "-1/5"
+    args = build_parser().parse_args([
+        "search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+        "--alpha-grid", "-1/3:0:4", "--beta-grid", "-1", "--lambda", "-1/2",
+    ])
+    assert (args.alpha_grid, args.beta_grid, args.lam) == ("-1/3:0:4", "-1", "-1/2")
 
 
 def test_bounds_table(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mems4.closed_forms import (
     BoundaryPair,
-    Constants,
     PowerSum,
     apply_bilaplacian,
     bilaplacian_power_coeff,
@@ -212,13 +211,6 @@ def test_power_sum_product_eval(a, b, r):
     p = PowerSum.of((a, 1), (1, 0))
     q = PowerSum.of((b, 2), (-1, 0))
     assert (p * q).evaluate_exact(r) == p.evaluate_exact(r) * q.evaluate_exact(r)
-
-
-def test_constants_bundle():
-    c = Constants.for_dimension(9)
-    assert c.singular_voltage == F(3800, 81)
-    assert c.hardy_rellich == F(2025, 16)
-    assert c.dimension == 9
 
 
 def test_rational_pow():
