@@ -18,8 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from mems4.closed_forms import (
+    HOMOGENEOUS,
     BoundaryPair,
     boundary_extension,
+    envelope_coefficient,
     hardy_rellich,
     is_admissible,
     singular_voltage,
@@ -29,7 +31,6 @@ from mems4.radial_operator import (
     OperatorMatrix,
     RadialField,
     RadialGrid,
-    assemble_bilaplacian,
     sample_power_sum,
 )
 
@@ -47,7 +48,7 @@ class BranchPoint:
     lam: float
     field: RadialField
     max_value: float
-    mu1: float | None
+    mu1: float
     residual: float
     energy_h2: float
     energy_cubed: float
@@ -70,7 +71,6 @@ class BranchRun:
     voltage truncates the run and is recorded as the marker."""
 
     points: list[BranchPoint]
-    stopped_at: float | None = None
     divergence: DivergenceReport | None = None
 
 
@@ -88,8 +88,8 @@ class PullInEstimate:
     analytic_lower: Fraction | None
     analytic_upper: float | None
     dim: int
+    near_fold: BranchPoint
     consistent: bool | None = None
-    near_fold: BranchPoint | None = None
     notes: list[str] = field(default_factory=list)
 
 
@@ -119,12 +119,12 @@ def _backward_error(op: OperatorMatrix, v: np.ndarray, f: np.ndarray) -> float:
 class _Workspace:
     """Per-(grid, boundary) solver state shared across voltages."""
 
-    def __init__(self, bp: BoundaryPair, grid: RadialGrid, op: OperatorMatrix | None):
+    def __init__(self, bp: BoundaryPair, grid: RadialGrid):
         if not is_admissible(bp):
             raise ValueError(f"boundary pair {bp} is not admissible")
         self.bp = bp
         self.grid = grid
-        self.op = op if op is not None else assemble_bilaplacian(grid, bp)
+        self.op = OperatorMatrix(grid)
         self.phi = sample_power_sum(boundary_extension(bp), grid.nodes)
         self.phi_lap = float(bp.beta) * grid.dim  # Laplacian of the extension
         if np.max(self.phi) >= 1 - CEILING:
@@ -207,22 +207,18 @@ def _solve_at(
 
 
 def _make_point(
-    ws: _Workspace, lam: float, v: np.ndarray, u: np.ndarray, residual: float,
-    compute_mu1: bool = True,
+    ws: _Workspace, lam: float, v: np.ndarray, u: np.ndarray, residual: float
 ) -> BranchPoint:
     op = ws.op
     one_minus = 1.0 - u
     lap_u = op.laplacian(v) + ws.phi_lap
     energy_h2 = float(np.sum(op.cells * lap_u**2))
     energy_cubed = float(np.sum(op.cells / one_minus**3))
-    mu1 = None
-    if compute_mu1:
-        mu1 = op.smallest_weighted_eigenvalue(2.0 * lam / one_minus**3)
     return BranchPoint(
         lam=lam,
         field=RadialField(ws.grid, u),
         max_value=float(np.max(u)),
-        mu1=mu1,
+        mu1=op.smallest_weighted_eigenvalue(2.0 * lam / one_minus**3),
         residual=residual,
         energy_h2=energy_h2,
         energy_cubed=energy_cubed,
@@ -235,25 +231,21 @@ def minimal_solution(
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
     *,
-    op: OperatorMatrix | None = None,
-    warm_start: np.ndarray | None = None,
-    compute_mu1: bool = True,
     track_iterates: list[np.ndarray] | None = None,
 ) -> BranchPoint | DivergenceReport:
     """Compute the minimal solution at one voltage, or report divergence.
 
     Started cold, the fixed-point iterates increase pointwise (tested as an
-    invariant); pass track_iterates=[] to record them.  warm_start is a
-    shifted-variable field (e.g. a neighbouring branch point).
+    invariant); pass track_iterates=[] to record them.
     """
     if lam < 0:
         raise ValueError("voltage must be nonnegative")
-    ws = _Workspace(bp, grid, op)
-    out = _solve_at(ws, float(lam), tol, warm_start, track_iterates)
+    ws = _Workspace(bp, grid)
+    out = _solve_at(ws, float(lam), tol, track_iterates=track_iterates)
     if isinstance(out, DivergenceReport):
         return out
     v, u, rho, _ = out
-    return _make_point(ws, float(lam), v, u, rho, compute_mu1)
+    return _make_point(ws, float(lam), v, u, rho)
 
 
 def continue_branch(
@@ -261,9 +253,6 @@ def continue_branch(
     grid: RadialGrid,
     lambdas,
     tol: float = DEFAULT_TOL,
-    *,
-    op: OperatorMatrix | None = None,
-    compute_mu1: bool = True,
 ) -> BranchRun:
     """Walk the minimal branch over an increasing voltage grid with
     extrapolated warm starts; the first divergence truncates the run."""
@@ -271,7 +260,7 @@ def continue_branch(
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("voltage grid must be strictly increasing")
     run = BranchRun(points=[])
-    ws = _Workspace(bp, grid, op)
+    ws = _Workspace(bp, grid)
     prev: list[tuple[float, np.ndarray]] = []
     for lam in lambdas:
         warm = None
@@ -284,11 +273,10 @@ def continue_branch(
         if isinstance(out, DivergenceReport) and warm is not None:
             out = _solve_at(ws, lam, tol, None)  # cold restart
         if isinstance(out, DivergenceReport):
-            run.stopped_at = lam
             run.divergence = out
             break
         v, u, rho, _ = out
-        run.points.append(_make_point(ws, lam, v, u, rho, compute_mu1))
+        run.points.append(_make_point(ws, lam, v, u, rho))
         prev.append((lam, v))
     return run
 
@@ -298,11 +286,9 @@ def pull_in_voltage(
     grid: RadialGrid,
     rel_width: float = 1e-6,
     tol: float = DEFAULT_TOL,
-    *,
-    op: OperatorMatrix | None = None,
 ) -> PullInEstimate:
     """Bracket the pull-in voltage by bisection on solver convergence."""
-    ws = _Workspace(bp, grid, op)
+    ws = _Workspace(bp, grid)
     homogeneous = bp.alpha == 0 and bp.beta == 0
     lower_exact, upper_nu = analytic_pull_in_bounds(ws.op)
     notes: list[str] = []
@@ -340,14 +326,13 @@ def pull_in_voltage(
             lo, sol = mid, out
 
     v, u, rho, _ = sol
-    near_fold = _make_point(ws, lo, v, u, rho, compute_mu1=True)
     est = PullInEstimate(
         lambda_lo=lo,
         lambda_hi=hi,
         analytic_lower=lower_exact if homogeneous else None,
         analytic_upper=upper_nu if homogeneous else None,
         dim=grid.dim,
-        near_fold=near_fold,
+        near_fold=_make_point(ws, lo, v, u, rho),
         notes=notes,
     )
     if homogeneous:
@@ -371,13 +356,16 @@ class ExtremalDiagnostics:
     notes: list[str] = field(default_factory=list)
 
 
+# Relative quadrature tolerance of the stability-route inequality, and how
+# far the near-fold profile may dip below the lower touchdown envelope.
+STABILITY_REL_TOL = 1e-6
+ENVELOPE_SLACK = 0.02
+
+
 def extremal_diagnostics(
     points: list[BranchPoint],
-    dim: int,
-    bp: BoundaryPair = BoundaryPair(0, 0),
+    bp: BoundaryPair = HOMOGENEOUS,
     lambda_star_hi: float | None = None,
-    rel_tol: float = 1e-6,
-    envelope_slack: float = 0.02,
 ) -> ExtremalDiagnostics:
     """Check the a-priori estimates along a computed branch.
 
@@ -390,9 +378,9 @@ def extremal_diagnostics(
     if not points:
         raise ValueError("need at least one branch point")
     grid = points[0].field.grid
-    op = assemble_bilaplacian(grid, bp)
-    phi = sample_power_sum(boundary_extension(bp), grid.nodes)
-    cells = op.cells
+    dim = grid.dim
+    ws = _Workspace(bp, grid)
+    phi, cells = ws.phi, ws.op.cells
 
     margins = []
     ineq_ok = True
@@ -402,7 +390,7 @@ def extremal_diagnostics(
         lhs = 2.0 * float(np.sum(cells * shifted**2 / (1.0 - u) ** 3))
         rhs = float(np.sum(cells * shifted / (1.0 - u) ** 2))
         margins.append(rhs - lhs)
-        if rhs - lhs < -rel_tol * (abs(rhs) + abs(lhs)):
+        if rhs - lhs < -STABILITY_REL_TOL * (abs(rhs) + abs(lhs)):
             ineq_ok = False
 
     touchdown_violation = None
@@ -416,12 +404,11 @@ def extremal_diagnostics(
 
     env_c = env_margin = env_ok = None
     if lambda_star_hi is not None and dim >= 9:
-        lb = float(singular_voltage(dim))
-        env_c = (lambda_star_hi / lb) ** (1.0 / 3.0)
+        env_c = float(envelope_coefficient(lambda_star_hi, dim))
         envelope = 1.0 - env_c * grid.nodes ** (4.0 / 3.0)
         last = points[-1].field.values
         env_margin = float(np.min(last - envelope))
-        env_ok = env_margin >= -envelope_slack
+        env_ok = env_margin >= -ENVELOPE_SLACK
 
     return ExtremalDiagnostics(
         max_energy_h2=max(pt.energy_h2 for pt in points),
@@ -447,13 +434,7 @@ DELTA_REGULAR = 0.02
 DELTA_SINGULAR = 0.01
 
 
-def regularity_verdict(
-    estimate: PullInEstimate,
-    near_fold: BranchPoint,
-    dim: int,
-    delta_regular: float = DELTA_REGULAR,
-    delta_singular: float = DELTA_SINGULAR,
-) -> str:
+def regularity_verdict(estimate: PullInEstimate) -> str:
     """Classify the extremal solution from near-fold evidence.
 
     "regular-consistent" when the deflection stays bounded away from the
@@ -464,12 +445,12 @@ def regularity_verdict(
     statement, not a proof, and is only meaningful when it is stable
     under grid refinement.
     """
-    m = near_fold.max_value
-    if m <= 1.0 - delta_regular:
+    m = estimate.near_fold.max_value
+    if m <= 1.0 - DELTA_REGULAR:
         return REGULAR
-    if m >= 1.0 - delta_singular:
-        if dim < 9:
+    if m >= 1.0 - DELTA_SINGULAR:
+        if estimate.dim < 9:
             return SINGULAR
-        if estimate.lambda_hi <= float(hardy_rellich(dim)) / 2.0:
+        if estimate.lambda_hi <= float(hardy_rellich(estimate.dim)) / 2.0:
             return SINGULAR
     return INCONCLUSIVE

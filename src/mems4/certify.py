@@ -242,18 +242,6 @@ def _power_sum_claim(ps: PowerSum, label: str) -> dict:
     }
 
 
-def power_sum_value_exact(ps: PowerSum, t: Fraction, q: int) -> Fraction:
-    """Exact value of the power sum at radius r = t^q for rational t > 0:
-    each r^e becomes t^(q e) with q e integral."""
-    total = Fraction(0)
-    for term in ps.terms:
-        k = term.exponent * q
-        if k.denominator != 1:
-            raise ValueError("substitution order does not clear the exponents")
-        total += term.coeff * t ** int(k)
-    return total
-
-
 def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     """Certify that a rational power sum is >= 0 on (0, 1).
 
@@ -279,7 +267,7 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     if inner.status == FALSIFIED:
         t0 = inner.witness
         witness = t0**q
-        check = power_sum_value_exact(ps, t0, q)
+        check = ps.evaluate_exact(witness)
         trail.append(
             {
                 "step": "witness-confirmation",
@@ -316,7 +304,7 @@ def _sampling_fallback(
             {
                 "step": "witness-confirmation",
                 "radius": format_rational(witness),
-                "value": format_rational(power_sum_value_exact(ps, t0, q)),
+                "value": format_rational(ps.evaluate_exact(witness)),
             }
         )
         trail.append({"step": "conclusion", "status": FALSIFIED})
@@ -651,18 +639,6 @@ class SearchReport:
         }
 
 
-def _certify_or_inconclusive(ps: PowerSum, label: str) -> Certificate:
-    try:
-        return power_sum_nonneg(ps, label)
-    except DegreeCapExceeded as exc:  # pragma: no cover - defensive
-        return Certificate(
-            _power_sum_claim(ps, label),
-            INCONCLUSIVE,
-            None,
-            [{"step": "conclusion", "note": str(exc)}],
-        )
-
-
 def check_candidate(
     w: PowerSum, n: int, lam: Fraction, params: dict
 ) -> CandidateReport:
@@ -685,13 +661,13 @@ def check_candidate(
         notes.append("profile does not touch the contact plane at the origin")
     hn = hardy_rellich(n)
     checks = {
-        "range-lower": _certify_or_inconclusive(w, "w >= 0"),
-        "range-upper": _certify_or_inconclusive(one_minus_w, "1 - w >= 0"),
-        "subsolution": _certify_or_inconclusive(
+        "range-lower": power_sum_nonneg(w, "w >= 0"),
+        "range-upper": power_sum_nonneg(one_minus_w, "1 - w >= 0"),
+        "subsolution": power_sum_nonneg(
             PowerSum.constant(lam) - apply_bilaplacian(w, n) * one_minus_w * one_minus_w,
             "lam - bilap(w)(1-w)^2 >= 0",
         ),
-        "semistable": _certify_or_inconclusive(
+        "semistable": power_sum_nonneg(
             (one_minus_w * one_minus_w * one_minus_w).scale(hn)
             - PowerSum.of((2 * lam, 4)),
             "H_N (1-w)^3 - 2 lam r^4 >= 0",

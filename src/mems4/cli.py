@@ -9,14 +9,16 @@ artifacts.  Rational values and specs may be negative: "--beta -1/5" and
 
 Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
 or flagged, 3+ usage and I/O errors.  Usage errors include --mesh outside
-16..16384, --tol <= 0, --rel-width outside (0, 1) and --jobs < 1; the
-certify fanout never starts more workers than dimensions or CPUs.
+16..16384, --tol <= 0, --rel-width outside (0, 1), --jobs < 1 and a
+voltage that is NaN, infinite or negative; the certify fanout never
+starts more workers than dimensions or CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -181,6 +183,13 @@ def parse_fraction_grid(text: str) -> list[Fraction]:
     return [start + k * step for k in range(count)]
 
 
+def _check_voltages(values) -> None:
+    """Reject voltages that are NaN, infinite or negative; commands call
+    this while building their run key, before any directory exists."""
+    if not all(0 <= v < math.inf for v in values):
+        raise ValueError("voltages must be finite and nonnegative")
+
+
 def worker_count(jobs: int, tasks: int) -> int:
     """Worker processes for a fanout of ``tasks``: at most ``jobs``, and
     never more than the tasks or the CPUs."""
@@ -342,6 +351,7 @@ def _branch_inputs(args, cfg) -> dict:
     lambdas = parse_lambda_spec(args.lam)
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
+    _check_voltages(lambdas)
     return {"dim": dim, "lambdas": lambdas}
 
 
@@ -349,8 +359,8 @@ def _run_branch(args, cfg, inputs, run) -> list[str]:
     grid = build_grid(cfg.mesh, cfg.gamma, inputs["dim"])
     result = continue_branch(cfg.boundary, grid, inputs["lambdas"], tol=cfg.tol)
     records = [_branch_record(pt) for pt in result.points]
-    if result.stopped_at is not None:
-        records.append({"schema_version": 1, "diverged_at": result.stopped_at,
+    if result.divergence is not None:
+        records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
                         "reason": result.divergence.reason})
     write_jsonl(run / "branch.jsonl", records)
     if args.profiles and result.points:
@@ -374,7 +384,7 @@ def _run_pullin(args, cfg, inputs, run) -> list[str]:
         "consistent": est.consistent,
         "near_fold_max": est.near_fold.max_value,
         "near_fold_mu1": est.near_fold.mu1,
-        "regularity_verdict": regularity_verdict(est, est.near_fold, dim),
+        "regularity_verdict": regularity_verdict(est),
         "notes": est.notes,
     }
     write_json(run / "pullin.json", payload)
@@ -410,11 +420,22 @@ def _search_inputs(args, cfg) -> dict:
         print(f"search-subsolution: dimension {dim} outside the open range 9..16 "
               "(treating as a sanity run)", file=sys.stderr)
     params = [str(p) for p in _search_params(args)]
-    return {"dim": dim, "family": args.family, "params": params}
+    inputs = {"dim": dim, "family": args.family, "params": params}
+    # Keyed only when given, so default-voltage runs keep their directories.
+    if args.lam is not None:
+        lam = Fraction(args.lam)
+        _check_voltages([lam])
+        inputs["lambda"] = format_rational(lam)
+    return inputs
+
+
+def _profile_inputs(args, cfg) -> dict:
+    _check_voltages([args.lam])
+    return {"dim": cfg.dimensions[0], "lambda": args.lam}
 
 
 def _run_search(args, cfg, inputs, run) -> list[str]:
-    lam = Fraction(args.lam) if args.lam else None
+    lam = Fraction(inputs["lambda"]) if "lambda" in inputs else None
     report = certify.subsolution_search(inputs["dim"], args.family, _search_params(args), lam=lam)
     write_json(run / "search.json", report.to_json_dict())
     print(f"candidates: {len(report.candidates)}, passing: {len(report.passing)}")
@@ -476,8 +497,7 @@ COMMANDS = (
     Command(
         "profile", "single deflection profile",
         (_DIM, _arg("--lambda", dest="lam", required=True, type=float)),
-        lambda args, cfg: {"dim": cfg.dimensions[0], "lambda": args.lam},
-        _run_profile, exit_codes=(("diverged", EXIT_FALSIFIED),),
+        _profile_inputs, _run_profile, exit_codes=(("diverged", EXIT_FALSIFIED),),
     ),
     Command(
         "search-subsolution", "parametrized sub-solution search",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded, solve_banded
 
-from mems4.closed_forms import BoundaryPair, PowerSum
+from mems4.closed_forms import PowerSum
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,8 @@ class OperatorMatrix:
     symmetric, positive definite.
     """
 
-    def __init__(self, grid: RadialGrid, boundary: BoundaryPair):
+    def __init__(self, grid: RadialGrid):
         self.grid = grid
-        self.boundary = boundary
         self.dim = grid.dim
         r = grid.nodes
         n = grid.n
@@ -108,6 +107,12 @@ class OperatorMatrix:
         self.kappa = flux[-1] * 2.0 / self.delta**2
         self._banded = self._assemble_banded()
         self._chol = None
+        # General (2, 2) band layout of A for the LU solves of solve_shifted:
+        # the upper rows are the symmetric storage, the lower rows mirror it.
+        self._lu_bands = np.zeros((5, n))
+        self._lu_bands[:3] = self._banded
+        self._lu_bands[3, :-1] = self._banded[1, 1:]
+        self._lu_bands[4, :-2] = self._banded[0, 2:]
 
     def _assemble_banded(self) -> np.ndarray:
         n = self.grid.n
@@ -121,11 +126,6 @@ class OperatorMatrix:
         ab[0, 2:] = e[:-1] * e[1:] / c[1:-1]
         ab[2, -1] += self.kappa
         return ab
-
-    @property
-    def banded(self) -> np.ndarray:
-        """Upper symmetric-banded storage of the weighted matrix A."""
-        return self._banded
 
     def laplacian(self, v: np.ndarray, bv: float = 0.0) -> np.ndarray:
         """Discrete radial Laplacian at the interior nodes for a field with
@@ -147,13 +147,7 @@ class OperatorMatrix:
     def apply(self, v: np.ndarray, bv: float = 0.0, bs: float = 0.0) -> np.ndarray:
         """Discrete bilaplacian of a sampled field with boundary data
         (bv, bs) at r = 1; (0, 0) is the clamped operator action."""
-        w = self.laplacian(v, bv)
-        wb = self.boundary_laplacian(v, bv, bs)
-        out = self.s_diag * w
-        out[:-1] += self.s_off * w[1:]
-        out[1:] += self.s_off * w[:-1]
-        out[-1] += self.flux[-1] * wb
-        return out / self.cells
+        return self.laplacian(self.laplacian(v, bv), self.boundary_laplacian(v, bv, bs))
 
     def _factor(self):
         if self._chol is None:
@@ -167,13 +161,8 @@ class OperatorMatrix:
     def solve_shifted(self, rhs: np.ndarray, shift_diag: np.ndarray) -> np.ndarray:
         """Solve (A - W diag(shift_diag)) x = W rhs with banded LU (the
         shifted matrix need not be definite near a fold)."""
-        n = self.grid.n
-        ab = np.zeros((5, n))
-        ab[0, 2:] = self._banded[0, 2:]
-        ab[1, 1:] = self._banded[1, 1:]
-        ab[2, :] = self._banded[2, :] - self.cells * shift_diag
-        ab[3, :-1] = self._banded[1, 1:]
-        ab[4, :-2] = self._banded[0, 2:]
+        ab = self._lu_bands.copy()
+        ab[2, :] -= self.cells * shift_diag
         return solve_banded((2, 2), ab, self.cells * rhs)
 
     def green_matrix(self) -> np.ndarray:
@@ -183,8 +172,10 @@ class OperatorMatrix:
         x = cho_solve_banded((self._factor(), False), np.eye(n))
         return x * self.cells[None, :]
 
-    def _standard_banded(self, weight: np.ndarray | None = None) -> np.ndarray:
-        """Symmetric-banded similarity transform W^-1/2 (A - W diag) W^-1/2."""
+    def _lowest_eigenpair(self, weight: np.ndarray | None, vectors: bool):
+        """Lowest eigenvalue of the symmetric-banded similarity transform
+        W^-1/2 (A - W diag(weight)) W^-1/2 and, when vectors is set, its
+        eigenfunction W^-1/2 x (else None)."""
         sq = np.sqrt(self.cells)
         ab = np.copy(self._banded)
         ab[2, :] /= self.cells
@@ -192,19 +183,21 @@ class OperatorMatrix:
         ab[0, 2:] /= sq[2:] * sq[:-2]
         if weight is not None:
             ab[2, :] -= weight
-        return ab
+        out = eig_banded(
+            ab, lower=False, select="i", select_range=(0, 0), eigvals_only=not vectors
+        )
+        if not vectors:
+            return float(out[0]), None
+        vals, vecs = out
+        return float(vals[0]), vecs[:, 0] / sq
 
     def nu1(self) -> tuple[float, RadialField]:
         """Smallest eigenvalue of the clamped bilaplacian in the weighted
         inner product, with its (one-signed) eigenfunction."""
-        ab = self._standard_banded()
-        vals, vecs = eig_banded(
-            ab, lower=False, select="i", select_range=(0, 0)
-        )
-        phi = vecs[:, 0] / np.sqrt(self.cells)
+        value, phi = self._lowest_eigenpair(None, vectors=True)
         if phi[np.argmax(np.abs(phi))] < 0:
             phi = -phi
-        return float(vals[0]), RadialField(self.grid, phi)
+        return value, RadialField(self.grid, phi)
 
     def smallest_weighted_eigenvalue(
         self, weight: np.ndarray, return_field: bool = False
@@ -217,15 +210,8 @@ class OperatorMatrix:
             raise ValueError("weight must be a finite vector on the grid")
         if np.any(weight < 0):
             raise ValueError("weight entries must be nonnegative")
-        ab = self._standard_banded(weight)
-        if return_field:
-            vals, vecs = eig_banded(ab, lower=False, select="i", select_range=(0, 0))
-            phi = vecs[:, 0] / np.sqrt(self.cells)
-            return float(vals[0]), RadialField(self.grid, phi)
-        vals = eig_banded(
-            ab, lower=False, select="i", select_range=(0, 0), eigvals_only=True
-        )
-        return float(vals[0])
+        value, phi = self._lowest_eigenpair(weight, return_field)
+        return (value, RadialField(self.grid, phi)) if return_field else value
 
     def rayleigh_quotient(self, v: np.ndarray, weight: np.ndarray | None = None) -> float:
         """Discrete Rayleigh quotient (v, (A - W diag(weight)) v) / (v, W v)."""
@@ -237,27 +223,19 @@ class OperatorMatrix:
 
     def _matvec_weighted(self, v: np.ndarray) -> np.ndarray:
         """A v in the pentadiagonal storage."""
-        ab = self._banded
-        out = ab[2, :] * v
-        out[:-1] += ab[1, 1:] * v[1:]
-        out[1:] += ab[1, 1:] * v[:-1]
-        out[:-2] += ab[0, 2:] * v[2:]
-        out[2:] += ab[0, 2:] * v[:-2]
-        return out
+        return _band_product(self._banded, v)
 
     def _matvec_weighted_abs(self, v: np.ndarray) -> np.ndarray:
         """|A| |v|, the scale vector for componentwise backward error."""
-        ab = np.abs(self._banded)
-        v = np.abs(v)
-        out = ab[2, :] * v
-        out[:-1] += ab[1, 1:] * v[1:]
-        out[1:] += ab[1, 1:] * v[:-1]
-        out[:-2] += ab[0, 2:] * v[2:]
-        out[2:] += ab[0, 2:] * v[:-2]
-        return out
+        return _band_product(np.abs(self._banded), np.abs(v))
 
 
-def assemble_bilaplacian(grid: RadialGrid, bp: BoundaryPair) -> OperatorMatrix:
-    """Assemble the clamped discrete bilaplacian; non-homogeneous boundary
-    data is handled by the solver through the shift u = v + extension."""
-    return OperatorMatrix(grid, bp)
+def _band_product(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of a symmetric pentadiagonal matrix in upper banded storage
+    (row 2 = main diagonal) with a vector."""
+    out = ab[2, :] * v
+    out[:-1] += ab[1, 1:] * v[1:]
+    out[1:] += ab[1, 1:] * v[:-1]
+    out[:-2] += ab[0, 2:] * v[2:]
+    out[2:] += ab[0, 2:] * v[:-2]
+    return out

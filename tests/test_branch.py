@@ -1,5 +1,6 @@
 """Tests for minimal-branch continuation and pull-in estimation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from mems4.closed_forms import (
     singular_voltage,
     touchdown_shape,
 )
-from mems4.radial_operator import assemble_bilaplacian, build_grid, sample_power_sum
+from mems4.radial_operator import OperatorMatrix, build_grid, sample_power_sum
 
 F = Fraction
 
@@ -50,7 +51,7 @@ def test_zero_voltage_is_trivial(grid3):
     assert isinstance(pt, BranchPoint)
     assert pt.max_value == 0.0
     assert pt.residual == 0.0
-    op = assemble_bilaplacian(grid3, HOMOGENEOUS)
+    op = OperatorMatrix(grid3)
     nu1, _ = op.nu1()
     assert pt.mu1 == pytest.approx(nu1, rel=1e-12)
 
@@ -82,7 +83,7 @@ def test_monotone_iterates_nondecreasing(grid3):
 
 def test_branch_pointwise_monotone_in_voltage(branch3):
     assert len(branch3.points) == 10
-    assert branch3.stopped_at is None
+    assert branch3.divergence is None
     for p, q in zip(branch3.points, branch3.points[1:]):
         assert np.all(q.field.values >= p.field.values - 1e-12)
 
@@ -99,7 +100,7 @@ def test_branch_fields_radially_decreasing(branch3):
 
 
 def test_branch_diagnostics(branch3):
-    diag = extremal_diagnostics(branch3.points, 3)
+    diag = extremal_diagnostics(branch3.points)
     assert diag.stability_inequality_ok
     assert all(m >= 0 for m in diag.stability_inequality_margins)
     assert np.isfinite(diag.max_energy_h2)
@@ -110,20 +111,19 @@ def test_branch_diagnostics(branch3):
 def test_empty_voltage_grid(grid3):
     run = continue_branch(HOMOGENEOUS, grid3, [])
     assert run.points == []
-    assert run.stopped_at is None
+    assert run.divergence is None
 
 
 def test_diagnostics_single_trivial_point(grid3):
     pt = minimal_solution(0.0, HOMOGENEOUS, grid3)
-    diag = extremal_diagnostics([pt], 3)
+    diag = extremal_diagnostics([pt])
     assert diag.stability_inequality_ok
     assert diag.stability_inequality_margins == [0.0]
     assert diag.max_energy_h2 == 0.0
 
 
 def test_envelope_coefficient_matches_float_path():
-    # the rational-bisection cube root agrees with the float path used in
-    # the diagnostics
+    # the rational-bisection cube root agrees with the float cube root
     from mems4.closed_forms import envelope_coefficient, singular_voltage
 
     lam_hi = 1341.59
@@ -138,21 +138,21 @@ def test_voltage_grid_must_increase(grid3):
 
 
 def test_divergence_above_upper_bound(grid3):
-    op = assemble_bilaplacian(grid3, HOMOGENEOUS)
+    op = OperatorMatrix(grid3)
     _, upper = analytic_pull_in_bounds(op)
-    out = minimal_solution(1.2 * upper, HOMOGENEOUS, grid3, op=op)
+    out = minimal_solution(1.2 * upper, HOMOGENEOUS, grid3)
     assert isinstance(out, DivergenceReport)
     assert "ceiling" in out.reason or "Newton" in out.reason
     assert out.last_max >= 0
 
 
 def test_branch_truncates_at_divergence(grid3):
-    op = assemble_bilaplacian(grid3, HOMOGENEOUS)
+    op = OperatorMatrix(grid3)
     _, upper = analytic_pull_in_bounds(op)
-    run = continue_branch(HOMOGENEOUS, grid3, [1.0, 5.0, 2.0 * upper], op=op)
+    run = continue_branch(HOMOGENEOUS, grid3, [1.0, 5.0, 2.0 * upper])
     assert len(run.points) == 2
-    assert run.stopped_at == 2.0 * upper
     assert isinstance(run.divergence, DivergenceReport)
+    assert run.divergence.lam == 2.0 * upper
 
 
 def test_nonhomogeneous_branch_below_touchdown():
@@ -192,8 +192,27 @@ def test_n17_profiles_below_touchdown_shape():
     ub = sample_power_sum(touchdown_shape(), grid.nodes)
     for pt in run.points:
         assert np.max(pt.field.values - ub) <= 10 * 1e-10
-    diag = extremal_diagnostics(run.points, 17)
+    diag = extremal_diagnostics(run.points)
     assert diag.touchdown_bound_ok
+
+
+def test_envelope_diagnostics_at_n17():
+    # The near-fold profile of the dim-17 pull-in bracket dominates the
+    # lower envelope 1 - C0 r^(4/3), C0 = (lambda_hi / lb)^(1/3).
+    grid = build_grid(256, 1.5, 17)
+    est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-4)
+    diag = extremal_diagnostics([est.near_fold], lambda_star_hi=est.lambda_hi)
+    c_float = (est.lambda_hi / float(singular_voltage(17))) ** (1.0 / 3.0)
+    assert diag.envelope_coefficient == pytest.approx(c_float, rel=1e-12)
+    envelope = 1.0 - c_float * grid.nodes ** (4.0 / 3.0)
+    margin = float(np.min(est.near_fold.field.values - envelope))
+    assert diag.envelope_min_margin == pytest.approx(margin, abs=1e-10)
+    assert diag.envelope_ok is True
+    assert diag.touchdown_bound_ok is True
+    # halving C0 lifts the envelope above the clamped edge, where u -> 0
+    halved = extremal_diagnostics([est.near_fold], lambda_star_hi=est.lambda_hi / 8)
+    assert halved.envelope_coefficient == pytest.approx(c_float / 2, rel=1e-12)
+    assert halved.envelope_ok is False
 
 
 def test_pull_in_bracket_n2():
@@ -220,7 +239,7 @@ def test_pull_in_nonhomogeneous_has_no_analytic_bounds():
 
 def test_regularity_verdict_low_dimension(grid3):
     est = pull_in_voltage(HOMOGENEOUS, grid3, rel_width=1e-5)
-    assert regularity_verdict(est, est.near_fold, 3) == "regular-consistent"
+    assert regularity_verdict(est) == "regular-consistent"
 
 
 def test_regularity_verdict_synthetic_cases(grid3):
@@ -231,12 +250,13 @@ def test_regularity_verdict_synthetic_cases(grid3):
         residual=pt.residual, energy_h2=pt.energy_h2, energy_cubed=pt.energy_cubed,
     )
     # below dimension 9 no bracket condition applies
-    assert regularity_verdict(est, nearly_touching, 3) == "singular-consistent"
+    assert regularity_verdict(replace(est, near_fold=nearly_touching)) == "singular-consistent"
     # for N >= 9 the bracket must sit below H_N/2: est has tiny lambda_hi,
     # so the condition holds for dimension 17
-    assert regularity_verdict(est, nearly_touching, 17) == "singular-consistent"
+    singular17 = replace(est, near_fold=nearly_touching, dim=17)
+    assert regularity_verdict(singular17) == "singular-consistent"
     middling = BranchPoint(
         lam=pt.lam, field=pt.field, max_value=0.985, mu1=0.1,
         residual=pt.residual, energy_h2=pt.energy_h2, energy_cubed=pt.energy_cubed,
     )
-    assert regularity_verdict(est, middling, 3) == "inconclusive"
+    assert regularity_verdict(replace(est, near_fold=middling)) == "inconclusive"

@@ -69,12 +69,27 @@ def test_config_validation():
     RunConfig(mesh=MAX_MESH)
 
 
+SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "3"]
+
+
 @pytest.mark.parametrize(
     "flags",
-    [["--rel-width", "0"], ["--rel-width=-1e-3"], ["--tol", "-1"], ["--mesh", str(MAX_MESH + 1)]],
+    [
+        ["pullin", "--dim", "3", "--rel-width", "0"],
+        ["pullin", "--dim", "3", "--rel-width=-1e-3"],
+        ["pullin", "--dim", "3", "--tol", "-1"],
+        ["pullin", "--dim", "3", "--mesh", str(MAX_MESH + 1)],
+        ["profile", "--dim", "3", "--lambda", "nan"],
+        ["profile", "--dim", "3", "--lambda", "inf"],
+        ["profile", "--dim", "3", "--lambda", "-1"],
+        ["branch", "--dim", "3", "--lambda", "nan:1:3"],
+        ["branch", "--dim", "3", "--lambda", "-5:1:3"],
+        SEARCH_W3 + ["--lambda", "1/0"],
+        SEARCH_W3 + ["--lambda", "-1/2"],
+    ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, flags):
-    assert run_cli("pullin", "--dim", "3", *flags, "--out", str(tmp_path)) == 3
+    assert run_cli(*flags, "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
 
 
@@ -285,6 +300,17 @@ def test_search_family_w3_passes(tmp_path):
     assert code == 0
     payload = json.loads(find_one(tmp_path, "search.json").read_text())
     assert payload["passing_count"] == 1
+
+
+def test_search_voltage_keys_the_run(tmp_path):
+    for lam in ("10", "20"):
+        assert run_cli(*SEARCH_W3, "--lambda", lam, "--out", str(tmp_path)) in (0, 2)
+    configs = sorted(tmp_path.rglob("config.json"))
+    assert len(configs) == 2
+    assert sorted(json.loads(p.read_text())["lambda"] for p in configs) == ["10/1", "20/1"]
+    for p in configs:
+        search = json.loads((p.parent / "search.json").read_text())
+        assert search["voltage"] == json.loads(p.read_text())["lambda"]
 
 
 def test_search_phi0_grid_no_pass(tmp_path):

@@ -39,6 +39,7 @@ CASES = {
     "pullin-alpha": [
         "pullin", "--dim", "3", "--mesh", "128", "--rel-width", "1e-3", "--alpha=1/10",
     ],
+    "pullin-singular": ["pullin", "--dim", "17", "--mesh", "256", "--rel-width", "1e-4"],
     "profile-converged": ["profile", "--dim", "3", "--lambda", "5", "--mesh", "128"],
     "profile-divergent": ["profile", "--dim", "3", "--lambda", "500", "--mesh", "128"],
     "search-touchdown-m": [
@@ -152,6 +153,14 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "d7c38894450a1f2ee7032fe16353ee2f15bfff9e31b86ef9af1612071585c6a2",
         "pullin-aebe68c705/pullin.json":
             "56cf98123068ab3fcd50f810172e559420fef52dfe2f1cbc72f08559364e1c91",
+    }),
+    "pullin-singular": (0, {
+        "pullin-a220bf2e51/config.json":
+            "cbde8070b1b60a1eb8da9bc91a8afa1f078612d170c857dc48cbd276e5c8709a",
+        "pullin-a220bf2e51/profiles/near-fold.csv":
+            "278d8319793ad8edf284ad69e37cba72502cf4a948312d79a388c153f43b6a71",
+        "pullin-a220bf2e51/pullin.json":
+            "e6f3e4ec9544b326639376b803e4d94be521f172f92f13979c182d53972441a1",
     }),
     "search-perturbed-touchdown": (0, {
         "search-subsolution-b74e74ff96/config.json":

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 from scipy.special import iv, jv
 
 from mems4.closed_forms import (
-    HOMOGENEOUS,
     bilaplacian_power_coeff,
     hardy_rellich,
     singular_voltage,
@@ -16,8 +15,8 @@ from mems4.closed_forms import (
     touchdown_shape,
 )
 from mems4.radial_operator import (
+    OperatorMatrix,
     RadialField,
-    assemble_bilaplacian,
     build_grid,
     sample_power_sum,
 )
@@ -79,7 +78,7 @@ def test_radial_field_validation():
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_power_residuals(dim, s):
     grid = build_grid(256, 1.5, dim)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     vals = grid.nodes**s
     out = op.apply(vals, bv=1.0, bs=float(s))
     K = float(bilaplacian_power_coeff(s, dim))
@@ -100,7 +99,7 @@ def test_power_residual_richardson_order(dim, s):
     errs = []
     for n in (256, 512):
         grid = build_grid(n, 1.5, dim)
-        op = assemble_bilaplacian(grid, HOMOGENEOUS)
+        op = OperatorMatrix(grid)
         out = op.apply(grid.nodes**s, bv=1.0, bs=float(s))
         exact = K * grid.nodes ** (s - 4.0)
         mask = (grid.nodes >= 0.1) & (grid.nodes <= 0.9)
@@ -117,7 +116,7 @@ def test_touchdown_residual_and_order():
     errs = []
     for n in (256, 512):
         grid = build_grid(n, 1.5, dim)
-        op = assemble_bilaplacian(grid, HOMOGENEOUS)
+        op = OperatorMatrix(grid)
         vals = sample_power_sum(touchdown_shape(), grid.nodes)
         out = op.apply(vals, bv=0.0, bs=-4.0 / 3.0)
         exact = lb * grid.nodes ** (-8.0 / 3.0)
@@ -135,7 +134,7 @@ def test_m3_profile_residual_n17():
     errs = []
     for n in (256, 512):
         grid = build_grid(n, 1.5, dim)
-        op = assemble_bilaplacian(grid, HOMOGENEOUS)
+        op = OperatorMatrix(grid)
         vals = sample_power_sum(touchdown_profile(3), grid.nodes)
         out = op.apply(vals)
         exact = (9.0 / 5.0) * lb * grid.nodes ** (-8.0 / 3.0) + (
@@ -151,7 +150,7 @@ def test_m3_profile_residual_n17():
 def test_green_matrix_positivity_and_symmetry(dim):
     for n in (64, 128):
         grid = build_grid(n, 1.5, dim)
-        op = assemble_bilaplacian(grid, HOMOGENEOUS)
+        op = OperatorMatrix(grid)
         G = op.green_matrix()
         assert np.min(G) >= -1e-10 * np.max(G)
         M = op.cells[:, None] * G
@@ -164,7 +163,7 @@ def test_green_reproduces_constant_load_solution():
     dim = 9
     lb = float(singular_voltage(dim))
     grid = build_grid(128, 1.5, dim)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     G = op.green_matrix()
     sol = G @ np.full(grid.n, lb)
     exact = lb * (1.0 - grid.nodes**2) ** 2 / (8.0 * dim * (dim + 2))
@@ -174,7 +173,7 @@ def test_green_reproduces_constant_load_solution():
 
 def test_nu1_beam_oracle():
     grid = build_grid(256, 1.5, 1)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     val, phi = op.nu1()
     oracle = beam_nu1()
     assert oracle == pytest.approx(31.2852, abs=2e-4)
@@ -184,7 +183,7 @@ def test_nu1_beam_oracle():
 
 def test_nu1_disk_oracle():
     grid = build_grid(256, 1.5, 2)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     val, phi = op.nu1()
     oracle = disk_nu1()
     assert oracle == pytest.approx(104.363, abs=2e-3)
@@ -196,7 +195,7 @@ def test_nu1_monotone_in_dimension():
     vals = []
     for dim in (1, 2, 3, 9, 17):
         grid = build_grid(256, 1.5, dim)
-        op = assemble_bilaplacian(grid, HOMOGENEOUS)
+        op = OperatorMatrix(grid)
         v, _ = op.nu1()
         vals.append(v)
     assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -204,7 +203,7 @@ def test_nu1_monotone_in_dimension():
 
 def test_weighted_eigenvalue_zero_weight_is_nu1():
     grid = build_grid(128, 1.5, 3)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     nu, _ = op.nu1()
     mu = op.smallest_weighted_eigenvalue(np.zeros(grid.n))
     assert abs(mu - nu) < 1e-9 * abs(nu)
@@ -212,7 +211,7 @@ def test_weighted_eigenvalue_zero_weight_is_nu1():
 
 def test_weighted_eigenvalue_is_rayleigh_minimum():
     grid = build_grid(128, 1.5, 9)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     weight = 10.0 / (1.0 + grid.nodes**2)
     mu = op.smallest_weighted_eigenvalue(weight)
     rng = np.random.default_rng(42)
@@ -226,7 +225,7 @@ def test_weighted_eigenvalue_is_rayleigh_minimum():
 
 def test_weighted_eigenvalue_validation():
     grid = build_grid(128, 1.5, 9)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     with pytest.raises(ValueError):
         op.smallest_weighted_eigenvalue(np.full(grid.n, np.inf))
 
@@ -243,7 +242,7 @@ def test_weighted_eigenvalue_validation():
 def test_touchdown_weight_semistability_discrete():
     dim = 9
     grid = build_grid(256, 1.5, dim)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     weight = float(hardy_rellich(dim)) / grid.nodes**4
     mu = op.smallest_weighted_eigenvalue(weight)
     assert mu >= -1.0
@@ -251,7 +250,7 @@ def test_touchdown_weight_semistability_discrete():
 
 def test_apply_matches_matrix_on_clamped_fields():
     grid = build_grid(128, 1.5, 5)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(grid.n)
     direct = op.apply(v)
@@ -259,12 +258,32 @@ def test_apply_matches_matrix_on_clamped_fields():
     assert np.allclose(direct, via_matrix, rtol=1e-12, atol=1e-9)
 
 
+def test_solve_shifted_matches_dense_solve():
+    # (A - W diag(shift)) x = W rhs against a dense solve of the same
+    # matrix, with a shift large enough to make it indefinite.
+    grid = build_grid(64, 1.5, 3)
+    op = OperatorMatrix(grid)
+    nu, _ = op.nu1()
+    rng = np.random.default_rng(3)
+    shift = nu * (1.0 + rng.random(grid.n))
+    rhs = rng.standard_normal(grid.n)
+    dense = np.diag(op._banded[2])
+    dense += np.diag(op._banded[1, 1:], 1) + np.diag(op._banded[1, 1:], -1)
+    dense += np.diag(op._banded[0, 2:], 2) + np.diag(op._banded[0, 2:], -2)
+    expected = np.linalg.solve(dense - np.diag(op.cells * shift), op.cells * rhs)
+    x = op.solve_shifted(rhs, shift)
+    assert np.max(np.abs(x - expected)) < 1e-11 * np.max(np.abs(expected))
+    # repeated calls start from the unshifted bands
+    assert np.array_equal(op.solve_shifted(rhs, shift), x)
+    assert np.allclose(op.solve_shifted(rhs, np.zeros(grid.n)), op.solve(rhs), rtol=1e-9)
+
+
 def test_solve_inverts_apply():
     # The roundtrip residual is judged in the componentwise backward-error
     # sense: matrix rows scale like 1/h^4 near the origin, so a forward
     # comparison would only measure cancellation noise.
     grid = build_grid(128, 1.5, 3)
-    op = assemble_bilaplacian(grid, HOMOGENEOUS)
+    op = OperatorMatrix(grid)
     f = np.sin(3 * grid.nodes) + 2.0
     v = op.solve(f)
     res = np.abs(op.apply(v) - f)
