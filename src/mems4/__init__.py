@@ -2,102 +2,3 @@
 on the unit ball: minimal branch continuation, pull-in voltage estimation,
 stability diagnostics, and exact-rational certificates for the closed-form
 inequalities and dimension thresholds."""
-
-from mems4.branch import (
-    BranchPoint,
-    BranchRun,
-    DivergenceReport,
-    PullInEstimate,
-    continue_branch,
-    extremal_diagnostics,
-    minimal_solution,
-    pull_in_voltage,
-    quadratic_lower_bound,
-    regularity_verdict,
-)
-from mems4.certify import (
-    Certificate,
-    certify_m2_subsolution,
-    certify_m3_gap,
-    certify_m3_stability,
-    certify_nonneg,
-    certify_thresholds,
-    power_sum_nonneg,
-    replay_certificate,
-    stability_gap_polynomial,
-    subsolution_search,
-    threshold_table,
-)
-from mems4.closed_forms import (
-    HOMOGENEOUS,
-    BoundaryPair,
-    PowerSum,
-    PowerTerm,
-    apply_bilaplacian,
-    bilaplacian_power_coeff,
-    boundary_extension,
-    dilate,
-    envelope_coefficient,
-    hardy_rellich,
-    is_admissible,
-    laplacian_power_coeff,
-    singular_voltage,
-    touchdown_profile,
-    touchdown_shape,
-)
-from mems4.polys import RationalPolynomial
-from mems4.radial_operator import (
-    OperatorMatrix,
-    RadialField,
-    RadialGrid,
-    build_grid,
-    sample_power_sum,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryPair",
-    "BranchPoint",
-    "BranchRun",
-    "Certificate",
-    "DivergenceReport",
-    "HOMOGENEOUS",
-    "OperatorMatrix",
-    "PowerSum",
-    "PowerTerm",
-    "PullInEstimate",
-    "RadialField",
-    "RadialGrid",
-    "RationalPolynomial",
-    "apply_bilaplacian",
-    "bilaplacian_power_coeff",
-    "boundary_extension",
-    "build_grid",
-    "certify_m2_subsolution",
-    "certify_m3_gap",
-    "certify_m3_stability",
-    "certify_nonneg",
-    "certify_thresholds",
-    "continue_branch",
-    "dilate",
-    "envelope_coefficient",
-    "extremal_diagnostics",
-    "hardy_rellich",
-    "is_admissible",
-    "laplacian_power_coeff",
-    "minimal_solution",
-    "power_sum_nonneg",
-    "pull_in_voltage",
-    "quadratic_lower_bound",
-    "regularity_verdict",
-    "replay_certificate",
-    "sample_power_sum",
-    "singular_voltage",
-    "stability_gap_polynomial",
-    "subsolution_search",
-    "threshold_table",
-    "touchdown_profile",
-    "touchdown_shape",
-    "__version__",
-]

@@ -248,6 +248,12 @@ def minimal_solution(
     return _make_point(ws, float(lam), v, u, rho)
 
 
+def check_increasing_grid(lambdas) -> None:
+    """Reject a voltage grid that is not strictly increasing."""
+    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+        raise ValueError("voltage grid must be strictly increasing")
+
+
 def continue_branch(
     bp: BoundaryPair,
     grid: RadialGrid,
@@ -257,8 +263,7 @@ def continue_branch(
     """Walk the minimal branch over an increasing voltage grid with
     extrapolated warm starts; the first divergence truncates the run."""
     lambdas = [float(x) for x in lambdas]
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("voltage grid must be strictly increasing")
+    check_increasing_grid(lambdas)
     run = BranchRun(points=[])
     ws = _Workspace(bp, grid)
     prev: list[tuple[float, np.ndarray]] = []

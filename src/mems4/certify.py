@@ -84,49 +84,42 @@ def _poly_from_strings(ss: Sequence[str]) -> RationalPolynomial:
     return RationalPolynomial(tuple(Fraction(s) for s in ss))
 
 
-def certify_nonneg(
-    p: RationalPolynomial,
-    interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
-    closed: bool = False,
-    claim: dict | None = None,
-) -> Certificate:
-    """Certify p >= 0 on the open interval (a, b), or on [a, b] if closed.
+_UNIT_INTERVAL = ["0/1", "1/1"]  # (0, 1) as format_rational writes it
+
+
+def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certificate:
+    """Certify p >= 0 on the open interval (0, 1).
 
     Exact procedure: isolate every distinct interior root by Sturm
     bisection, then determine the sign of p at each isolating-interval
-    edge and each gap midpoint by exact evaluation; with the endpoints
-    checked separately for closed intervals this covers the whole domain.
-    Polynomials beyond degree 64 are rejected (DegreeCapExceeded).
+    edge and each gap midpoint by exact evaluation; this covers the whole
+    open interval.  Polynomials beyond degree 64 are rejected
+    (DegreeCapExceeded).
     """
-    a, b = Fraction(interval[0]), Fraction(interval[1])
-    if a >= b:
-        raise ValueError("interval must be nondegenerate")
+    a, b = Fraction(0), Fraction(1)
     if p.degree > DEGREE_CAP:
         raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
     base_claim = {
         "kind": "polynomial-nonneg",
         "polynomial": _poly_strings(p),
-        "interval": [format_rational(a), format_rational(b)],
-        "closed": closed,
+        "interval": list(_UNIT_INTERVAL),
+        "closed": False,
     }
     if claim:
         base_claim.update(claim)
     trail: list[dict] = [
-        {"step": "input", "degree": p.degree, "closed": closed}
+        {"step": "input", "degree": p.degree, "closed": False}
     ]
 
     if p.is_zero():
         trail.append({"step": "conclusion", "note": "zero polynomial"})
         return Certificate(base_claim, VERIFIED, None, trail)
 
+    # Recorded for replay; an open interval puts no condition on them.
     for pt in (a, b):
-        v = p(pt)
         trail.append(
-            {"step": "endpoint-value", "point": format_rational(pt), "value": format_rational(v)}
+            {"step": "endpoint-value", "point": format_rational(pt), "value": format_rational(p(pt))}
         )
-        if closed and v < 0:
-            trail.append({"step": "conclusion", "status": FALSIFIED})
-            return Certificate(base_claim, FALSIFIED, pt, trail)
 
     # Every distinct interior root lands in exactly one isolating interval
     # whose edges are interior non-roots; the sign of p is constant on the
@@ -168,25 +161,26 @@ def certify_nonneg(
 def replay_certificate(cert: Certificate) -> bool:
     """Re-verify a certificate from its claim and trail alone.
 
-    Recomputes the endpoint deflation, interior root count, and every
-    recorded exact evaluation; for falsified certificates confirms the
-    witness produces a strict violation.
+    Recomputes the verdict, every recorded endpoint value and, for
+    falsified certificates, confirms the witness produces a strict
+    violation; a composite must carry the status and witness that the
+    composite rule gives its replayed components.
     """
     kind = cert.claim.get("kind")
     if kind == "power-sum-nonneg":
         return _replay_power_sum(cert)
     if kind == "composite":
-        comps = cert.claim.get("components", [])
-        return bool(comps) and all(_replay_sub(c) for c in comps)
+        return _replay_composite(cert)
     if kind == "threshold-pattern":
         fresh = certify_thresholds(*cert.claim["range"])
         return fresh.status == cert.status and fresh.witness == cert.witness
     if kind != "polynomial-nonneg":
         return False
+    # The engine certifies only the open unit interval.
+    if cert.claim.get("interval") != _UNIT_INTERVAL or cert.claim.get("closed") is not False:
+        return False
     p = _poly_from_strings(cert.claim["polynomial"])
-    a, b = (Fraction(s) for s in cert.claim["interval"])
-    closed = cert.claim["closed"]
-    fresh = certify_nonneg(p, (a, b), closed)
+    fresh = certify_nonneg(p)
     if fresh.status != cert.status:
         return False
     for entry in cert.trail:
@@ -194,18 +188,10 @@ def replay_certificate(cert: Certificate) -> bool:
             if p(Fraction(entry["point"])) != Fraction(entry["value"]):
                 return False
     if cert.status == FALSIFIED:
-        if cert.witness is None:
-            return False
-        if closed and (cert.witness == a or cert.witness == b):
-            return p(cert.witness) < 0
-        if not (a < cert.witness < b):
+        if cert.witness is None or not (0 < cert.witness < 1):
             return False
         return p(cert.witness) < 0
     return True
-
-
-def _replay_sub(component: dict) -> bool:
-    return replay_certificate(Certificate.from_json_dict(component))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +245,7 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
         "polynomial": _poly_strings(poly),
     }
     try:
-        inner = certify_nonneg(poly, (Fraction(0), Fraction(1)), closed=False)
+        inner = certify_nonneg(poly)
     except DegreeCapExceeded:
         return _sampling_fallback(ps, poly, q, claim, reduction_step)
     trail = [reduction_step] + inner.trail
@@ -298,26 +284,20 @@ def _sampling_fallback(
         if acc < best_v:
             best_t, best_v = k, acc
 
-    def falsify_at(t0: Fraction) -> Certificate:
-        witness = t0**q
-        trail.append(
-            {
-                "step": "witness-confirmation",
-                "radius": format_rational(witness),
-                "value": format_rational(ps.evaluate_exact(witness)),
-            }
-        )
-        trail.append({"step": "conclusion", "status": FALSIFIED})
-        return Certificate(claim, FALSIFIED, witness, trail)
-
-    if best_t is not None:
-        t0 = Fraction(best_t, FALLBACK_SAMPLES + 1)
-        if poly(t0) < 0:
-            return falsify_at(t0)
-    for k in range(1, FALLBACK_SAMPLES + 1):
+    # The float screen's pick first, then every sample in order.
+    for k in sorted(range(1, FALLBACK_SAMPLES + 1), key=lambda k: k != best_t):
         t0 = Fraction(k, FALLBACK_SAMPLES + 1)
         if poly(t0) < 0:
-            return falsify_at(t0)
+            witness = t0**q
+            trail.append(
+                {
+                    "step": "witness-confirmation",
+                    "radius": format_rational(witness),
+                    "value": format_rational(ps.evaluate_exact(witness)),
+                }
+            )
+            trail.append({"step": "conclusion", "status": FALSIFIED})
+            return Certificate(claim, FALSIFIED, witness, trail)
     trail.append(
         {
             "step": "exact-sampling",
@@ -421,15 +401,16 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
     true; those rows are recorded but excluded from the pattern.
     """
     rows = threshold_table(n_min, n_max)
+    pattern = {
+        "double_voltage_le_hardy_from": 9,
+        "voltage27_le_half_hardy_from": 31,
+        "gated_to_positive_voltage": True,
+    }
     claim = {
         "kind": "threshold-pattern",
         "name": "thresholds",
         "range": [n_min, n_max],
-        "pattern": {
-            "double_voltage_le_hardy_from": 9,
-            "voltage27_le_half_hardy_from": 31,
-            "gated_to_positive_voltage": True,
-        },
+        "pattern": pattern,
     }
     trail = []
     witness = None
@@ -450,14 +431,71 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
         )
         if not row.voltage_positive:
             continue
-        ok = row.double_voltage_le_hardy == (row.dimension >= 9) and (
-            row.voltage27_le_half_hardy == (row.dimension >= 31)
+        ok = row.double_voltage_le_hardy == (
+            row.dimension >= pattern["double_voltage_le_hardy_from"]
+        ) and row.voltage27_le_half_hardy == (
+            row.dimension >= pattern["voltage27_le_half_hardy_from"]
         )
         if not ok and status == VERIFIED:
             status = FALSIFIED
             witness = Fraction(row.dimension)
     trail.append({"step": "conclusion", "status": status})
     return Certificate(claim, status, witness, trail)
+
+
+def _composite_verdict(
+    parts: Sequence[Certificate], side_ok: bool = True
+) -> tuple[str, Fraction | None]:
+    """Status and witness of a composite claim: falsified if any part (or
+    the side condition) fails, verified if every part verifies, else
+    inconclusive; the witness is the first falsified part's."""
+    statuses = [c.status for c in parts]
+    if FALSIFIED in statuses or not side_ok:
+        status = FALSIFIED
+    elif all(s == VERIFIED for s in statuses):
+        status = VERIFIED
+    else:
+        status = INCONCLUSIVE
+    witness = next((c.witness for c in parts if c.status == FALSIFIED), None)
+    return status, witness
+
+
+def _composite(
+    name: str, n: int, description: str, parts: list[Certificate], trail: list[dict],
+    side_ok: bool = True,
+) -> Certificate:
+    status, witness = _composite_verdict(parts, side_ok)
+    claim = {
+        "kind": "composite",
+        "name": name,
+        "dimension": n,
+        "description": description,
+        "components": [c.to_json_dict() for c in parts],
+    }
+    return Certificate(claim, status, witness, trail)
+
+
+def _m2_boundary_ok() -> bool:
+    """Exact clamped boundary values of the m = 2 profile."""
+    w2 = touchdown_profile(2)
+    return w2.evaluate_exact(1) == 0 and w2.derivative().evaluate_exact(1) == 0
+
+
+# Side condition of each composite claim, recomputed on replay.
+_COMPOSITE_SIDE_CHECKS = {
+    "m2-subsolution": _m2_boundary_ok,
+    "m3-stability": lambda: True,
+}
+
+
+def _replay_composite(cert: Certificate) -> bool:
+    side_check = _COMPOSITE_SIDE_CHECKS.get(cert.claim.get("name"))
+    parts = [Certificate.from_json_dict(c) for c in cert.claim.get("components", [])]
+    if side_check is None or not parts:
+        return False
+    if not all(replay_certificate(c) for c in parts):
+        return False
+    return _composite_verdict(parts, side_check()) == (cert.status, cert.witness)
 
 
 def certify_m2_subsolution(n: int) -> Certificate:
@@ -492,31 +530,17 @@ def certify_m2_subsolution(n: int) -> Certificate:
             "description": "2(r^(4/3) - r^2) >= 0 with t = r^(2/3)",
         },
     )
-    boundary_ok = (
-        w2.evaluate_exact(1) == 0 and w2.derivative().evaluate_exact(1) == 0
-    )
-    status = VERIFIED if (c_sub.status == VERIFIED and c_pert.status == VERIFIED and boundary_ok) else (
-        FALSIFIED
-        if FALSIFIED in (c_sub.status, c_pert.status) or not boundary_ok
-        else INCONCLUSIVE
-    )
-    witness = c_sub.witness if c_sub.status == FALSIFIED else c_pert.witness
-    claim = {
-        "kind": "composite",
-        "name": "m2-subsolution",
-        "dimension": n,
-        "description": (
-            "m=2 touchdown profile is a singular semi-stable sub-solution at "
-            "27x the singular voltage; reduction divides by 3*lb, positive "
-            "for N >= 3"
-        ),
-        "components": [c_sub.to_json_dict(), c_pert.to_json_dict()],
-    }
+    boundary_ok = _m2_boundary_ok()
     trail = [
         {"step": "bilaplacian-identity", "value": "3*lb * r^(-8/3)"},
         {"step": "boundary-values", "value": boundary_ok},
     ]
-    return Certificate(claim, status, witness, trail)
+    description = (
+        "m=2 touchdown profile is a singular semi-stable sub-solution at "
+        "27x the singular voltage; reduction divides by 3*lb, positive "
+        "for N >= 3"
+    )
+    return _composite("m2-subsolution", n, description, [c_sub, c_pert], trail, boundary_ok)
 
 
 def certify_m3_stability(n: int) -> Certificate:
@@ -545,32 +569,16 @@ def certify_m3_stability(n: int) -> Certificate:
             "description": "12(9-4s)^2 >= 0 on (0,1)",
         },
     )
-    at0 = Fraction(125, 729)
-    at1 = Fraction(125, 125)
-    status = (
-        VERIFIED
-        if c_bound.status == VERIFIED and c_mono.status == VERIFIED
-        else FALSIFIED
-        if FALSIFIED in (c_bound.status, c_mono.status)
-        else INCONCLUSIVE
-    )
-    claim = {
-        "kind": "composite",
-        "name": "m3-stability",
-        "dimension": n,
-        "description": (
-            "sup over (0,1) of 125/(9-4s)^3 equals 1; with the optimal "
-            "Hardy-Rellich constant this makes the m=3 profile semi-stable "
-            "at voltage H_N/2"
-        ),
-        "components": [c_bound.to_json_dict(), c_mono.to_json_dict()],
-    }
     trail = [
-        {"step": "value-at-0", "value": format_rational(at0)},
-        {"step": "value-at-1", "value": format_rational(at1)},
+        {"step": "value-at-0", "value": format_rational(Fraction(125, 729))},
+        {"step": "value-at-1", "value": format_rational(Fraction(125, 125))},
     ]
-    witness = c_bound.witness if c_bound.status == FALSIFIED else c_mono.witness
-    return Certificate(claim, status, witness, trail)
+    description = (
+        "sup over (0,1) of 125/(9-4s)^3 equals 1; with the optimal "
+        "Hardy-Rellich constant this makes the m=3 profile semi-stable "
+        "at voltage H_N/2"
+    )
+    return _composite("m3-stability", n, description, [c_bound, c_mono], trail)
 
 
 # ---------------------------------------------------------------------------

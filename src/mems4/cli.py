@@ -34,6 +34,7 @@ from mems4 import certify
 from mems4.branch import (
     minimal_solution,
     BranchPoint,
+    check_increasing_grid,
     continue_branch,
     pull_in_voltage,
     quadratic_lower_bound,
@@ -42,10 +43,8 @@ from mems4.branch import (
 from mems4.closed_forms import (
     BoundaryPair,
     format_rational,
-    hardy_rellich,
     is_admissible,
     rational_to_decimal,
-    singular_voltage,
 )
 from mems4.radial_operator import RadialField, build_grid
 from mems4.store import (
@@ -232,16 +231,17 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_json_dict(d)
 
 
-# (column, exact value in dimension n); Fractions render as num/den plus
-# a decimal column in CSV and as rational_json in JSON.
+# (column, exact value from the dimension's certify.ThresholdRow);
+# Fractions render as num/den plus a decimal column in CSV and as
+# rational_json in JSON.
 _BOUNDS_COLUMNS = (
-    ("lower_quadratic", quadratic_lower_bound),
-    ("singular_voltage", singular_voltage),
-    ("hardy", hardy_rellich),
-    ("half_hardy", lambda n: hardy_rellich(n) / 2),
-    ("voltage_27", lambda n: 27 * singular_voltage(n)),
-    ("double_voltage_le_hardy", lambda n: 2 * singular_voltage(n) <= hardy_rellich(n)),
-    ("voltage27_le_half_hardy", lambda n: 27 * singular_voltage(n) <= hardy_rellich(n) / 2),
+    ("lower_quadratic", lambda row: quadratic_lower_bound(row.dimension)),
+    ("singular_voltage", lambda row: row.singular_voltage),
+    ("hardy", lambda row: row.hardy),
+    ("half_hardy", lambda row: row.hardy / 2),
+    ("voltage_27", lambda row: 27 * row.singular_voltage),
+    ("double_voltage_le_hardy", lambda row: row.double_voltage_le_hardy),
+    ("voltage27_le_half_hardy", lambda row: row.voltage27_le_half_hardy),
 )
 
 
@@ -266,8 +266,8 @@ def _csv_fields(row: dict) -> list[tuple[str, object]]:
 def _run_bounds(args, cfg, inputs, run) -> list[str]:
     n_min, n_max = inputs["n"]
     rows = [
-        {"n": n, **{name: value(n) for name, value in _BOUNDS_COLUMNS}}
-        for n in range(n_min, n_max + 1)
+        {"n": row.dimension, **{name: value(row) for name, value in _BOUNDS_COLUMNS}}
+        for row in certify.threshold_table(n_min, n_max)
     ]
     if cfg.out_format == "json":
         payload = [
@@ -352,6 +352,7 @@ def _branch_inputs(args, cfg) -> dict:
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
     _check_voltages(lambdas)
+    check_increasing_grid(lambdas)
     return {"dim": dim, "lambdas": lambdas}
 
 

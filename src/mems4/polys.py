@@ -78,24 +78,19 @@ class RationalPolynomial:
     def divmod(
         self, other: "RationalPolynomial"
     ) -> tuple["RationalPolynomial", "RationalPolynomial"]:
+        """Long division: (q, r) with self = q * other + r, deg r < deg other."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lc = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
+        q = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in reversed(range(len(q))):
+            f = rem[k + d] / lc
             q[k] = f
             for i, c in enumerate(other.coeffs):
                 rem[k + i] -= f * c
-            rem.pop()
-        return RationalPolynomial(tuple(q)), RationalPolynomial(tuple(rem))
+        return RationalPolynomial(tuple(q)), RationalPolynomial(tuple(rem[:d]))
 
     def primitive(self) -> "RationalPolynomial":
         """Rescale by a positive rational so coefficients are coprime
@@ -140,11 +135,6 @@ class RationalPolynomial:
                 break
             chain.append((-r).primitive())
         return [p for p in chain if not p.is_zero()]
-
-    def count_roots(self, a: Fraction, b: Fraction) -> int:
-        """Number of distinct real roots in (a, b]; requires f(a) != 0."""
-        chain = self.sturm_sequence()
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
 
     def isolate_roots(
         self, a: Fraction, b: Fraction

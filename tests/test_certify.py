@@ -115,15 +115,6 @@ def test_nonneg_root_at_endpoint():
     # s(1-s) vanishes at both endpoints, positive inside.
     cert = certify_nonneg(P(0, 1, -1))
     assert cert.status == "verified"
-    # closed-interval version also fine since the endpoint values are 0
-    cert = certify_nonneg(P(0, 1, -1), closed=True)
-    assert cert.status == "verified"
-
-
-def test_nonneg_closed_endpoint_violation():
-    cert = certify_nonneg(P(F(-1, 3), 1), closed=True)  # s - 1/3 at s=0
-    assert cert.status == "falsified"
-    assert cert.witness == 0
 
 
 def test_nonneg_sign_change_multiple_roots():
@@ -178,6 +169,18 @@ def test_replay_verified_and_falsified():
     bad = Certificate.from_json_dict(cert.to_json_dict())
     bad.status = "verified"
     assert not replay_certificate(bad)
+    # A composite's status must follow from its replayed components.
+    for composite in (certify_m2_subsolution(31), certify_m3_stability(6)):
+        assert replay_certificate(Certificate.from_json_dict(composite.to_json_dict()))
+        for status in ("falsified", "inconclusive"):
+            bad = Certificate.from_json_dict(composite.to_json_dict())
+            bad.status = status
+            assert not replay_certificate(bad)
+    # The engine certifies only the open (0, 1); other domains do not replay.
+    for edit in ({"interval": ["0/1", "2/1"]}, {"closed": True}):
+        bad = Certificate.from_json_dict(certify_nonneg(P(0, 1, -1)).to_json_dict())
+        bad.claim.update(edit)
+        assert not replay_certificate(bad)
 
 
 # --- power sum reduction --------------------------------------------------

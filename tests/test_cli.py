@@ -86,6 +86,7 @@ SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--
         ["branch", "--dim", "3", "--lambda", "-5:1:3"],
         SEARCH_W3 + ["--lambda", "1/0"],
         SEARCH_W3 + ["--lambda", "-1/2"],
+        ["branch", "--dim", "3", "--lambda", "5:1:3"],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, flags):

@@ -49,6 +49,9 @@ CASES = {
         "search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
         "--alpha-grid", "1:2:2", "--beta-grid", "1/3:2:2",
     ],
+    "search-fallback": [
+        "search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "11/2",
+    ],
 }
 
 GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
@@ -161,6 +164,12 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "278d8319793ad8edf284ad69e37cba72502cf4a948312d79a388c153f43b6a71",
         "pullin-a220bf2e51/pullin.json":
             "e6f3e4ec9544b326639376b803e4d94be521f172f92f13979c182d53972441a1",
+    }),
+    "search-fallback": (2, {
+        "search-subsolution-5152d78bc8/config.json":
+            "f7c3a22c44a1f300c177623593fa3cd8a2276aeb78bde9ecfd0d42c4922be633",
+        "search-subsolution-5152d78bc8/search.json":
+            "694e58c47442a8ba6d32b7521eab13e7b32a61e1b83dc9ac546fca4eacaf84f0",
     }),
     "search-perturbed-touchdown": (0, {
         "search-subsolution-b74e74ff96/config.json":

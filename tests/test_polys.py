@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mems4.polys import RationalPolynomial, from_power_shifts
@@ -41,13 +41,6 @@ def test_gcd_and_squarefree():
     assert g == x_minus_1
     sf = p.squarefree_part()
     assert sf == x_minus_1 * x_minus_2
-
-
-def test_count_roots():
-    p = P(-1, 0, 1)  # roots -1, 1
-    assert p.count_roots(F(-2), F(2)) == 2
-    assert p.count_roots(F(0), F(2)) == 1
-    assert p.count_roots(F(-1, 2), F(1, 2)) == 0
 
 
 def test_isolate_roots_simple():
@@ -101,11 +94,17 @@ def test_isolation_finds_all_constructed_roots(roots):
     ),
     st.fractions(min_value=F(-2), max_value=F(2), max_denominator=12),
 )
+# A divisor of higher degree than the dividend: quotient 0, remainder a.
+@example(a=[F(1), F(2)], b=[F(0), F(0), F(-1, 2), F(3)], x=F(1, 2))
 def test_ring_ops_consistent_with_eval(a, b, x):
     p, q = RationalPolynomial(tuple(a)), RationalPolynomial(tuple(b))
     assert (p + q)(x) == p(x) + q(x)
     assert (p * q)(x) == p(x) * q(x)
     assert (p - q)(x) == p(x) - q(x)
+    if not q.is_zero():
+        quo, rem = p.divmod(q)
+        assert quo * q + rem == p
+        assert rem.degree < q.degree
 
 
 def test_derivative():
