@@ -39,6 +39,9 @@ DEFAULT_TOL = 1e-10
 MAX_MONOTONE = 500
 MAX_NEWTON = 60
 STALL_INCREMENT = 1e-7
+# A pull-in notes nu1's accuracy floor when eig_banded's nu1 and the
+# Rayleigh estimate of its eigenfunction differ by more than this.
+NU1_FLOOR_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,16 @@ def quadratic_lower_bound(n: int) -> Fraction:
     return Fraction(32 * (10 * n - n * n - 12), 27)
 
 
-def analytic_pull_in_bounds(op: OperatorMatrix) -> tuple[Fraction, float]:
-    """(max of the two exact lower bounds, 4 nu1 / 27) for homogeneous data."""
+def analytic_pull_in_bounds(op: OperatorMatrix) -> tuple[Fraction, float, float]:
+    """(max of the two exact lower bounds, 4 nu1 / 27) for homogeneous
+    data, and the relative gap between nu1 and the Rayleigh estimate
+    (x, W x) / (x, W A^-1 W x) of its eigenfunction x (one back-solve)."""
     n = op.dim
     lower = max(quadratic_lower_bound(n), singular_voltage(n))
-    nu1, _ = op.nu1()
-    return lower, 4.0 * nu1 / 27.0
+    nu1, phi = op.nu1()
+    x = phi.values
+    rayleigh = float(np.sum(op.cells * x * x) / np.sum(op.cells * x * op.solve(x)))
+    return lower, 4.0 * nu1 / 27.0, abs(nu1 - rayleigh) / rayleigh
 
 
 def _backward_error(op: OperatorMatrix, v: np.ndarray, f: np.ndarray) -> float:
@@ -295,8 +302,10 @@ def pull_in_voltage(
     """Bracket the pull-in voltage by bisection on solver convergence."""
     ws = _Workspace(bp, grid)
     homogeneous = bp.alpha == 0 and bp.beta == 0
-    lower_exact, upper_nu = analytic_pull_in_bounds(ws.op)
+    lower_exact, upper_nu, nu1_gap = analytic_pull_in_bounds(ws.op)
     notes: list[str] = []
+    if nu1_gap > NU1_FLOOR_REL:
+        notes.append(f"nu1 accuracy floor: eigensolvers differ by {nu1_gap:.1e} relative")
 
     hi = upper_nu * 1.02
     out = _solve_at(ws, hi, tol)

@@ -94,6 +94,14 @@ def test_bad_run_config_exits_before_solving(tmp_path, flags):
     assert not any(tmp_path.iterdir())
 
 
+def test_mesh_too_fine_for_dimension_fails_fast(tmp_path):
+    # The dim 1 matrix at n = 16384 is not numerically positive definite:
+    # the banded Cholesky raises LinAlgError (a ValueError) at once.  The
+    # run directory, already written, holds only config.json.
+    assert run_cli("pullin", "--dim", "1", "--mesh", str(MAX_MESH), "--out", str(tmp_path)) == 3
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.json"]
+
+
 def test_worker_count_is_bounded(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert worker_count(1, 10) == 1

@@ -1,5 +1,6 @@
 """Tests for the discrete radial bilaplacian."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from mems4.closed_forms import (
     touchdown_profile,
     touchdown_shape,
 )
+import mems4.radial_operator
 from mems4.radial_operator import (
     OperatorMatrix,
     RadialField,
@@ -22,6 +24,25 @@ from mems4.radial_operator import (
 )
 
 F = Fraction
+
+
+def dense_a(op: OperatorMatrix) -> np.ndarray:
+    """The pentadiagonal weighted matrix A as a dense array."""
+    ab = op._banded
+    dense = np.diag(ab[2])
+    dense += np.diag(ab[1, 1:], 1) + np.diag(ab[1, 1:], -1)
+    dense += np.diag(ab[0, 2:], 2) + np.diag(ab[0, 2:], -2)
+    return dense
+
+
+def dense_ground_state(op: OperatorMatrix, weight: np.ndarray) -> np.ndarray:
+    """Lowest eigenfunction of W^-1 (A - W diag(weight)) from a dense
+    symmetric eigensolve, W-normalised and positive at its largest entry."""
+    sq = np.sqrt(op.cells)
+    sym = dense_a(op) / np.outer(sq, sq) - np.diag(weight)
+    phi = np.linalg.eigh(sym)[1][:, 0] / sq
+    phi /= np.sqrt(np.sum(op.cells * phi * phi))
+    return phi if phi[np.argmax(np.abs(phi))] > 0 else -phi
 
 
 # Independent eigenvalue oracles, computed by scalar root-finding on the
@@ -218,9 +239,36 @@ def test_weighted_eigenvalue_is_rayleigh_minimum():
     for _ in range(100):
         v = rng.standard_normal(grid.n)
         assert op.rayleigh_quotient(v, weight) >= mu - 1e-8 * abs(mu)
-    # the minimizing eigenfunction attains it
-    mu2, phi = op.smallest_weighted_eigenvalue(weight, return_field=True)
-    assert abs(op.rayleigh_quotient(phi.values, weight) - mu) < 1e-8 * abs(mu)
+    # the minimizing eigenfunction (from a dense eigensolve) attains it
+    phi = dense_ground_state(op, weight)
+    assert abs(op.rayleigh_quotient(phi, weight) - mu) < 1e-8 * abs(mu)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 17])
+def test_nu1_eigenfunction_matches_dense_ground_state(dim):
+    op = OperatorMatrix(build_grid(128, 1.5, dim))
+    _, phi = op.nu1()
+    assert np.all(phi.values > 0)
+    x = phi.values / np.sqrt(np.sum(op.cells * phi.values**2))
+    diff = x - dense_ground_state(op, np.zeros(op.grid.n))
+    assert np.sqrt(np.sum(op.cells * diff * diff)) < 1e-8
+
+
+def test_nu1_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(mems4.radial_operator, "NU1_MAX_ITER", 1)
+    with pytest.raises(RuntimeError):
+        OperatorMatrix(build_grid(128, 1.5, 3)).nu1()
+
+
+def test_nu1_memory_stays_linear():
+    # A dense eigenvector path would hold an n x n matrix: 128 MB at n = 4096.
+    tracemalloc.start()
+    try:
+        OperatorMatrix(build_grid(4096, 1.5, 17)).nu1()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_weighted_eigenvalue_validation():
@@ -267,10 +315,7 @@ def test_solve_shifted_matches_dense_solve():
     rng = np.random.default_rng(3)
     shift = nu * (1.0 + rng.random(grid.n))
     rhs = rng.standard_normal(grid.n)
-    dense = np.diag(op._banded[2])
-    dense += np.diag(op._banded[1, 1:], 1) + np.diag(op._banded[1, 1:], -1)
-    dense += np.diag(op._banded[0, 2:], 2) + np.diag(op._banded[0, 2:], -2)
-    expected = np.linalg.solve(dense - np.diag(op.cells * shift), op.cells * rhs)
+    expected = np.linalg.solve(dense_a(op) - np.diag(op.cells * shift), op.cells * rhs)
     x = op.solve_shifted(rhs, shift)
     assert np.max(np.abs(x - expected)) < 1e-11 * np.max(np.abs(expected))
     # repeated calls start from the unshifted bands
