@@ -581,6 +581,14 @@ def certify_m3_stability(n: int) -> Certificate:
     return _composite("m3-stability", n, description, [c_bound, c_mono], trail)
 
 
+# Per-dimension certifiers by claim name ("thresholds" certifies a range).
+CLAIMS = {
+    "m3-gap": certify_m3_gap,
+    "m2-subsolution": certify_m2_subsolution,
+    "m3-stability": certify_m3_stability,
+}
+
+
 # ---------------------------------------------------------------------------
 # Parametrized search for singular semi-stable sub-solutions.
 # ---------------------------------------------------------------------------

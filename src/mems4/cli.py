@@ -1,17 +1,20 @@
 """Command-line driver: bounds tables, certificates, branch sweeps,
 pull-in estimation, profiles, and the sub-solution search.
 
-Every command runs one chain: load the configuration (a --config file,
-then flags), key the run directory on the canonical inputs, write
-config.json, print the run directory, then compute and write the
-artifacts.  Rational values and specs may be negative: "--beta -1/5" and
-"--alpha-grid -1/3:0:4" parse as values.
+Every command runs one chain: resolve the settings it reads (defaults,
+then a --config file, then flags), validate its own inputs, key the run
+directory on the command, those inputs and those settings, write exactly
+that key to config.json, print the run directory, then compute and write
+the artifacts.  A command takes flags and --config keys only for the
+settings it reads (``Command.settings``).  Rational values and specs may
+be negative: "--beta -1/5" and "--alpha-grid -1/3:0:4" parse as values.
 
 Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
-or flagged, 3+ usage and I/O errors.  Usage errors include --mesh outside
-16..16384, --tol <= 0, --rel-width outside (0, 1), --jobs < 1 and a
-voltage that is NaN, infinite or negative; the certify fanout never
-starts more workers than dimensions or CPUs.
+or flagged, 3+ usage and I/O errors.  Usage errors include a flag the
+command does not take, a --config key that is not one of its settings,
+--mesh outside 16..16384, --tol <= 0, --rel-width outside (0, 1), a
+dimension range outside 1..64 and a voltage that is NaN, infinite or
+negative.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -46,7 +47,7 @@ from mems4.closed_forms import (
     is_admissible,
     rational_to_decimal,
 )
-from mems4.radial_operator import RadialField, build_grid
+from mems4.radial_operator import RadialField, RadialGrid, build_grid
 from mems4.store import (
     default_out_root,
     rational_json,
@@ -65,14 +66,17 @@ EXIT_USAGE = 3
 # h_min^-4, the eigenvalue nu1 stops converging under refinement at
 # n = 16384, and a larger mesh only costs memory and time.
 MAX_MESH = 16384
+# Largest dimension of a bounds or certify range.
+MAX_DIMENSION = 64
 
-CLAIM_SELECTORS = ("m3-gap", "m2-subsolution", "m3-stability", "thresholds")
+CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
 FAMILIES = ("perturbed-touchdown", "touchdown-m")
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # No prefix matching: "--alpha" must not pass for "--alpha-grid".
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # Values such as -1/5 or -1/3:0:4 are arguments, not flags.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
@@ -82,64 +86,81 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration; JSON round-trip is lossless."""
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: flag --<name>, its default, the parser of flag
+    text and --config values, and the check every value must pass."""
 
-    dimensions: list[int] = field(default_factory=lambda: [3])
-    alpha: Fraction = Fraction(0)
-    beta: Fraction = Fraction(0)
-    mesh: int = 512
-    gamma: float = 1.5
-    tol: float = 1e-10
-    rel_width: float = 1e-6
-    out_format: str = "csv"
-    jobs: int = 1
-
-    def __post_init__(self):
-        self.alpha = Fraction(self.alpha)
-        self.beta = Fraction(self.beta)
-        if not 16 <= self.mesh <= MAX_MESH:
-            raise ValueError(f"mesh must have 16..{MAX_MESH} nodes")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not 0 < self.rel_width < 1:
-            raise ValueError("rel-width must lie strictly between 0 and 1")
-        if not is_admissible(self.boundary):
-            raise ValueError("boundary pair is not admissible")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        for n in self.dimensions:
-            if n < 1:
-                raise ValueError("dimensions must be positive")
+    name: str
+    default: object
+    parse: Callable[[str], object]
+    valid: Callable[[object], bool]
+    help: str
 
     @property
-    def boundary(self) -> BoundaryPair:
-        return BoundaryPair(self.alpha, self.beta)
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["format"] = d.pop("out_format")
-        d["alpha"], d["beta"] = format_rational(self.alpha), format_rational(self.beta)
-        return d
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "RunConfig":
-        return RunConfig(
-            dimensions=[int(x) for x in d.get("dimensions", [3])],
-            alpha=Fraction(d.get("alpha", "0")),
-            beta=Fraction(d.get("beta", "0")),
-            mesh=int(d.get("mesh", 512)),
-            gamma=float(d.get("gamma", 1.5)),
-            tol=float(d.get("tol", 1e-10)),
-            rel_width=float(d.get("rel_width", 1e-6)),
-            out_format=str(d.get("format", "csv")),
-            jobs=int(d.get("jobs", 1)),
-        )
+SETTINGS = {s.name: s for s in (
+    Setting("mesh", 512, int, lambda v: 16 <= v <= MAX_MESH, f"interior node count, 16..{MAX_MESH}"),
+    Setting("gamma", 1.5, float, lambda v: v >= 1, "mesh grading exponent, >= 1"),
+    Setting("tol", 1e-10, float, lambda v: v > 0, "solver residual tolerance, > 0"),
+    Setting("rel_width", 1e-6, float, lambda v: 0 < v < 1,
+            "pull-in bracket relative width, in (0, 1)"),
+    Setting("alpha", Fraction(0), Fraction, lambda v: True, "boundary value at r=1 (exact rational)"),
+    Setting("beta", Fraction(0), Fraction, lambda v: True, "boundary slope at r=1 (exact rational)"),
+    Setting("format", "csv", str, lambda v: v in ("csv", "json"), "table format, csv or json"),
+)}
+_SOLVER_SETTINGS = ("mesh", "gamma", "tol", "alpha", "beta")
+
+
+def resolve_settings(names: tuple[str, ...], given: dict) -> dict:
+    """Checked values of the settings ``names``: ``given`` (flag text or
+    --config values, by setting name) over the defaults.  A key outside
+    ``names`` is an error, so no misspelt or foreign key is dropped."""
+    unknown = sorted(set(given) - set(names))
+    if unknown:
+        raise ValueError(f"unknown setting {', '.join(unknown)}; "
+                         f"this command reads {', '.join(names) or 'none'}")
+    values = {}
+    for name in names:
+        s = SETTINGS[name]
+        try:
+            value = s.parse(str(given[name])) if name in given else s.default
+            ok = s.valid(value)
+        except (ValueError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{s.flag}: {s.help}, not {given[name]!r}")
+        values[name] = value
+    if "alpha" in values and not is_admissible(_boundary(values)):
+        raise ValueError("boundary pair is not admissible")
+    return values
+
+
+def _settings_json(values: dict) -> dict:
+    """The JSON form of settings that config.json's config block holds
+    and --config reads back."""
+    return {k: format_rational(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+
+
+def _load_settings(command: Command, args) -> dict:
+    given = json.loads(args.config.read_text()) if getattr(args, "config", None) else {}
+    if not isinstance(given, dict):
+        raise ValueError("--config must hold a JSON object")
+    for name in command.settings:
+        if getattr(args, name) is not None:
+            given[name] = getattr(args, name)
+    return resolve_settings(command.settings, given)
+
+
+def _boundary(cfg: dict) -> BoundaryPair:
+    return BoundaryPair(cfg["alpha"], cfg["beta"])
+
+
+def _grid(cfg: dict, dim: int) -> RadialGrid:
+    return build_grid(cfg["mesh"], cfg["gamma"], dim)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -189,46 +210,24 @@ def _check_voltages(values) -> None:
         raise ValueError("voltages must be finite and nonnegative")
 
 
-def worker_count(jobs: int, tasks: int) -> int:
-    """Worker processes for a fanout of ``tasks``: at most ``jobs``, and
-    never more than the tasks or the CPUs."""
-    return min(jobs, tasks, os.cpu_count() or 1)
-
-
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
     return flags, options
 
 
-_COMMON_ARGUMENTS = (
-    _arg("--config", type=Path, help="JSON config file; flags override"),
-    _arg("--out", type=Path, help="output root (default $MEMS4_OUT or ./mems4-out)"),
-    _arg("--format", choices=("csv", "json"), help="table format"),
-    _arg("--jobs", type=int, help="worker pool size for per-dimension fanout"),
-    _arg("--mesh", type=int, help=f"interior node count, 16..{MAX_MESH}"),
-    _arg("--gamma", type=float, help="mesh grading exponent"),
-    _arg("--tol", type=float, help="solver residual tolerance, > 0"),
-    _arg("--rel-width", type=float, help="pull-in bracket relative width, in (0, 1)"),
-    _arg("--alpha", help="boundary value at r=1 (exact rational)"),
-    _arg("--beta", help="boundary slope at r=1 (exact rational)"),
-)
 _DIM = _arg("--dim", type=int, required=True)
 
-# (flag attribute, config key): a flag given on the command line
-# overrides the --config file.
-_OVERRIDES = (
-    ("dim", "dimensions"), ("mesh", "mesh"), ("gamma", "gamma"), ("tol", "tol"),
-    ("rel_width", "rel_width"), ("format", "format"), ("jobs", "jobs"),
-    ("alpha", "alpha"), ("beta", "beta"),
-)
+
+def _dim(args) -> int:
+    if args.dim < 1:
+        raise ValueError("--dim must be positive")
+    return args.dim
 
 
-def _load_config(args) -> RunConfig:
-    d = json.loads(Path(args.config).read_text()) if args.config else {}
-    for flag, key in _OVERRIDES:
-        value = getattr(args, flag, None)
-        if value is not None:
-            d[key] = [value] if key == "dimensions" else value
-    return RunConfig.from_json_dict(d)
+def _dimension_range(text: str) -> list[int]:
+    n_min, n_max = parse_range(text)
+    if not 1 <= n_min <= n_max <= MAX_DIMENSION:
+        raise ValueError(f"need 1 <= nmin <= nmax <= {MAX_DIMENSION}")
+    return [n_min, n_max]
 
 
 # (column, exact value from the dimension's certify.ThresholdRow);
@@ -246,10 +245,7 @@ _BOUNDS_COLUMNS = (
 
 
 def _bounds_inputs(args, cfg) -> dict:
-    n_min, n_max = parse_range(args.n)
-    if not 1 <= n_min <= n_max <= 64:
-        raise ValueError("need 1 <= nmin <= nmax <= 64")
-    return {"n": [n_min, n_max]}
+    return {"n": _dimension_range(args.n)}
 
 
 def _csv_fields(row: dict) -> list[tuple[str, object]]:
@@ -269,7 +265,7 @@ def _run_bounds(args, cfg, inputs, run) -> list[str]:
         {"n": row.dimension, **{name: value(row) for name, value in _BOUNDS_COLUMNS}}
         for row in certify.threshold_table(n_min, n_max)
     ]
-    if cfg.out_format == "json":
+    if cfg["format"] == "json":
         payload = [
             {k: rational_json(v) if isinstance(v, Fraction) else v for k, v in row.items()}
             for row in rows
@@ -282,20 +278,8 @@ def _run_bounds(args, cfg, inputs, run) -> list[str]:
     return []
 
 
-def _one_certificate(claim: str, n: int) -> dict:
-    certifier = {
-        "m3-gap": certify.certify_m3_gap,
-        "m2-subsolution": certify.certify_m2_subsolution,
-        "m3-stability": certify.certify_m3_stability,
-    }[claim]
-    return certifier(n).to_json_dict()
-
-
 def _certify_inputs(args, cfg) -> dict:
-    n_min, n_max = parse_range(args.n)
-    if not 1 <= n_min <= n_max:
-        raise ValueError("invalid dimension range")
-    return {"claim": args.claim, "n": [n_min, n_max]}
+    return {"claim": args.claim, "n": _dimension_range(args.n)}
 
 
 def _run_certify(args, cfg, inputs, run) -> list[str]:
@@ -311,16 +295,12 @@ def _run_certify(args, cfg, inputs, run) -> list[str]:
         ]
         write_csv(run / "tables" / "thresholds.csv", header, rows)
         return [cert.status]
-    dims = list(range(n_min, n_max + 1))
-    workers = worker_count(cfg.jobs, len(dims))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_certificate, [args.claim] * len(dims), dims))
-    else:
-        results = [_one_certificate(args.claim, n) for n in dims]
-    for n, payload in zip(dims, results):
-        write_json(run / "certificates" / f"{args.claim}-{n}.json", payload)
-    return [payload["status"] for payload in results]
+    statuses = []
+    for n in range(n_min, n_max + 1):
+        cert = certify.CLAIMS[args.claim](n)
+        write_json(run / "certificates" / f"{args.claim}-{n}.json", cert.to_json_dict())
+        statuses.append(cert.status)
+    return statuses
 
 
 def _branch_record(pt: BranchPoint) -> dict:
@@ -340,14 +320,13 @@ def _write_profile(path: Path, profile: RadialField) -> None:
     write_csv(path, ["r", "u"], rows)
 
 
-def _auto_lambda_grid(cfg: RunConfig, dim: int, count: int = 12) -> list[float]:
-    grid = build_grid(cfg.mesh, cfg.gamma, dim)
-    est = pull_in_voltage(cfg.boundary, grid, rel_width=1e-3, tol=cfg.tol)
+def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
+    est = pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=1e-3, tol=cfg["tol"])
     return list(np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
 
 
 def _branch_inputs(args, cfg) -> dict:
-    dim = cfg.dimensions[0]
+    dim = _dim(args)
     lambdas = parse_lambda_spec(args.lam)
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
@@ -357,8 +336,8 @@ def _branch_inputs(args, cfg) -> dict:
 
 
 def _run_branch(args, cfg, inputs, run) -> list[str]:
-    grid = build_grid(cfg.mesh, cfg.gamma, inputs["dim"])
-    result = continue_branch(cfg.boundary, grid, inputs["lambdas"], tol=cfg.tol)
+    grid = _grid(cfg, inputs["dim"])
+    result = continue_branch(_boundary(cfg), grid, inputs["lambdas"], tol=cfg["tol"])
     records = [_branch_record(pt) for pt in result.points]
     if result.divergence is not None:
         records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
@@ -373,8 +352,8 @@ def _run_branch(args, cfg, inputs, run) -> list[str]:
 
 def _run_pullin(args, cfg, inputs, run) -> list[str]:
     dim = inputs["dim"]
-    grid = build_grid(cfg.mesh, cfg.gamma, dim)
-    est = pull_in_voltage(cfg.boundary, grid, rel_width=cfg.rel_width, tol=cfg.tol)
+    est = pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
+                          rel_width=cfg["rel_width"], tol=cfg["tol"])
     payload = {
         "dim": dim,
         "lambda_lo": est.lambda_lo,
@@ -395,9 +374,14 @@ def _run_pullin(args, cfg, inputs, run) -> list[str]:
     return []
 
 
+def _profile_inputs(args, cfg) -> dict:
+    _check_voltages([args.lam])
+    return {"dim": _dim(args), "lambda": args.lam}
+
+
 def _run_profile(args, cfg, inputs, run) -> list[str]:
-    grid = build_grid(cfg.mesh, cfg.gamma, inputs["dim"])
-    pt = minimal_solution(inputs["lambda"], cfg.boundary, grid, tol=cfg.tol)
+    grid = _grid(cfg, inputs["dim"])
+    pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
     if isinstance(pt, BranchPoint):
         _write_profile(run / "profiles" / f"lambda-{pt.lam:.6g}.csv", pt.field)
         write_json(run / "point.json", _branch_record(pt))
@@ -416,23 +400,19 @@ def _search_params(args) -> list:
 
 
 def _search_inputs(args, cfg) -> dict:
-    dim = cfg.dimensions[0]
+    dim = _dim(args)
     if not 9 <= dim <= 16:
         print(f"search-subsolution: dimension {dim} outside the open range 9..16 "
               "(treating as a sanity run)", file=sys.stderr)
-    params = [str(p) for p in _search_params(args)]
+    params = [[format_rational(x) for x in p] if isinstance(p, tuple) else format_rational(p)
+              for p in _search_params(args)]
     inputs = {"dim": dim, "family": args.family, "params": params}
-    # Keyed only when given, so default-voltage runs keep their directories.
+    # Given only with --lambda; the search's own default is H_N/2.
     if args.lam is not None:
         lam = Fraction(args.lam)
         _check_voltages([lam])
         inputs["lambda"] = format_rational(lam)
     return inputs
-
-
-def _profile_inputs(args, cfg) -> dict:
-    _check_voltages([args.lam])
-    return {"dim": cfg.dimensions[0], "lambda": args.lam}
 
 
 def _run_search(args, cfg, inputs, run) -> list[str]:
@@ -447,39 +427,37 @@ def _run_search(args, cfg, inputs, run) -> list[str]:
 class Command:
     """One subcommand.
 
+    ``settings`` names the entries of SETTINGS the command reads: only
+    they get a flag, a --config key and a place in the run key.
     ``inputs`` validates the command's own arguments and returns the
-    fields that, with the configuration, key the run directory; all of
-    them except ``unrecorded`` are also written to config.json.  ``run``
-    computes and writes the artifacts and returns their statuses;
-    the first status of ``exit_codes`` among them picks the exit code.
+    fields that, with the settings, key the run directory; config.json
+    records exactly that key.  ``run`` computes and writes the artifacts
+    and returns their statuses; the first status of ``exit_codes`` among
+    them picks the exit code.
     """
 
     name: str
     help: str
     arguments: tuple
-    inputs: Callable[[argparse.Namespace, RunConfig], dict]
-    run: Callable[[argparse.Namespace, RunConfig, dict, Path], list[str]]
+    settings: tuple[str, ...]
+    inputs: Callable[[argparse.Namespace, dict], dict]
+    run: Callable[[argparse.Namespace, dict, dict, Path], list[str]]
     exit_codes: tuple[tuple[str, int], ...] = ()
-    unrecorded: tuple[str, ...] = ()
-
-
-def _dim_inputs(args, cfg) -> dict:
-    return {"dim": cfg.dimensions[0]}
 
 
 COMMANDS = (
     Command(
         "bounds", "exact bound and threshold table",
-        (_arg("--n", default="1..40", help="dimension range, e.g. 1..40"),),
-        _bounds_inputs, _run_bounds, unrecorded=("n",),
+        (_arg("--n", default="1..40", help=f"dimension range within 1..{MAX_DIMENSION}"),),
+        ("format",), _bounds_inputs, _run_bounds,
     ),
     Command(
         "certify", "exact-arithmetic certificates",
         (
             _arg("claim", choices=CLAIM_SELECTORS),
-            _arg("--n", default="17..30", help="dimension range"),
+            _arg("--n", default="17..30", help=f"dimension range within 1..{MAX_DIMENSION}"),
         ),
-        _certify_inputs, _run_certify,
+        (), _certify_inputs, _run_certify,
         exit_codes=(("falsified", EXIT_FALSIFIED), ("inconclusive", EXIT_INCONCLUSIVE)),
     ),
     Command(
@@ -489,16 +467,17 @@ COMMANDS = (
             _arg("--lambda", dest="lam", default="auto", help="start:stop:count or auto"),
             _arg("--profiles", type=int, default=0, help="dump k profiles"),
         ),
-        _branch_inputs, _run_branch, exit_codes=(("diverged", EXIT_FALSIFIED),),
+        _SOLVER_SETTINGS, _branch_inputs, _run_branch, exit_codes=(("diverged", EXIT_FALSIFIED),),
     ),
     Command(
         "pullin", "pull-in voltage bracket", (_DIM,),
-        _dim_inputs, _run_pullin, exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),),
+        (*_SOLVER_SETTINGS, "rel_width"), lambda args, cfg: {"dim": _dim(args)}, _run_pullin,
+        exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),),
     ),
     Command(
         "profile", "single deflection profile",
         (_DIM, _arg("--lambda", dest="lam", required=True, type=float)),
-        _profile_inputs, _run_profile, exit_codes=(("diverged", EXIT_FALSIFIED),),
+        _SOLVER_SETTINGS, _profile_inputs, _run_profile, exit_codes=(("diverged", EXIT_FALSIFIED),),
     ),
     Command(
         "search-subsolution", "parametrized sub-solution search",
@@ -510,20 +489,18 @@ COMMANDS = (
             _arg("--m", help="profile parameters, single value or start:stop:count"),
             _arg("--lambda", dest="lam", help="voltage (exact rational); default H_N/2"),
         ),
-        _search_inputs, _run_search,
-        exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),), unrecorded=("params",),
+        (), _search_inputs, _run_search, exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),),
     ),
 )
 
 
 def _execute(command: Command, args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_settings(command, args)
     inputs = command.inputs(args, cfg)
-    config = cfg.to_json_dict()
+    record = {"command": command.name, **inputs, "config": _settings_json(cfg)}
     out_root = Path(args.out) if args.out else default_out_root()
-    run = run_directory(out_root, command.name, {**inputs, "config": config})
-    recorded = {k: v for k, v in inputs.items() if k not in command.unrecorded}
-    write_json(run / "config.json", {"command": command.name, **recorded, "config": config})
+    run = run_directory(out_root, command.name, record)
+    write_json(run / "config.json", record)
     print(run)
     statuses = command.run(args, cfg, inputs, run)
     return next((code for status, code in command.exit_codes if status in statuses), EXIT_OK)
@@ -534,8 +511,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         p = sub.add_parser(command.name, help=command.help)
-        for flags, options in command.arguments + _COMMON_ARGUMENTS:
+        for flags, options in command.arguments:
             p.add_argument(*flags, **options)
+        p.add_argument("--out", type=Path, help="output root (default $MEMS4_OUT or ./mems4-out)")
+        if command.settings:
+            p.add_argument("--config", type=Path,
+                           help="JSON object of settings, as in config.json's config block; "
+                                "flags override")
+        for name in command.settings:
+            p.add_argument(SETTINGS[name].flag, help=SETTINGS[name].help)
         p.set_defaults(spec=command)
     return parser
 

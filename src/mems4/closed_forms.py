@@ -3,9 +3,9 @@
 Everything in this module works over arbitrary-precision rationals
 (`fractions.Fraction`): the explicit touchdown profiles, the harmonic
 boundary extension, the action of the radial bilaplacian on powers of r,
-the Hardy-Rellich constant, and the dilation map.  No floating point
-enters except in the convenience evaluator `PowerSum.evaluate`, so these
-values are safe to feed into the certification engine.
+and the Hardy-Rellich constant.  No floating point enters, so these
+values are safe to feed into the certification engine; the float engine
+samples power sums with `radial_operator.sample_power_sum`.
 """
 
 from __future__ import annotations
@@ -144,22 +144,6 @@ class PowerSum:
             total += t.coeff * rational_pow(r, t.exponent)
         return total
 
-    def evaluate(self, r: float) -> float:
-        """Floating-point value at r >= 0 (correctly-rounded pow per term)."""
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        total = 0.0
-        for t in self.terms:
-            e = float(t.exponent)
-            if r == 0.0:
-                if e < 0:
-                    raise ZeroDivisionError("negative exponent at r=0")
-                term = float(t.coeff) if e == 0 else 0.0
-            else:
-                term = float(t.coeff) * r**e
-            total += term
-        return total
-
     def min_exponent(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
@@ -296,33 +280,6 @@ def envelope_coefficient(
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def dilate(w: PowerSum, r1: Rational) -> PowerSum:
-    """Dilation w -> r1^(-4/3) (w(r1 r) - 1) + 1 of a radial power sum.
-
-    Maps solutions of the deflection problem to solutions on the unit
-    ball with boundary data alpha' = r1^(-4/3)(alpha - 1) + 1,
-    beta' = r1^(-1/3) beta.  Requires every r1^(s - 4/3) to be rational;
-    otherwise raises ValueError.
-    """
-    r1 = Fraction(r1)
-    if not 0 < r1 < 1:
-        raise ValueError("dilation radius must lie in (0, 1)")
-    out: list[tuple[Fraction, Fraction]] = []
-    const_coeff = Fraction(0)
-    for t in w.terms:
-        if t.exponent == 0:
-            const_coeff = t.coeff
-        else:
-            out.append((t.coeff * rational_pow(r1, t.exponent - FOUR_THIRDS), t.exponent))
-    # (c0 - 1) r1^(-4/3) + 1; combined first so the fixed-point case c0 = 1
-    # never asks for an irrational power.
-    const = Fraction(1)
-    if const_coeff != 1:
-        const += (const_coeff - 1) * rational_pow(r1, -FOUR_THIRDS)
-    out.append((const, Fraction(0)))
-    return PowerSum.of(*out)
 
 
 def format_rational(x: Fraction) -> str:

@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 
 from mems4.cli import (
+    COMMANDS,
     MAX_MESH,
-    RunConfig,
     build_parser,
     main,
     parse_fraction_grid,
     parse_lambda_spec,
     parse_range,
-    worker_count,
+    resolve_settings,
 )
 from fractions import Fraction
 
@@ -44,29 +44,39 @@ def test_parse_helpers():
     assert parse_fraction_grid("2/3") == [F(2, 3)]
 
 
-def test_config_round_trip():
-    cfg = RunConfig(dimensions=[9], alpha=F(1, 10), beta=F(-1, 2), mesh=256)
-    again = RunConfig.from_json_dict(cfg.to_json_dict())
-    assert again == cfg
-    assert again.to_json_dict() == cfg.to_json_dict()
+SETTINGS_OF = {command.name: command.settings for command in COMMANDS}
+
+
+def test_config_round_trip(tmp_path):
+    # The config block of a run's config.json, passed back through
+    # --config, reproduces the run in the same directory.
+    flags = ["pullin", "--dim", "3", "--mesh", "64", "--rel-width", "1e-3",
+             "--alpha=1/10", "--beta=-1/2", "--gamma", "2", "--tol", "1e-9"]
+    assert run_cli(*flags, "--out", str(tmp_path)) == 0
+    first = find_one(tmp_path, "config.json")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(json.loads(first.read_text())["config"]))
+    assert run_cli("pullin", "--dim", "3", "--config", str(cfg_path), "--out", str(tmp_path)) == 0
+    assert sorted(tmp_path.rglob("config.json")) == [first]
 
 
 def test_config_validation():
+    pullin, bounds = SETTINGS_OF["pullin"], SETTINGS_OF["bounds"]
     with pytest.raises(ValueError):
-        RunConfig(mesh=4)
+        resolve_settings(pullin, {"mesh": 4})
     with pytest.raises(ValueError):
-        RunConfig(alpha=F(2), beta=F(0))  # inadmissible
+        resolve_settings(pullin, {"alpha": "2", "beta": "0"})  # inadmissible
     with pytest.raises(ValueError):
-        RunConfig(out_format="xml")
+        resolve_settings(bounds, {"format": "xml"})
     with pytest.raises(ValueError):
-        RunConfig(mesh=MAX_MESH + 1)
+        resolve_settings(pullin, {"mesh": MAX_MESH + 1})
     for tol in (0.0, -1.0):
         with pytest.raises(ValueError):
-            RunConfig(tol=tol)
+            resolve_settings(pullin, {"tol": tol})
     for rel_width in (0.0, -1e-3, 1.0):
         with pytest.raises(ValueError):
-            RunConfig(rel_width=rel_width)
-    RunConfig(mesh=MAX_MESH)
+            resolve_settings(pullin, {"rel_width": rel_width})
+    assert resolve_settings(pullin, {"mesh": MAX_MESH})["mesh"] == MAX_MESH
 
 
 SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "3"]
@@ -87,6 +97,11 @@ SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--
         SEARCH_W3 + ["--lambda", "1/0"],
         SEARCH_W3 + ["--lambda", "-1/2"],
         ["branch", "--dim", "3", "--lambda", "5:1:3"],
+        ["pullin", "--dim", "3", "--alpha", "2"],
+        ["pullin", "--dim", "0"],
+        ["bounds", "--n", "1..65"],
+        ["certify", "thresholds", "--n", "1..65"],
+        ["certify", "m3-gap", "--n", "0..3"],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, flags):
@@ -102,14 +117,52 @@ def test_mesh_too_fine_for_dimension_fails_fast(tmp_path):
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.json"]
 
 
-def test_worker_count_is_bounded(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert worker_count(1, 10) == 1
-    assert worker_count(3, 10) == 3
-    assert worker_count(64, 10) == 4
-    assert worker_count(64, 2) == 2
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert worker_count(64, 10) == 1
+def exit_code(*argv) -> int:
+    """Exit code of a run, argparse's usage errors included."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["bounds", "--mesh", "64"],
+        ["pullin", "--dim", "3", "--format", "json"],
+        ["certify", "m2-subsolution", "--n", "3..4", "--jobs", "2"],
+        SEARCH_W3 + ["--tol", "1e-3"],
+        SEARCH_W3 + ["--alpha", "1/2"],  # not a prefix of --alpha-grid
+        ["certify", "m3-gap", "--n", "17", "--config", "cfg.json"],
+    ],
+    ids=["bounds-mesh", "pullin-format", "certify-jobs", "search-tol", "search-alpha",
+         "certify-config"],
+)
+def test_command_rejects_flags_it_does_not_read(tmp_path, flags):
+    (tmp_path / "cfg.json").write_text("{}")
+    argv = [str(tmp_path / flag) if flag == "cfg.json" else flag for flag in flags]
+    out = tmp_path / "out"
+    assert exit_code(*argv, "--out", str(out)) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"msh": 64, "rel_widht": 0.001},  # misspelt
+        {"mesh": 64, "format": "json"},  # a setting pullin does not read
+        {"command": "pullin", "dim": 2, "config": {"mesh": 64}},  # a whole config.json
+        {"mesh": "sixty-four"},
+        [64],
+    ],
+    ids=["misspelt", "foreign", "whole-file", "bad-value", "not-an-object"],
+)
+def test_config_file_rejects_unknown_keys(tmp_path, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("pullin", "--dim", "2", "--config", str(cfg_path), "--out", str(out)) == 3
+    assert not out.exists()
 
 
 def test_negative_rationals_parse_as_values(tmp_path):
@@ -177,15 +230,6 @@ def test_certify_thresholds(tmp_path):
     assert cert["status"] == "verified"
     table = find_one(tmp_path, "thresholds.csv")
     assert table.read_text().splitlines()[0].startswith("n,")
-
-
-def test_certify_jobs_parallel(tmp_path):
-    code = run_cli(
-        "certify", "m2-subsolution", "--n", "31..34", "--jobs", "2",
-        "--out", str(tmp_path),
-    )
-    assert code == 0
-    assert len(list(tmp_path.rglob("m2-subsolution-*.json"))) == 4
 
 
 def test_certify_unknown_claim(tmp_path, capsys):
@@ -372,7 +416,7 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"mesh": 64, "gamma": 1.5, "dimensions": [3]}))
+    cfg_path.write_text(json.dumps({"mesh": 64, "gamma": 1.5}))
     code = run_cli(
         "profile", "--dim", "3", "--lambda", "1.0",
         "--config", str(cfg_path), "--mesh", "128",

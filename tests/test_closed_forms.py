@@ -12,7 +12,6 @@ from mems4.closed_forms import (
     apply_bilaplacian,
     bilaplacian_power_coeff,
     boundary_extension,
-    dilate,
     envelope_coefficient,
     hardy_rellich,
     is_admissible,
@@ -157,49 +156,6 @@ def test_envelope_coefficient_low_dimension_rejected():
         envelope_coefficient(1, 2)
 
 
-def test_dilate_fixed_point():
-    ub = touchdown_shape()
-    for r1 in (F(1, 2), F(1, 8), F(3, 7)):
-        assert dilate(ub, r1) == ub
-    one = PowerSum.constant(1)
-    assert dilate(one, F(1, 2)) == one
-
-
-def test_dilate_w2_exact():
-    w2 = touchdown_profile(2)
-    out = dilate(w2, F(1, 8))
-    # r^2 coefficient scales by (1/8)^(2/3) = 1/4.
-    assert out == PowerSum.of((1, 0), (-3, FT), (F(1, 2), 2))
-
-
-def test_dilate_matches_pointwise_definition():
-    w2 = touchdown_profile(2)
-    r1 = F(1, 8)
-    out = dilate(w2, r1)
-    scale = float(r1) ** (-4.0 / 3.0)
-    for k in range(1, 11):
-        r = k / 11.0
-        direct = scale * (w2.evaluate(float(r1) * r) - 1.0) + 1.0
-        assert abs(out.evaluate(r) - direct) < 1e-12
-
-
-def test_dilate_boundary_data_mapping():
-    # Dilating a clamped profile yields boundary data
-    # alpha' = r1^(-4/3)(w(r1)-1)+1, beta' = r1^(-1/3) w'(r1).
-    w = touchdown_profile(3)
-    r1 = F(1, 8)
-    out = dilate(w, r1)
-    alpha = rational_pow(r1, F(-4, 3)) * (w.evaluate_exact(r1) - 1) + 1
-    beta = rational_pow(r1, F(-1, 3)) * w.derivative().evaluate_exact(r1)
-    assert out.evaluate_exact(1) == alpha
-    assert out.derivative().evaluate_exact(1) == beta
-
-
-def test_dilate_irrational_rejected():
-    with pytest.raises(ValueError):
-        dilate(touchdown_profile(2), F(1, 3))
-
-
 def test_power_sum_normalization():
     ps = PowerSum.of((1, 2), (2, 0), (-1, 2), (3, 1))
     assert ps == PowerSum.of((2, 0), (3, 1))
@@ -221,14 +177,11 @@ def test_rational_pow():
 
 
 def test_evaluate_rejects_negative_radius():
-    ps = touchdown_shape()
     with pytest.raises(ValueError):
-        ps.evaluate(-0.5)
-    with pytest.raises(ValueError):
-        ps.evaluate_exact(F(-1, 2))
+        touchdown_shape().evaluate_exact(F(-1, 2))
 
 
 def test_evaluate_at_origin():
-    assert touchdown_shape().evaluate(0.0) == 1.0
+    assert touchdown_shape().evaluate_exact(0) == 1
     with pytest.raises(ZeroDivisionError):
-        PowerSum.of((1, F(-2))).evaluate(0.0)
+        PowerSum.of((1, F(-2))).evaluate_exact(0)

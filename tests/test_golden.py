@@ -56,131 +56,131 @@ CASES = {
 
 GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     "bounds-csv": (0, {
-        "bounds-ff28a6ef4e/config.json":
-            "f746ac252b89c55961cc7fb02123c7fdf72017548b34e4ad2cf46d6f00b82586",
-        "bounds-ff28a6ef4e/tables/bounds.csv":
+        "bounds-76adaee362/config.json":
+            "63693a3ea2abb1a2db14f7f5704ca0a53dfe4d71e59cffe327fc0bd6999874fb",
+        "bounds-76adaee362/tables/bounds.csv":
             "4dfe3b41f73266fa2c73967cafd41c553938a559c6ca71608370e9334c574e55",
     }),
     "bounds-json": (0, {
-        "bounds-ca490662ed/config.json":
-            "fe2357db845c62ed2d59ae458ba0dabfab3ddc27dce85c49e06938f43e02a304",
-        "bounds-ca490662ed/tables/bounds.json":
+        "bounds-ab7eece189/config.json":
+            "3a3d4b8d857beba3da8e8e0abad33b6728986ec06bd8e3276af19823fa33b699",
+        "bounds-ab7eece189/tables/bounds.json":
             "0dc49d2934f877b6b50356ff8951b98ada7cbc82809e6f72735fa6bca634968f",
     }),
     "branch-divergence": (0, {
-        "branch-31ab985090/branch.jsonl":
+        "branch-999df4ec0f/branch.jsonl":
             "8003ed7e526243c1a86274cfe7adc1b1600e27df7541c403518494f751aa017e",
-        "branch-31ab985090/config.json":
-            "e967836ab3fd2031599e6663033d466fbd2b5d82532bf5ddc806a251484d7ae5",
+        "branch-999df4ec0f/config.json":
+            "e4b17a983a0a3e7fb65975d8011d025536b2de9688ac0ee679e11bb74b6cb062",
     }),
     "branch-profiles": (0, {
-        "branch-5868f0b2cf/branch.jsonl":
+        "branch-1c023e33d7/branch.jsonl":
             "ea578ff2cebc3d1a982e6edeedd83d75891bf0d2af59ee77793e9a613cad514a",
-        "branch-5868f0b2cf/config.json":
-            "6a1126968bef813ffe640872caf94d746171ec4190c67fc1ed123d92a2c25b00",
-        "branch-5868f0b2cf/profiles/lambda-1.csv":
+        "branch-1c023e33d7/config.json":
+            "0b66cdedcfd54acdfb243e929c509d5c3265423b9b169086a17b2323e5e40d79",
+        "branch-1c023e33d7/profiles/lambda-1.csv":
             "9574863af2625272ad6f0afbaf918a4b4e05357798f90bf483ed6f2c21381d3f",
-        "branch-5868f0b2cf/profiles/lambda-9.csv":
+        "branch-1c023e33d7/profiles/lambda-9.csv":
             "6d40bb559ecc6cdb933a87dd32f8136bc0adc9b2300d4eeb4da4a7c4b58ab969",
     }),
     "certify-m2-subsolution": (0, {
-        "certify-85a125b1b6/certificates/m2-subsolution-30.json":
+        "certify-aaddf85d51/certificates/m2-subsolution-30.json":
             "bce0566d40d2562907311be03fcac537445afd532dfbcf052daa6864c51d215c",
-        "certify-85a125b1b6/certificates/m2-subsolution-31.json":
+        "certify-aaddf85d51/certificates/m2-subsolution-31.json":
             "37a1ceed51715e79d65c1a20290ecf385fe5a4cbfb4d37bbfc4a25efa7eb522d",
-        "certify-85a125b1b6/certificates/m2-subsolution-32.json":
+        "certify-aaddf85d51/certificates/m2-subsolution-32.json":
             "1fe0ca1399f61802a5a22e4af9425f3fb520bc728e213dc9a3f8fa90f4d79cab",
-        "certify-85a125b1b6/config.json":
-            "550b38ceaeb52b0d5aeefcf5366636e372fd94f343e43ed6b40d17b6b76056af",
+        "certify-aaddf85d51/config.json":
+            "cb6edd2e7d9ee8f4b02dcd4685a9828d7dfa50f67ca33cfbf55b6152b64d7c00",
     }),
     "certify-m3-gap": (1, {
-        "certify-7916dacb99/certificates/m3-gap-16.json":
+        "certify-8daaf1e136/certificates/m3-gap-16.json":
             "ea3ef83b92db1d0a22822febc5b9472600bf8646ae678e2944fb00b301aefde7",
-        "certify-7916dacb99/certificates/m3-gap-17.json":
+        "certify-8daaf1e136/certificates/m3-gap-17.json":
             "b6b6428dc8c60a88ba37023bfdcccbc042eb885e1980690d3d47c006375a8c62",
-        "certify-7916dacb99/certificates/m3-gap-18.json":
+        "certify-8daaf1e136/certificates/m3-gap-18.json":
             "3201965889816d0565cfcc2a61e61d15756a50ff873adfc3f1c20e0949a8bea9",
-        "certify-7916dacb99/config.json":
-            "0e94f40f9a8749fe1f9924712528a437e54d10b1aafb9eadfc2c136f26d32c5f",
+        "certify-8daaf1e136/config.json":
+            "cdaf0513098ae0b5cf67653b593d1f934a78d4d5768f5d21fdce27f4124182c8",
     }),
     "certify-m3-gap-falsified": (1, {
-        "certify-ea2f021ec9/certificates/m3-gap-4.json":
+        "certify-9c0eeb08c5/certificates/m3-gap-4.json":
             "ebf86fa6dbfa5a479095fd5270807ff5bc357c7efb61facebbbd81cb86d0d196",
-        "certify-ea2f021ec9/config.json":
-            "cb9c629b974ecad37393f16775b51701a4d4c8b92e76be034d070d1e1b9c65c9",
+        "certify-9c0eeb08c5/config.json":
+            "3f2fdae98b06cfc278f594882d4e4f0bd6accd73421a883c57be9829758d62b1",
     }),
     "certify-m3-stability": (0, {
-        "certify-afe12d2326/certificates/m3-stability-5.json":
+        "certify-46b359f1ae/certificates/m3-stability-5.json":
             "a88680074d279dd630f2d954707e40300cd3644ef3975deef3ac558cc1d18269",
-        "certify-afe12d2326/certificates/m3-stability-6.json":
+        "certify-46b359f1ae/certificates/m3-stability-6.json":
             "6d1ebd5e4715eb3f597cc6ec680cf6afc8d3a089c011b27126c4588eb2255479",
-        "certify-afe12d2326/certificates/m3-stability-7.json":
+        "certify-46b359f1ae/certificates/m3-stability-7.json":
             "33971b6fbe866e465d6af7bbb474966ee99a1d92bb447a8a5fccc16410b3c1ae",
-        "certify-afe12d2326/config.json":
-            "679ddd69c2a1bceb6ed2eea2bcda5061c1b26a9ca4ee4f6fa237d53553c1b233",
+        "certify-46b359f1ae/config.json":
+            "9646ebdb0c1c517cdcd7742254fddcbaa4586a4ad1cb7395673d733271e20054",
     }),
     "certify-thresholds": (0, {
-        "certify-56a560ff08/certificates/thresholds-1-40.json":
+        "certify-766a20be7d/certificates/thresholds-1-40.json":
             "afe16facb031fd0cb49640ab8e310ec049461991619461cf16cc25a0d635128c",
-        "certify-56a560ff08/config.json":
-            "9a9402b01ccc71b580bc4370432d85ea604eddf88326d67e059634810b3cd74e",
-        "certify-56a560ff08/tables/thresholds.csv":
+        "certify-766a20be7d/config.json":
+            "6f278f33b2e40ca400c98532c49a3bc09a1567a6576145485c4fed7a637bbc3e",
+        "certify-766a20be7d/tables/thresholds.csv":
             "17b56505966b5f5fe82d697166687513adb6fadea52e950da1ae32e49f24d509",
     }),
     "profile-converged": (0, {
-        "profile-90309729c7/config.json":
-            "e05894cad3f35f20d29e703548a772b1a01584ecb1444b755be5b24371e622a9",
-        "profile-90309729c7/point.json":
+        "profile-f074abb561/config.json":
+            "5ab893ac1409ade906fbe4dc2736131e029f2dd0716c44f5e610734e511961aa",
+        "profile-f074abb561/point.json":
             "032111a1bc6c554e4a59fdfc914b66da173ff5c2008e34d4417e0c93cf74b71d",
-        "profile-90309729c7/profiles/lambda-5.csv":
+        "profile-f074abb561/profiles/lambda-5.csv":
             "755966519105f488768f90cb2396734e067e57ceee1e7c51c4bd6d257e9a397c",
     }),
     "profile-divergent": (1, {
-        "profile-62fcaccc95/config.json":
-            "c548bf6eaaefd820dc5b5f0e284dad3d3be935bc911aded15b0ccab70d9b1afe",
-        "profile-62fcaccc95/divergence.json":
+        "profile-642b4f5135/config.json":
+            "c5248cbd155a204afe574d63f5597441278bc46ffc156bece1a47b3b48a96065",
+        "profile-642b4f5135/divergence.json":
             "a444560641ac2fe10eb17f7652b84eb523a15c73970e06eda43e9ec867b6682d",
     }),
     "pullin-alpha": (0, {
-        "pullin-14578e5e07/config.json":
-            "a788051b35006acea31ecf38e72bc856c7580a4e5d25400b75251c35cb42d274",
-        "pullin-14578e5e07/profiles/near-fold.csv":
+        "pullin-70a2e92d07/config.json":
+            "5e308e2c73e2139e887104905cbecdbe6b031c04d7710bf32056131d0e2993f1",
+        "pullin-70a2e92d07/profiles/near-fold.csv":
             "caf3c2c2e5d012cc064db8f7101b32d7da6da57a8ff3aeeba9e780522bf92f7f",
-        "pullin-14578e5e07/pullin.json":
+        "pullin-70a2e92d07/pullin.json":
             "c98767f18bcaec1dd4afd300a498f0f16f61f6e2bc735a87016b9586a68007dd",
     }),
     "pullin-homogeneous": (0, {
-        "pullin-aebe68c705/config.json":
-            "090ee38f07b77fe46442c6bcde4ae174ffe97b64d16f3114c7c070cd5318fa94",
-        "pullin-aebe68c705/profiles/near-fold.csv":
+        "pullin-d72357e4cc/config.json":
+            "52e89f97e84f30509fbea99dbc39d4626639f3abedae4d31a203f3d264ee5229",
+        "pullin-d72357e4cc/profiles/near-fold.csv":
             "d7c38894450a1f2ee7032fe16353ee2f15bfff9e31b86ef9af1612071585c6a2",
-        "pullin-aebe68c705/pullin.json":
+        "pullin-d72357e4cc/pullin.json":
             "56cf98123068ab3fcd50f810172e559420fef52dfe2f1cbc72f08559364e1c91",
     }),
     "pullin-singular": (0, {
-        "pullin-a220bf2e51/config.json":
-            "cbde8070b1b60a1eb8da9bc91a8afa1f078612d170c857dc48cbd276e5c8709a",
-        "pullin-a220bf2e51/profiles/near-fold.csv":
+        "pullin-0ff39056f8/config.json":
+            "bbd6a7dbefc703203bc6b6b73f904e5a3c49f6418553ac48fe739baa6a2163da",
+        "pullin-0ff39056f8/profiles/near-fold.csv":
             "278d8319793ad8edf284ad69e37cba72502cf4a948312d79a388c153f43b6a71",
-        "pullin-a220bf2e51/pullin.json":
+        "pullin-0ff39056f8/pullin.json":
             "e6f3e4ec9544b326639376b803e4d94be521f172f92f13979c182d53972441a1",
     }),
     "search-fallback": (2, {
-        "search-subsolution-5152d78bc8/config.json":
-            "f7c3a22c44a1f300c177623593fa3cd8a2276aeb78bde9ecfd0d42c4922be633",
-        "search-subsolution-5152d78bc8/search.json":
+        "search-subsolution-880baf35f3/config.json":
+            "d1e21ed29a5a3008cebc9d1cd7f9485a48ea48e58551143d338f6f9093e604a8",
+        "search-subsolution-880baf35f3/search.json":
             "694e58c47442a8ba6d32b7521eab13e7b32a61e1b83dc9ac546fca4eacaf84f0",
     }),
     "search-perturbed-touchdown": (0, {
-        "search-subsolution-b74e74ff96/config.json":
-            "a7758adc879037c781c7015ded31bc7b710fa6e5135fc7835a268e4476c3a0e8",
-        "search-subsolution-b74e74ff96/search.json":
+        "search-subsolution-3757286448/config.json":
+            "afdcc427ab8f245e802cb41635b76d7d5afeb8646d4dae23a311723247116de8",
+        "search-subsolution-3757286448/search.json":
             "627bb092354f186a57585555e59b34e5867cfebb0030a1e2eb1bac9dc92846b2",
     }),
     "search-touchdown-m": (0, {
-        "search-subsolution-6716f525e7/config.json":
-            "f7c3a22c44a1f300c177623593fa3cd8a2276aeb78bde9ecfd0d42c4922be633",
-        "search-subsolution-6716f525e7/search.json":
+        "search-subsolution-d7e6eb3518/config.json":
+            "6996e2eb78f9357742ad3b65591e8fc19963a0a937c3d94362655140d7ad2b53",
+        "search-subsolution-d7e6eb3518/search.json":
             "5334016572b09380adced54106afe6c72714f8a1311646c9e747d93cbf9fb2e5",
     }),
 }
