@@ -3,9 +3,11 @@
 Every claim is reduced to sign questions about polynomials with rational
 coefficients on (0, 1) (substituting t = r^(1/q) to clear fractional
 exponents), then settled by Sturm-sequence root isolation and exact sign
-evaluation.  A Certificate carries the full evaluation trail so the
-verdict can be replayed independently; "falsified" always comes with an
-exact rational witness.
+evaluation.  A Certificate carries its claim and the full evaluation
+trail; "falsified" always comes with an exact rational witness.  Replay
+rebuilds the certificate from its claim with this same engine and
+accepts it only if the whole certificate comes out identical, so it
+catches an edited file, not an engine bug.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ INCONCLUSIVE = "inconclusive"
 
 DEGREE_CAP = 64
 FALLBACK_SAMPLES = 10**4
+# Largest dimension of a claim or a threshold range: a range is certified
+# one dimension at a time, so the cap bounds the work a claim can ask for.
+MAX_DIMENSION = 64
+# Smallest dimension of each claim that has one: the m = 2 reduction
+# divides by 3*lb, positive only for N >= 3, and the m = 3 stability step
+# uses the Hardy-Rellich bound, N >= 5.
+DIMENSION_FLOORS = {"m2-subsolution": 3, "m3-stability": 5}
 
 
 class DegreeCapExceeded(ValueError):
@@ -84,7 +93,12 @@ def _poly_from_strings(ss: Sequence[str]) -> RationalPolynomial:
     return RationalPolynomial(tuple(Fraction(s) for s in ss))
 
 
-_UNIT_INTERVAL = ["0/1", "1/1"]  # (0, 1) as format_rational writes it
+def check_dimensions(name: str, n_min: int, n_max: int) -> None:
+    """Raise ValueError unless floor <= n_min <= n_max <= MAX_DIMENSION,
+    where floor is claim ``name``'s entry in DIMENSION_FLOORS (else 1)."""
+    floor = DIMENSION_FLOORS.get(name, 1)
+    if not floor <= n_min <= n_max <= MAX_DIMENSION:
+        raise ValueError(f"need {floor} <= nmin <= nmax <= {MAX_DIMENSION} for {name}")
 
 
 def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certificate:
@@ -94,19 +108,19 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     bisection, then determine the sign of p at each isolating-interval
     edge and each gap midpoint by exact evaluation; this covers the whole
     open interval.  Polynomials beyond degree 64 are rejected
-    (DegreeCapExceeded).
+    (DegreeCapExceeded).  ``claim`` adds keys to the claim record; it
+    cannot change the kind, the polynomial or the interval.
     """
     a, b = Fraction(0), Fraction(1)
     if p.degree > DEGREE_CAP:
         raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
     base_claim = {
+        **(claim or {}),
         "kind": "polynomial-nonneg",
         "polynomial": _poly_strings(p),
-        "interval": list(_UNIT_INTERVAL),
+        "interval": [format_rational(a), format_rational(b)],
         "closed": False,
     }
-    if claim:
-        base_claim.update(claim)
     trail: list[dict] = [
         {"step": "input", "degree": p.degree, "closed": False}
     ]
@@ -115,7 +129,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
         trail.append({"step": "conclusion", "note": "zero polynomial"})
         return Certificate(base_claim, VERIFIED, None, trail)
 
-    # Recorded for replay; an open interval puts no condition on them.
+    # Recorded in the trail; an open interval puts no condition on them.
     for pt in (a, b):
         trail.append(
             {"step": "endpoint-value", "point": format_rational(pt), "value": format_rational(p(pt))}
@@ -159,39 +173,31 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Re-verify a certificate from its claim and trail alone.
+    """Rebuild the certificate that ``cert.claim`` describes and accept
+    ``cert`` only if status, witness, claim and trail all match it.
 
-    Recomputes the verdict, every recorded endpoint value and, for
-    falsified certificates, confirms the witness produces a strict
-    violation; a composite must carry the status and witness that the
-    composite rule gives its replayed components.
+    A claim of an unknown kind, or one whose rebuild raises (a malformed
+    field, a dimension outside its claim's range, a degree beyond the
+    cap), does not replay.
     """
-    kind = cert.claim.get("kind")
-    if kind == "power-sum-nonneg":
-        return _replay_power_sum(cert)
-    if kind == "composite":
-        return _replay_composite(cert)
-    if kind == "threshold-pattern":
-        fresh = certify_thresholds(*cert.claim["range"])
-        return fresh.status == cert.status and fresh.witness == cert.witness
-    if kind != "polynomial-nonneg":
+    try:
+        fresh = _recompute(cert.claim)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError):
         return False
-    # The engine certifies only the open unit interval.
-    if cert.claim.get("interval") != _UNIT_INTERVAL or cert.claim.get("closed") is not False:
-        return False
-    p = _poly_from_strings(cert.claim["polynomial"])
-    fresh = certify_nonneg(p)
-    if fresh.status != cert.status:
-        return False
-    for entry in cert.trail:
-        if entry["step"] == "endpoint-value":
-            if p(Fraction(entry["point"])) != Fraction(entry["value"]):
-                return False
-    if cert.status == FALSIFIED:
-        if cert.witness is None or not (0 < cert.witness < 1):
-            return False
-        return p(cert.witness) < 0
-    return True
+    return fresh is not None and fresh.to_json_dict() == cert.to_json_dict()
+
+
+def _recompute(claim: dict) -> Certificate | None:
+    if claim.get("kind") == "threshold-pattern":
+        return certify_thresholds(*claim["range"])
+    if claim.get("name") in CLAIMS:
+        return CLAIMS[claim["name"]](claim["dimension"])
+    if claim.get("kind") == "power-sum-nonneg":
+        terms = [(Fraction(c), Fraction(e)) for c, e in claim["terms"]]
+        return power_sum_nonneg(PowerSum.of(*terms), claim["label"])
+    if claim.get("kind") == "polynomial-nonneg":
+        return certify_nonneg(_poly_from_strings(claim["polynomial"]), claim)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +315,6 @@ def _sampling_fallback(
     return Certificate(claim, INCONCLUSIVE, None, trail)
 
 
-def _replay_power_sum(cert: Certificate) -> bool:
-    ps = PowerSum.of(
-        *[(Fraction(c), Fraction(e)) for c, e in cert.claim["terms"]]
-    )
-    fresh = power_sum_nonneg(ps, cert.claim.get("label", ""))
-    if fresh.status != cert.status:
-        return False
-    if cert.status == FALSIFIED:
-        if cert.witness is None or not (0 < cert.witness < 1):
-            return False
-        # The witness radius is a perfect power by construction, so the
-        # exact evaluator can confirm the violation directly.
-        return ps.evaluate_exact(cert.witness) < 0
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Named claims.
 # ---------------------------------------------------------------------------
@@ -350,6 +340,7 @@ def stability_gap_polynomial(n: int) -> RationalPolynomial:
 def certify_m3_gap(n: int) -> Certificate:
     """Certify the sub-solution gap of the m = 3 profile at voltage H_N/2:
     P_N(s) >= 0 on (0,1) in exact arithmetic."""
+    check_dimensions("m3-gap", n, n)
     p = stability_gap_polynomial(n)
     cert = certify_nonneg(
         p,
@@ -380,8 +371,7 @@ class ThresholdRow:
 
 def threshold_table(n_min: int, n_max: int) -> list[ThresholdRow]:
     """Exact rational threshold comparisons for each dimension in range."""
-    if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
+    check_dimensions("thresholds", n_min, n_max)
     rows = []
     for n in range(n_min, n_max + 1):
         lb = singular_voltage(n)
@@ -443,12 +433,13 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
     return Certificate(claim, status, witness, trail)
 
 
-def _composite_verdict(
-    parts: Sequence[Certificate], side_ok: bool = True
-) -> tuple[str, Fraction | None]:
-    """Status and witness of a composite claim: falsified if any part (or
-    the side condition) fails, verified if every part verifies, else
-    inconclusive; the witness is the first falsified part's."""
+def _composite(
+    name: str, n: int, description: str, parts: list[Certificate], trail: list[dict],
+    side_ok: bool = True,
+) -> Certificate:
+    """A composite claim is falsified if any part (or the side condition)
+    fails, verified if every part verifies, else inconclusive; its
+    witness is the first falsified part's."""
     statuses = [c.status for c in parts]
     if FALSIFIED in statuses or not side_ok:
         status = FALSIFIED
@@ -457,14 +448,6 @@ def _composite_verdict(
     else:
         status = INCONCLUSIVE
     witness = next((c.witness for c in parts if c.status == FALSIFIED), None)
-    return status, witness
-
-
-def _composite(
-    name: str, n: int, description: str, parts: list[Certificate], trail: list[dict],
-    side_ok: bool = True,
-) -> Certificate:
-    status, witness = _composite_verdict(parts, side_ok)
     claim = {
         "kind": "composite",
         "name": name,
@@ -473,29 +456,6 @@ def _composite(
         "components": [c.to_json_dict() for c in parts],
     }
     return Certificate(claim, status, witness, trail)
-
-
-def _m2_boundary_ok() -> bool:
-    """Exact clamped boundary values of the m = 2 profile."""
-    w2 = touchdown_profile(2)
-    return w2.evaluate_exact(1) == 0 and w2.derivative().evaluate_exact(1) == 0
-
-
-# Side condition of each composite claim, recomputed on replay.
-_COMPOSITE_SIDE_CHECKS = {
-    "m2-subsolution": _m2_boundary_ok,
-    "m3-stability": lambda: True,
-}
-
-
-def _replay_composite(cert: Certificate) -> bool:
-    side_check = _COMPOSITE_SIDE_CHECKS.get(cert.claim.get("name"))
-    parts = [Certificate.from_json_dict(c) for c in cert.claim.get("components", [])]
-    if side_check is None or not parts:
-        return False
-    if not all(replay_certificate(c) for c in parts):
-        return False
-    return _composite_verdict(parts, side_check()) == (cert.status, cert.witness)
 
 
 def certify_m2_subsolution(n: int) -> Certificate:
@@ -508,7 +468,10 @@ def certify_m2_subsolution(n: int) -> Certificate:
     * the perturbation 2(r^(4/3) - r^2) is nonnegative, i.e. the profile
       stays below the pure touchdown shape;
     * exact clamped boundary values.
+
+    Raises ValueError below N = 3, where lb < 0 flips the reduction.
     """
+    check_dimensions("m2-subsolution", n, n)
     w2 = touchdown_profile(2)
     bilap = apply_bilaplacian(w2, n)
     # Structural identities recorded exactly.
@@ -530,7 +493,7 @@ def certify_m2_subsolution(n: int) -> Certificate:
             "description": "2(r^(4/3) - r^2) >= 0 with t = r^(2/3)",
         },
     )
-    boundary_ok = _m2_boundary_ok()
+    boundary_ok = w2.evaluate_exact(1) == 0 and w2.derivative().evaluate_exact(1) == 0
     trail = [
         {"step": "bilaplacian-identity", "value": "3*lb * r^(-8/3)"},
         {"step": "boundary-values", "value": boundary_ok},
@@ -547,9 +510,8 @@ def certify_m3_stability(n: int) -> Certificate:
     """Certify that sup over (0,1) of 125/(9-4s)^3, s = r^(5/3), equals 1
     (attained only in the limit s -> 1), which is the semi-stability
     reduction for the m = 3 profile; requires N >= 5 for the
-    Hardy-Rellich step it feeds."""
-    if n < 5:
-        raise ValueError("stability reduction uses the Hardy-Rellich bound, N >= 5")
+    Hardy-Rellich step it feeds (ValueError below)."""
+    check_dimensions("m3-stability", n, n)
     # (9-4s)^3 - 125 >= 0 on (0,1); root exactly at s = 1.
     bound_poly = RationalPolynomial.of(604, -972, 432, -64)
     c_bound = certify_nonneg(

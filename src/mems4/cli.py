@@ -12,9 +12,10 @@ be negative: "--beta -1/5" and "--alpha-grid -1/3:0:4" parse as values.
 Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
 or flagged, 3+ usage and I/O errors.  Usage errors include a flag the
 command does not take, a --config key that is not one of its settings,
---mesh outside 16..16384, --tol <= 0, --rel-width outside (0, 1), a
-dimension range outside 1..64 and a voltage that is NaN, infinite or
-negative.
+--mesh outside 16..16384, a --gamma too large for the mesh and
+dimension, --tol <= 0, --rel-width outside (0, 1), a dimension range
+outside 1..64 or below its claim's floor, and a voltage that is NaN,
+infinite or negative.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from mems4 import certify
+from mems4.certify import MAX_DIMENSION
 from mems4.branch import (
     minimal_solution,
     BranchPoint,
@@ -47,7 +49,7 @@ from mems4.closed_forms import (
     is_admissible,
     rational_to_decimal,
 )
-from mems4.radial_operator import RadialField, RadialGrid, build_grid
+from mems4.radial_operator import OperatorMatrix, RadialField, RadialGrid, build_grid
 from mems4.store import (
     default_out_root,
     rational_json,
@@ -66,8 +68,6 @@ EXIT_USAGE = 3
 # h_min^-4, the eigenvalue nu1 stops converging under refinement at
 # n = 16384, and a larger mesh only costs memory and time.
 MAX_MESH = 16384
-# Largest dimension of a bounds or certify range.
-MAX_DIMENSION = 64
 
 CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
 FAMILIES = ("perturbed-touchdown", "touchdown-m")
@@ -223,10 +223,17 @@ def _dim(args) -> int:
     return args.dim
 
 
-def _dimension_range(text: str) -> list[int]:
+def _solver_dim(args, cfg) -> int:
+    """--dim, once the operator on its mesh assembles: OperatorMatrix
+    rejects a grading too strong for the mesh and dimension."""
+    dim = _dim(args)
+    OperatorMatrix(_grid(cfg, dim))
+    return dim
+
+
+def _dimension_range(text: str, claim: str) -> list[int]:
     n_min, n_max = parse_range(text)
-    if not 1 <= n_min <= n_max <= MAX_DIMENSION:
-        raise ValueError(f"need 1 <= nmin <= nmax <= {MAX_DIMENSION}")
+    certify.check_dimensions(claim, n_min, n_max)
     return [n_min, n_max]
 
 
@@ -245,7 +252,7 @@ _BOUNDS_COLUMNS = (
 
 
 def _bounds_inputs(args, cfg) -> dict:
-    return {"n": _dimension_range(args.n)}
+    return {"n": _dimension_range(args.n, "thresholds")}
 
 
 def _csv_fields(row: dict) -> list[tuple[str, object]]:
@@ -279,7 +286,7 @@ def _run_bounds(args, cfg, inputs, run) -> list[str]:
 
 
 def _certify_inputs(args, cfg) -> dict:
-    return {"claim": args.claim, "n": _dimension_range(args.n)}
+    return {"claim": args.claim, "n": _dimension_range(args.n, args.claim)}
 
 
 def _run_certify(args, cfg, inputs, run) -> list[str]:
@@ -326,7 +333,7 @@ def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
 
 
 def _branch_inputs(args, cfg) -> dict:
-    dim = _dim(args)
+    dim = _solver_dim(args, cfg)
     lambdas = parse_lambda_spec(args.lam)
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
@@ -376,7 +383,7 @@ def _run_pullin(args, cfg, inputs, run) -> list[str]:
 
 def _profile_inputs(args, cfg) -> dict:
     _check_voltages([args.lam])
-    return {"dim": _dim(args), "lambda": args.lam}
+    return {"dim": _solver_dim(args, cfg), "lambda": args.lam}
 
 
 def _run_profile(args, cfg, inputs, run) -> list[str]:
@@ -471,7 +478,8 @@ COMMANDS = (
     ),
     Command(
         "pullin", "pull-in voltage bracket", (_DIM,),
-        (*_SOLVER_SETTINGS, "rel_width"), lambda args, cfg: {"dim": _dim(args)}, _run_pullin,
+        (*_SOLVER_SETTINGS, "rel_width"),
+        lambda args, cfg: {"dim": _solver_dim(args, cfg)}, _run_pullin,
         exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),),
     ),
     Command(

@@ -80,6 +80,10 @@ class OperatorMatrix:
     conservative Laplacian matrix and W the diagonal of cell volumes; the
     action of the bilaplacian is B = W^-1 A.  A is pentadiagonal,
     symmetric, positive definite.
+
+    Raises ValueError when the grading is too strong for the mesh and
+    dimension: a cell volume near the origin underflows to zero, or a
+    band entry overflows.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -99,6 +103,9 @@ class OperatorMatrix:
         cells = np.empty(n)
         cells[0] = powers[0] / nd
         cells[1:] = (powers[1:] - powers[:-1]) / nd
+        if not np.all(cells > 0):
+            raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
+                             f"{self.dim}: a cell volume is not positive")
         flux = mids ** (nd - 1.0) / gaps
         self.cells = cells
         self.flux = flux
@@ -110,7 +117,11 @@ class OperatorMatrix:
         self.s_diag = diag
         self.s_off = flux[:-1]
         self.kappa = flux[-1] * 2.0 / self.delta**2
-        self._banded = self._assemble_banded()
+        with np.errstate(over="ignore"):
+            self._banded = self._assemble_banded()
+        if not np.all(np.isfinite(self._banded)):
+            raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
+                             f"{self.dim}: a band entry is not finite")
         self._chol = None
         # General (2, 2) band layout of A for the LU solves of solve_shifted:
         # the upper rows are the symmetric storage, the lower rows mirror it.
@@ -170,13 +181,6 @@ class OperatorMatrix:
         ab[2, :] -= self.cells * shift_diag
         return solve_banded((2, 2), ab, self.cells * rhs)
 
-    def green_matrix(self) -> np.ndarray:
-        """Dense inverse of the clamped bilaplacian (columns are discrete
-        Green functions); raises on a singular factorization."""
-        n = self.grid.n
-        x = cho_solve_banded((self._factor(), False), np.eye(n))
-        return x * self.cells[None, :]
-
     def _lowest_eigenvalue(self, weight: np.ndarray | None) -> float:
         """Lowest eigenvalue of the symmetric-banded similarity transform
         W^-1/2 (A - W diag(weight)) W^-1/2 (no eigenvectors, so no dense
@@ -224,14 +228,6 @@ class OperatorMatrix:
         if np.any(weight < 0):
             raise ValueError("weight entries must be nonnegative")
         return self._lowest_eigenvalue(weight)
-
-    def rayleigh_quotient(self, v: np.ndarray, weight: np.ndarray | None = None) -> float:
-        """Discrete Rayleigh quotient (v, (A - W diag(weight)) v) / (v, W v)."""
-        num = float(v @ self._matvec_weighted(v))
-        den = float(np.sum(self.cells * v * v))
-        if weight is not None:
-            num -= float(np.sum(self.cells * weight * v * v))
-        return num / den
 
     def _matvec_weighted(self, v: np.ndarray) -> np.ndarray:
         """A v in the pentadiagonal storage."""

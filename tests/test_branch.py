@@ -228,6 +228,25 @@ def test_pull_in_bracket_n2():
     assert est.near_fold.mu1 > 0
 
 
+@pytest.mark.xfail(
+    reason=(
+        "the bisection accepts unconverged iterates: a monotone solve that "
+        "reaches MAX_MONOTONE passes the backward-error test of its last "
+        "linear system (f frozen), which does not measure convergence; one "
+        "more fixed-point step moves the near-fold point by 0.12, 3.5e-3 "
+        "and 1.1e-3 in dims 1, 3 and 5"
+    ),
+    strict=True,
+)
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_near_fold_point_is_a_fixed_point(dim):
+    grid = build_grid(256, 1.5, dim)
+    est = pull_in_voltage(HOMOGENEOUS, grid)
+    u = est.near_fold.field.values
+    step = OperatorMatrix(grid).solve(est.lambda_lo / (1.0 - u) ** 2)
+    assert np.max(np.abs(step - u)) < 1e-6
+
+
 def test_nu1_accuracy_floor_note(monkeypatch):
     # eig_banded's nu1 drifts from the Rayleigh estimate of its own
     # eigenfunction at fine meshes in low dimension (5.9e-4 at dim 1,

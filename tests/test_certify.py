@@ -1,12 +1,15 @@
 """Tests for the exact certification engine and the named claims."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mems4.certify as certify_mod
 from mems4.certify import (
+    MAX_DIMENSION,
     Certificate,
     DegreeCapExceeded,
     certify_m2_subsolution,
@@ -183,6 +186,102 @@ def test_replay_verified_and_falsified():
         assert not replay_certificate(bad)
 
 
+def _round_trip(cert: Certificate) -> Certificate:
+    return Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+
+
+def test_replay_accepts_every_kind_after_json_round_trip(monkeypatch):
+    # Thinned fallback, as in test_degree_cap_goes_inconclusive_not_skipped;
+    # replay rebuilds with the same sample count.
+    monkeypatch.setattr(certify_mod, "FALLBACK_SAMPLES", 200)
+    search = subsolution_search(17, "touchdown-m", [F(3), F(11, 2)])
+    power_sums = [c for cand in search.candidates for c in cand.checks.values()]
+    assert any("fallback" in str(c.trail[0].get("note")) for c in power_sums)
+    certs = power_sums + [
+        certify_thresholds(1, 64),
+        certify_m3_gap(20),
+        certify_m3_gap(4),
+        certify_m2_subsolution(3),
+        certify_m3_stability(5),
+        certify_nonneg(P(F(-1, 2), 1)),
+        certify_nonneg(P()),
+    ]
+    for cert in certs:
+        assert replay_certificate(_round_trip(cert)), cert.claim
+
+
+def _range_upper() -> Certificate:
+    """The power-sum certificate of 1 - w >= 0 for the m = 3 profile."""
+    return subsolution_search(17, "touchdown-m", [F(3)]).candidates[0].checks["range-upper"]
+
+
+def _set_step(step: str, key: str, value, which: int = 0):
+    def edit(d):
+        entries = [e for e in d["trail"] if e["step"] == step]
+        entries[which][key] = value
+    return edit
+
+
+def _set_claim(key: str, value):
+    def edit(d):
+        d["claim"][key] = value
+    return edit
+
+
+def _set_pattern_onset(d):
+    d["claim"]["pattern"]["double_voltage_le_hardy_from"] = 3
+
+
+# The certificates under edit, and each edit: it keeps the certificate
+# well formed, and a rebuild from the claim differs from it somewhere.
+ORIGINALS = {
+    "m3-gap": lambda: certify_m3_gap(17),
+    "power-sum": _range_upper,
+    "thresholds": lambda: certify_thresholds(1, 40),
+    "m2": lambda: certify_m2_subsolution(31),
+}
+EDITS = {
+    "m3-gap-root-count": ("m3-gap", _set_step("interior-root-count", "count", 7)),
+    "m3-gap-sign-value": ("m3-gap", _set_step("sign-evaluation", "value", "-1/1")),
+    "m3-gap-dimension": ("m3-gap", _set_claim("dimension", 4)),
+    "power-sum-substitution": ("power-sum", _set_step("power-substitution", "polynomial", ["1/1"])),
+    "thresholds-hardy": ("thresholds", _set_step("compare", "hardy", "0/1", which=20)),
+    "thresholds-onset": ("thresholds", _set_pattern_onset),
+    "m2-description": ("m2", _set_claim("description", "anything")),
+    "m2-dimension": ("m2", _set_claim("dimension", 2)),
+    "m2-boundary-values": ("m2", _set_step("boundary-values", "value", False)),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS.keys())
+def test_replay_rejects_edited_certificate(edit):
+    original, change = edit
+    d = json.loads(json.dumps(ORIGINALS[original]().to_json_dict()))
+    assert replay_certificate(Certificate.from_json_dict(d))
+    change(d)
+    assert not replay_certificate(Certificate.from_json_dict(d))
+
+
+def test_replay_ignores_power_sum_label():
+    # The label is free text; the terms alone define the claim.
+    d = _range_upper().to_json_dict()
+    d["claim"]["label"] = "any other label"
+    assert replay_certificate(Certificate.from_json_dict(d))
+
+
+def test_replay_rejects_oversized_and_unknown_claims():
+    # A range claim is rebuilt one dimension at a time, so an oversized
+    # range is refused before any work.
+    d = certify_thresholds(1, 40).to_json_dict()
+    d["claim"]["range"] = [1, 10**9]
+    assert not replay_certificate(Certificate.from_json_dict(d))
+    d = certify_m3_gap(17).to_json_dict()
+    d["claim"]["dimension"] = MAX_DIMENSION + 1
+    assert not replay_certificate(Certificate.from_json_dict(d))
+    for bad_claim in ({"kind": "composite", "name": "other", "dimension": 3}, {"kind": "unknown"}):
+        assert not replay_certificate(Certificate(bad_claim, "verified"))
+
+
 # --- power sum reduction --------------------------------------------------
 
 
@@ -261,7 +360,7 @@ def test_threshold_first_true_dimensions():
 # --- named profile claims -------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 9, 31, 40])
+@pytest.mark.parametrize("n", [3, 9, 31, 40])
 def test_m2_subsolution_verified(n):
     cert = certify_m2_subsolution(n)
     assert cert.status == "verified"
@@ -282,6 +381,18 @@ def test_m3_stability_verified(n):
 def test_m3_stability_requires_dimension_five():
     with pytest.raises(ValueError):
         certify_m3_stability(4)
+
+
+@pytest.mark.parametrize(
+    "certifier, n",
+    [(certify_m2_subsolution, 1), (certify_m2_subsolution, 2), (certify_m3_gap, 0),
+     (certify_m3_gap, MAX_DIMENSION + 1), (certify_m3_stability, MAX_DIMENSION + 1)],
+)
+def test_named_claims_reject_dimensions_outside_their_range(certifier, n):
+    # Below N = 3 the singular voltage is negative (-40/81 at N = 1), so
+    # dividing the m = 2 reduction by 3*lb would flip the inequality.
+    with pytest.raises(ValueError):
+        certifier(n)
 
 
 # --- sub-solution search --------------------------------------------------
@@ -359,8 +470,6 @@ def test_degree_cap_goes_inconclusive_not_skipped(monkeypatch):
     # alpha with a large denominator forces a substitution order beyond
     # the cap; the candidate must be graded, not dropped.  The sampling
     # fallback is thinned here to keep the test quick.
-    import mems4.certify as certify_mod
-
     monkeypatch.setattr(certify_mod, "FALLBACK_SAMPLES", 200)
     report = subsolution_search(9, "perturbed-touchdown", [(F(100, 99), F(1))])
     assert len(report.candidates) == 1

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file schemas, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -102,11 +103,32 @@ SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--
         ["bounds", "--n", "1..65"],
         ["certify", "thresholds", "--n", "1..65"],
         ["certify", "m3-gap", "--n", "0..3"],
+        ["certify", "m2-subsolution", "--n", "2..4"],
+        ["certify", "m3-stability", "--n", "4..6"],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, flags):
     assert run_cli(*flags, "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16", "--gamma", "400"],
+        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16", "--gamma", "inf"],
+        ["pullin", "--dim", "17", "--mesh", "512", "--gamma", "8"],
+        ["branch", "--dim", "1", "--lambda", "1:2:2", "--gamma", "45"],
+    ],
+)
+def test_overgraded_mesh_exits_before_any_directory(tmp_path, capsys, flags):
+    # How much grading a mesh takes depends on the mesh and the dimension,
+    # so the operator's assembly is the check, run before the run key.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warnings on the way
+        assert run_cli(*flags, "--out", str(tmp_path)) == 3
+    assert not any(tmp_path.iterdir())
+    assert "is too large for mesh" in capsys.readouterr().err
 
 
 def test_mesh_too_fine_for_dimension_fails_fast(tmp_path):
