@@ -27,7 +27,7 @@ from mems4.closed_forms import (
     touchdown_profile,
     touchdown_shape,
 )
-from mems4.polys import RationalPolynomial, from_power_shifts
+from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs, sign_at
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -290,10 +290,12 @@ def _sampling_fallback(
         if acc < best_v:
             best_t, best_v = k, acc
 
-    # The float screen's pick first, then every sample in order.
+    # The float screen's pick first, then every sample in order, each
+    # tested by the integer sign of the denominator-cleared polynomial.
+    cs = integer_coeffs(poly)
     for k in sorted(range(1, FALLBACK_SAMPLES + 1), key=lambda k: k != best_t):
         t0 = Fraction(k, FALLBACK_SAMPLES + 1)
-        if poly(t0) < 0:
+        if sign_at(cs, t0) < 0:
             witness = t0**q
             trail.append(
                 {

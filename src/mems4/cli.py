@@ -224,10 +224,11 @@ def _dim(args) -> int:
 
 
 def _solver_dim(args, cfg) -> int:
-    """--dim, once the operator on its mesh assembles: OperatorMatrix
-    rejects a grading too strong for the mesh and dimension."""
+    """--dim, once the operator on its mesh assembles and factors:
+    OperatorMatrix rejects a grading too strong or a mesh too fine for
+    the dimension."""
     dim = _dim(args)
-    OperatorMatrix(_grid(cfg, dim))
+    OperatorMatrix(_grid(cfg, dim)).factor()
     return dim
 
 

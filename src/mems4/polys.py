@@ -1,16 +1,19 @@
 """Exact univariate polynomial arithmetic and real root isolation.
 
-Coefficients are arbitrary-precision rationals.  Root counting uses Sturm
-sequences; isolation refines by bisection with exact sign tests, so every
-interval endpoint reported here is a rational number whose sign data can
-be replayed independently.
+Coefficients are arbitrary-precision rationals, but the root-isolation
+engine computes over Python integers: Sturm chains and gcds are built by
+primitive pseudo-remainders, and the sign of an integer polynomial at a
+rational a/b is the sign of the integer sum c_i a^i b^(d-i).  Isolation
+refines by bisection with these exact sign tests, so every interval
+endpoint reported here is a rational number whose sign data can be
+replayed independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -92,28 +95,13 @@ class RationalPolynomial:
                 rem[k + i] -= f * c
         return RationalPolynomial(tuple(q)), RationalPolynomial(tuple(rem[:d]))
 
-    def primitive(self) -> "RationalPolynomial":
-        """Rescale by a positive rational so coefficients are coprime
-        integers (sign-preserving; keeps Sturm remainders small)."""
-        if self.is_zero():
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        nums = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in nums:
-            g = gcd(g, abs(v))
-        return RationalPolynomial(tuple(Fraction(v, g) for v in nums))
-
     def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.primitive(), other.primitive()
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r.primitive() if not r.is_zero() else r
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.coeffs[-1])  # monic
+        a, b = integer_coeffs(self), integer_coeffs(other)
+        while b:
+            a, b = b, _pseudo_remainder(a, b)
+        if not a:
+            return RationalPolynomial(())
+        return RationalPolynomial(tuple(Fraction(c, a[-1]) for c in a))  # monic
 
     def squarefree_part(self) -> "RationalPolynomial":
         if self.degree <= 0:
@@ -126,15 +114,17 @@ class RationalPolynomial:
         return q
 
     def sturm_sequence(self) -> list["RationalPolynomial"]:
-        """Sturm chain of the square-free part."""
-        f = self.squarefree_part().primitive()
-        chain = [f, f.derivative().primitive()]
-        while not chain[-1].is_zero() and chain[-1].degree > 0:
-            _, r = chain[-2].divmod(chain[-1])
-            if r.is_zero():
+        """Sturm chain of the square-free part, each member primitive
+        (coprime integer coefficients, a positive multiple of the
+        classical member)."""
+        f = integer_coeffs(self.squarefree_part())
+        chain = [f, _primitive([i * c for i, c in enumerate(f) if i > 0])]
+        while chain[-1] and len(chain[-1]) > 1:
+            r = _pseudo_remainder(chain[-2], chain[-1])
+            if not r:
                 break
-            chain.append((-r).primitive())
-        return [p for p in chain if not p.is_zero()]
+            chain.append([-c for c in r])
+        return [RationalPolynomial(tuple(p)) for p in chain if p]
 
     def isolate_roots(
         self, a: Fraction, b: Fraction
@@ -152,19 +142,21 @@ class RationalPolynomial:
         # Strip roots sitting exactly at the domain endpoints so Sturm
         # counting over (a, b] sees only interior roots.
         for pt in (a, b):
-            while g.degree > 0 and g(pt) == 0:
+            while g.degree > 0 and sign_at(integer_coeffs(g), pt) == 0:
                 g, rem = g.divmod(RationalPolynomial.of(-pt, 1))
                 assert rem.is_zero()
         if g.degree <= 0:
             return []
-        chain = g.sturm_sequence()
+        chain = [integer_coeffs(p) for p in g.sturm_sequence()]
+        # The roots of g are roots of self, so one zero test covers both.
+        f = integer_coeffs(self)
 
         def count(x: Fraction, y: Fraction) -> int:
             return _sign_variations(chain, x) - _sign_variations(chain, y)
 
         def interior_split(x: Fraction, y: Fraction) -> Fraction:
             mid = (x + y) / 2
-            while self(mid) == 0 or g(mid) == 0:
+            while sign_at(f, mid) == 0:
                 mid = (x + mid) / 2
             return mid
 
@@ -178,7 +170,7 @@ class RationalPolynomial:
             if k == 1:
                 # Pull the edges strictly inside (a, b) and off roots of
                 # the original polynomial.
-                while x == a or y == b or self(x) == 0 or self(y) == 0:
+                while x == a or y == b or sign_at(f, x) == 0 or sign_at(f, y) == 0:
                     mid = interior_split(x, y)
                     if count(x, mid) == 1:
                         y = mid
@@ -196,12 +188,56 @@ class RationalPolynomial:
         return sorted(found)
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _primitive(cs: Sequence[int]) -> list[int]:
+    """Divide integer coefficients by their (positive) content; [] stays []."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
 
 
-def _sign_variations(chain: Sequence[RationalPolynomial], x: Fraction) -> int:
-    signs = [s for s in (_sign(p(x)) for p in chain) if s != 0]
+def integer_coeffs(p: RationalPolynomial) -> list[int]:
+    """Coprime integer coefficients of p times a positive rational, so
+    they have the sign of p at every point; [] for the zero polynomial."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder |lc(b)|^(deg a - deg b + 1)
+    * a mod b; [] when it is zero.  Each elimination step scales by a
+    positive factor only, so the result is the primitive form of the
+    rational remainder a mod b, sign included."""
+    r = list(a)
+    d = len(b) - 1
+    lc = b[-1]
+    for k in range(len(r) - 1, d - 1, -1):
+        f = r[k]
+        if f:
+            g = gcd(lc, f)
+            s, t = abs(lc) // g, f // g if lc > 0 else -f // g
+            if s > 1:
+                r = [s * c for c in r]
+            for i, c in enumerate(b):
+                r[k - d + i] -= t * c
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return _primitive(r)
+
+
+def sign_at(cs: Sequence[int], x: Fraction) -> int:
+    """Sign at x of the polynomial with integer coefficients cs
+    (ascending): the sign of sum c_i a^i b^(d-i) for x = a/b, b > 0,
+    summed by homogeneous Horner."""
+    a, b = x.numerator, x.denominator
+    acc, bp = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bp
+        bp *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    signs = [s for s in (sign_at(p, x) for p in chain) if s != 0]
     return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded, solve_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded, solve_banded
 
 from mems4.closed_forms import PowerSum
 
@@ -165,14 +165,22 @@ class OperatorMatrix:
         (bv, bs) at r = 1; (0, 0) is the clamped operator action."""
         return self.laplacian(self.laplacian(v, bv), self.boundary_laplacian(v, bv, bs))
 
-    def _factor(self):
+    def factor(self) -> np.ndarray:
+        """Banded Cholesky factor of A, computed once.  Raises ValueError
+        when A is not numerically positive definite on this mesh."""
         if self._chol is None:
-            self._chol = cholesky_banded(self._banded, lower=False)
+            try:
+                self._chol = cholesky_banded(self._banded, lower=False)
+            except LinAlgError as exc:
+                raise ValueError(
+                    f"mesh {self.grid.n} with gamma {self.grid.gamma:g} in dimension "
+                    f"{self.dim}: the operator is not numerically positive definite ({exc})"
+                ) from exc
         return self._chol
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Solve the clamped problem: bilaplacian(v) = f at interior nodes."""
-        return cho_solve_banded((self._factor(), False), self.cells * f)
+        return cho_solve_banded((self.factor(), False), self.cells * f)
 
     def solve_shifted(self, rhs: np.ndarray, shift_diag: np.ndarray) -> np.ndarray:
         """Solve (A - W diag(shift_diag)) x = W rhs with banded LU (the
@@ -203,7 +211,7 @@ class OperatorMatrix:
         inner product, with its (one-signed) eigenfunction.  The function
         comes from inverse iteration on the cached Cholesky factor of A,
         started from the constant: O(n) per step."""
-        factor = (self._factor(), False)
+        factor = (self.factor(), False)
         value = self._lowest_eigenvalue(None)
         phi = self._w_normalized(np.ones(self.grid.n))
         for _ in range(NU1_MAX_ITER):

@@ -105,6 +105,8 @@ SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--
         ["certify", "m3-gap", "--n", "0..3"],
         ["certify", "m2-subsolution", "--n", "2..4"],
         ["certify", "m3-stability", "--n", "4..6"],
+        # Assembles, but its banded Cholesky fails.
+        ["pullin", "--dim", "3", "--mesh", "512", "--gamma", "42"],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, flags):
@@ -131,12 +133,13 @@ def test_overgraded_mesh_exits_before_any_directory(tmp_path, capsys, flags):
     assert "is too large for mesh" in capsys.readouterr().err
 
 
-def test_mesh_too_fine_for_dimension_fails_fast(tmp_path):
-    # The dim 1 matrix at n = 16384 is not numerically positive definite:
-    # the banded Cholesky raises LinAlgError (a ValueError) at once.  The
-    # run directory, already written, holds only config.json.
+def test_mesh_too_fine_for_dimension_fails_fast(tmp_path, capsys):
+    # The dim 1 matrix at n = 16384 is not numerically positive definite.
+    # The banded Cholesky in the pre-check finds that before the run key,
+    # so no run directory is written.
     assert run_cli("pullin", "--dim", "1", "--mesh", str(MAX_MESH), "--out", str(tmp_path)) == 3
-    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.json"]
+    assert not any(tmp_path.iterdir())
+    assert "not numerically positive definite" in capsys.readouterr().err
 
 
 def exit_code(*argv) -> int:

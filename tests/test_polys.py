@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mems4.polys import RationalPolynomial, from_power_shifts
+from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs, sign_at
 
 F = Fraction
 P = RationalPolynomial.of
@@ -115,3 +116,53 @@ def test_derivative():
 def test_from_power_shifts():
     p = from_power_shifts([(F(2), 3), (F(-1), 0), (F(1), 3)])
     assert p == P(-1, 0, 0, 3)
+
+
+_ROOTS = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(_ROOTS, st.integers(1, 3)), min_size=1, max_size=5),
+    st.none() | st.fractions(min_value=F(1, 9), max_value=F(2), max_denominator=9),
+    st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5).filter(bool),
+)
+@example(roots=[(F(0), 2), (F(1), 3), (F(1, 2), 2)], square=F(1, 3), lead=F(-2, 3))
+def test_isolation_count_matches_sympy(roots, square, lead):
+    # Products of (x - r)^k, roots at 0 and 1 and repeated roots included,
+    # times an optional x^2 - s with an irrational root when s is not a
+    # square: the interval count is sympy's count of distinct roots in
+    # [0, 1], less the roots at the endpoints.
+    p = P(lead)
+    for r, k in roots:
+        for _ in range(k):
+            p = p * P(-r, 1)
+    if square is not None:
+        p = p * P(-square, 0, 1)
+    x = sympy.Symbol("x")
+    sp = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x
+    )
+    expected = sp.count_roots(0, 1) - (p(F(0)) == 0) - (p(F(1)) == 0)
+    ivs = p.isolate_roots(F(0), F(1))
+    assert len(ivs) == expected
+    for lo, hi in ivs:
+        assert 0 < lo < hi < 1 and p(lo) != 0 and p(hi) != 0
+        assert sp.count_roots(lo, hi) == 1
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.fractions(min_value=F(-9), max_value=F(9), max_denominator=30), max_size=8),
+    st.fractions(min_value=F(-3), max_value=F(3), max_denominator=1000),
+    st.booleans(),
+)
+def test_integer_sign_matches_fraction_horner(coeffs, x, root_at_x):
+    p = RationalPolynomial(tuple(coeffs))
+    if root_at_x:
+        p = p * P(-x, 1)
+    v = p(x)
+    assert sign_at(integer_coeffs(p), x) == (v > 0) - (v < 0)
