@@ -165,12 +165,12 @@ def _solve_at(
         iters += 1
         if track_iterates is not None:
             track_iterates.append(u_new.copy())
-        if np.max(u_new) >= 1 - CEILING:
+        if u_new.max() >= 1 - CEILING:
             return DivergenceReport(
                 lam, "iterates reached the contact ceiling", iters,
-                float(np.max(u_new)), RadialField(ws.grid, u_new),
+                float(u_new.max()), RadialField(ws.grid, u_new),
             )
-        inc = float(np.max(np.abs(u_new - u)))
+        inc = float(np.abs(u_new - u).max())
         v, u = v_new, u_new
         if inc < STALL_INCREMENT:
             break
@@ -441,9 +441,12 @@ REGULAR = "regular-consistent"
 SINGULAR = "singular-consistent"
 INCONCLUSIVE = "inconclusive"
 
-# A looser threshold such as 0.05 misclassifies N = 8, whose near-fold
-# maximum is 0.96..0.97 under refinement while N = 9 exceeds 0.998; 0.02
-# separates the two regimes with margin on both sides.
+# 0.02 was chosen from an N = 8 near-fold maximum of 0.96..0.97, but that
+# point is on the upper branch: at n = 512 its mu1 is -64.  The last stable
+# point seen there, the last bisection solve that converged before the
+# monotone cap (mu1 = 75), has max 0.954; N = 9 exceeds 0.998.  The value
+# stays until it is chosen again from stable near-fold maxima (ROADMAP
+# item 1).
 DELTA_REGULAR = 0.02
 DELTA_SINGULAR = 0.01
 

@@ -7,6 +7,10 @@ elimination of u(1) = u'(1) = 0 at r = 1.  Composing two Laplacians gives
 a pentadiagonal operator that is exactly self-adjoint and positive
 definite in the cell-volume inner product, so Green-matrix positivity and
 the eigenvalue problems inherit clean linear algebra.
+
+A is factored once by banded Cholesky; every back-solve (the clamped
+solve and the nu1 inverse iteration) calls LAPACK pbtrs on that cached
+factor directly, after checking that the right-hand side is finite.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded, solve_banded
+from scipy.linalg import LinAlgError, cholesky_banded, eig_banded, solve_banded
+from scipy.linalg.lapack import dpbtrs
 
 from mems4.closed_forms import PowerSum
 
@@ -178,9 +183,21 @@ class OperatorMatrix:
                 ) from exc
         return self._chol
 
+    def _back_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs from the cached factor, overwriting rhs (callers pass a
+        fresh temporary).  pbtrs propagates NaN silently, so a non-finite
+        right-hand side is refused here; the factor of the finite A is
+        finite and needs no check."""
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side contains non-finite entries")
+        x, info = dpbtrs(self.factor(), rhs, lower=0, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        return x
+
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Solve the clamped problem: bilaplacian(v) = f at interior nodes."""
-        return cho_solve_banded((self.factor(), False), self.cells * f)
+        return self._back_solve(self.cells * f)
 
     def solve_shifted(self, rhs: np.ndarray, shift_diag: np.ndarray) -> np.ndarray:
         """Solve (A - W diag(shift_diag)) x = W rhs with banded LU (the
@@ -211,11 +228,10 @@ class OperatorMatrix:
         inner product, with its (one-signed) eigenfunction.  The function
         comes from inverse iteration on the cached Cholesky factor of A,
         started from the constant: O(n) per step."""
-        factor = (self.factor(), False)
         value = self._lowest_eigenvalue(None)
         phi = self._w_normalized(np.ones(self.grid.n))
         for _ in range(NU1_MAX_ITER):
-            nxt = self._w_normalized(cho_solve_banded(factor, self.cells * phi))
+            nxt = self._w_normalized(self._back_solve(self.cells * phi))
             step = nxt - phi
             phi = nxt
             if np.sum(self.cells * step * step) < NU1_STEP_TOL**2:

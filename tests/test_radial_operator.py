@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 from scipy.optimize import brentq
 from scipy.special import iv, jv
 
@@ -17,6 +18,8 @@ from mems4.closed_forms import (
 )
 import mems4.radial_operator
 from mems4.radial_operator import (
+    NU1_MAX_ITER,
+    NU1_STEP_TOL,
     OperatorMatrix,
     RadialField,
     build_grid,
@@ -340,3 +343,48 @@ def test_solve_inverts_apply():
     res = np.abs(op.apply(v) - f)
     scale = op._matvec_weighted_abs(v) / op.cells + np.abs(f)
     assert np.max(res / scale) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("dim", [1, 5, 9, 17])
+def test_solve_matches_cho_solve_banded_bitwise(dim, n):
+    # The direct pbtrs back-solve does the same arithmetic as scipy's
+    # wrapper, for one load and for the identity the Green tests pass.
+    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    factor = (op.factor(), False)
+    f = 2.0 + np.random.default_rng(dim).standard_normal(n)
+    assert np.array_equal(op.solve(f), cho_solve_banded(factor, op.cells * f))
+    eye = np.eye(n)
+    assert np.array_equal(op.solve(eye), cho_solve_banded(factor, op.cells * eye))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_load(bad):
+    op = OperatorMatrix(build_grid(64, 1.5, 5))
+    f = np.ones(64)
+    f[17] = bad
+    with pytest.raises(ValueError):
+        op.solve(f)
+    with pytest.raises(ValueError):
+        op.solve(np.where(np.eye(64) > 0, bad, 0.0))
+
+
+@pytest.mark.parametrize("dim", [1, 8, 17])
+def test_nu1_eigenfunction_matches_cho_solve_banded_iteration(dim):
+    # The same inverse iteration as nu1, written with scipy's wrapper.
+    op = OperatorMatrix(build_grid(256, 1.5, dim))
+    factor = (op.factor(), False)
+
+    def normalized(v):
+        return v / np.sqrt(np.sum(op.cells * v * v))
+
+    phi = normalized(np.ones(op.grid.n))
+    for _ in range(NU1_MAX_ITER):
+        nxt = normalized(cho_solve_banded(factor, op.cells * phi))
+        step = nxt - phi
+        phi = nxt
+        if np.sum(op.cells * step * step) < NU1_STEP_TOL**2:
+            break
+    if phi[np.argmax(np.abs(phi))] < 0:
+        phi = -phi
+    assert np.array_equal(op.nu1()[1].values, phi)
