@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from mems4.closed_forms import (
     PowerSum,
     apply_bilaplacian,
@@ -27,7 +29,7 @@ from mems4.closed_forms import (
     touchdown_profile,
     touchdown_shape,
 )
-from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs, sign_at
+from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -271,6 +273,19 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     return Certificate(claim, inner.status, witness, trail)
 
 
+def _screen_pick(coeffs: Sequence[float]) -> int | None:
+    """Cheap float screen that steers witness confirmation: the k of the
+    first sample k/(FALLBACK_SAMPLES + 1) where the Horner value of the
+    ascending coefficients is least, if it is negative, else None.  numpy
+    takes the IEEE steps of a scalar Horner loop, and a NaN sample never
+    compares below the running minimum, so it is never picked."""
+    den = FALLBACK_SAMPLES + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.polyval(coeffs[::-1], np.arange(1, den) / den)
+    vals[np.isnan(vals)] = 0.0
+    return int(vals.argmin()) + 1 if vals.min() < 0 else None
+
+
 def _sampling_fallback(
     ps: PowerSum,
     poly: RationalPolynomial,
@@ -279,23 +294,20 @@ def _sampling_fallback(
     reduction_step: dict,
 ) -> Certificate:
     trail = [dict(reduction_step, note="degree cap exceeded; exact sampling fallback")]
-    # Cheap float screen to steer witness confirmation.
-    coeffs = [float(c) for c in poly.coeffs]
-    best_t, best_v = None, 0.0
-    for k in range(1, FALLBACK_SAMPLES + 1):
-        t = k / (FALLBACK_SAMPLES + 1)
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        if acc < best_v:
-            best_t, best_v = k, acc
-
+    best_t = _screen_pick([float(c) for c in poly.coeffs])
     # The float screen's pick first, then every sample in order, each
-    # tested by the integer sign of the denominator-cleared polynomial.
+    # tested by the sign of sum c_i k^i den^(d-i), the denominator-cleared
+    # polynomial at k/den times den^d.
+    den = FALLBACK_SAMPLES + 1
     cs = integer_coeffs(poly)
-    for k in sorted(range(1, FALLBACK_SAMPLES + 1), key=lambda k: k != best_t):
-        t0 = Fraction(k, FALLBACK_SAMPLES + 1)
-        if sign_at(cs, t0) < 0:
+    d = len(cs) - 1
+    scaled = [c * den ** (d - i) for i, c in enumerate(cs)][::-1]
+    for k in sorted(range(1, den), key=lambda k: k != best_t):
+        acc = 0
+        for c in scaled:
+            acc = acc * k + c
+        if acc < 0:
+            t0 = Fraction(k, den)
             witness = t0**q
             trail.append(
                 {

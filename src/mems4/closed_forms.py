@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Union
 
 Rational = Union[Fraction, int]
@@ -69,8 +70,10 @@ class PowerTerm:
     exponent: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        for name in ("coeff", "exponent"):
+            v = getattr(self, name)
+            if not isinstance(v, Fraction):
+                object.__setattr__(self, name, Fraction(v))
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,19 @@ class PowerSum:
     terms: tuple[PowerTerm, ...]
 
     def __post_init__(self):
-        merged: dict[Fraction, Fraction] = {}
+        # Keyed by the exponent's integer pair: hashing a Fraction costs a
+        # modular inverse.
+        merged: dict[tuple[int, int], list] = {}
         for t in self.terms:
             if not isinstance(t, PowerTerm):
                 t = PowerTerm(*t)
-            merged[t.exponent] = merged.get(t.exponent, Fraction(0)) + t.coeff
+            key = (t.exponent.numerator, t.exponent.denominator)
+            if key in merged:
+                merged[key][1] += t.coeff
+            else:
+                merged[key] = [t.exponent, t.coeff]
         norm = tuple(
-            PowerTerm(c, e) for e, c in sorted(merged.items()) if c != 0
+            PowerTerm(c, e) for e, c in sorted(merged.values(), key=itemgetter(0)) if c != 0
         )
         object.__setattr__(self, "terms", norm)
 

@@ -1,12 +1,13 @@
 """Exact univariate polynomial arithmetic and real root isolation.
 
-Coefficients are arbitrary-precision rationals, but the root-isolation
-engine computes over Python integers: Sturm chains and gcds are built by
-primitive pseudo-remainders, and the sign of an integer polynomial at a
-rational a/b is the sign of the integer sum c_i a^i b^(d-i).  Isolation
-refines by bisection with these exact sign tests, so every interval
-endpoint reported here is a rational number whose sign data can be
-replayed independently.
+Coefficients are arbitrary-precision rationals, but everything past the
+input computes over Python integers: the square-free part divides
+primitive integer coefficients exactly, gcds and Sturm chains are built
+by primitive pseudo-remainders (a chain is a list of integer coefficient
+lists), and the value or the sign of a polynomial at a rational a/b comes
+from the integer sum c_i a^i b^(d-i).  Isolation refines by bisection
+with these exact sign tests, so every interval endpoint reported here is
+a rational number whose sign data can be replayed independently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class RationalPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -42,11 +43,16 @@ class RationalPolynomial:
         return not self.coeffs
 
     def __call__(self, x: Fraction) -> Fraction:
+        """Exact value at x: one integer homogeneous Horner sum over the
+        common denominator of the coefficients, then a single Fraction."""
         x = Fraction(x)
-        acc = Fraction(0)
+        a, b = x.numerator, x.denominator
+        den = lcm(*(c.denominator for c in self.coeffs))
+        acc, bp = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * a + c.numerator * (den // c.denominator) * bp
+            bp *= b
+        return Fraction(acc * b, den * bp)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -73,11 +79,6 @@ class RationalPolynomial:
         c = Fraction(c)
         return RationalPolynomial(tuple(c * a for a in self.coeffs))
 
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
-        )
-
     def divmod(
         self, other: "RationalPolynomial"
     ) -> tuple["RationalPolynomial", "RationalPolynomial"]:
@@ -95,36 +96,35 @@ class RationalPolynomial:
                 rem[k + i] -= f * c
         return RationalPolynomial(tuple(q)), RationalPolynomial(tuple(rem[:d]))
 
-    def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = integer_coeffs(self), integer_coeffs(other)
-        while b:
-            a, b = b, _pseudo_remainder(a, b)
-        if not a:
-            return RationalPolynomial(())
-        return RationalPolynomial(tuple(Fraction(c, a[-1]) for c in a))  # monic
-
     def squarefree_part(self) -> "RationalPolynomial":
+        """self divided by the monic gcd of self and its derivative.
+
+        Computed over Z: the primitive gcd g of the primitive coefficients
+        f divides f exactly (Gauss's lemma), and one rational scale
+        lc(self) / lc(f) * lc(g) turns f / g into the rational quotient."""
         if self.degree <= 0:
             return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
+        f = integer_coeffs(self)
+        g, r = f, _derivative(f)
+        while r:
+            g, r = r, _pseudo_remainder(g, r)
+        if len(g) == 1:
             return self
-        q, r = self.divmod(g)
-        assert r.is_zero()
-        return q
+        scale = self.coeffs[-1] / f[-1] * g[-1]
+        return RationalPolynomial(tuple(scale * c for c in _exact_quotient(f, g)))
 
-    def sturm_sequence(self) -> list["RationalPolynomial"]:
-        """Sturm chain of the square-free part, each member primitive
-        (coprime integer coefficients, a positive multiple of the
-        classical member)."""
+    def sturm_sequence(self) -> list[list[int]]:
+        """Sturm chain of the square-free part as integer coefficient
+        lists, each member primitive (coprime integer coefficients, a
+        positive multiple of the classical member)."""
         f = integer_coeffs(self.squarefree_part())
-        chain = [f, _primitive([i * c for i, c in enumerate(f) if i > 0])]
-        while chain[-1] and len(chain[-1]) > 1:
+        chain = [f, _derivative(f)]
+        while len(chain[-1]) > 1:
             r = _pseudo_remainder(chain[-2], chain[-1])
             if not r:
                 break
             chain.append([-c for c in r])
-        return [RationalPolynomial(tuple(p)) for p in chain if p]
+        return [p for p in chain if p]
 
     def isolate_roots(
         self, a: Fraction, b: Fraction
@@ -138,16 +138,16 @@ class RationalPolynomial:
         a, b = Fraction(a), Fraction(b)
         if self.degree <= 0 or a >= b:
             return []
-        g = self.squarefree_part()
+        g = integer_coeffs(self.squarefree_part())
         # Strip roots sitting exactly at the domain endpoints so Sturm
-        # counting over (a, b] sees only interior roots.
+        # counting over (a, b] sees only interior roots; a root at p/q is
+        # the primitive factor q x - p, which divides g exactly over Z.
         for pt in (a, b):
-            while g.degree > 0 and sign_at(integer_coeffs(g), pt) == 0:
-                g, rem = g.divmod(RationalPolynomial.of(-pt, 1))
-                assert rem.is_zero()
-        if g.degree <= 0:
+            while len(g) > 1 and sign_at(g, pt) == 0:
+                g = _exact_quotient(g, [-pt.numerator, pt.denominator])
+        if len(g) <= 1:
             return []
-        chain = [integer_coeffs(p) for p in g.sturm_sequence()]
+        chain = RationalPolynomial(tuple(g)).sturm_sequence()
         # The roots of g are roots of self, so one zero test covers both.
         f = integer_coeffs(self)
 
@@ -194,6 +194,25 @@ def _primitive(cs: Sequence[int]) -> list[int]:
     return [c // g for c in cs] if g > 1 else list(cs)
 
 
+def _derivative(cs: Sequence[int]) -> list[int]:
+    """Primitive form of the derivative of integer coefficients cs."""
+    return _primitive([i * c for i, c in enumerate(cs) if i > 0])
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a exactly over Z."""
+    r = list(a)
+    d = len(b) - 1
+    q = [0] * (len(r) - d)
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = r[k + d] // b[-1]
+        if t:
+            for i, c in enumerate(b):
+                r[k + i] -= t * c
+    assert not any(r), "inexact polynomial division"
+    return q
+
+
 def integer_coeffs(p: RationalPolynomial) -> list[int]:
     """Coprime integer coefficients of p times a positive rational, so
     they have the sign of p at every point; [] for the zero polynomial."""
@@ -210,15 +229,16 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     d = len(b) - 1
     lc = b[-1]
     for k in range(len(r) - 1, d - 1, -1):
-        f = r[k]
+        # r[k] cancels against lc(b), so it is dropped, not updated.
+        f = r.pop()
         if f:
             g = gcd(lc, f)
             s, t = abs(lc) // g, f // g if lc > 0 else -f // g
+            lo = k - d
             if s > 1:
-                r = [s * c for c in r]
-            for i, c in enumerate(b):
-                r[k - d + i] -= t * c
-        r.pop()
+                r = [s * c for c in r[:lo]] + [s * c - t * e for c, e in zip(r[lo:], b)]
+            else:
+                r[lo:] = [c - t * e for c, e in zip(r[lo:], b)]
     while r and r[-1] == 0:
         r.pop()
     return _primitive(r)

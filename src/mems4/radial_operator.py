@@ -196,8 +196,9 @@ class OperatorMatrix:
         return x
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        """Solve the clamped problem: bilaplacian(v) = f at interior nodes."""
-        return self._back_solve(self.cells * f)
+        """Solve the clamped problem: bilaplacian(v) = f at interior nodes;
+        a 2-D f holds one load per column."""
+        return self._back_solve((self.cells * f.T).T)
 
     def solve_shifted(self, rhs: np.ndarray, shift_diag: np.ndarray) -> np.ndarray:
         """Solve (A - W diag(shift_diag)) x = W rhs with banded LU (the

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -474,3 +475,47 @@ def test_degree_cap_goes_inconclusive_not_skipped(monkeypatch):
     cand = report.candidates[0]
     assert not cand.passed
     assert any(c.status == "inconclusive" for c in cand.checks.values())
+
+
+def _scalar_screen(coeffs):
+    # The scalar Horner loop the vectorised screen replaced, kept as its
+    # reference: the first sample whose value is below every earlier one
+    # and below zero.
+    best_t, best_v = None, 0.0
+    for k in range(1, certify_mod.FALLBACK_SAMPLES + 1):
+        t = k / (certify_mod.FALLBACK_SAMPLES + 1)
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        if acc < best_v:
+            best_t, best_v = k, acc
+    return best_t
+
+
+def _random_screen_coeffs(seed):
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(65, 81))
+    return [
+        float(F(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 1000))))
+        for _ in range(degree + 1)
+    ]
+
+
+BIG = 1.5e308
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [_random_screen_coeffs(seed) for seed in range(6)]
+    + [
+        [1.0 + i for i in range(70)],  # positive everywhere: no pick
+        [BIG] * 40 + [-BIG] * 30,  # Horner sums overflow to -inf
+        [-BIG] * 40 + [BIG] * 30,  # ... and to +inf
+        [float("nan")] + [-1.0] * 69,  # NaN at every sample
+        [1.0] * 30 + [float("inf")] + [-BIG] * 39,  # -inf + inf = NaN, else +inf
+        [1.0] * 30 + [-float("inf")] + [BIG] * 39,  # inf - inf = NaN, else -inf
+        [-1.0] * 30 + [-float("inf")] + [1.0] * 39,  # -inf from a coefficient
+    ],
+)
+def test_fallback_screen_matches_scalar_loop(coeffs):
+    assert certify_mod._screen_pick(coeffs) == _scalar_screen(coeffs)

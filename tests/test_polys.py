@@ -34,14 +34,25 @@ def test_divmod():
     assert r == P(1)
 
 
+def _sympy_poly(p, x):
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0],
+        x,
+        domain="QQ",
+    )
+
+
 def test_gcd_and_squarefree():
+    # p / gcd(p, p') with the gcd made monic, checked against sympy.
     x_minus_1 = P(-1, 1)
     x_minus_2 = P(-2, 1)
     p = x_minus_1 * x_minus_1 * x_minus_2
-    g = p.gcd(p.derivative())
-    assert g == x_minus_1
+    x = sympy.Symbol("x")
+    sp = _sympy_poly(p, x)
+    assert sympy.gcd(sp, sp.diff(x)).monic() == _sympy_poly(x_minus_1, x)
     sf = p.squarefree_part()
     assert sf == x_minus_1 * x_minus_2
+    assert _sympy_poly(sf, x) == sp.sqf_part()
 
 
 def test_isolate_roots_simple():
@@ -109,8 +120,14 @@ def test_ring_ops_consistent_with_eval(a, b, x):
 
 
 def test_derivative():
-    p = P(5, 0, 3, 2)  # 2x^3 + 3x^2 + 5
-    assert p.derivative() == P(0, 6, 6)
+    # The Sturm chain starts with the primitive polynomial and its
+    # primitive derivative, here sympy's diff of 2x^3 + 3x^2 + 5.
+    p = P(5, 0, 3, 2)
+    x = sympy.Symbol("x")
+    _, derivative = _sympy_poly(p, x).diff(x).primitive()
+    chain = p.sturm_sequence()
+    assert chain[0] == [5, 0, 3, 2]
+    assert chain[1] == list(reversed(derivative.all_coeffs())) == [0, 1, 1]
 
 
 def test_from_power_shifts():
@@ -142,10 +159,7 @@ def test_isolation_count_matches_sympy(roots, square, lead):
             p = p * P(-r, 1)
     if square is not None:
         p = p * P(-square, 0, 1)
-    x = sympy.Symbol("x")
-    sp = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x
-    )
+    sp = _sympy_poly(p, sympy.Symbol("x"))
     expected = sp.count_roots(0, 1) - (p(F(0)) == 0) - (p(F(1)) == 0)
     ivs = p.isolate_roots(F(0), F(1))
     assert len(ivs) == expected
@@ -166,3 +180,64 @@ def test_integer_sign_matches_fraction_horner(coeffs, x, root_at_x):
         p = p * P(-x, 1)
     v = p(x)
     assert sign_at(integer_coeffs(p), x) == (v > 0) - (v < 0)
+
+
+def _fraction_horner(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(_ROOTS, st.integers(1, 3)), max_size=5),
+    st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5),
+)
+@example(roots=[], lead=F(0))
+@example(roots=[], lead=F(-3, 7))
+@example(roots=[(F(0), 3), (F(1), 2), (F(1, 3), 1)], lead=F(-2, 3))
+def test_squarefree_part_matches_sympy(roots, lead):
+    # Products of (x - r)^k, repeated roots and roots at 0 and 1 included:
+    # the integer square-free part q is a rational multiple of sympy's
+    # sqf_part and satisfies p == q * (monic gcd of p and p').
+    p = P(lead)
+    for r, k in roots:
+        for _ in range(k):
+            p = p * P(-r, 1)
+    q = p.squarefree_part()
+    if p.degree <= 0:
+        assert q == p
+        return
+    x = sympy.Symbol("x")
+    sp, sq = _sympy_poly(p, x), _sympy_poly(q, x)
+    ref = sp.sqf_part()
+    assert sq == ref * (sq.LC() / ref.LC())
+    assert sq * sympy.gcd(sp, sp.diff(x)).monic() == sp
+    assert q.coeffs[-1] == p.coeffs[-1]
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.fractions(min_value=F(-9), max_value=F(9), max_denominator=30), max_size=8),
+    st.one_of(
+        st.integers(-20, 20),
+        st.sampled_from([F(0), F(1), F(-1)]),
+        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=1000),
+    ),
+    st.integers(0, 3),
+)
+@example(coeffs=[], x=F(1, 3), multiplicity=0)
+@example(coeffs=[F(5, 2)], x=-4, multiplicity=0)
+@example(coeffs=[F(1), F(-1, 2)], x=F(1), multiplicity=3)
+def test_eval_matches_fraction_horner(coeffs, x, multiplicity):
+    # The integer homogeneous Horner value equals the Fraction Horner
+    # value: zero polynomial, constants, integer and negative x, and x a
+    # repeated root (0 and 1 included) of the polynomial.
+    p = RationalPolynomial(tuple(coeffs))
+    for _ in range(multiplicity):
+        p = p * P(-F(x), 1)
+    v = p(x)
+    assert type(v) is Fraction and v == _fraction_horner(p.coeffs, F(x))
+    if multiplicity:
+        assert v == 0

@@ -358,6 +358,21 @@ def test_solve_matches_cho_solve_banded_bitwise(dim, n):
     assert np.array_equal(op.solve(eye), cho_solve_banded(factor, op.cells * eye))
 
 
+@pytest.mark.parametrize("dim", [1, 5, 17])
+def test_solve_2d_load_matches_column_solves_bitwise(dim):
+    # A 2-D load holds one load per column, so its rows are scaled by the
+    # cell volumes: each column comes out as the 1-D solve of that column.
+    n = 64
+    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    rng = np.random.default_rng(dim)
+    for f in (rng.standard_normal((n, 3)), rng.standard_normal((n, n))):
+        columns = np.column_stack([op.solve(f[:, j]) for j in range(f.shape[1])])
+        assert np.array_equal(op.solve(f), columns)
+    # Diagonal loads scale the same either way: the identity is unchanged.
+    eye = np.eye(n)
+    assert np.array_equal(op.solve(eye), cho_solve_banded((op.factor(), False), op.cells * eye))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_rejects_non_finite_load(bad):
     op = OperatorMatrix(build_grid(64, 1.5, 5))
