@@ -21,7 +21,6 @@ from mems4.closed_forms import (
     HOMOGENEOUS,
     BoundaryPair,
     boundary_extension,
-    envelope_coefficient,
     hardy_rellich,
     is_admissible,
     singular_voltage,
@@ -143,7 +142,6 @@ def _solve_at(
     lam: float,
     tol: float,
     v0: np.ndarray | None = None,
-    track_iterates: list[np.ndarray] | None = None,
 ):
     """Monotone-then-Newton solve; returns (v, u, residual, iters) or a
     DivergenceReport."""
@@ -163,8 +161,6 @@ def _solve_at(
         v_new = op.solve(forcing(u))
         u_new = v_new + phi
         iters += 1
-        if track_iterates is not None:
-            track_iterates.append(u_new.copy())
         if u_new.max() >= 1 - CEILING:
             return DivergenceReport(
                 lam, "iterates reached the contact ceiling", iters,
@@ -237,18 +233,16 @@ def minimal_solution(
     bp: BoundaryPair,
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
-    *,
-    track_iterates: list[np.ndarray] | None = None,
 ) -> BranchPoint | DivergenceReport:
     """Compute the minimal solution at one voltage, or report divergence.
 
     Started cold, the fixed-point iterates increase pointwise (tested as an
-    invariant); pass track_iterates=[] to record them.
+    invariant).
     """
     if lam < 0:
         raise ValueError("voltage must be nonnegative")
     ws = _Workspace(bp, grid)
-    out = _solve_at(ws, float(lam), tol, track_iterates=track_iterates)
+    out = _solve_at(ws, float(lam), tol)
     if isinstance(out, DivergenceReport):
         return out
     v, u, rho, _ = out
@@ -418,7 +412,9 @@ def extremal_diagnostics(
 
     env_c = env_margin = env_ok = None
     if lambda_star_hi is not None and dim >= 9:
-        env_c = float(envelope_coefficient(lambda_star_hi, dim))
+        if not lambda_star_hi > 0:
+            raise ValueError("pull-in estimate must be positive")
+        env_c = (lambda_star_hi / float(singular_voltage(dim))) ** (1.0 / 3.0)
         envelope = 1.0 - env_c * grid.nodes ** (4.0 / 3.0)
         last = points[-1].field.values
         env_margin = float(np.min(last - envelope))
@@ -446,7 +442,7 @@ INCONCLUSIVE = "inconclusive"
 # point seen there, the last bisection solve that converged before the
 # monotone cap (mu1 = 75), has max 0.954; N = 9 exceeds 0.998.  The value
 # stays until it is chosen again from stable near-fold maxima (ROADMAP
-# item 1).
+# item 4).
 DELTA_REGULAR = 0.02
 DELTA_SINGULAR = 0.01
 

@@ -346,9 +346,8 @@ def stability_gap_polynomial(n: int) -> RationalPolynomial:
     A = Fraction(25 * n * n * (n - 4) ** 2, 32)
     B = Fraction(8 * (3 * n - 2) * (3 * n - 8), 45)
     C = Fraction(12 * (n * n - 1), 5)
-    bracket = RationalPolynomial.of(81, -72, 16)  # (9-4s)^2
-    s = RationalPolynomial.of(0, 1)
-    return RationalPolynomial.of(A) - bracket.scale(B) - (s * bracket).scale(C)
+    # (9-4s)^2 = 81 - 72s + 16s^2
+    return RationalPolynomial((A - 81 * B, 72 * B - 81 * C, 72 * C - 16 * B, -16 * C))
 
 
 def certify_m3_gap(n: int) -> Certificate:
@@ -490,7 +489,7 @@ def certify_m2_subsolution(n: int) -> Certificate:
     bilap = apply_bilaplacian(w2, n)
     # Structural identities recorded exactly.
     assert bilap == PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3)))
-    sub_poly = RationalPolynomial.of(0, 12, -4)  # 9 - (3-2t)^2 = 12t - 4t^2
+    sub_poly = RationalPolynomial((0, 12, -4))  # 9 - (3-2t)^2 = 12t - 4t^2
     c_sub = certify_nonneg(
         sub_poly,
         claim={
@@ -499,7 +498,7 @@ def certify_m2_subsolution(n: int) -> Certificate:
             "description": "9 - (3-2t)^2 >= 0 with t = r^(2/3)",
         },
     )
-    pert_poly = RationalPolynomial.of(0, 0, 2, -2)  # 2 t^2 (1 - t)
+    pert_poly = RationalPolynomial((0, 0, 2, -2))  # 2 t^2 (1 - t)
     c_pert = certify_nonneg(
         pert_poly,
         claim={
@@ -527,7 +526,7 @@ def certify_m3_stability(n: int) -> Certificate:
     Hardy-Rellich step it feeds (ValueError below)."""
     check_dimensions("m3-stability", n, n)
     # (9-4s)^3 - 125 >= 0 on (0,1); root exactly at s = 1.
-    bound_poly = RationalPolynomial.of(604, -972, 432, -64)
+    bound_poly = RationalPolynomial((604, -972, 432, -64))
     c_bound = certify_nonneg(
         bound_poly,
         claim={
@@ -536,8 +535,8 @@ def certify_m3_stability(n: int) -> Certificate:
         },
     )
     # Monotonicity: d/ds (9-4s)^3 = -12(9-4s)^2 <= 0, so 125/(9-4s)^3 is
-    # increasing; certify 12(9-4s)^2 >= 0.
-    mono_poly = RationalPolynomial.of(81, -72, 16).scale(12)
+    # increasing; certify 12(9-4s)^2 = 972 - 864s + 192s^2 >= 0.
+    mono_poly = RationalPolynomial((972, -864, 192))
     c_mono = certify_nonneg(
         mono_poly,
         claim={

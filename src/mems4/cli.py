@@ -14,8 +14,10 @@ or flagged, 3+ usage and I/O errors.  Usage errors include a flag the
 command does not take, a --config key that is not one of its settings,
 --mesh outside 16..16384, a --gamma too large for the mesh and
 dimension, --tol <= 0, --rel-width outside (0, 1), a dimension range
-outside 1..64 or below its claim's floor, and a voltage that is NaN,
-infinite or negative.
+outside 1..64 or below its claim's floor, a voltage that is NaN,
+infinite or negative, a grid count, --profiles or search candidate count
+above 4096, and a search grid flag missing for --family or given for
+the other family.
 """
 
 from __future__ import annotations
@@ -64,13 +66,19 @@ EXIT_FALSIFIED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-# Finest mesh accepted: on the gamma = 1.5 grid, whose rows scale like
-# h_min^-4, the eigenvalue nu1 stops converging under refinement at
-# n = 16384, and a larger mesh only costs memory and time.
+# Finest mesh accepted.  This is an input bound on memory and time, not
+# where refinement stops paying: eig_banded's nu1 stops converging at
+# n = 2048..4096 in every dimension tried, which pullin reports as its
+# "nu1 accuracy floor" note.
 MAX_MESH = 16384
+# Most points of a voltage or rational grid, profiles of a branch sweep,
+# and candidates of a search: 16 voltages and 144 candidates are the
+# largest in use, and a count is checked before any list is built.
+MAX_GRID = 4096
 
 CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
-FAMILIES = ("perturbed-touchdown", "touchdown-m")
+# The grid flags (argparse dests) each search family reads.
+FAMILY_GRIDS = {"perturbed-touchdown": ("alpha_grid", "beta_grid"), "touchdown-m": ("m",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,8 +188,8 @@ def parse_lambda_spec(text: str) -> list[float] | None:
     if len(parts) != 3:
         raise ValueError("voltage spec must be start:stop:count or auto")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= MAX_GRID:
+        raise ValueError(f"count must be in 1..{MAX_GRID}")
     if count == 1:
         return [start]
     return list(np.linspace(start, stop, count))
@@ -195,8 +203,8 @@ def parse_fraction_grid(text: str) -> list[Fraction]:
     if len(parts) != 3:
         raise ValueError("grid spec must be start:stop:count")
     start, stop, count = Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= MAX_GRID:
+        raise ValueError(f"count must be in 1..{MAX_GRID}")
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
@@ -334,6 +342,8 @@ def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
 
 
 def _branch_inputs(args, cfg) -> dict:
+    if not 0 <= args.profiles <= MAX_GRID:
+        raise ValueError(f"--profiles must be in 0..{MAX_GRID}")
     dim = _solver_dim(args, cfg)
     lambdas = parse_lambda_spec(args.lam)
     if lambdas is None:
@@ -400,11 +410,20 @@ def _run_profile(args, cfg, inputs, run) -> list[str]:
 
 
 def _search_params(args) -> list:
+    """The candidate parameters of --family: each grid flag the family
+    reads is required, and a grid flag of the other family is an error."""
+    for family, dests in FAMILY_GRIDS.items():
+        for dest in dests:
+            if (family == args.family) != (getattr(args, dest) is not None):
+                verb = "needs" if family == args.family else "does not read"
+                raise ValueError(f"--family {args.family} {verb} --{dest.replace('_', '-')}")
     if args.family == "perturbed-touchdown":
-        alphas = parse_fraction_grid(args.alpha_grid) if args.alpha_grid else []
-        betas = parse_fraction_grid(args.beta_grid) if args.beta_grid else []
+        alphas = parse_fraction_grid(args.alpha_grid)
+        betas = parse_fraction_grid(args.beta_grid)
+        if len(alphas) * len(betas) > MAX_GRID:
+            raise ValueError(f"{len(alphas)} x {len(betas)} candidates exceed {MAX_GRID}")
         return [(a, b) for a in alphas for b in betas]
-    return parse_fraction_grid(args.m) if args.m else []
+    return parse_fraction_grid(args.m)
 
 
 def _search_inputs(args, cfg) -> dict:
@@ -473,7 +492,7 @@ COMMANDS = (
         (
             _DIM,
             _arg("--lambda", dest="lam", default="auto", help="start:stop:count or auto"),
-            _arg("--profiles", type=int, default=0, help="dump k profiles"),
+            _arg("--profiles", type=int, default=0, help=f"dump k profiles, 0..{MAX_GRID}"),
         ),
         _SOLVER_SETTINGS, _branch_inputs, _run_branch, exit_codes=(("diverged", EXIT_FALSIFIED),),
     ),
@@ -492,7 +511,7 @@ COMMANDS = (
         "search-subsolution", "parametrized sub-solution search",
         (
             _DIM,
-            _arg("--family", choices=FAMILIES, required=True),
+            _arg("--family", choices=tuple(FAMILY_GRIDS), required=True),
             _arg("--alpha-grid", dest="alpha_grid", help="rational grid start:stop:count"),
             _arg("--beta-grid", dest="beta_grid", help="rational grid start:stop:count"),
             _arg("--m", help="profile parameters, single value or start:stop:count"),

@@ -259,38 +259,6 @@ def touchdown_profile(m: Rational) -> PowerSum:
     return PowerSum.of((1, 0), (Fraction(-3 * m, d), FOUR_THIRDS), (Fraction(4, d), m))
 
 
-def envelope_coefficient(
-    lambda_star: Rational, n: int, rel_prec: Fraction = Fraction(1, 10**12)
-) -> Fraction:
-    """Cube root of lambda_star / singular_voltage(n), computed by rational
-    bisection to the requested relative precision.
-
-    This is the coefficient of the lower touchdown envelope
-    1 - C r^(4/3) <= u* in the singular regime.
-    """
-    _check_dimension(n)
-    lb = singular_voltage(n)
-    if lb <= 0:
-        raise ValueError(f"singular voltage is nonpositive in dimension {n}")
-    lam = Fraction(lambda_star)
-    if lam <= 0:
-        raise ValueError("pull-in estimate must be positive")
-    ratio = lam / lb
-    lo, hi = Fraction(0), max(ratio, Fraction(1))
-    # Exact cube shortcut.
-    exact = _int_nth_root(ratio.numerator, 3)
-    exact_d = _int_nth_root(ratio.denominator, 3)
-    if exact is not None and exact_d is not None:
-        return Fraction(exact, exact_d)
-    while hi - lo > rel_prec * hi:
-        mid = (lo + hi) / 2
-        if mid**3 < ratio:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def format_rational(x: Fraction) -> str:
     """Render as "num/den" (decimal-free, bit-exact)."""
     return f"{x.numerator}/{x.denominator}"

@@ -1,4 +1,5 @@
-"""Exact univariate polynomial arithmetic and real root isolation.
+"""Exact univariate polynomials: square-free part, Sturm chain and real
+root isolation.
 
 Coefficients are arbitrary-precision rationals, but everything past the
 input computes over Python integers: the square-free part divides
@@ -30,10 +31,6 @@ class RationalPolynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @staticmethod
-    def of(*coeffs) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(Fraction(c) for c in coeffs))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -53,48 +50,6 @@ class RationalPolynomial:
             acc = acc * a + c.numerator * (den // c.denominator) * bp
             bp *= b
         return Fraction(acc * b, den * bp)
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPolynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if self.is_zero() or other.is_zero():
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(tuple(out))
-
-    def scale(self, c) -> "RationalPolynomial":
-        c = Fraction(c)
-        return RationalPolynomial(tuple(c * a for a in self.coeffs))
-
-    def divmod(
-        self, other: "RationalPolynomial"
-    ) -> tuple["RationalPolynomial", "RationalPolynomial"]:
-        """Long division: (q, r) with self = q * other + r, deg r < deg other."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.coeffs[-1]
-        q = [Fraction(0)] * max(len(rem) - d, 0)
-        for k in reversed(range(len(q))):
-            f = rem[k + d] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-        return RationalPolynomial(tuple(q)), RationalPolynomial(tuple(rem[:d]))
 
     def squarefree_part(self) -> "RationalPolynomial":
         """self divided by the monic gcd of self and its derivative.

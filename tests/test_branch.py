@@ -72,9 +72,19 @@ def test_single_solve_below_lower_bound(grid3):
     assert np.all(np.diff(pt.field.values) <= 1e-12)  # radially decreasing
 
 
-def test_monotone_iterates_nondecreasing(grid3):
+def test_monotone_iterates_nondecreasing(grid3, monkeypatch):
+    # With homogeneous data Phi = 0, so each monotone iterate is exactly
+    # what OperatorMatrix.solve returns.
     history = []
-    pt = minimal_solution(5.0, HOMOGENEOUS, grid3, track_iterates=history)
+    solve = OperatorMatrix.solve
+
+    def recording_solve(op, f):
+        v = solve(op, f)
+        history.append(v.copy())
+        return v
+
+    monkeypatch.setattr(OperatorMatrix, "solve", recording_solve)
+    pt = minimal_solution(5.0, HOMOGENEOUS, grid3)
     assert isinstance(pt, BranchPoint)
     assert len(history) >= 2
     for a, b in zip(history, history[1:]):
@@ -123,13 +133,18 @@ def test_diagnostics_single_trivial_point(grid3):
 
 
 def test_envelope_coefficient_matches_float_path():
-    # the rational-bisection cube root agrees with the float cube root
-    from mems4.closed_forms import envelope_coefficient, singular_voltage
-
-    lam_hi = 1341.59
-    c_float = (lam_hi / float(singular_voltage(17))) ** (1.0 / 3.0)
-    c_exact = envelope_coefficient(F(134159, 100), 17)
-    assert abs(float(c_exact) - c_float) < 1e-9
+    # The float cube root C0 = (lambda_hi / lb)^(1/3) cubes back to the
+    # exact ratio, lb = 8(3N-2)(3N-8)/81 with N = 17; a pull-in estimate
+    # <= 0 has no real envelope and is rejected.
+    grid = build_grid(32, 1.5, 17)
+    pt = minimal_solution(0.0, HOMOGENEOUS, grid)
+    for lam_hi in (1341.59, 8 * float(singular_voltage(17))):
+        c0 = extremal_diagnostics([pt], lambda_star_hi=lam_hi).envelope_coefficient
+        ratio = F(lam_hi) / F(8 * 49 * 43, 81)
+        assert abs(F(c0) ** 3 / ratio - 1) < F(1, 10**14)
+    for lam_hi in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            extremal_diagnostics([pt], lambda_star_hi=lam_hi)
 
 
 def test_voltage_grid_must_increase(grid3):

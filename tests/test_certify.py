@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,17 @@ from mems4.closed_forms import PowerSum, hardy_rellich, singular_voltage, touchd
 from mems4.polys import RationalPolynomial
 
 F = Fraction
-P = RationalPolynomial.of
+S = sympy.Symbol("s")
+
+
+def P(*coeffs):
+    return RationalPolynomial(coeffs)
+
+
+def _expand(expr):
+    """The polynomial expr in S, multiplied out by sympy."""
+    cs = sympy.Poly(expr, S).all_coeffs()
+    return RationalPolynomial(tuple(F(int(c.p), int(c.q)) for c in reversed(cs)))
 
 
 # --- gap polynomial -----------------------------------------------------
@@ -46,6 +57,17 @@ def test_gap_polynomial_endpoint_values():
     assert p17(F(1)) == A - 25 * B - 25 * C == F(3315625, 288)
     assert float(p17(F(0))) == pytest.approx(7816.23, abs=0.01)
     assert float(p17(F(1))) == pytest.approx(11512.58, abs=0.01)
+
+
+def test_gap_polynomial_matches_sympy_expansion():
+    # The hand-expanded coefficients equal sympy's expansion of
+    # A - B(9-4s)^2 - C s (9-4s)^2 in every dimension a claim accepts.
+    for n in range(1, MAX_DIMENSION + 1):
+        A = sympy.Rational(25 * n**2 * (n - 4) ** 2, 32)
+        B = sympy.Rational(8 * (3 * n - 2) * (3 * n - 8), 45)
+        C = sympy.Rational(12 * (n**2 - 1), 5)
+        expected = _expand(A - B * (9 - 4 * S) ** 2 - C * S * (9 - 4 * S) ** 2)
+        assert stability_gap_polynomial(n).coeffs == expected.coeffs
 
 
 def test_gap_polynomial_negative_in_low_dimension():
@@ -123,7 +145,7 @@ def test_nonneg_root_at_endpoint():
 
 def test_nonneg_sign_change_multiple_roots():
     # (s-1/4)(s-1/2)(s-3/4) is negative on (0,1/4) and (1/2,3/4).
-    p = P(F(-1, 4), 1) * P(F(-1, 2), 1) * P(F(-3, 4), 1)
+    p = P(F(-3, 32), F(11, 16), F(-3, 2), 1)
     cert = certify_nonneg(p)
     assert cert.status == "falsified"
     assert p(cert.witness) < 0
@@ -139,16 +161,13 @@ def test_degree_cap():
 def test_nonneg_at_degree_cap_with_many_touching_roots():
     # product of 32 squared linear factors: degree 64, touches zero at 32
     # interior points, never negative.
-    p = P(1)
-    for k in range(1, 33):
-        root = F(k, 33)
-        p = p * P(root * root, -2 * root, 1)
+    factors = [(S - sympy.Rational(k, 33)) ** 2 for k in range(1, 33)]
+    p = _expand(sympy.Mul(*factors))
     assert p.degree == 64
     cert = certify_nonneg(p)
     assert cert.status == "verified"
     # flipping one factor to odd multiplicity produces a witness
-    q, rem = p.divmod(P(F(-32, 33), 1))
-    assert rem.is_zero()
+    q = _expand(sympy.Mul(*factors[:-1], S - sympy.Rational(32, 33)))
     cert2 = certify_nonneg(q)
     assert cert2.status == "falsified"
     assert q(cert2.witness) < 0
@@ -159,7 +178,8 @@ def test_nonneg_at_degree_cap_with_many_touching_roots():
 @given(st.fractions(min_value=F(1, 100), max_value=F(100), max_denominator=100))
 def test_rescaling_invariance(c):
     p = stability_gap_polynomial(12)
-    assert certify_nonneg(p).status == certify_nonneg(p.scale(c)).status
+    scaled = RationalPolynomial(tuple(c * a for a in p.coeffs))
+    assert certify_nonneg(p).status == certify_nonneg(scaled).status
 
 
 def test_replay_verified_and_falsified():

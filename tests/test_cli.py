@@ -8,6 +8,7 @@ import pytest
 
 from mems4.cli import (
     COMMANDS,
+    MAX_GRID,
     MAX_MESH,
     build_parser,
     main,
@@ -43,6 +44,9 @@ def test_parse_helpers():
         F(1), F(5, 4), F(3, 2), F(7, 4), F(2), F(9, 4), F(5, 2), F(11, 4), F(3)
     ]
     assert parse_fraction_grid("2/3") == [F(2, 3)]
+    # The largest count accepted.
+    assert len(parse_lambda_spec(f"0:1:{MAX_GRID}")) == MAX_GRID
+    assert len(parse_fraction_grid(f"0:1:{MAX_GRID}")) == MAX_GRID
 
 
 SETTINGS_OF = {command.name: command.settings for command in COMMANDS}
@@ -81,6 +85,8 @@ def test_config_validation():
 
 
 SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "3"]
+SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+             "--alpha-grid", "1:2:2", "--beta-grid", "1:2:2"]
 
 
 @pytest.mark.parametrize(
@@ -107,6 +113,22 @@ SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--
         ["certify", "m3-stability", "--n", "4..6"],
         # Assembles, but its banded Cholesky fails.
         ["pullin", "--dim", "3", "--mesh", "512", "--gamma", "42"],
+        ["branch", "--dim", "3", "--mesh", "16", "--profiles", "-1"],
+        ["branch", "--dim", "3", "--lambda", "1:2:2", "--profiles", str(MAX_GRID + 1)],
+        # A family's own grid missing, or the other family's grid given.
+        ["search-subsolution", "--dim", "17", "--family", "touchdown-m"],
+        ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--alpha-grid", "1:2:2"],
+        SEARCH_W3 + ["--beta-grid", "1:2:2"],
+        SEARCH_PT + ["--m", "3"],
+        ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+         "--alpha-grid", "1:2:2"],
+        # Counts past MAX_GRID, rejected before any grid is built.
+        ["branch", "--dim", "3", "--lambda", "0:1:1000000000"],
+        ["branch", "--dim", "3", "--lambda", f"1:2:{MAX_GRID + 1}"],
+        ["search-subsolution", "--dim", "17", "--family", "touchdown-m",
+         "--m", f"1:2:{MAX_GRID + 1}"],
+        ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+         "--alpha-grid", "1:2:64", "--beta-grid", "1:2:65"],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, flags):
@@ -403,14 +425,16 @@ def test_search_phi0_grid_no_pass(tmp_path):
     assert payload["candidates"]
 
 
-def test_search_empty_grid(tmp_path):
+def test_search_empty_grid(tmp_path, capsys):
+    # A search without its family's grid is a usage error, not an empty
+    # search.
     code = run_cli(
         "search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
         "--out", str(tmp_path),
     )
-    assert code == 0
-    payload = json.loads(find_one(tmp_path, "search.json").read_text())
-    assert payload["candidates"] == []
+    assert code == 3
+    assert not any(tmp_path.iterdir())
+    assert "--family perturbed-touchdown needs --alpha-grid" in capsys.readouterr().err
 
 
 def test_search_bad_spec(tmp_path):

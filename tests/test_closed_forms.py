@@ -12,7 +12,6 @@ from mems4.closed_forms import (
     apply_bilaplacian,
     bilaplacian_power_coeff,
     boundary_extension,
-    envelope_coefficient,
     hardy_rellich,
     is_admissible,
     laplacian_power_coeff,
@@ -135,25 +134,6 @@ def test_touchdown_profile_pole():
         touchdown_profile(F(4, 3))
     with pytest.raises(ValueError):
         touchdown_profile(0)
-
-
-def test_envelope_coefficient_exact_cubes():
-    lb = singular_voltage(9)
-    assert envelope_coefficient(lb, 9) == 1
-    assert envelope_coefficient(8 * lb, 9) == 2
-
-
-def test_envelope_coefficient_bisection():
-    lb = singular_voltage(17)
-    lam = 2 * lb  # cube root of 2 is irrational
-    c = envelope_coefficient(lam, 17, rel_prec=F(1, 10**12))
-    assert abs(float(c) - 2 ** (1 / 3)) < 1e-11
-    assert c > 1
-
-
-def test_envelope_coefficient_low_dimension_rejected():
-    with pytest.raises(ValueError):
-        envelope_coefficient(1, 2)
 
 
 def test_power_sum_normalization():
