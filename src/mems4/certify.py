@@ -269,21 +269,61 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
                 "value": format_rational(check),
             }
         )
-        assert check < 0
+        if not check < 0:
+            raise ArithmeticError("witness does not confirm the violation")
     return Certificate(claim, inner.status, witness, trail)
+
+
+def _horner_samples(coeffs: Sequence[float]) -> np.ndarray:
+    """Float Horner values of the ascending coefficients at the samples
+    k/(FALLBACK_SAMPLES + 1), k = 1..FALLBACK_SAMPLES.  numpy takes the
+    IEEE steps of a scalar Horner loop: y * x rounded, then y * x + c."""
+    den = FALLBACK_SAMPLES + 1
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        return np.polyval(np.asarray(coeffs, dtype=float)[::-1], np.arange(1, den) / den)
 
 
 def _screen_pick(coeffs: Sequence[float]) -> int | None:
     """Cheap float screen that steers witness confirmation: the k of the
-    first sample k/(FALLBACK_SAMPLES + 1) where the Horner value of the
-    ascending coefficients is least, if it is negative, else None.  numpy
-    takes the IEEE steps of a scalar Horner loop, and a NaN sample never
-    compares below the running minimum, so it is never picked."""
-    den = FALLBACK_SAMPLES + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.polyval(coeffs[::-1], np.arange(1, den) / den)
+    first sample where the Horner value is least, if it is negative, else
+    None.  A NaN sample never compares below the running minimum, so it
+    is never picked."""
+    vals = _horner_samples(coeffs)
     vals[np.isnan(vals)] = 0.0
     return int(vals.argmin()) + 1 if vals.min() < 0 else None
+
+
+def _certified_positive(coeffs: Sequence[float]) -> list[bool]:
+    """For each sample x = k/(FALLBACK_SAMPLES + 1), whether a float
+    filter proves p(x) > 0, where p = sum c_i x^i has degree d and
+    ``coeffs`` are its coefficients correctly rounded.  Let P and Q be the
+    float Horner values of p and of S(x) = sum |c_i| x^i at fl(x), and
+    u = 2^-53.  The sample is certified when P is finite, Q >= 2^-1022
+    and P > T = fl((8d + 16) u Q).  A NaN or infinite P never is.
+
+    Proof (round to nearest; gamma_n = n u / (1 - n u); eta = 2^-1075,
+    the largest absolute error of a rounding into the subnormal range):
+    * Inputs.  fl(c_i) and fl(x) are correctly rounded and fl(x) is
+      normal, so fl(c_i) fl(x)^i = c_i x^i (1 + t_i) + e_i with
+      |t_i| <= gamma_(i+1) and |e_i| <= eta.
+    * Horner.  Its d products and d sums give each term a factor
+      (1 + t'_i), |t'_i| <= gamma_2d, and add at most d eta from
+      underflowed products (every later step multiplies by fl(x) < 1, and
+      a sum that underflows is exact).  With A = (2d + 2) eta,
+      |P - p(x)| <= gamma_(3d+1) S + A  and  Q >= (1 - gamma_(3d+1)) S - A.
+    * Bound.  (8d + 16) u is exact, so T >= (8d + 16) u Q (1 - u) - eta.
+      Eliminating S, p(x) >= P - g (Q + A) - A with
+      g = gamma_(3d+1) / (1 - gamma_(3d+1)) < 1.01 (3d + 1) u for
+      d < 2^40.  So P > T gives p(x) > (4.9d + 14) u Q - (2d + 4) eta,
+      which is positive because u Q >= eta when Q >= 2^-1022.
+    """
+    d = len(coeffs) - 1
+    vals = _horner_samples(coeffs)
+    mags = _horner_samples(np.abs(coeffs))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        bound = (8 * d + 16) * 2.0**-53 * mags
+        positive = np.isfinite(vals) & (mags >= np.finfo(float).tiny) & (vals > bound)
+    return positive.tolist()
 
 
 def _sampling_fallback(
@@ -294,15 +334,21 @@ def _sampling_fallback(
     reduction_step: dict,
 ) -> Certificate:
     trail = [dict(reduction_step, note="degree cap exceeded; exact sampling fallback")]
-    best_t = _screen_pick([float(c) for c in poly.coeffs])
-    # The float screen's pick first, then every sample in order, each
-    # tested by the sign of sum c_i k^i den^(d-i), the denominator-cleared
-    # polynomial at k/den times den^d.
+    fcoeffs = [float(c) for c in poly.coeffs]
+    best_t = _screen_pick(fcoeffs)
+    positive = _certified_positive(fcoeffs)
+    # The float screen's pick first, then every sample in order that the
+    # screen does not certify positive, each tested by the sign of
+    # sum c_i k^i den^(d-i), the denominator-cleared polynomial at k/den
+    # times den^d.  A certified sample cannot be a witness, so skipping it
+    # changes neither the witness nor the status.
     den = FALLBACK_SAMPLES + 1
     cs = integer_coeffs(poly)
     d = len(cs) - 1
     scaled = [c * den ** (d - i) for i, c in enumerate(cs)][::-1]
     for k in sorted(range(1, den), key=lambda k: k != best_t):
+        if positive[k - 1]:
+            continue
         acc = 0
         for c in scaled:
             acc = acc * k + c
@@ -488,7 +534,8 @@ def certify_m2_subsolution(n: int) -> Certificate:
     w2 = touchdown_profile(2)
     bilap = apply_bilaplacian(w2, n)
     # Structural identities recorded exactly.
-    assert bilap == PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3)))
+    if bilap != PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3))):
+        raise ArithmeticError("bilaplacian of the m = 2 profile is not 3*lb r^(-8/3)")
     sub_poly = RationalPolynomial((0, 12, -4))  # 9 - (3-2t)^2 = 12t - 4t^2
     c_sub = certify_nonneg(
         sub_poly,

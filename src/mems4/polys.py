@@ -2,11 +2,13 @@
 root isolation.
 
 Coefficients are arbitrary-precision rationals, but everything past the
-input computes over Python integers: the square-free part divides
-primitive integer coefficients exactly, gcds and Sturm chains are built
-by primitive pseudo-remainders (a chain is a list of integer coefficient
-lists), and the value or the sign of a polynomial at a rational a/b comes
-from the integer sum c_i a^i b^(d-i).  Isolation refines by bisection
+input computes over Python integers.  Each polynomial builds one
+primitive pseudo-remainder sequence f, f', prem(f, f'), ... down to the
+gcd of f and f', once, and keeps it: the square-free part divides f by
+that gcd exactly, and the Sturm chain (a list of integer coefficient
+lists) is the square-free part's own sequence with the signs +, +, -, -.
+The value or the sign of a polynomial at a rational a/b comes from the
+integer sum c_i a^i b^(d-i).  Isolation refines by bisection
 with these exact sign tests, so every interval endpoint reported here is
 a rational number whose sign data can be replayed independently.
 """
@@ -14,6 +16,7 @@ a rational number whose sign data can be replayed independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -51,6 +54,19 @@ class RationalPolynomial:
             bp *= b
         return Fraction(acc * b, den * bp)
 
+    @cached_property
+    def _remainders(self) -> list[list[int]]:
+        """f = integer_coeffs(self), its primitive derivative f', then the
+        primitive pseudo-remainders r_(k+1) = prem(r_(k-1), r_k) down to
+        the last nonzero one, the primitive gcd of f and f'.  Computed
+        once per instance; [] for the zero polynomial."""
+        seq = [integer_coeffs(self)] if self.coeffs else []
+        r = _derivative(seq[0]) if seq else []
+        while r:
+            seq.append(r)
+            r = _pseudo_remainder(seq[-2], r)
+        return seq
+
     def squarefree_part(self) -> "RationalPolynomial":
         """self divided by the monic gcd of self and its derivative.
 
@@ -59,10 +75,7 @@ class RationalPolynomial:
         lc(self) / lc(f) * lc(g) turns f / g into the rational quotient."""
         if self.degree <= 0:
             return self
-        f = integer_coeffs(self)
-        g, r = f, _derivative(f)
-        while r:
-            g, r = r, _pseudo_remainder(g, r)
+        f, g = self._remainders[0], self._remainders[-1]
         if len(g) == 1:
             return self
         scale = self.coeffs[-1] / f[-1] * g[-1]
@@ -71,15 +84,15 @@ class RationalPolynomial:
     def sturm_sequence(self) -> list[list[int]]:
         """Sturm chain of the square-free part as integer coefficient
         lists, each member primitive (coprime integer coefficients, a
-        positive multiple of the classical member)."""
-        f = integer_coeffs(self.squarefree_part())
-        chain = [f, _derivative(f)]
-        while len(chain[-1]) > 1:
-            r = _pseudo_remainder(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append([-c for c in r])
-        return [p for p in chain if p]
+        positive multiple of the classical member).
+
+        The chain c_0 = f, c_1 = f', c_(k+1) = -prem(c_(k-1), c_k) is the
+        square-free part's remainder sequence r_k with the signs
+        +, +, -, -, +, +, ...: prem(a, -b) = prem(a, b) and
+        prem(-a, b) = -prem(a, b), so c_k = r_k for k = 0, 1 (mod 4) and
+        c_k = -r_k otherwise."""
+        seq = self.squarefree_part()._remainders
+        return [list(r) if k % 4 < 2 else [-c for c in r] for k, r in enumerate(seq)]
 
     def isolate_roots(
         self, a: Fraction, b: Fraction
@@ -93,7 +106,8 @@ class RationalPolynomial:
         a, b = Fraction(a), Fraction(b)
         if self.degree <= 0 or a >= b:
             return []
-        g = integer_coeffs(self.squarefree_part())
+        sq = self.squarefree_part()
+        g = sq._remainders[0]
         # Strip roots sitting exactly at the domain endpoints so Sturm
         # counting over (a, b] sees only interior roots; a root at p/q is
         # the primitive factor q x - p, which divides g exactly over Z.
@@ -102,9 +116,13 @@ class RationalPolynomial:
                 g = _exact_quotient(g, [-pt.numerator, pt.denominator])
         if len(g) <= 1:
             return []
-        chain = RationalPolynomial(tuple(g)).sturm_sequence()
+        # Unless a root was stripped, g is sq's own f, so the chain reuses
+        # the remainder sequence that gave sq.
+        if g is not sq._remainders[0]:
+            sq = RationalPolynomial(tuple(g))
+        chain = sq.sturm_sequence()
         # The roots of g are roots of self, so one zero test covers both.
-        f = integer_coeffs(self)
+        f = self._remainders[0]
 
         def count(x: Fraction, y: Fraction) -> int:
             return _sign_variations(chain, x) - _sign_variations(chain, y)
@@ -164,7 +182,8 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if t:
             for i, c in enumerate(b):
                 r[k + i] -= t * c
-    assert not any(r), "inexact polynomial division"
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 

@@ -31,10 +31,16 @@ def canonical_json(obj) -> str:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write text to path through a temporary file and a rename.  The file
+    gets the mode open() would give a new file, 0666 less the umask, not
+    mkstemp's owner-only 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -19,6 +19,7 @@ from mems4.certify import (
     certify_m3_stability,
     certify_nonneg,
     certify_thresholds,
+    check_candidate,
     perturbed_touchdown,
     power_sum_nonneg,
     reduce_power_sum,
@@ -28,7 +29,7 @@ from mems4.certify import (
     threshold_table,
 )
 from mems4.closed_forms import PowerSum, hardy_rellich, singular_voltage, touchdown_profile
-from mems4.polys import RationalPolynomial
+from mems4.polys import RationalPolynomial, integer_coeffs, sign_at
 
 F = Fraction
 S = sympy.Symbol("s")
@@ -539,3 +540,101 @@ BIG = 1.5e308
 )
 def test_fallback_screen_matches_scalar_loop(coeffs):
     assert certify_mod._screen_pick(coeffs) == _scalar_screen(coeffs)
+
+
+def _fallback_random(seed):
+    # Random coefficients, the constant term shifted by the float minimum
+    # over the samples, so the least samples sit within rounding error of 0.
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(65, 81))
+    cs = [
+        F(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 1000)))
+        for _ in range(degree + 1)
+    ]
+    cs[0] -= F(float(certify_mod._horner_samples([float(c) for c in cs]).min()))
+    return PowerSum.of(*((c, i) for i, c in enumerate(cs)))
+
+
+def _fallback_below_rounding():
+    # (den t - k0)^2 (1 + t^65) - 10^-20: negative only at t = k0/den, by
+    # far less than the float error there, where the float value is > 0.
+    den, k0 = certify_mod.FALLBACK_SAMPLES + 1, 5025
+    square = [(k0 * k0, 0), (-2 * den * k0, 1), (den * den, 2)]
+    return PowerSum.of(
+        *square, *((c, e + 65) for c, e in square), (F(-1, 10**20), 0)
+    )
+
+
+def _fallback_overflow():
+    # 10^308 (1 + t^68 + t^69 - t^60 - ... - t^64): the float Horner sum
+    # is +inf near t = 1, exactly where the polynomial turns negative.
+    big = 10**308
+    return PowerSum.of(
+        (big, 0), (big, 68), (big, 69), *((-big, e) for e in range(60, 65))
+    )
+
+
+def _fallback_m_eleven_halves(check):
+    # A check of touchdown-m at m = 11/2, N = 17, voltage H_N/2 that
+    # exceeds the degree cap, read back from the power sum its claim holds.
+    report = check_candidate(touchdown_profile(F(11, 2)), 17, hardy_rellich(17) / 2, {})
+    terms = report.checks[check].claim["terms"]
+    return PowerSum.of(*((F(c), F(e)) for c, e in terms))
+
+
+_FALLBACK_CASES = {
+    **{f"random-{seed}": (lambda seed=seed: _fallback_random(seed)) for seed in range(6)},
+    "below-rounding": _fallback_below_rounding,
+    "overflow": _fallback_overflow,
+    "m=11/2-subsolution": lambda: _fallback_m_eleven_halves("subsolution"),
+    "m=11/2-semistable": lambda: _fallback_m_eleven_halves("semistable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FALLBACK_CASES))
+def test_filtered_fallback_matches_exact_loop(case):
+    # The unfiltered fallback, kept here as the reference: the float
+    # screen's pick first, then every sample in order, each decided
+    # exactly.  The filtered fallback must agree on status and witness,
+    # and no sample the float filter certifies may be <= 0 exactly.
+    ps = _FALLBACK_CASES[case]()
+    poly, _, q = reduce_power_sum(ps)
+    assert poly.degree > certify_mod.DEGREE_CAP
+    den = certify_mod.FALLBACK_SAMPLES + 1
+    cs = integer_coeffs(poly)
+    signs = [sign_at(cs, F(k, den)) for k in range(1, den)]
+    fcoeffs = [float(c) for c in poly.coeffs]
+    pick = certify_mod._screen_pick(fcoeffs)
+    expected = ("inconclusive", None)
+    for k in sorted(range(1, den), key=lambda k: k != pick):
+        if signs[k - 1] < 0:
+            expected = ("falsified", F(k, den) ** q)
+            break
+    certified = certify_mod._certified_positive(fcoeffs)
+    assert all(s > 0 for s, ok in zip(signs, certified) if ok)
+    if case == "below-rounding":
+        vals = certify_mod._horner_samples(fcoeffs)
+        assert signs[5024] < 0 < vals[5024] and expected[1] == F(5025, den)
+    if case == "overflow":
+        vals = certify_mod._horner_samples(fcoeffs)
+        assert expected[0] == "falsified"
+        assert all(np.isinf(vals[k - 1]) for k in range(1, den) if signs[k - 1] < 0)
+    cert = power_sum_nonneg(ps)
+    assert "fallback" in cert.trail[0]["note"]
+    assert (cert.status, cert.witness) == expected
+
+
+def test_witness_that_does_not_confirm_raises(monkeypatch):
+    # A falsified inner certificate whose witness is not a violation of
+    # the power sum must stop the engine, also under python -O.
+    monkeypatch.setattr(
+        certify_mod, "certify_nonneg", lambda p: Certificate({}, "falsified", F(1, 2), [])
+    )
+    with pytest.raises(ArithmeticError, match="witness does not confirm"):
+        power_sum_nonneg(PowerSum.of((1, 0), (1, 1)))
+
+
+def test_m2_bilaplacian_identity_failure_raises(monkeypatch):
+    monkeypatch.setattr(certify_mod, "apply_bilaplacian", lambda w, n: PowerSum.of((1, 0)))
+    with pytest.raises(ArithmeticError, match="bilaplacian of the m = 2 profile"):
+        certify_m2_subsolution(5)

@@ -2,11 +2,21 @@
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs, sign_at
+from mems4 import polys
+from mems4.polys import (
+    RationalPolynomial,
+    _derivative,
+    _exact_quotient,
+    _pseudo_remainder,
+    from_power_shifts,
+    integer_coeffs,
+    sign_at,
+)
 
 F = Fraction
 X = sympy.Symbol("x")
@@ -205,3 +215,72 @@ def test_eval_matches_fraction_horner(coeffs, x, multiplicity):
     assert type(v) is Fraction and v == _fraction_horner(p.coeffs, F(x))
     if multiplicity:
         assert v == 0
+
+
+def _loop_squarefree_part(p):
+    # The square-free part as computed before the shared remainder
+    # sequence: its own gcd loop.
+    if p.degree <= 0:
+        return p
+    f = integer_coeffs(p)
+    g, r = f, _derivative(f)
+    while r:
+        g, r = r, _pseudo_remainder(g, r)
+    if len(g) == 1:
+        return p
+    scale = p.coeffs[-1] / f[-1] * g[-1]
+    return RationalPolynomial(tuple(scale * c for c in _exact_quotient(f, g)))
+
+
+def _loop_sturm_sequence(p):
+    # The Sturm chain as built before: c_(k+1) = -prem(c_(k-1), c_k) on
+    # the square-free part, its own loop.
+    f = integer_coeffs(_loop_squarefree_part(p))
+    chain = [f, _derivative(f)]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return [q for q in chain if q]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(_ROOTS, st.integers(1, 3)), max_size=6),
+    st.none() | st.fractions(min_value=F(1, 9), max_value=F(2), max_denominator=9),
+    st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5),
+)
+@example(roots=[], square=None, lead=F(0))
+@example(roots=[], square=None, lead=F(-3, 7))
+@example(roots=[(F(0), 3), (F(1), 2), (F(1, 3), 1)], square=F(2), lead=F(-2, 3))
+def test_shared_remainders_match_separate_loops(roots, square, lead):
+    # Repeated roots, roots at 0 and 1 and an optional irreducible
+    # quadratic: the square-free part and the Sturm chain read from the
+    # one remainder sequence equal the separate loops, member for member.
+    factors = [P(-r, 1) for r, k in roots for _ in range(k)]
+    if square is not None:
+        factors.append(P(-square, 0, 1))
+    p = _product(P(lead), *factors)
+    assert p.squarefree_part() == _loop_squarefree_part(p)
+    assert RationalPolynomial(p.coeffs).sturm_sequence() == _loop_sturm_sequence(p)
+
+
+def test_square_free_isolation_builds_one_remainder_sequence(monkeypatch):
+    # (x - 1/3)(x - 1/2)(x - 2/3)(x + 1)(x - 2): square free, no root at 0
+    # or 1, remainder degrees 5, 4, ..., 0.  The square-free part, the
+    # Sturm chain and the zero tests share one sequence: 5 pseudo-
+    # remainders (the last one zero), where separate loops took 15.
+    calls = []
+    real = polys._pseudo_remainder
+    monkeypatch.setattr(polys, "_pseudo_remainder", lambda a, b: calls.append(1) or real(a, b))
+    p = _product(P(F(-1, 3), 1), P(F(-1, 2), 1), P(F(-2, 3), 1), P(1, 1), P(-2, 1))
+    assert len(p.isolate_roots(F(0), F(1))) == 3
+    assert len(calls) == p.degree == 5
+
+
+def test_inexact_division_raises():
+    # x^2 + 1 is not divisible by x - 1; the check must hold under
+    # python -O as well.
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        _exact_quotient([1, 0, 1], [-1, 1])
