@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from mems4.closed_forms import (
     HOMOGENEOUS,
@@ -38,7 +39,7 @@ DEFAULT_TOL = 1e-10
 MAX_MONOTONE = 500
 MAX_NEWTON = 60
 STALL_INCREMENT = 1e-7
-# A pull-in notes nu1's accuracy floor when eig_banded's nu1 and the
+# A pull-in notes nu1's accuracy floor when the eigensolver's nu1 and the
 # Rayleigh estimate of its eigenfunction differ by more than this.
 NU1_FLOOR_REL = 1e-4
 
@@ -62,9 +63,7 @@ class DivergenceReport:
 
     lam: float
     reason: str
-    iterations: int
     last_max: float
-    last_field: RadialField | None
 
 
 @dataclass
@@ -113,15 +112,6 @@ def analytic_pull_in_bounds(op: OperatorMatrix) -> tuple[Fraction, float, float]
     return lower, 4.0 * nu1 / 27.0, abs(nu1 - rayleigh) / rayleigh
 
 
-def _backward_error(op: OperatorMatrix, v: np.ndarray, f: np.ndarray) -> float:
-    """Componentwise backward error of the weighted system A v = W f;
-    this is the solver residual (absolute sup-norm is meaningless next to
-    matrix rows of order 1/h^4)."""
-    res = op._matvec_weighted(v) - op.cells * f
-    scale = op._matvec_weighted_abs(v) + np.abs(op.cells * f)
-    return float(np.max(np.abs(res) / np.maximum(scale, 1e-300)))
-
-
 class _Workspace:
     """Per-(grid, boundary) solver state shared across voltages."""
 
@@ -143,15 +133,15 @@ def _solve_at(
     tol: float,
     v0: np.ndarray | None = None,
 ):
-    """Monotone-then-Newton solve; returns (v, u, residual, iters) or a
-    DivergenceReport."""
+    """Monotone-then-Newton solve; returns (v, residual) with the
+    deflection u = v + Phi, or a DivergenceReport.  The residual is the
+    operator's componentwise backward error."""
     op, phi = ws.op, ws.phi
     n = ws.grid.n
     v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
     u = v + phi
-    iters = 0
     if np.max(u) >= 1 - CEILING:
-        return DivergenceReport(lam, "warm start above ceiling", 0, float(np.max(u)), None)
+        return DivergenceReport(lam, "warm start above ceiling", float(np.max(u)))
 
     def forcing(u):
         return lam / (1.0 - u) ** 2
@@ -160,12 +150,8 @@ def _solve_at(
     for _ in range(MAX_MONOTONE):
         v_new = op.solve(forcing(u))
         u_new = v_new + phi
-        iters += 1
         if u_new.max() >= 1 - CEILING:
-            return DivergenceReport(
-                lam, "iterates reached the contact ceiling", iters,
-                float(u_new.max()), RadialField(ws.grid, u_new),
-            )
+            return DivergenceReport(lam, "iterates reached the contact ceiling", float(u_new.max()))
         inc = float(np.abs(u_new - u).max())
         v, u = v_new, u_new
         if inc < STALL_INCREMENT:
@@ -173,46 +159,33 @@ def _solve_at(
 
     # Damped Newton on the shifted variable.
     for _ in range(MAX_NEWTON):
-        f = forcing(u)
-        rho = _backward_error(op, v, f)
+        res_vec, rho = op.residual(v, forcing(u))
         if rho < tol:
-            return v, u, rho, iters
-        res_vec = op._matvec_weighted(v) / op.cells - f
+            return v, rho
         try:
             delta = op.solve_shifted(-res_vec, 2.0 * lam / (1.0 - u) ** 3)
-        except Exception:
-            return DivergenceReport(
-                lam, "linearized solve failed", iters, float(np.max(u)),
-                RadialField(ws.grid, u),
-            )
+        except (LinAlgError, ValueError):  # singular, or a non-finite entry
+            return DivergenceReport(lam, "linearized solve failed", float(np.max(u)))
         step = 1.0
         accepted = False
         while step > 2.0**-30:
             u_try = u + step * delta
             if np.max(u_try) < 1 - 0.5 * CEILING:
-                rho_try = _backward_error(op, v + step * delta, forcing(u_try))
+                _, rho_try = op.residual(v + step * delta, forcing(u_try))
                 if rho_try < rho or step < 1e-4:
                     accepted = True
                     break
             step /= 2
         if not accepted:
-            return DivergenceReport(
-                lam, "Newton stalled", iters, float(np.max(u)),
-                RadialField(ws.grid, u),
-            )
+            return DivergenceReport(lam, "Newton stalled", float(np.max(u)))
         v = v + step * delta
         u = v + phi
-        iters += 1
-    return DivergenceReport(
-        lam, "Newton did not converge", iters, float(np.max(u)),
-        RadialField(ws.grid, u),
-    )
+    return DivergenceReport(lam, "Newton did not converge", float(np.max(u)))
 
 
-def _make_point(
-    ws: _Workspace, lam: float, v: np.ndarray, u: np.ndarray, residual: float
-) -> BranchPoint:
+def _make_point(ws: _Workspace, lam: float, v: np.ndarray, residual: float) -> BranchPoint:
     op = ws.op
+    u = v + ws.phi
     one_minus = 1.0 - u
     lap_u = op.laplacian(v) + ws.phi_lap
     energy_h2 = float(np.sum(op.cells * lap_u**2))
@@ -234,19 +207,14 @@ def minimal_solution(
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
 ) -> BranchPoint | DivergenceReport:
-    """Compute the minimal solution at one voltage, or report divergence.
-
-    Started cold, the fixed-point iterates increase pointwise (tested as an
-    invariant).
+    """Compute the minimal solution at one voltage, or report divergence:
+    the one-voltage branch, started cold.  The cold fixed-point iterates
+    increase pointwise (tested as an invariant).
     """
     if lam < 0:
         raise ValueError("voltage must be nonnegative")
-    ws = _Workspace(bp, grid)
-    out = _solve_at(ws, float(lam), tol)
-    if isinstance(out, DivergenceReport):
-        return out
-    v, u, rho, _ = out
-    return _make_point(ws, float(lam), v, u, rho)
+    run = continue_branch(bp, grid, [lam], tol)
+    return run.points[0] if run.points else run.divergence
 
 
 def check_increasing_grid(lambdas) -> None:
@@ -281,8 +249,8 @@ def continue_branch(
         if isinstance(out, DivergenceReport):
             run.divergence = out
             break
-        v, u, rho, _ = out
-        run.points.append(_make_point(ws, lam, v, u, rho))
+        v, rho = out
+        run.points.append(_make_point(ws, lam, v, rho))
         prev.append((lam, v))
     return run
 
@@ -333,14 +301,14 @@ def pull_in_voltage(
         else:
             lo, sol = mid, out
 
-    v, u, rho, _ = sol
+    v, rho = sol
     est = PullInEstimate(
         lambda_lo=lo,
         lambda_hi=hi,
         analytic_lower=lower_exact if homogeneous else None,
         analytic_upper=upper_nu if homogeneous else None,
         dim=grid.dim,
-        near_fold=_make_point(ws, lo, v, u, rho),
+        near_fold=_make_point(ws, lo, v, rho),
         notes=notes,
     )
     if homogeneous:

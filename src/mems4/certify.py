@@ -296,16 +296,19 @@ def _screen_pick(coeffs: Sequence[float]) -> int | None:
 def _certified_positive(coeffs: Sequence[float]) -> list[bool]:
     """For each sample x = k/(FALLBACK_SAMPLES + 1), whether a float
     filter proves p(x) > 0, where p = sum c_i x^i has degree d and
-    ``coeffs`` are its coefficients correctly rounded.  Let P and Q be the
-    float Horner values of p and of S(x) = sum |c_i| x^i at fl(x), and
-    u = 2^-53.  The sample is certified when P is finite, Q >= 2^-1022
+    ``coeffs`` are its coefficients rounded to nearest: relative error at
+    most u for |c_i| >= 2^-1022, absolute error at most eta for a c_i that
+    rounds into or below the subnormal range (to 0 included); the proof
+    covers both.  Let P and Q be the float Horner values of p and of
+    S(x) = sum |c_i| x^i at fl(x), and u = 2^-53.  The sample is certified when P is finite, Q >= 2^-1022
     and P > T = fl((8d + 16) u Q).  A NaN or infinite P never is.
 
     Proof (round to nearest; gamma_n = n u / (1 - n u); eta = 2^-1075,
     the largest absolute error of a rounding into the subnormal range):
-    * Inputs.  fl(c_i) and fl(x) are correctly rounded and fl(x) is
-      normal, so fl(c_i) fl(x)^i = c_i x^i (1 + t_i) + e_i with
-      |t_i| <= gamma_(i+1) and |e_i| <= eta.
+    * Inputs.  fl(x) is correctly rounded and normal, and
+      fl(c_i) = c_i (1 + s_i) + e'_i with |s_i| <= u, |e'_i| <= eta, so
+      fl(c_i) fl(x)^i = c_i x^i (1 + t_i) + e_i with |t_i| <= gamma_(i+1)
+      and |e_i| <= |e'_i| <= eta (fl(x) < 1).
     * Horner.  Its d products and d sums give each term a factor
       (1 + t'_i), |t'_i| <= gamma_2d, and add at most d eta from
       underflowed products (every later step multiplies by fl(x) < 1, and
@@ -334,7 +337,14 @@ def _sampling_fallback(
     reduction_step: dict,
 ) -> Certificate:
     trail = [dict(reduction_step, note="degree cap exceeded; exact sampling fallback")]
-    fcoeffs = [float(c) for c in poly.coeffs]
+    try:
+        fcoeffs = [float(c) for c in poly.coeffs]
+    except OverflowError:
+        # The float screens read p / 2^k instead, which has p's signs:
+        # every |c_i| / 2^k < 2^1001.
+        top = max(abs(c) for c in poly.coeffs)
+        k = top.numerator.bit_length() - top.denominator.bit_length() - 1000
+        fcoeffs = [float(c / 2**k) for c in poly.coeffs]
     best_t = _screen_pick(fcoeffs)
     positive = _certified_positive(fcoeffs)
     # The float screen's pick first, then every sample in order that the

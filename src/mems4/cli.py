@@ -14,17 +14,16 @@ or flagged, 3+ usage and I/O errors.  Usage errors include a flag the
 command does not take, a --config key that is not one of its settings,
 --mesh outside 16..16384, a --gamma too large for the mesh and
 dimension, --tol <= 0, --rel-width outside (0, 1), a dimension range
-outside 1..64 or below its claim's floor, a voltage that is NaN,
-infinite or negative, a grid count, --profiles or search candidate count
-above 4096, and a search grid flag missing for --family or given for
-the other family.
+outside 1..64 or below its claim's floor, a search --dim outside 1..64,
+a voltage that is NaN, negative or above the largest float (1.8e308),
+a grid count, --profiles or search candidate count above 4096, and a
+search grid flag missing for --family or given for the other family.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import astuple, dataclass
@@ -212,10 +211,11 @@ def parse_fraction_grid(text: str) -> list[Fraction]:
 
 
 def _check_voltages(values) -> None:
-    """Reject voltages that are NaN, infinite or negative; commands call
+    """Reject voltages that are NaN, negative or above the largest float
+    (every artifact writes a float decimal of its voltage); commands call
     this while building their run key, before any directory exists."""
-    if not all(0 <= v < math.inf for v in values):
-        raise ValueError("voltages must be finite and nonnegative")
+    if not all(0 <= v <= sys.float_info.max for v in values):
+        raise ValueError("voltages must be nonnegative and at most the largest float (1.8e308)")
 
 
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
@@ -225,19 +225,14 @@ def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
 _DIM = _arg("--dim", type=int, required=True)
 
 
-def _dim(args) -> int:
-    if args.dim < 1:
-        raise ValueError("--dim must be positive")
-    return args.dim
-
-
 def _solver_dim(args, cfg) -> int:
     """--dim, once the operator on its mesh assembles and factors:
     OperatorMatrix rejects a grading too strong or a mesh too fine for
     the dimension."""
-    dim = _dim(args)
-    OperatorMatrix(_grid(cfg, dim)).factor()
-    return dim
+    if args.dim < 1:
+        raise ValueError("--dim must be positive")
+    OperatorMatrix(_grid(cfg, args.dim)).factor()
+    return args.dim
 
 
 def _dimension_range(text: str, claim: str) -> list[int]:
@@ -427,7 +422,8 @@ def _search_params(args) -> list:
 
 
 def _search_inputs(args, cfg) -> dict:
-    dim = _dim(args)
+    dim = args.dim
+    certify.check_dimensions("search-subsolution", dim, dim)
     if not 9 <= dim <= 16:
         print(f"search-subsolution: dimension {dim} outside the open range 9..16 "
               "(treating as a sanity run)", file=sys.stderr)

@@ -8,9 +8,12 @@ a pentadiagonal operator that is exactly self-adjoint and positive
 definite in the cell-volume inner product, so Green-matrix positivity and
 the eigenvalue problems inherit clean linear algebra.
 
-A is factored once by banded Cholesky; every back-solve (the clamped
-solve and the nu1 inverse iteration) calls LAPACK pbtrs on that cached
-factor directly, after checking that the right-hand side is finite.
+Only this module knows how A is stored; callers reach A through its
+solves, its eigenvalues and ``OperatorMatrix.residual`` (the Newton
+residual and its componentwise backward error).  A is factored once by
+banded Cholesky; every back-solve (the clamped solve and the nu1 inverse
+iteration) calls LAPACK pbtrs on that cached factor directly, after
+checking that the right-hand side is finite.
 """
 
 from __future__ import annotations
@@ -128,12 +131,6 @@ class OperatorMatrix:
             raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
                              f"{self.dim}: a band entry is not finite")
         self._chol = None
-        # General (2, 2) band layout of A for the LU solves of solve_shifted:
-        # the upper rows are the symmetric storage, the lower rows mirror it.
-        self._lu_bands = np.zeros((5, n))
-        self._lu_bands[:3] = self._banded
-        self._lu_bands[3, :-1] = self._banded[1, 1:]
-        self._lu_bands[4, :-2] = self._banded[0, 2:]
 
     def _assemble_banded(self) -> np.ndarray:
         n = self.grid.n
@@ -203,7 +200,12 @@ class OperatorMatrix:
     def solve_shifted(self, rhs: np.ndarray, shift_diag: np.ndarray) -> np.ndarray:
         """Solve (A - W diag(shift_diag)) x = W rhs with banded LU (the
         shifted matrix need not be definite near a fold)."""
-        ab = self._lu_bands.copy()
+        # General (2, 2) band layout: the upper rows are the symmetric
+        # storage, the lower rows mirror it.
+        ab = np.zeros((5, self.grid.n))
+        ab[:3] = self._banded
+        ab[3, :-1] = self._banded[1, 1:]
+        ab[4, :-2] = self._banded[0, 2:]
         ab[2, :] -= self.cells * shift_diag
         return solve_banded((2, 2), ab, self.cells * rhs)
 
@@ -254,13 +256,17 @@ class OperatorMatrix:
             raise ValueError("weight entries must be nonnegative")
         return self._lowest_eigenvalue(weight)
 
-    def _matvec_weighted(self, v: np.ndarray) -> np.ndarray:
-        """A v in the pentadiagonal storage."""
-        return _band_product(self._banded, v)
-
-    def _matvec_weighted_abs(self, v: np.ndarray) -> np.ndarray:
-        """|A| |v|, the scale vector for componentwise backward error."""
-        return _band_product(np.abs(self._banded), np.abs(v))
+    def residual(self, v: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """Residual r = W^-1 A v - f of the clamped equation bilaplacian(v)
+        = f, and rho, the componentwise backward error (Oettli-Prager) of
+        the weighted system A v = W f: max |A v - W f| / (|A| |v| + |W f|).
+        rho is the solver's residual measure, since an absolute sup-norm is
+        meaningless next to matrix rows of order 1/h^4."""
+        av = _band_product(self._banded, v)
+        wf = self.cells * f
+        scale = _band_product(np.abs(self._banded), np.abs(v)) + np.abs(wf)
+        rho = float(np.max(np.abs(av - wf) / np.maximum(scale, 1e-300)))
+        return av / self.cells - f, rho
 
 
 def _band_product(ab: np.ndarray, v: np.ndarray) -> np.ndarray:

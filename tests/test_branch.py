@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import mems4.branch
 from mems4.branch import (
     BranchPoint,
     DivergenceReport,
@@ -89,6 +91,31 @@ def test_monotone_iterates_nondecreasing(grid3, monkeypatch):
     assert len(history) >= 2
     for a, b in zip(history, history[1:]):
         assert np.all(b >= a - 1e-13)
+
+
+def _newton_solve_raising(monkeypatch, exc):
+    # One monotone step leaves the residual above tolerance, so the
+    # solver reaches the Newton phase and its linearized solve.
+    def solve_shifted(op, rhs, shift_diag):
+        raise exc
+    monkeypatch.setattr(mems4.branch, "MAX_MONOTONE", 1)
+    monkeypatch.setattr(OperatorMatrix, "solve_shifted", solve_shifted)
+
+
+def test_newton_solve_bug_propagates(grid3, monkeypatch):
+    # A fault in the linearized solve is a bug, not a divergence the
+    # pull-in bisection would read as "no solution".
+    _newton_solve_raising(monkeypatch, TypeError("bug"))
+    with pytest.raises(TypeError, match="bug"):
+        minimal_solution(5.0, HOMOGENEOUS, grid3)
+
+
+def test_singular_newton_matrix_is_a_divergence(grid3, monkeypatch):
+    _newton_solve_raising(monkeypatch, LinAlgError("singular matrix"))
+    out = minimal_solution(5.0, HOMOGENEOUS, grid3)
+    assert isinstance(out, DivergenceReport)
+    assert out.reason == "linearized solve failed"
+    assert 0 < out.last_max < 1
 
 
 def test_branch_pointwise_monotone_in_voltage(branch3):

@@ -624,6 +624,43 @@ def test_filtered_fallback_matches_exact_loop(case):
     assert (cert.status, cert.witness) == expected
 
 
+def _times(ps, scale):
+    return PowerSum.of(*((t.coeff * scale, t.exponent) for t in ps.terms))
+
+
+def test_fallback_beyond_float_range(monkeypatch):
+    # Coefficients past the largest float are screened as p / 2^k.  A
+    # power-of-two multiple of a fallback case keeps its grade and witness;
+    # small terms next to huge ones round into or below the subnormal
+    # range, and every sample the float filter then certifies is > 0.
+    screened = []
+    certified_positive = certify_mod._certified_positive
+    monkeypatch.setattr(certify_mod, "_certified_positive",
+                        lambda cs: screened.append(cs) or certified_positive(cs))
+    for seed in (0, 1):
+        base = _fallback_random(seed)
+        big = _times(base, F(2**2070))
+        assert max(abs(t.coeff) for t in big.terms) > 2**1024
+        expected = power_sum_nonneg(base)
+        cert = power_sum_nonneg(big)
+        assert "fallback" in cert.trail[0]["note"]
+        assert (cert.status, cert.witness) == (expected.status, expected.witness)
+    d = max(t.exponent for t in big.terms)
+    mixed = PowerSum.of(*((t.coeff, t.exponent) for t in big.terms),
+                        (F(2**60, 3), d + 1), (F(-5, 7), d + 2), (F(2**-1000), d + 3))
+    screened.clear()
+    power_sum_nonneg(mixed)
+    (fcoeffs,) = screened
+    assert max(abs(c) for c in fcoeffs) < 2.0**1001
+    assert 0 < fcoeffs[-3] < np.finfo(float).tiny and fcoeffs[-2:] == [0.0, 0.0]
+    poly, _, _ = reduce_power_sum(mixed)
+    cs = integer_coeffs(poly)
+    den = certify_mod.FALLBACK_SAMPLES + 1
+    ok = certified_positive(fcoeffs)
+    assert any(ok)
+    assert all(sign_at(cs, F(k, den)) > 0 for k in range(1, den) if ok[k - 1])
+
+
 def test_witness_that_does_not_confirm_raises(monkeypatch):
     # A falsified inner certificate whose witness is not a violation of
     # the power sum must stop the engine, also under python -O.

@@ -103,6 +103,10 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         ["branch", "--dim", "3", "--lambda", "-5:1:3"],
         SEARCH_W3 + ["--lambda", "1/0"],
         SEARCH_W3 + ["--lambda", "-1/2"],
+        # Every artifact writes a float decimal of the voltage.
+        SEARCH_W3 + ["--lambda", "1e400"],
+        ["search-subsolution", "--dim", "65", "--family", "touchdown-m", "--m", "3"],
+        ["search-subsolution", "--dim", str(10**80), "--family", "touchdown-m", "--m", "3"],
         ["branch", "--dim", "3", "--lambda", "5:1:3"],
         ["pullin", "--dim", "3", "--alpha", "2"],
         ["pullin", "--dim", "0"],
@@ -400,6 +404,17 @@ def test_search_family_w3_passes(tmp_path):
     assert code == 0
     payload = json.loads(find_one(tmp_path, "search.json").read_text())
     assert payload["passing_count"] == 1
+
+
+def test_search_at_largest_float_voltages_is_graded(tmp_path):
+    # The m = 11/2 semistable check exceeds the degree cap, and at this
+    # voltage its coefficients exceed the float range: the sampling
+    # fallback grades it instead of overflowing.
+    code = run_cli("search-subsolution", "--dim", "17", "--family", "touchdown-m",
+                   "--m", "11/2", "--lambda", "1.5e308", "--out", str(tmp_path))
+    assert code == 2
+    payload = json.loads(find_one(tmp_path, "search.json").read_text())
+    assert payload["voltage"] == "15" + "0" * 307 + "/1"
 
 
 def test_search_voltage_keys_the_run(tmp_path):

@@ -311,8 +311,39 @@ def test_apply_matches_matrix_on_clamped_fields():
     rng = np.random.default_rng(7)
     v = rng.standard_normal(grid.n)
     direct = op.apply(v)
-    via_matrix = op._matvec_weighted(v) / op.cells
+    via_matrix = dense_a(op) @ v / op.cells
     assert np.allclose(direct, via_matrix, rtol=1e-12, atol=1e-9)
+
+
+def _parent_band_product(ab, v):
+    # Upper symmetric band storage times a vector, in this order of sums.
+    out = ab[2, :] * v
+    out[:-1] += ab[1, 1:] * v[1:]
+    out[1:] += ab[1, 1:] * v[:-1]
+    out[:-2] += ab[0, 2:] * v[2:]
+    out[2:] += ab[0, 2:] * v[:-2]
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("dim", [1, 5, 9, 17])
+def test_residual_matches_reference_formulas_bitwise(dim, n):
+    # The Newton right-hand side A v / W - f and the componentwise
+    # backward error max |A v - W f| / (|A| |v| + |W f|), written out as
+    # the solver formed them, each from its own band product.
+    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    rng = np.random.default_rng(dim + n)
+    v = op.solve(2.0 + rng.random(n)) * (1.0 + 1e-9 * rng.standard_normal(n))
+    f = 2.0 + rng.random(n)
+    ab = op._banded
+    res = _parent_band_product(ab, v) - op.cells * f
+    scale = _parent_band_product(np.abs(ab), np.abs(v)) + np.abs(op.cells * f)
+    rho = float(np.max(np.abs(res) / np.maximum(scale, 1e-300)))
+    r = _parent_band_product(ab, v) / op.cells - f
+    got_r, got_rho = op.residual(v, f)
+    assert np.array_equal(got_r, r)
+    assert type(got_rho) is float and got_rho == rho
+    assert 0 < rho < 1
 
 
 def test_solve_shifted_matches_dense_solve():
@@ -341,7 +372,7 @@ def test_solve_inverts_apply():
     f = np.sin(3 * grid.nodes) + 2.0
     v = op.solve(f)
     res = np.abs(op.apply(v) - f)
-    scale = op._matvec_weighted_abs(v) / op.cells + np.abs(f)
+    scale = np.abs(dense_a(op)) @ np.abs(v) / op.cells + np.abs(f)
     assert np.max(res / scale) < 1e-12
 
 
