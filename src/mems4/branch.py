@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from mems4.closed_forms import (
     HOMOGENEOUS,
@@ -24,6 +23,7 @@ from mems4.closed_forms import (
     boundary_extension,
     hardy_rellich,
     is_admissible,
+    quadratic_lower_bound,
     singular_voltage,
     touchdown_shape,
 )
@@ -94,12 +94,6 @@ class PullInEstimate:
     notes: list[str] = field(default_factory=list)
 
 
-def quadratic_lower_bound(n: int) -> Fraction:
-    """Exact lower bound 32(10N - N^2 - 12)/27 for the homogeneous
-    pull-in voltage."""
-    return Fraction(32 * (10 * n - n * n - 12), 27)
-
-
 def analytic_pull_in_bounds(op: OperatorMatrix) -> tuple[Fraction, float, float]:
     """(max of the two exact lower bounds, 4 nu1 / 27) for homogeneous
     data, and the relative gap between nu1 and the Rayleigh estimate
@@ -140,7 +134,7 @@ def _solve_at(
     n = ws.grid.n
     v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
     u = v + phi
-    if np.max(u) >= 1 - CEILING:
+    if not np.max(u) < 1 - CEILING:  # also a NaN warm start; the caller retries cold
         return DivergenceReport(lam, "warm start above ceiling", float(np.max(u)))
 
     def forcing(u):
@@ -150,8 +144,11 @@ def _solve_at(
     for _ in range(MAX_MONOTONE):
         v_new = op.solve(forcing(u))
         u_new = v_new + phi
-        if u_new.max() >= 1 - CEILING:
-            return DivergenceReport(lam, "iterates reached the contact ceiling", float(u_new.max()))
+        top = u_new.max()
+        if not np.isfinite(top):  # the back-solve overflowed (max propagates NaN)
+            return DivergenceReport(lam, "iterates overflowed", float(u.max()))
+        if top >= 1 - CEILING:
+            return DivergenceReport(lam, "iterates reached the contact ceiling", float(top))
         inc = float(np.abs(u_new - u).max())
         v, u = v_new, u_new
         if inc < STALL_INCREMENT:
@@ -164,7 +161,7 @@ def _solve_at(
             return v, rho
         try:
             delta = op.solve_shifted(-res_vec, 2.0 * lam / (1.0 - u) ** 3)
-        except (LinAlgError, ValueError):  # singular, or a non-finite entry
+        except (np.linalg.LinAlgError, ValueError):  # singular, or a non-finite entry
             return DivergenceReport(lam, "linearized solve failed", float(np.max(u)))
         step = 1.0
         accepted = False
@@ -240,7 +237,8 @@ def continue_branch(
         warm = None
         if len(prev) >= 2:
             (l1, v1), (l2, v2) = prev[-2], prev[-1]
-            warm = v2 + (v2 - v1) * ((lam - l2) / (l2 - l1))
+            with np.errstate(invalid="ignore"):  # a NaN warm start is checked in _solve_at
+                warm = v2 + (v2 - v1) * ((lam - l2) / (l2 - l1))
         elif prev:
             warm = prev[-1][1]
         out = _solve_at(ws, lam, tol, warm)

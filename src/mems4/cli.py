@@ -41,13 +41,13 @@ from mems4.branch import (
     check_increasing_grid,
     continue_branch,
     pull_in_voltage,
-    quadratic_lower_bound,
     regularity_verdict,
 )
 from mems4.closed_forms import (
     BoundaryPair,
     format_rational,
     is_admissible,
+    quadratic_lower_bound,
     rational_to_decimal,
 )
 from mems4.radial_operator import OperatorMatrix, RadialField, RadialGrid, build_grid

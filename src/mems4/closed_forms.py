@@ -37,6 +37,13 @@ def singular_voltage(n: int) -> Fraction:
     return Fraction(8 * (3 * n - 2) * (3 * n - 8), 81)
 
 
+def quadratic_lower_bound(n: int) -> Fraction:
+    """Exact lower bound 32(10N - N^2 - 12)/27 for the homogeneous
+    pull-in voltage."""
+    _check_dimension(n)
+    return Fraction(32 * (10 * n - n * n - 12), 27)
+
+
 def hardy_rellich(n: int) -> Fraction:
     """Optimal constant N^2(N-4)^2/16 in the Hardy-Rellich inequality
     int (Delta psi)^2 >= H int psi^2/|x|^4 on H_0^2 of the unit ball.

@@ -14,15 +14,19 @@ residual and its componentwise backward error).  A is factored once by
 banded Cholesky; every back-solve (the clamped solve and the nu1 inverse
 iteration) calls LAPACK pbtrs on that cached factor directly, after
 checking that the right-hand side is finite.
+
+The banded LAPACK routines come from ``_linalg``, which imports them on
+the first factorisation, shifted solve or eigenvalue.  Importing this
+module therefore loads numpy only, and the exact-engine commands, which
+never factor an operator, start without the linear-algebra library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, eig_banded, solve_banded
-from scipy.linalg.lapack import dpbtrs
 
 from mems4.closed_forms import PowerSum
 
@@ -30,6 +34,16 @@ from mems4.closed_forms import PowerSum
 # step falls below NU1_STEP_TOL; dims 1..17 take 9..27 steps.
 NU1_STEP_TOL = 1e-12
 NU1_MAX_ITER = 200
+
+
+@cache
+def _linalg():
+    """The banded LAPACK module, imported on its first use: the import is
+    most of a command's start-up time, and the exact engine never needs
+    it.  Its LinAlgError is numpy.linalg.LinAlgError."""
+    import scipy.linalg as linalg
+
+    return linalg
 
 
 @dataclass(frozen=True)
@@ -130,7 +144,7 @@ class OperatorMatrix:
         if not np.all(np.isfinite(self._banded)):
             raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
                              f"{self.dim}: a band entry is not finite")
-        self._chol = None
+        self._chol = self._pbtrs = None
 
     def _assemble_banded(self) -> np.ndarray:
         n = self.grid.n
@@ -168,16 +182,19 @@ class OperatorMatrix:
         return self.laplacian(self.laplacian(v, bv), self.boundary_laplacian(v, bv, bs))
 
     def factor(self) -> np.ndarray:
-        """Banded Cholesky factor of A, computed once.  Raises ValueError
-        when A is not numerically positive definite on this mesh."""
+        """Banded Cholesky factor of A, computed once, with the pbtrs
+        routine the back-solves apply it by.  Raises ValueError when A is
+        not numerically positive definite on this mesh."""
         if self._chol is None:
+            linalg = _linalg()
             try:
-                self._chol = cholesky_banded(self._banded, lower=False)
-            except LinAlgError as exc:
+                self._chol = linalg.cholesky_banded(self._banded, lower=False)
+            except np.linalg.LinAlgError as exc:
                 raise ValueError(
                     f"mesh {self.grid.n} with gamma {self.grid.gamma:g} in dimension "
                     f"{self.dim}: the operator is not numerically positive definite ({exc})"
                 ) from exc
+            self._pbtrs = linalg.lapack.dpbtrs
         return self._chol
 
     def _back_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -187,7 +204,8 @@ class OperatorMatrix:
         finite and needs no check."""
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side contains non-finite entries")
-        x, info = dpbtrs(self.factor(), rhs, lower=0, overwrite_b=1)
+        chol = self.factor()
+        x, info = self._pbtrs(chol, rhs, lower=0, overwrite_b=1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
         return x
@@ -207,7 +225,7 @@ class OperatorMatrix:
         ab[3, :-1] = self._banded[1, 1:]
         ab[4, :-2] = self._banded[0, 2:]
         ab[2, :] -= self.cells * shift_diag
-        return solve_banded((2, 2), ab, self.cells * rhs)
+        return _linalg().solve_banded((2, 2), ab, self.cells * rhs)
 
     def _lowest_eigenvalue(self, weight: np.ndarray | None) -> float:
         """Lowest eigenvalue of the symmetric-banded similarity transform
@@ -220,7 +238,8 @@ class OperatorMatrix:
         ab[0, 2:] /= sq[2:] * sq[:-2]
         if weight is not None:
             ab[2, :] -= weight
-        vals = eig_banded(ab, lower=False, select="i", select_range=(0, 0), eigvals_only=True)
+        vals = _linalg().eig_banded(ab, lower=False, select="i", select_range=(0, 0),
+                                    eigvals_only=True)
         return float(vals[0])
 
     def _w_normalized(self, v: np.ndarray) -> np.ndarray:

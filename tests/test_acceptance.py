@@ -18,7 +18,6 @@ from mems4.branch import (
     continue_branch,
     extremal_diagnostics,
     pull_in_voltage,
-    quadratic_lower_bound,
     regularity_verdict,
 )
 from mems4.certify import (
@@ -30,6 +29,7 @@ from mems4.cli import main as cli_main
 from mems4.closed_forms import (
     HOMOGENEOUS,
     hardy_rellich,
+    quadratic_lower_bound,
     singular_voltage,
     touchdown_shape,
 )

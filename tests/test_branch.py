@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 import mems4.branch
 from mems4.branch import (
@@ -16,7 +16,6 @@ from mems4.branch import (
     extremal_diagnostics,
     minimal_solution,
     pull_in_voltage,
-    quadratic_lower_bound,
     regularity_verdict,
 )
 from mems4.closed_forms import (
@@ -39,13 +38,6 @@ def grid3():
 def branch3(grid3):
     # ten voltages strictly below the exact lower bound 32/3 for the fold
     return continue_branch(HOMOGENEOUS, grid3, np.linspace(1.0, 10.0, 10))
-
-
-def test_quadratic_lower_bound_values():
-    assert quadratic_lower_bound(5) == F(416, 27)  # the maximum over N
-    assert quadratic_lower_bound(2) == F(128, 27)
-    assert quadratic_lower_bound(3) == F(32, 3)
-    assert max(quadratic_lower_bound(n) for n in range(1, 41)) == F(416, 27)
 
 
 def test_zero_voltage_is_trivial(grid3):
@@ -186,6 +178,17 @@ def test_divergence_above_upper_bound(grid3):
     assert isinstance(out, DivergenceReport)
     assert "ceiling" in out.reason or "Newton" in out.reason
     assert out.last_max >= 0
+
+
+def test_overflowing_warm_start_is_a_divergence(grid3):
+    # Extrapolating from a step of 5e-324 to 1e308 multiplies the zero
+    # entries of the step by inf, so the warm start holds NaN; it is
+    # retried cold, and the cold back-solve overflows, which is a
+    # divergence with a finite last maximum.
+    run = continue_branch(HOMOGENEOUS, grid3, [0.0, 5e-324, 1e308])
+    assert len(run.points) == 2
+    assert run.divergence.reason == "iterates overflowed"
+    assert np.isfinite(run.divergence.last_max)
 
 
 def test_branch_truncates_at_divergence(grid3):

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file schemas, determinism."""
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -394,6 +395,23 @@ def test_profile_divergent_exits_one(tmp_path):
     assert code == 1
     payload = json.loads(find_one(tmp_path, "divergence.json").read_text())
     assert payload["reason"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("lam", ["1e307", "1.7e308"])
+def test_profile_overflowing_voltage_is_a_divergence(tmp_path, lam):
+    # At 1.7e308 the first back-solve overflows to NaN; that iterate is a
+    # divergence reported with the last finite maximum, not a crash.
+    code = run_cli("profile", "--dim", "3", "--mesh", "64", "--lambda", lam,
+                   "--out", str(tmp_path))
+    assert code == 1
+    text = find_one(tmp_path, "divergence.json").read_text()
+    payload = json.loads(text, parse_constant=_reject_constant)
+    assert payload["lambda"] == float(lam)
+    assert math.isfinite(payload["last_max"])
 
 
 def test_search_family_w3_passes(tmp_path):

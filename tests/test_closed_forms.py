@@ -15,6 +15,7 @@ from mems4.closed_forms import (
     hardy_rellich,
     is_admissible,
     laplacian_power_coeff,
+    quadratic_lower_bound,
     rational_pow,
     singular_voltage,
     touchdown_profile,
@@ -28,6 +29,13 @@ rationals = st.fractions(
     min_value=F(-50), max_value=F(50), max_denominator=60
 )
 dimensions = st.integers(min_value=1, max_value=40)
+
+
+def test_quadratic_lower_bound_values():
+    assert quadratic_lower_bound(5) == F(416, 27)  # the maximum over N
+    assert quadratic_lower_bound(2) == F(128, 27)
+    assert quadratic_lower_bound(3) == F(32, 3)
+    assert max(quadratic_lower_bound(n) for n in range(1, 41)) == F(416, 27)
 
 
 def test_singular_voltage_values():
