@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,12 +27,18 @@ def rational_json(x: Fraction) -> dict:
     return {"fraction": format_rational(x), "decimal": rational_to_decimal(x)}
 
 
+# The one encoding of every JSON artifact and of the run key.
+_JSON_OPTIONS = {"sort_keys": True, "indent": 2}
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, **_JSON_OPTIONS) + "\n"
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write text to path through a temporary file and a rename.  The file
+@contextmanager
+def _atomic_file(path: Path):
+    """Open a temporary text file beside path; it replaces path by rename
+    when the block ends, and is unlinked if the block raises.  The file
     gets the mode open() would give a new file, 0666 less the umask, not
     mkstemp's owner-only 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -41,7 +48,7 @@ def atomic_write_text(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,10 +56,19 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def write_json(path: Path, obj: dict) -> None:
+    """Write canonical_json of the payload, encoded chunk by chunk into the
+    file: memory stays flat however large the document is."""
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(obj)
-    atomic_write_text(path, canonical_json(payload))
+    with _atomic_file(path) as fh:
+        json.dump(payload, fh, **_JSON_OPTIONS)
+        fh.write("\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -1,11 +1,14 @@
 """Tests for the on-disk result store."""
 
+import json
 import os
 import stat
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from mems4.store import atomic_write_text, write_csv, write_json
+from mems4.store import SCHEMA_VERSION, atomic_write_text, canonical_json, write_csv, write_json
 
 
 @pytest.mark.parametrize(
@@ -25,3 +28,45 @@ def test_artifacts_get_the_mode_open_would_give(tmp_path, umask, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
     assert (tmp_path / "plain.txt").read_text() == "x\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "plain.txt", "tables"]
+
+
+def test_streamed_json_equals_canonical_json(tmp_path):
+    obj = {
+        "empty": [[], {}, [[]], {"a": {}}],
+        "text": "Δ²u = λ/(1−u)², \u00e9\U0001d49c \"q\" \\",
+        "floats": [0.1, 1e-310, 1e308, -0.0, 1.0],
+        "big": 2**400 - 1,
+        "flags": [True, False, None],
+        "nested": {"z": [1, {"y": [2.5, "x"]}], "a": 0},
+    }
+    write_json(tmp_path / "a.json", obj)
+    expected = canonical_json({"schema_version": SCHEMA_VERSION, **obj})
+    assert (tmp_path / "a.json").read_bytes() == expected.encode()
+    assert json.loads((tmp_path / "a.json").read_text())["big"] == 2**400 - 1
+
+
+def test_json_write_memory_does_not_grow_with_the_document(tmp_path):
+    rows = [{"index": i, "fraction": f"{i}/{i + 7}", "decimal": i / 7, "ok": i % 2 == 0}
+            for i in range(10000)]
+    encoded = len(canonical_json({"schema_version": SCHEMA_VERSION, "rows": rows}))
+    assert encoded >= 1_000_000
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "big.json", {"rows": rows})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.json").stat().st_size == encoded
+    assert peak < encoded / 4
+
+
+def test_failed_json_write_leaves_the_old_file(tmp_path):
+    target = tmp_path / "search.json"
+    target.write_text("old\n")
+    # The list encodes to far more than the file buffer, so chunks are on
+    # disk before the encoder reaches the Fraction.
+    obj = {"a": list(range(100000)), "b": Fraction(1, 3)}
+    with pytest.raises(TypeError):
+        write_json(target, obj)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["search.json"]
