@@ -331,6 +331,12 @@ def _write_profile(path: Path, profile: RadialField) -> None:
     write_csv(path, ["r", "u"], rows)
 
 
+def _profile_path(run: Path, lam: float) -> Path:
+    """The profile file of voltage lam, named by its shortest round-trip
+    repr, so distinct voltages never share a file."""
+    return run / "profiles" / f"lambda-{float(lam)!r}.csv"
+
+
 def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
     est = pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=1e-3, tol=cfg["tol"])
     return list(np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
@@ -345,7 +351,11 @@ def _branch_inputs(args, cfg) -> dict:
         lambdas = _auto_lambda_grid(cfg, dim)
     _check_voltages(lambdas)
     check_increasing_grid(lambdas)
-    return {"dim": dim, "lambdas": lambdas}
+    inputs = {"dim": dim, "lambdas": lambdas}
+    # Keyed only when asked for, so runs without profiles keep their names.
+    if args.profiles:
+        inputs["profiles"] = args.profiles
+    return inputs
 
 
 def _run_branch(args, cfg, inputs, run) -> list[str]:
@@ -359,7 +369,7 @@ def _run_branch(args, cfg, inputs, run) -> list[str]:
     if args.profiles and result.points:
         for i in np.unique(np.linspace(0, len(result.points) - 1, args.profiles).astype(int)):
             pt = result.points[i]
-            _write_profile(run / "profiles" / f"lambda-{pt.lam:.6g}.csv", pt.field)
+            _write_profile(_profile_path(run, pt.lam), pt.field)
     return [] if result.points else ["diverged"]
 
 
@@ -396,7 +406,7 @@ def _run_profile(args, cfg, inputs, run) -> list[str]:
     grid = _grid(cfg, inputs["dim"])
     pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
     if isinstance(pt, BranchPoint):
-        _write_profile(run / "profiles" / f"lambda-{pt.lam:.6g}.csv", pt.field)
+        _write_profile(_profile_path(run, pt.lam), pt.field)
         write_json(run / "point.json", _branch_record(pt))
         return []
     write_json(run / "divergence.json",

@@ -312,6 +312,38 @@ def test_branch_writes_jsonl_and_profiles(tmp_path):
     assert profiles[0].read_text().splitlines()[0] == "r,u"
 
 
+
+def test_profile_count_keys_the_branch_run(tmp_path):
+    # Runs that differ only in --profiles must not share a directory,
+    # and a run without profiles keeps the key it had before.
+    runs = []
+    for k in ("3", "1", "0"):
+        assert run_cli("branch", "--dim", "3", "--mesh", "32", "--lambda", "1:10:4",
+                       "--profiles", k, "--out", str(tmp_path / k)) == 0
+        (run,) = (tmp_path / k).iterdir()
+        runs.append(run)
+    assert len({run.name for run in runs}) == 3
+    configs = [json.loads((run / "config.json").read_text()) for run in runs]
+    assert [c.get("profiles") for c in configs] == [3, 1, None]
+    assert sorted(p.name for p in (runs[1] / "profiles").iterdir()) == ["lambda-1.0.csv"]
+    assert not (runs[2] / "profiles").exists()
+
+
+def test_close_voltages_get_their_own_profiles(tmp_path):
+    # Voltages equal to six digits used to share one file.
+    code = run_cli(
+        "branch", "--dim", "3", "--mesh", "32", "--lambda", "1:1.000001:3", "--profiles", "3",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    records = [json.loads(l) for l in find_one(tmp_path, "branch.jsonl").read_text().splitlines()]
+    files = sorted(tmp_path.rglob("profiles/*.csv"))
+    assert len(records) == len(files) == 3
+    for rec in records:
+        prof = find_one(tmp_path, f"lambda-{rec['lambda']!r}.csv")
+        u = [float(row.split(",")[1]) for row in prof.read_text().splitlines()[1:]]
+        assert max(u) == rec["max_value"]
+
 def test_branch_divergence_marker(tmp_path):
     code = run_cli(
         "branch", "--dim", "3", "--lambda", "5:100:3",
@@ -381,7 +413,7 @@ def test_profile_command(tmp_path):
         "--out", str(tmp_path),
     )
     assert code == 0
-    prof = find_one(tmp_path, "lambda-5.csv")
+    prof = find_one(tmp_path, "lambda-5.0.csv")
     rows = prof.read_text().splitlines()
     assert rows[0] == "r,u"
     assert len(rows) == 129
@@ -506,7 +538,7 @@ def test_config_file_and_flag_override(tmp_path):
     )
     assert code == 0
     # flag override wins: 128 interior rows + header
-    prof = find_one(tmp_path, "lambda-1.csv")
+    prof = find_one(tmp_path, "lambda-1.0.csv")
     assert len(prof.read_text().splitlines()) == 129
 
 

@@ -74,13 +74,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "e4b17a983a0a3e7fb65975d8011d025536b2de9688ac0ee679e11bb74b6cb062",
     }),
     "branch-profiles": (0, {
-        "branch-1c023e33d7/branch.jsonl":
+        "branch-8e01b82f14/branch.jsonl":
             "ea578ff2cebc3d1a982e6edeedd83d75891bf0d2af59ee77793e9a613cad514a",
-        "branch-1c023e33d7/config.json":
-            "0b66cdedcfd54acdfb243e929c509d5c3265423b9b169086a17b2323e5e40d79",
-        "branch-1c023e33d7/profiles/lambda-1.csv":
+        "branch-8e01b82f14/config.json":
+            "78fb9565f0a82fc64642d42828503baba9d291e01c4924938c2bc3b2869932e3",
+        "branch-8e01b82f14/profiles/lambda-1.0.csv":
             "9574863af2625272ad6f0afbaf918a4b4e05357798f90bf483ed6f2c21381d3f",
-        "branch-1c023e33d7/profiles/lambda-9.csv":
+        "branch-8e01b82f14/profiles/lambda-9.0.csv":
             "6d40bb559ecc6cdb933a87dd32f8136bc0adc9b2300d4eeb4da4a7c4b58ab969",
     }),
     "certify-m2-subsolution": (0, {
@@ -132,7 +132,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "5ab893ac1409ade906fbe4dc2736131e029f2dd0716c44f5e610734e511961aa",
         "profile-f074abb561/point.json":
             "032111a1bc6c554e4a59fdfc914b66da173ff5c2008e34d4417e0c93cf74b71d",
-        "profile-f074abb561/profiles/lambda-5.csv":
+        "profile-f074abb561/profiles/lambda-5.0.csv":
             "755966519105f488768f90cb2396734e067e57ceee1e7c51c4bd6d257e9a397c",
     }),
     "profile-divergent": (1, {
