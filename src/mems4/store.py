@@ -57,6 +57,7 @@ def _atomic_file(path: Path):
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write text to path through a temporary file and a rename."""
     with _atomic_file(path) as fh:
         fh.write(text)
 
