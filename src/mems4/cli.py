@@ -270,7 +270,7 @@ def _csv_fields(row: dict) -> list[tuple[str, object]]:
     return fields
 
 
-def _run_bounds(args, cfg, inputs, run) -> list[str]:
+def _run_bounds(cfg, inputs, run) -> list[str]:
     n_min, n_max = inputs["n"]
     rows = [
         {"n": row.dimension, **{name: value(row) for name, value in _BOUNDS_COLUMNS}}
@@ -293,9 +293,9 @@ def _certify_inputs(args, cfg) -> dict:
     return {"claim": args.claim, "n": _dimension_range(args.n, args.claim)}
 
 
-def _run_certify(args, cfg, inputs, run) -> list[str]:
-    n_min, n_max = inputs["n"]
-    if args.claim == "thresholds":
+def _run_certify(cfg, inputs, run) -> list[str]:
+    claim, (n_min, n_max) = inputs["claim"], inputs["n"]
+    if claim == "thresholds":
         cert = certify.certify_thresholds(n_min, n_max)
         write_json(run / "certificates" / f"thresholds-{n_min}-{n_max}.json", cert.to_json_dict())
         header = ["n", "singular_voltage", "hardy", "double_voltage_le_hardy",
@@ -308,8 +308,8 @@ def _run_certify(args, cfg, inputs, run) -> list[str]:
         return [cert.status]
     statuses = []
     for n in range(n_min, n_max + 1):
-        cert = certify.CLAIMS[args.claim](n)
-        write_json(run / "certificates" / f"{args.claim}-{n}.json", cert.to_json_dict())
+        cert = certify.CLAIMS[claim](n)
+        write_json(run / "certificates" / f"{claim}-{n}.json", cert.to_json_dict())
         statuses.append(cert.status)
     return statuses
 
@@ -358,7 +358,7 @@ def _branch_inputs(args, cfg) -> dict:
     return inputs
 
 
-def _run_branch(args, cfg, inputs, run) -> list[str]:
+def _run_branch(cfg, inputs, run) -> list[str]:
     grid = _grid(cfg, inputs["dim"])
     result = continue_branch(_boundary(cfg), grid, inputs["lambdas"], tol=cfg["tol"])
     records = [_branch_record(pt) for pt in result.points]
@@ -366,14 +366,14 @@ def _run_branch(args, cfg, inputs, run) -> list[str]:
         records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
                         "reason": result.divergence.reason})
     write_jsonl(run / "branch.jsonl", records)
-    if args.profiles and result.points:
-        for i in np.unique(np.linspace(0, len(result.points) - 1, args.profiles).astype(int)):
+    if inputs.get("profiles") and result.points:
+        for i in np.unique(np.linspace(0, len(result.points) - 1, inputs["profiles"]).astype(int)):
             pt = result.points[i]
             _write_profile(_profile_path(run, pt.lam), pt.field)
     return [] if result.points else ["diverged"]
 
 
-def _run_pullin(args, cfg, inputs, run) -> list[str]:
+def _run_pullin(cfg, inputs, run) -> list[str]:
     dim = inputs["dim"]
     est = pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
                           rel_width=cfg["rel_width"], tol=cfg["tol"])
@@ -402,7 +402,7 @@ def _profile_inputs(args, cfg) -> dict:
     return {"dim": _solver_dim(args, cfg), "lambda": args.lam}
 
 
-def _run_profile(args, cfg, inputs, run) -> list[str]:
+def _run_profile(cfg, inputs, run) -> list[str]:
     grid = _grid(cfg, inputs["dim"])
     pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
     if isinstance(pt, BranchPoint):
@@ -448,9 +448,9 @@ def _search_inputs(args, cfg) -> dict:
     return inputs
 
 
-def _run_search(args, cfg, inputs, run) -> list[str]:
+def _run_search(cfg, inputs, run) -> list[str]:
     lam = Fraction(inputs["lambda"]) if "lambda" in inputs else None
-    report = certify.subsolution_search(inputs["dim"], args.family, _search_params(args), lam=lam)
+    report = certify.subsolution_search(inputs["dim"], inputs["family"], inputs["params"], lam=lam)
     write_json(run / "search.json", report.to_json_dict())
     print(f"candidates: {len(report.candidates)}, passing: {len(report.passing)}")
     return [c.status for cand in report.candidates for c in cand.checks.values()]
@@ -464,9 +464,9 @@ class Command:
     they get a flag, a --config key and a place in the run key.
     ``inputs`` validates the command's own arguments and returns the
     fields that, with the settings, key the run directory; config.json
-    records exactly that key.  ``run`` computes and writes the artifacts
-    and returns their statuses; the first status of ``exit_codes`` among
-    them picks the exit code.
+    records exactly that key, the run's whole input.  ``run`` writes the
+    artifacts from the settings and those fields alone, returning their
+    statuses; the first of ``exit_codes`` among them picks the exit code.
     """
 
     name: str
@@ -474,7 +474,7 @@ class Command:
     arguments: tuple
     settings: tuple[str, ...]
     inputs: Callable[[argparse.Namespace, dict], dict]
-    run: Callable[[argparse.Namespace, dict, dict, Path], list[str]]
+    run: Callable[[dict, dict, Path], list[str]]
     exit_codes: tuple[tuple[str, int], ...] = ()
 
 
@@ -536,7 +536,7 @@ def _execute(command: Command, args) -> int:
     run = run_directory(out_root, command.name, record)
     write_json(run / "config.json", record)
     print(run)
-    statuses = command.run(args, cfg, inputs, run)
+    statuses = command.run(cfg, inputs, run)
     return next((code for status, code in command.exit_codes if status in statuses), EXIT_OK)
 
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from mems4.cli import main
+from mems4.cli import COMMANDS, main, resolve_settings
 
 CASES = {
     "bounds-csv": ["bounds", "--n", "1..12"],
@@ -202,6 +203,23 @@ def run_case(name: str, out: Path) -> tuple[int, dict[str, str]]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_golden_hashes(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_json_is_the_whole_input(name, tmp_path):
+    # Each run is rebuilt from its config.json alone: the config block
+    # goes through the --config path, the other keys are the inputs, and
+    # the rebuilt run writes every artifact byte for byte again.
+    _, hashes = run_case(name, tmp_path / "cli")
+    (config_path,) = (tmp_path / "cli").glob("*/config.json")
+    inputs = json.loads(config_path.read_text())
+    command = {c.name: c for c in COMMANDS}[inputs.pop("command")]
+    cfg = resolve_settings(command.settings, inputs.pop("config"))
+    run = tmp_path / "rebuilt" / config_path.parent.name
+    command.run(cfg, inputs, run)
+    assert artifact_hashes(tmp_path / "rebuilt") == {
+        rel: digest for rel, digest in hashes.items() if not rel.endswith("/config.json")
+    }
 
 
 if __name__ == "__main__":
