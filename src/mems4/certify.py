@@ -640,6 +640,35 @@ def perturbed_touchdown(alpha: Fraction, beta: Fraction) -> PowerSum:
     return touchdown_shape() - PowerSum.of((c, alpha), (-c, alpha + beta))
 
 
+def candidate_profile(family: str, params) -> tuple[dict, PowerSum]:
+    """The parameters by name and the profile of one search candidate:
+    an (alpha, beta) pair for "perturbed-touchdown", a profile parameter
+    m for "touchdown-m".  Raises ValueError for an unknown family or
+    parameters outside it (alpha, beta > 0; m > 0, m != 4/3)."""
+    if family == "perturbed-touchdown":
+        alpha, beta = (Fraction(x) for x in params)
+        return {"alpha": alpha, "beta": beta}, perturbed_touchdown(alpha, beta)
+    if family == "touchdown-m":
+        m = Fraction(params)
+        return {"m": m}, touchdown_profile(m)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def check_degree(w: PowerSum) -> int:
+    """3 hi q for a profile w = 1 + sum c_i r^(e_i) with 0 < e_i <= hi,
+    hi >= 4/3 (both search families), and q the lcm of the e_i's
+    denominators: three times w's own cleared degree, read from its
+    exponents without building a polynomial.
+
+    Every power sum that check_candidate certifies has exponents in
+    (1/q)Z, within [0, 3 hi] or, for the sub-solution check, within
+    [min(0, 3 lo - 4), 3 hi - 4], lo = min e_i.  So in units of 1/q its
+    span (its cleared degree) and its largest exponent are at most 3 hi q.
+    """
+    es = [t.exponent for t in w.terms if t.exponent != 0]
+    return int(3 * max(es) * lcm(*(e.denominator for e in es)))
+
+
 @dataclass
 class CandidateReport:
     """Per-candidate outcome of the sub-solution search."""
@@ -758,18 +787,9 @@ def subsolution_search(
         )
     candidates = []
     for params in param_grid:
-        if family == "perturbed-touchdown":
-            alpha, beta = (Fraction(x) for x in params)
-            w = perturbed_touchdown(alpha, beta)
-            pd = {"alpha": alpha, "beta": beta}
-        elif family == "touchdown-m":
-            m = Fraction(params)
-            w = touchdown_profile(m)
-            pd = {"m": m}
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        pd, w = candidate_profile(family, params)
         report = check_candidate(w, n, lam, pd)
-        if family == "touchdown-m" and m not in (2, 3):
+        if family == "touchdown-m" and pd["m"] not in (2, 3):
             report.notes.append("parameter outside the certified range m in {2, 3}")
         candidates.append(report)
     return SearchReport(n, lam, family, candidates, notes)

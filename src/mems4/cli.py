@@ -74,6 +74,14 @@ MAX_MESH = 16384
 # and candidates of a search: 16 voltages and 144 candidates are the
 # largest in use, and a count is checked before any list is built.
 MAX_GRID = 4096
+# Largest certify.check_degree of a search candidate (three times its
+# profile's cleared degree).  A check past certify.DEGREE_CAP samples
+# t = k/10001 exactly, and a falsified one writes its witness's exact
+# value: about 4 digits per unit of this degree plus the voltage's (309
+# at most for a float voltage), and Python turns no integer of more than
+# 4300 digits into text.  At 900 the longest is about 3900 digits at
+# --lambda 1.8e308; exact-search's candidates reach 99.
+MAX_CHECK_DEGREE = 900
 
 CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
 # The grid flags (argparse dests) each search family reads.
@@ -115,8 +123,11 @@ SETTINGS = {s.name: s for s in (
     Setting("tol", 1e-10, float, lambda v: v > 0, "solver residual tolerance, > 0"),
     Setting("rel_width", 1e-6, float, lambda v: 0 < v < 1,
             "pull-in bracket relative width, in (0, 1)"),
-    Setting("alpha", Fraction(0), Fraction, lambda v: True, "boundary value at r=1 (exact rational)"),
-    Setting("beta", Fraction(0), Fraction, lambda v: True, "boundary slope at r=1 (exact rational)"),
+    # The float engine samples alpha and beta in doubles.
+    Setting("alpha", Fraction(0), Fraction, lambda v: abs(v) <= sys.float_info.max,
+            "boundary value at r=1, exact rational of magnitude at most 1.8e308"),
+    Setting("beta", Fraction(0), Fraction, lambda v: abs(v) <= sys.float_info.max,
+            "boundary slope at r=1, exact rational of magnitude at most 1.8e308"),
     Setting("format", "csv", str, lambda v: v in ("csv", "json"), "table format, csv or json"),
 )}
 _SOLVER_SETTINGS = ("mesh", "gamma", "tol", "alpha", "beta")
@@ -437,8 +448,12 @@ def _search_inputs(args, cfg) -> dict:
     if not 9 <= dim <= 16:
         print(f"search-subsolution: dimension {dim} outside the open range 9..16 "
               "(treating as a sanity run)", file=sys.stderr)
-    params = [[format_rational(x) for x in p] if isinstance(p, tuple) else format_rational(p)
-              for p in _search_params(args)]
+    params = []
+    for k, p in enumerate(_search_params(args), 1):
+        _, w = certify.candidate_profile(args.family, p)  # alpha, beta > 0; m > 0, m != 4/3
+        if certify.check_degree(w) > MAX_CHECK_DEGREE:
+            raise ValueError(f"candidate {k}: its checks exceed degree {MAX_CHECK_DEGREE}")
+        params.append(list(map(format_rational, p)) if isinstance(p, tuple) else format_rational(p))
     inputs = {"dim": dim, "family": args.family, "params": params}
     # Given only with --lambda; the search's own default is H_N/2.
     if args.lam is not None:

@@ -19,7 +19,9 @@ from mems4.certify import (
     certify_m3_stability,
     certify_nonneg,
     certify_thresholds,
+    candidate_profile,
     check_candidate,
+    check_degree,
     perturbed_touchdown,
     power_sum_nonneg,
     reduce_power_sum,
@@ -465,6 +467,46 @@ def test_search_phi0_family_fails_at_9():
     # every failure is explained: at least one check not verified
     for cand in report.candidates:
         assert any(c.status != "verified" for c in cand.checks.values())
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("touchdown-m", F(11, 2)),
+        ("touchdown-m", F(1, 7)),
+        ("touchdown-m", F(2)),
+        ("perturbed-touchdown", (F(15, 6), F(2))),
+        ("perturbed-touchdown", (F(1, 7), F(1, 11))),
+        ("perturbed-touchdown", (F(4, 3), F(1, 5))),
+        ("perturbed-touchdown", (F(100, 99), F(1))),
+    ],
+)
+def test_check_degree_bounds_every_check(monkeypatch, family, params):
+    # check_degree is three times the profile's cleared degree, and each
+    # check's cleared degree and largest exponent, in units of its
+    # substitution order, stay within it.
+    monkeypatch.setattr(certify_mod, "FALLBACK_SAMPLES", 200)
+    pd, w = candidate_profile(family, params)
+    bound = check_degree(w)
+    assert bound == 3 * reduce_power_sum(w)[0].degree
+    reached = 0
+    for cert in check_candidate(w, 9, hardy_rellich(9) / 2, pd).checks.values():
+        step = cert.trail[0]
+        exponents = [F(e) for _, e in cert.claim["terms"]]
+        reached = max(reached, len(step["polynomial"]) - 1,
+                      max(exponents) * step["substitution_order"])
+    assert reached <= bound
+
+
+def test_candidate_profile_checks_its_family():
+    assert candidate_profile("touchdown-m", "3") == ({"m": F(3)}, touchdown_profile(3))
+    pd, w = candidate_profile("perturbed-touchdown", ["1", "1/3"])
+    assert (pd, w) == ({"alpha": F(1), "beta": F(1, 3)}, perturbed_touchdown(F(1), F(1, 3)))
+    for family, params in [("touchdown-m", "4/3"), ("touchdown-m", "0"),
+                           ("perturbed-touchdown", ("0", "1")), ("perturbed-touchdown", ("1", "-1")),
+                           ("other", "3")]:
+        with pytest.raises(ValueError):
+            candidate_profile(family, params)
 
 
 def test_search_empty_grid():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -134,11 +135,54 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
          "--m", f"1:2:{MAX_GRID + 1}"],
         ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
          "--alpha-grid", "1:2:64", "--beta-grid", "1:2:65"],
+        # Candidates outside their family, each checked before the run key.
+        ["search-subsolution", "--dim", "9", "--family", "touchdown-m", "--m", "4/3"],
+        ["search-subsolution", "--dim", "9", "--family", "touchdown-m", "--m", "0:1:2"],
+        ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+         "--alpha-grid", "0:1:2", "--beta-grid", "1"],
+        ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+         "--alpha-grid", "1", "--beta-grid", "-1"],
+        # Candidates past the check degree cap.
+        SEARCH_W3[:-1] + ["121"],
+        SEARCH_W3[:-1] + ["100000"],
+        SEARCH_W3[:-1] + ["1e400"],
+        # Boundary values beyond the largest float, by flag and by --config.
+        ["pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e400"],
+        ["pullin", "--dim", "3", "--mesh", "16", "--config", {"alpha": "-1e400"}],
+        # Admissible, with alpha inside the float range.
+        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16",
+         "--alpha=-1.7e308", "--beta=-3e308"],
     ],
 )
-def test_bad_run_config_exits_before_solving(tmp_path, flags):
+def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
+    if isinstance(flags[-1], dict):  # the contents of a --config file
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_text(json.dumps(flags[-1]))
+        flags = [*flags[:-1], str(cfg)]
     assert run_cli(*flags, "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("lam", [[], ["--lambda", repr(sys.float_info.max)]], ids=["H_N/2", "max"])
+@pytest.mark.parametrize(
+    "family, admitted, rejected",
+    [
+        # check_degree 900 (m = 100) and 903 (m = 301/3).
+        (["touchdown-m", "--m"], ["100"], ["301/3"]),
+        # Exponents 4/3, 1 and 100, then 301/3.
+        (["perturbed-touchdown", "--alpha-grid", "1", "--beta-grid"], ["99"], ["298/3"]),
+    ],
+    ids=["touchdown-m", "perturbed-touchdown"],
+)
+def test_check_degree_cap_edges(tmp_path, lam, family, admitted, rejected):
+    # The largest admitted candidate completes, even at the largest
+    # voltage; the first one past MAX_CHECK_DEGREE exits 3 before any
+    # directory exists.
+    search = ["search-subsolution", "--dim", "17", "--family", *family]
+    assert run_cli(*search, *admitted, *lam, "--out", str(tmp_path / "ok")) in (0, 1, 2)
+    find_one(tmp_path / "ok", "search.json")
+    assert run_cli(*search, *rejected, *lam, "--out", str(tmp_path / "no")) == 3
+    assert not (tmp_path / "no").exists()
 
 
 @pytest.mark.parametrize(
