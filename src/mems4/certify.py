@@ -29,7 +29,7 @@ from mems4.closed_forms import (
     touchdown_profile,
     touchdown_shape,
 )
-from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs
+from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs, sign_at
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -348,23 +348,14 @@ def _sampling_fallback(
     best_t = _screen_pick(fcoeffs)
     positive = _certified_positive(fcoeffs)
     # The float screen's pick first, then every sample in order that the
-    # screen does not certify positive, each tested by the sign of
-    # sum c_i k^i den^(d-i), the denominator-cleared polynomial at k/den
-    # times den^d.  A certified sample cannot be a witness, so skipping it
-    # changes neither the witness nor the status.
+    # screen does not certify positive, each tested by its exact sign.  A
+    # certified sample cannot be a witness, so skipping it changes neither
+    # the witness nor the status.
     den = FALLBACK_SAMPLES + 1
     cs = integer_coeffs(poly)
-    d = len(cs) - 1
-    scaled = [c * den ** (d - i) for i, c in enumerate(cs)][::-1]
     for k in sorted(range(1, den), key=lambda k: k != best_t):
-        if positive[k - 1]:
-            continue
-        acc = 0
-        for c in scaled:
-            acc = acc * k + c
-        if acc < 0:
-            t0 = Fraction(k, den)
-            witness = t0**q
+        if not positive[k - 1] and sign_at(cs, Fraction(k, den)) < 0:
+            witness = Fraction(k, den) ** q
             trail.append(
                 {
                     "step": "witness-confirmation",

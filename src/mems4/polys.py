@@ -46,13 +46,10 @@ class RationalPolynomial:
         """Exact value at x: one integer homogeneous Horner sum over the
         common denominator of the coefficients, then a single Fraction."""
         x = Fraction(x)
-        a, b = x.numerator, x.denominator
         den = lcm(*(c.denominator for c in self.coeffs))
-        acc, bp = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * a + c.numerator * (den // c.denominator) * bp
-            bp *= b
-        return Fraction(acc * b, den * bp)
+        cs = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        b = x.denominator
+        return Fraction(_homogeneous_horner(cs, x) * b, den * b ** len(cs))
 
     @cached_property
     def _remainders(self) -> list[list[int]]:
@@ -218,15 +215,21 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return _primitive(r)
 
 
-def sign_at(cs: Sequence[int], x: Fraction) -> int:
-    """Sign at x of the polynomial with integer coefficients cs
-    (ascending): the sign of sum c_i a^i b^(d-i) for x = a/b, b > 0,
-    summed by homogeneous Horner."""
+def _homogeneous_horner(cs: Sequence[int], x: Fraction) -> int:
+    """sum c_i a^i b^(d-i) for integer coefficients cs (ascending, degree
+    d) and x = a/b, b > 0: b^d times the polynomial's value at x."""
     a, b = x.numerator, x.denominator
     acc, bp = 0, 1
     for c in reversed(cs):
         acc = acc * a + c * bp
         bp *= b
+    return acc
+
+
+def sign_at(cs: Sequence[int], x: Fraction) -> int:
+    """Sign at x of the polynomial with integer coefficients cs
+    (ascending)."""
+    acc = _homogeneous_horner(cs, x)
     return (acc > 0) - (acc < 0)
 
 
