@@ -5,9 +5,11 @@ Every command runs one chain: resolve the settings it reads (defaults,
 then a --config file, then flags), validate its own inputs, key the run
 directory on the command, those inputs and those settings, write exactly
 that key to config.json, print the run directory, then compute and write
-the artifacts.  A command takes flags and --config keys only for the
-settings it reads (``Command.settings``).  Rational values and specs may
-be negative: "--beta -1/5" and "--alpha-grid -1/3:0:4" parse as values.
+the artifacts from the checked settings and that key alone: config.json
+is the run's complete input.  A command takes flags and --config keys
+only for the settings it reads (``Command.settings``).  Rational values
+and specs may be negative: "--beta -1/5" and "--alpha-grid -1/3:0:4"
+parse as values.
 
 Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
 or flagged, 3+ usage and I/O errors.  Usage errors include a flag the
@@ -16,8 +18,11 @@ command does not take, a --config key that is not one of its settings,
 dimension, --tol <= 0, --rel-width outside (0, 1), a dimension range
 outside 1..64 or below its claim's floor, a search --dim outside 1..64,
 a voltage that is NaN, negative or above the largest float (1.8e308),
-a grid count, --profiles or search candidate count above 4096, and a
-search grid flag missing for --family or given for the other family.
+an --alpha or --beta of magnitude above it, a grid count, --profiles or
+search candidate count above 4096, a search grid flag missing for
+--family or given for the other family, a candidate outside its family
+(m > 0, m != 4/3; alpha, beta > 0), and a candidate whose checks pass
+MAX_CHECK_DEGREE.
 """
 
 from __future__ import annotations
