@@ -168,9 +168,9 @@ def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
     "family, admitted, rejected",
     [
         # check_degree 900 (m = 100) and 903 (m = 301/3).
-        (["touchdown-m", "--m"], ["100"], ["301/3"]),
+        (["touchdown-m", "--m"], "100", "301/3"),
         # Exponents 4/3, 1 and 100, then 301/3.
-        (["perturbed-touchdown", "--alpha-grid", "1", "--beta-grid"], ["99"], ["298/3"]),
+        (["perturbed-touchdown", "--alpha-grid", "1", "--beta-grid"], "99", "298/3"),
     ],
     ids=["touchdown-m", "perturbed-touchdown"],
 )
@@ -179,9 +179,9 @@ def test_check_degree_cap_edges(tmp_path, lam, family, admitted, rejected):
     # voltage; the first one past MAX_CHECK_DEGREE exits 3 before any
     # directory exists.
     search = ["search-subsolution", "--dim", "17", "--family", *family]
-    assert run_cli(*search, *admitted, *lam, "--out", str(tmp_path / "ok")) in (0, 1, 2)
+    assert run_cli(*search, admitted, *lam, "--out", str(tmp_path / "ok")) in (0, 1, 2)
     find_one(tmp_path / "ok", "search.json")
-    assert run_cli(*search, *rejected, *lam, "--out", str(tmp_path / "no")) == 3
+    assert run_cli(*search, rejected, *lam, "--out", str(tmp_path / "no")) == 3
     assert not (tmp_path / "no").exists()
 
 
