@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 Rational = Union[Fraction, int]
 
@@ -69,26 +69,21 @@ def bilaplacian_power_coeff(s: Rational, n: int) -> Fraction:
     return laplacian_power_coeff(s, n) * laplacian_power_coeff(s - 2, n)
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(NamedTuple):
     """One term c * r^s with exact rational coefficient and exponent."""
 
     coeff: Fraction
     exponent: Fraction
-
-    def __post_init__(self):
-        for name in ("coeff", "exponent"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
 
 
 @dataclass(frozen=True)
 class PowerSum:
     """A finite sum of rational powers of r with rational coefficients.
 
-    The term list is normalized on construction: sorted by exponent,
-    duplicate exponents merged, zero coefficients dropped.
+    Built from (coefficient, exponent) pairs, PowerTerms included; the
+    term list is normalized on construction: converted to Fractions,
+    sorted by exponent, duplicate exponents merged, zero coefficients
+    dropped.
     """
 
     terms: tuple[PowerTerm, ...]
@@ -97,14 +92,14 @@ class PowerSum:
         # Keyed by the exponent's integer pair: hashing a Fraction costs a
         # modular inverse.
         merged: dict[tuple[int, int], list] = {}
-        for t in self.terms:
-            if not isinstance(t, PowerTerm):
-                t = PowerTerm(*t)
-            key = (t.exponent.numerator, t.exponent.denominator)
+        for c, e in self.terms:
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            e = e if isinstance(e, Fraction) else Fraction(e)
+            key = (e.numerator, e.denominator)
             if key in merged:
-                merged[key][1] += t.coeff
+                merged[key][1] += c
             else:
-                merged[key] = [t.exponent, t.coeff]
+                merged[key] = [e, c]
         norm = tuple(
             PowerTerm(c, e) for e, c in sorted(merged.values(), key=itemgetter(0)) if c != 0
         )
@@ -113,7 +108,7 @@ class PowerSum:
     @staticmethod
     def of(*pairs: tuple[Rational, Rational]) -> "PowerSum":
         """Build from (coefficient, exponent) pairs."""
-        return PowerSum(tuple(PowerTerm(Fraction(c), Fraction(e)) for c, e in pairs))
+        return PowerSum(pairs)
 
     @staticmethod
     def constant(c: Rational) -> "PowerSum":
@@ -126,28 +121,19 @@ class PowerSum:
         return self + (-other)
 
     def __neg__(self) -> "PowerSum":
-        return PowerSum(tuple(PowerTerm(-t.coeff, t.exponent) for t in self.terms))
+        return PowerSum(tuple((-c, e) for c, e in self.terms))
 
     def __mul__(self, other: "PowerSum") -> "PowerSum":
-        prods = [
-            PowerTerm(a.coeff * b.coeff, a.exponent + b.exponent)
-            for a in self.terms
-            for b in other.terms
-        ]
-        return PowerSum(tuple(prods))
+        return PowerSum(
+            tuple((c * d, e + f) for c, e in self.terms for d, f in other.terms)
+        )
 
     def scale(self, c: Rational) -> "PowerSum":
         c = Fraction(c)
-        return PowerSum(tuple(PowerTerm(c * t.coeff, t.exponent) for t in self.terms))
+        return PowerSum(tuple((c * d, e) for d, e in self.terms))
 
     def derivative(self) -> "PowerSum":
-        return PowerSum(
-            tuple(
-                PowerTerm(t.coeff * t.exponent, t.exponent - 1)
-                for t in self.terms
-                if t.exponent != 0
-            )
-        )
+        return PowerSum(tuple((c * e, e - 1) for c, e in self.terms if e != 0))
 
     def evaluate_exact(self, r: Rational) -> Fraction:
         """Exact value at rational r > 0; raises if some r^exponent is
@@ -237,12 +223,7 @@ def boundary_extension(bp: BoundaryPair) -> PowerSum:
 def apply_bilaplacian(ps: PowerSum, n: int) -> PowerSum:
     """Termwise bilaplacian: sum c K(s,N) r^(s-4), normalized."""
     _check_dimension(n)
-    return PowerSum(
-        tuple(
-            PowerTerm(t.coeff * bilaplacian_power_coeff(t.exponent, n), t.exponent - 4)
-            for t in ps.terms
-        )
-    )
+    return PowerSum(tuple((c * bilaplacian_power_coeff(e, n), e - 4) for c, e in ps.terms))
 
 
 def touchdown_shape() -> PowerSum:

@@ -8,9 +8,12 @@ gcd of f and f', once, and keeps it: the square-free part divides f by
 that gcd exactly, and the Sturm chain (a list of integer coefficient
 lists) is the square-free part's own sequence with the signs +, +, -, -.
 The value or the sign of a polynomial at a rational a/b comes from the
-integer sum c_i a^i b^(d-i).  Isolation refines by bisection
-with these exact sign tests, so every interval endpoint reported here is
-a rational number whose sign data can be replayed independently.
+integer sum c_i a^i b^(d-i).  Isolation counts on the square-free
+part's chain, through roots at the interval's ends (a root is simple
+there, so its zero sign counts as just past it), and refines by
+bisection with these exact sign tests, so every interval endpoint
+reported here is a rational number whose sign data can be replayed
+independently.
 """
 
 from __future__ import annotations
@@ -97,29 +100,22 @@ class RationalPolynomial:
         """Disjoint open intervals (lo, hi), each containing exactly one
         distinct root of the polynomial lying strictly inside (a, b).
 
-        Every reported endpoint is strictly inside (a, b) and is a
-        non-root of the polynomial, so its exact sign is meaningful.
+        Counts on the square-free part's own Sturm chain, also when a or
+        b is a root.  Every root of the square-free part is simple, so
+        chain[1] is nonzero there, and dropping the zero sign of chain[0]
+        counts at a root x as at x + 0: count(x, y) is the number of
+        roots in (x, y], and a root at b is taken off the total.  Every
+        split point is off the roots, so every reported endpoint is
+        strictly inside (a, b) and is a non-root of the polynomial, and
+        its exact sign is meaningful.
         """
         a, b = Fraction(a), Fraction(b)
         if self.degree <= 0 or a >= b:
             return []
-        sq = self.squarefree_part()
-        g = sq._remainders[0]
-        # Strip roots sitting exactly at the domain endpoints so Sturm
-        # counting over (a, b] sees only interior roots; a root at p/q is
-        # the primitive factor q x - p, which divides g exactly over Z.
-        for pt in (a, b):
-            while len(g) > 1 and sign_at(g, pt) == 0:
-                g = _exact_quotient(g, [-pt.numerator, pt.denominator])
-        if len(g) <= 1:
-            return []
-        # Unless a root was stripped, g is sq's own f, so the chain reuses
-        # the remainder sequence that gave sq.
-        if g is not sq._remainders[0]:
-            sq = RationalPolynomial(tuple(g))
-        chain = sq.sturm_sequence()
-        # The roots of g are roots of self, so one zero test covers both.
-        f = self._remainders[0]
+        chain = self.squarefree_part().sturm_sequence()
+        # The square-free part has the roots of self, so its zero test
+        # serves both.
+        f = chain[0]
 
         def count(x: Fraction, y: Fraction) -> int:
             return _sign_variations(chain, x) - _sign_variations(chain, y)
@@ -130,7 +126,7 @@ class RationalPolynomial:
                 mid = (x + mid) / 2
             return mid
 
-        total = count(a, b)
+        total = count(a, b) - (sign_at(f, b) == 0)
         if total == 0:
             return []
         found: list[tuple[Fraction, Fraction]] = []
@@ -138,9 +134,8 @@ class RationalPolynomial:
         while stack:
             x, y, k = stack.pop()
             if k == 1:
-                # Pull the edges strictly inside (a, b) and off roots of
-                # the original polynomial.
-                while x == a or y == b or sign_at(f, x) == 0 or sign_at(f, y) == 0:
+                # Pull the edges strictly inside (a, b).
+                while x == a or y == b:
                     mid = interior_split(x, y)
                     if count(x, mid) == 1:
                         y = mid

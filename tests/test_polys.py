@@ -1,10 +1,11 @@
 """Tests for the exact polynomial engine."""
 
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mems4 import polys
@@ -128,24 +129,35 @@ _ROOTS = st.one_of(
     st.lists(st.tuples(_ROOTS, st.integers(1, 3)), min_size=1, max_size=5),
     st.none() | st.fractions(min_value=F(1, 9), max_value=F(2), max_denominator=9),
     st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5).filter(bool),
+    st.tuples(_ROOTS, st.integers(0, 3)),
+    st.tuples(_ROOTS, st.integers(0, 3)),
 )
-@example(roots=[(F(0), 2), (F(1), 3), (F(1, 2), 2)], square=F(1, 3), lead=F(-2, 3))
-def test_isolation_count_matches_sympy(roots, square, lead):
-    # Products of (x - r)^k, roots at 0 and 1 and repeated roots included,
-    # times an optional x^2 - s with an irrational root when s is not a
-    # square: the interval count is sympy's count of distinct roots in
-    # [0, 1], less the roots at the endpoints.
-    factors = [P(-r, 1) for r, k in roots for _ in range(k)]
+@example(roots=[(F(0), 2), (F(1), 3), (F(1, 2), 2)], square=F(1, 3), lead=F(-2, 3),
+         end=(F(0), 0), other_end=(F(1), 0))
+@example(roots=[(F(1, 3), 2), (F(-1, 2), 1)], square=F(1, 4), lead=F(3),
+         end=(F(-1, 2), 2), other_end=(F(1, 2), 3))
+def test_isolation_count_matches_sympy(roots, square, lead, end, other_end):
+    # Products of (x - r)^k, repeated roots included, times an optional
+    # x^2 - s with an irrational root when s is not a square, on (a, b)
+    # whose ends are roots of any multiplicity (an end's own factor to
+    # the power 0..3, more when it is also among the roots): the interval
+    # count is sympy's count of distinct roots in [a, b], less the roots
+    # at the ends.
+    (a, ka), (b, kb) = sorted([end, other_end])
+    assume(a < b)
+    factors = [P(-r, 1) for r, k in [*roots, (a, ka), (b, kb)] for _ in range(k)]
     if square is not None:
         factors.append(P(-square, 0, 1))
     p = _product(P(lead), *factors)
     sp = _sympy_poly(p)
-    expected = sp.count_roots(0, 1) - (p(F(0)) == 0) - (p(F(1)) == 0)
-    ivs = p.isolate_roots(F(0), F(1))
+    expected = sp.count_roots(a, b) - (p(a) == 0) - (p(b) == 0)
+    ivs = p.isolate_roots(a, b)
     assert len(ivs) == expected
     for lo, hi in ivs:
-        assert 0 < lo < hi < 1 and p(lo) != 0 and p(hi) != 0
+        assert a < lo < hi < b and p(lo) != 0 and p(hi) != 0
         assert sp.count_roots(lo, hi) == 1
+    for (_, hi), (lo, _) in zip(ivs, ivs[1:]):
+        assert hi <= lo
 
 
 @settings(max_examples=150)
@@ -277,6 +289,22 @@ def test_square_free_isolation_builds_one_remainder_sequence(monkeypatch):
     p = _product(P(F(-1, 3), 1), P(F(-1, 2), 1), P(F(-2, 3), 1), P(1, 1), P(-2, 1))
     assert len(p.isolate_roots(F(0), F(1))) == 3
     assert len(calls) == p.degree == 5
+
+
+def test_isolation_through_end_roots_builds_one_remainder_sequence(monkeypatch):
+    # x (x - 1)(x - 1/2)(x + 1): square free, with simple roots at both
+    # ends of (0, 1).  Counting through the end roots isolates 1/2 on the
+    # chain of p's own remainder sequence; no second polynomial with the
+    # end roots divided out builds another.
+    built = []
+    remainders = RationalPolynomial.__dict__["_remainders"].func
+    counted = cached_property(lambda self: built.append(self) or remainders(self))
+    counted.__set_name__(RationalPolynomial, "_remainders")
+    monkeypatch.setattr(RationalPolynomial, "_remainders", counted)
+    p = _product(P(0, 1), P(-1, 1), P(F(-1, 2), 1), P(1, 1))
+    ((lo, hi),) = p.isolate_roots(F(0), F(1))
+    assert lo < F(1, 2) < hi
+    assert len(built) == 1
 
 
 def test_inexact_division_raises():
