@@ -283,24 +283,25 @@ def _horner_samples(coeffs: Sequence[float]) -> np.ndarray:
         return np.polyval(np.asarray(coeffs, dtype=float)[::-1], np.arange(1, den) / den)
 
 
-def _screen_pick(coeffs: Sequence[float]) -> int | None:
-    """Cheap float screen that steers witness confirmation: the k of the
-    first sample where the Horner value is least, if it is negative, else
-    None.  A NaN sample never compares below the running minimum, so it
-    is never picked."""
-    vals = _horner_samples(coeffs)
-    vals[np.isnan(vals)] = 0.0
+def _screen_pick(vals: np.ndarray) -> int | None:
+    """Cheap float screen that steers witness confirmation: given the
+    Horner values at the samples, the k of the first sample where the
+    value is least, if it is negative, else None.  A NaN sample never
+    compares below the running minimum, so it is never picked: it reads
+    as 0 in a copy, and ``vals`` reaches the float filter unchanged."""
+    vals = np.where(np.isnan(vals), 0.0, vals)
     return int(vals.argmin()) + 1 if vals.min() < 0 else None
 
 
-def _certified_positive(coeffs: Sequence[float]) -> list[bool]:
+def _certified_positive(coeffs: Sequence[float], vals: np.ndarray) -> list[bool]:
     """For each sample x = k/(FALLBACK_SAMPLES + 1), whether a float
     filter proves p(x) > 0, where p = sum c_i x^i has degree d and
     ``coeffs`` are its coefficients rounded to nearest: relative error at
     most u for |c_i| >= 2^-1022, absolute error at most eta for a c_i that
     rounds into or below the subnormal range (to 0 included); the proof
     covers both.  Let P and Q be the float Horner values of p and of
-    S(x) = sum |c_i| x^i at fl(x), and u = 2^-53.  The sample is certified when P is finite, Q >= 2^-1022
+    S(x) = sum |c_i| x^i at fl(x) (``vals = _horner_samples(coeffs)``
+    holds every P), and u = 2^-53.  The sample is certified when P is finite, Q >= 2^-1022
     and P > T = fl((8d + 16) u Q).  A NaN or infinite P never is.
 
     Proof (round to nearest; gamma_n = n u / (1 - n u); eta = 2^-1075,
@@ -321,7 +322,6 @@ def _certified_positive(coeffs: Sequence[float]) -> list[bool]:
       which is positive because u Q >= eta when Q >= 2^-1022.
     """
     d = len(coeffs) - 1
-    vals = _horner_samples(coeffs)
     mags = _horner_samples(np.abs(coeffs))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         bound = (8 * d + 16) * 2.0**-53 * mags
@@ -345,8 +345,9 @@ def _sampling_fallback(
         top = max(abs(c) for c in poly.coeffs)
         k = top.numerator.bit_length() - top.denominator.bit_length() - 1000
         fcoeffs = [float(c / 2**k) for c in poly.coeffs]
-    best_t = _screen_pick(fcoeffs)
-    positive = _certified_positive(fcoeffs)
+    vals = _horner_samples(fcoeffs)
+    best_t = _screen_pick(vals)
+    positive = _certified_positive(fcoeffs, vals)
     # The float screen's pick first, then every sample in order that the
     # screen does not certify positive, each tested by its exact sign.  A
     # certified sample cannot be a witness, so skipping it changes neither

@@ -581,7 +581,12 @@ BIG = 1.5e308
     ],
 )
 def test_fallback_screen_matches_scalar_loop(coeffs):
-    assert certify_mod._screen_pick(coeffs) == _scalar_screen(coeffs)
+    # The screen reads NaN samples as 0 without writing that into the
+    # values the float filter reads next.
+    vals = certify_mod._horner_samples(coeffs)
+    before = vals.copy()
+    assert certify_mod._screen_pick(vals) == _scalar_screen(coeffs)
+    assert np.array_equal(vals, before, equal_nan=True)
 
 
 def _fallback_random(seed):
@@ -646,19 +651,18 @@ def test_filtered_fallback_matches_exact_loop(case):
     cs = integer_coeffs(poly)
     signs = [sign_at(cs, F(k, den)) for k in range(1, den)]
     fcoeffs = [float(c) for c in poly.coeffs]
-    pick = certify_mod._screen_pick(fcoeffs)
+    vals = certify_mod._horner_samples(fcoeffs)
+    pick = certify_mod._screen_pick(vals)
     expected = ("inconclusive", None)
     for k in sorted(range(1, den), key=lambda k: k != pick):
         if signs[k - 1] < 0:
             expected = ("falsified", F(k, den) ** q)
             break
-    certified = certify_mod._certified_positive(fcoeffs)
+    certified = certify_mod._certified_positive(fcoeffs, vals)
     assert all(s > 0 for s, ok in zip(signs, certified) if ok)
     if case == "below-rounding":
-        vals = certify_mod._horner_samples(fcoeffs)
         assert signs[5024] < 0 < vals[5024] and expected[1] == F(5025, den)
     if case == "overflow":
-        vals = certify_mod._horner_samples(fcoeffs)
         assert expected[0] == "falsified"
         assert all(np.isinf(vals[k - 1]) for k in range(1, den) if signs[k - 1] < 0)
     cert = power_sum_nonneg(ps)
@@ -678,7 +682,7 @@ def test_fallback_beyond_float_range(monkeypatch):
     screened = []
     certified_positive = certify_mod._certified_positive
     monkeypatch.setattr(certify_mod, "_certified_positive",
-                        lambda cs: screened.append(cs) or certified_positive(cs))
+                        lambda cs, vals: screened.append(cs) or certified_positive(cs, vals))
     for seed in (0, 1):
         base = _fallback_random(seed)
         big = _times(base, F(2**2070))
@@ -698,7 +702,7 @@ def test_fallback_beyond_float_range(monkeypatch):
     poly, _, _ = reduce_power_sum(mixed)
     cs = integer_coeffs(poly)
     den = certify_mod.FALLBACK_SAMPLES + 1
-    ok = certified_positive(fcoeffs)
+    ok = certified_positive(fcoeffs, certify_mod._horner_samples(fcoeffs))
     assert any(ok)
     assert all(sign_at(cs, F(k, den)) > 0 for k in range(1, den) if ok[k - 1])
 
