@@ -18,7 +18,9 @@ command does not take, a --config key that is not one of its settings,
 dimension, --tol <= 0, --rel-width outside (0, 1), a dimension range
 outside 1..64 or below its claim's floor, a search --dim outside 1..64,
 a voltage that is NaN, negative or above the largest float (1.8e308),
-an --alpha or --beta of magnitude above it, a grid count, --profiles or
+an --alpha or --beta of magnitude above it, a search --lambda whose
+numerator and denominator have more than 600 digits together
+(MAX_VOLTAGE_DIGITS), a grid count, --profiles or
 search candidate count above 4096, a search grid flag missing for
 --family or given for the other family, a candidate outside its family
 (m > 0, m != 4/3; alpha, beta > 0), and a candidate whose checks pass
@@ -87,6 +89,13 @@ MAX_GRID = 4096
 # 4300 digits into text.  At 900 the longest is about 3900 digits at
 # --lambda 1.8e308; exact-search's candidates reach 99.
 MAX_CHECK_DEGREE = 900
+# Most decimal digits in a search --lambda's numerator and denominator
+# together.  The voltage's digits add to every exact value a check
+# writes, on top of the about 4 per unit of check degree, so this is what
+# MAX_CHECK_DEGREE leaves of the 4300, less 100 to spare: 600.  Every
+# float written to 17 significant digits fits (1.7976931348623157e308
+# has 309 + 1).
+MAX_VOLTAGE_DIGITS = 4300 - 4 * MAX_CHECK_DEGREE - 100
 
 CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
 # The grid flags (argparse dests) each search family reads.
@@ -464,6 +473,9 @@ def _search_inputs(args, cfg) -> dict:
     if args.lam is not None:
         lam = Fraction(args.lam)
         _check_voltages([lam])
+        if len(str(lam.numerator)) + len(str(lam.denominator)) > MAX_VOLTAGE_DIGITS:
+            raise ValueError(f"--lambda: its numerator and denominator exceed "
+                             f"{MAX_VOLTAGE_DIGITS} digits together")
         inputs["lambda"] = format_rational(lam)
     return inputs
 

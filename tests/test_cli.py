@@ -12,6 +12,7 @@ from mems4.cli import (
     COMMANDS,
     MAX_GRID,
     MAX_MESH,
+    MAX_VOLTAGE_DIGITS,
     build_parser,
     main,
     parse_fraction_grid,
@@ -107,6 +108,9 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         SEARCH_W3 + ["--lambda", "-1/2"],
         # Every artifact writes a float decimal of the voltage.
         SEARCH_W3 + ["--lambda", "1e400"],
+        # More voltage digits than MAX_VOLTAGE_DIGITS, by one and by 3401.
+        SEARCH_W3 + ["--lambda", "1/1" + "0" * (MAX_VOLTAGE_DIGITS - 1)],
+        SEARCH_W3[:-1] + ["11/2", "--lambda", "1/" + "9" * 4000],
         ["search-subsolution", "--dim", "65", "--family", "touchdown-m", "--m", "3"],
         ["search-subsolution", "--dim", str(10**80), "--family", "touchdown-m", "--m", "3"],
         ["branch", "--dim", "3", "--lambda", "5:1:3"],
@@ -163,7 +167,12 @@ def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("lam", [[], ["--lambda", repr(sys.float_info.max)]], ids=["H_N/2", "max"])
+@pytest.mark.parametrize(
+    "lam",
+    [[], ["--lambda", repr(sys.float_info.max)],
+     ["--lambda", "1/1" + "0" * (MAX_VOLTAGE_DIGITS - 2)]],
+    ids=["H_N/2", "max", "most-digits"],
+)
 @pytest.mark.parametrize(
     "family, admitted, rejected",
     [
@@ -176,8 +185,8 @@ def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
 )
 def test_check_degree_cap_edges(tmp_path, lam, family, admitted, rejected):
     # The largest admitted candidate completes, even at the largest
-    # voltage; the first one past MAX_CHECK_DEGREE exits 3 before any
-    # directory exists.
+    # voltage and at one of MAX_VOLTAGE_DIGITS digits; the first one past
+    # MAX_CHECK_DEGREE exits 3 before any directory exists.
     search = ["search-subsolution", "--dim", "17", "--family", *family]
     assert run_cli(*search, admitted, *lam, "--out", str(tmp_path / "ok")) in (0, 1, 2)
     find_one(tmp_path / "ok", "search.json")
