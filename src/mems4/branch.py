@@ -106,8 +106,11 @@ def analytic_pull_in_bounds(op: OperatorMatrix) -> tuple[Fraction, float, float]
     return lower, 4.0 * nu1 / 27.0, abs(nu1 - rayleigh) / rayleigh
 
 
-class _Workspace:
-    """Per-(grid, boundary) solver state shared across voltages."""
+class Workspace:
+    """Per-(grid, boundary) solver state shared across voltages.  Building
+    one checks the float engine's whole input, raising ValueError: an
+    admissible pair, an operator that assembles and factors on the grid,
+    and a boundary extension at least CEILING below the contact plane."""
 
     def __init__(self, bp: BoundaryPair, grid: RadialGrid):
         if not is_admissible(bp):
@@ -122,7 +125,7 @@ class _Workspace:
 
 
 def _solve_at(
-    ws: _Workspace,
+    ws: Workspace,
     lam: float,
     tol: float,
     v0: np.ndarray | None = None,
@@ -180,7 +183,7 @@ def _solve_at(
     return DivergenceReport(lam, "Newton did not converge", float(np.max(u)))
 
 
-def _make_point(ws: _Workspace, lam: float, v: np.ndarray, residual: float) -> BranchPoint:
+def _make_point(ws: Workspace, lam: float, v: np.ndarray, residual: float) -> BranchPoint:
     op = ws.op
     u = v + ws.phi
     one_minus = 1.0 - u
@@ -231,7 +234,7 @@ def continue_branch(
     lambdas = [float(x) for x in lambdas]
     check_increasing_grid(lambdas)
     run = BranchRun(points=[])
-    ws = _Workspace(bp, grid)
+    ws = Workspace(bp, grid)
     prev: list[tuple[float, np.ndarray]] = []
     for lam in lambdas:
         warm = None
@@ -260,7 +263,7 @@ def pull_in_voltage(
     tol: float = DEFAULT_TOL,
 ) -> PullInEstimate:
     """Bracket the pull-in voltage by bisection on solver convergence."""
-    ws = _Workspace(bp, grid)
+    ws = Workspace(bp, grid)
     homogeneous = bp.alpha == 0 and bp.beta == 0
     lower_exact, upper_nu, nu1_gap = analytic_pull_in_bounds(ws.op)
     notes: list[str] = []
@@ -353,7 +356,7 @@ def extremal_diagnostics(
         raise ValueError("need at least one branch point")
     grid = points[0].field.grid
     dim = grid.dim
-    ws = _Workspace(bp, grid)
+    ws = Workspace(bp, grid)
     phi, cells = ws.phi, ws.op.cells
 
     margins = []

@@ -15,15 +15,17 @@ Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
 or flagged, 3+ usage and I/O errors.  Usage errors include a flag the
 command does not take, a --config key that is not one of its settings,
 --mesh outside 16..16384, a --gamma too large for the mesh and
-dimension, --tol <= 0, --rel-width outside (0, 1), a dimension range
-outside 1..64 or below its claim's floor, a search --dim outside 1..64,
-a voltage that is NaN, negative or above the largest float (1.8e308),
-an --alpha or --beta of magnitude above it, a search --lambda whose
-numerator and denominator have more than 600 digits together
-(MAX_VOLTAGE_DIGITS), a grid count, --profiles or
-search candidate count above 4096, a search grid flag missing for
---family or given for the other family, a candidate outside its family
-(m > 0, m != 4/3; alpha, beta > 0), and a candidate whose checks pass
+dimension, an operator that is not numerically positive definite on its
+mesh, boundary data whose extension comes within 1e-6 of the contact
+plane (branch.CEILING), --tol <= 0, --rel-width outside (0, 1), a
+dimension range outside 1..64 or below its claim's floor, a search --dim
+outside 1..64, a voltage that is NaN, negative or above the largest
+float (1.8e308), an --alpha or --beta of magnitude above it, a search
+--lambda whose numerator and denominator have more than 600 digits
+together (MAX_VOLTAGE_DIGITS), a grid count, --profiles or search
+candidate count above 4096, a search grid flag missing for --family or
+given for the other family, a candidate outside its family (m > 0,
+m != 4/3; alpha, beta > 0), and a candidate whose checks pass
 MAX_CHECK_DEGREE.
 """
 
@@ -45,6 +47,7 @@ from mems4.certify import MAX_DIMENSION
 from mems4.branch import (
     minimal_solution,
     BranchPoint,
+    Workspace,
     check_increasing_grid,
     continue_branch,
     pull_in_voltage,
@@ -57,7 +60,7 @@ from mems4.closed_forms import (
     quadratic_lower_bound,
     rational_to_decimal,
 )
-from mems4.radial_operator import OperatorMatrix, RadialField, RadialGrid, build_grid
+from mems4.radial_operator import RadialField, RadialGrid, build_grid
 from mems4.store import (
     default_out_root,
     rational_json,
@@ -251,12 +254,10 @@ _DIM = _arg("--dim", type=int, required=True)
 
 
 def _solver_dim(args, cfg) -> int:
-    """--dim, once the operator on its mesh assembles and factors:
-    OperatorMatrix rejects a grading too strong or a mesh too fine for
-    the dimension."""
-    if args.dim < 1:
-        raise ValueError("--dim must be positive")
-    OperatorMatrix(_grid(cfg, args.dim)).factor()
+    """--dim, once the solver workspace of the run builds: branch.Workspace
+    rejects a dimension below 1, a grading too strong or a mesh too fine
+    for the dimension, and boundary data that grazes the contact plane."""
+    Workspace(_boundary(cfg), _grid(cfg, args.dim))
     return args.dim
 
 

@@ -10,15 +10,16 @@ the eigenvalue problems inherit clean linear algebra.
 
 Only this module knows how A is stored; callers reach A through its
 solves, its eigenvalues and ``OperatorMatrix.residual`` (the Newton
-residual and its componentwise backward error).  A is factored once by
-banded Cholesky; every back-solve (the clamped solve and the nu1 inverse
-iteration) calls LAPACK pbtrs on that cached factor directly, after
-checking that the right-hand side is finite.
+residual and its componentwise backward error).  Building an
+``OperatorMatrix`` assembles A and factors it by banded Cholesky, so an
+operator that exists is positive definite on its mesh; every back-solve
+(the clamped solve and the nu1 inverse iteration) calls LAPACK pbtrs on
+that factor directly, after checking that the right-hand side is finite.
 
 The banded LAPACK routines come from ``_linalg``, which imports them on
-the first factorisation, shifted solve or eigenvalue.  Importing this
-module therefore loads numpy only, and the exact-engine commands, which
-never factor an operator, start without the linear-algebra library.
+the first operator built.  Importing this module therefore loads numpy
+only, and the exact-engine commands, which never build an operator,
+start without the linear-algebra library.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ NU1_MAX_ITER = 200
 
 @cache
 def _linalg():
-    """The banded LAPACK module, imported on its first use: the import is
-    most of a command's start-up time, and the exact engine never needs
-    it.  Its LinAlgError is numpy.linalg.LinAlgError."""
+    """The banded LAPACK module, imported when the first OperatorMatrix is
+    built: the import is most of a command's start-up time, and the exact
+    engine never needs it.  Its LinAlgError is numpy.linalg.LinAlgError."""
     import scipy.linalg as linalg
 
     return linalg
@@ -101,11 +102,13 @@ class OperatorMatrix:
     Weighted form: A = S W^-1 S + kappa e_n e_n^T with S the (symmetric)
     conservative Laplacian matrix and W the diagonal of cell volumes; the
     action of the bilaplacian is B = W^-1 A.  A is pentadiagonal,
-    symmetric, positive definite.
+    symmetric, positive definite; ``chol`` is its banded Cholesky factor
+    (upper storage), computed here once.
 
     Raises ValueError when the grading is too strong for the mesh and
-    dimension: a cell volume near the origin underflows to zero, or a
-    band entry overflows.
+    dimension (a cell volume near the origin underflows to zero, or a
+    band entry overflows), and when A is not numerically positive
+    definite on this mesh.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -144,7 +147,13 @@ class OperatorMatrix:
         if not np.all(np.isfinite(self._banded)):
             raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
                              f"{self.dim}: a band entry is not finite")
-        self._chol = self._pbtrs = None
+        linalg = _linalg()
+        try:
+            self.chol = linalg.cholesky_banded(self._banded, lower=False)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"mesh {n} with gamma {grid.gamma:g} in dimension {self.dim}: "
+                             f"the operator is not numerically positive definite ({exc})") from exc
+        self._pbtrs = linalg.lapack.dpbtrs
 
     def _assemble_banded(self) -> np.ndarray:
         n = self.grid.n
@@ -181,31 +190,14 @@ class OperatorMatrix:
         (bv, bs) at r = 1; (0, 0) is the clamped operator action."""
         return self.laplacian(self.laplacian(v, bv), self.boundary_laplacian(v, bv, bs))
 
-    def factor(self) -> np.ndarray:
-        """Banded Cholesky factor of A, computed once, with the pbtrs
-        routine the back-solves apply it by.  Raises ValueError when A is
-        not numerically positive definite on this mesh."""
-        if self._chol is None:
-            linalg = _linalg()
-            try:
-                self._chol = linalg.cholesky_banded(self._banded, lower=False)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    f"mesh {self.grid.n} with gamma {self.grid.gamma:g} in dimension "
-                    f"{self.dim}: the operator is not numerically positive definite ({exc})"
-                ) from exc
-            self._pbtrs = linalg.lapack.dpbtrs
-        return self._chol
-
     def _back_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs from the cached factor, overwriting rhs (callers pass a
+        """A^-1 rhs from the Cholesky factor, overwriting rhs (callers pass a
         fresh temporary).  pbtrs propagates NaN silently, so a non-finite
         right-hand side is refused here; the factor of the finite A is
         finite and needs no check."""
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side contains non-finite entries")
-        chol = self.factor()
-        x, info = self._pbtrs(chol, rhs, lower=0, overwrite_b=1)
+        x, info = self._pbtrs(self.chol, rhs, lower=0, overwrite_b=1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
         return x
@@ -248,7 +240,7 @@ class OperatorMatrix:
     def nu1(self) -> tuple[float, RadialField]:
         """Smallest eigenvalue of the clamped bilaplacian in the weighted
         inner product, with its (one-signed) eigenfunction.  The function
-        comes from inverse iteration on the cached Cholesky factor of A,
+        comes from inverse iteration on the Cholesky factor of A,
         started from the constant: O(n) per step."""
         value = self._lowest_eigenvalue(None)
         phi = self._w_normalized(np.ones(self.grid.n))

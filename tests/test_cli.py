@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mems4.cli import (
@@ -156,6 +157,11 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         # Admissible, with alpha inside the float range.
         ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16",
          "--alpha=-1.7e308", "--beta=-3e308"],
+        # Admissible (alpha - beta/2 < 1), but the boundary extension comes
+        # within CEILING of the contact plane on the mesh.
+        ["pullin", "--dim", "3", "--mesh", "16", "--alpha=0.9999995"],
+        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16", "--alpha=0.9999995"],
+        ["branch", "--dim", "3", "--lambda", "1:2:2", "--mesh", "16", "--alpha=0.9999995"],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
@@ -220,6 +226,25 @@ def test_mesh_too_fine_for_dimension_fails_fast(tmp_path, capsys):
     assert run_cli("pullin", "--dim", "1", "--mesh", str(MAX_MESH), "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
     assert "not numerically positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    reason=(
+        "pull_in_voltage's upward search multiplies hi by 1.3 with no "
+        "ceiling; with beta = 0 the pull-in voltage grows like (1 - alpha)^3, "
+        "so at alpha = -1e103 it leaves the floats, the back-solve overflows "
+        "and the run exits 3 after config.json is written"
+    ),
+    raises=AssertionError,
+    strict=True,
+)
+def test_huge_boundary_value_leaves_no_bare_run_directory(tmp_path):
+    with np.errstate(over="ignore"):
+        run_cli("pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e103",
+                "--out", str(tmp_path))
+    bare = [run for run in tmp_path.iterdir()
+            if [p.name for p in run.iterdir()] == ["config.json"]]
+    assert not bare
 
 
 def exit_code(*argv) -> int:

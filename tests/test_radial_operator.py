@@ -280,6 +280,14 @@ def test_nu1_memory_stays_linear():
     assert peak < 8 * 2**20
 
 
+def test_operator_not_positive_definite_fails_when_built():
+    # At n = 16384 the dim 1 matrix loses positive definiteness in
+    # rounding; the banded Cholesky runs in the constructor, so no
+    # operator exists to fail later.
+    with pytest.raises(ValueError, match="not numerically positive definite"):
+        OperatorMatrix(build_grid(16384, 1.5, 1))
+
+
 def test_weighted_eigenvalue_validation():
     grid = build_grid(128, 1.5, 9)
     op = OperatorMatrix(grid)
@@ -382,7 +390,7 @@ def test_solve_matches_cho_solve_banded_bitwise(dim, n):
     # The direct pbtrs back-solve does the same arithmetic as scipy's
     # wrapper, for one load and for the identity the Green tests pass.
     op = OperatorMatrix(build_grid(n, 1.5, dim))
-    factor = (op.factor(), False)
+    factor = (op.chol, False)
     f = 2.0 + np.random.default_rng(dim).standard_normal(n)
     assert np.array_equal(op.solve(f), cho_solve_banded(factor, op.cells * f))
     eye = np.eye(n)
@@ -401,7 +409,7 @@ def test_solve_2d_load_matches_column_solves_bitwise(dim):
         assert np.array_equal(op.solve(f), columns)
     # Diagonal loads scale the same either way: the identity is unchanged.
     eye = np.eye(n)
-    assert np.array_equal(op.solve(eye), cho_solve_banded((op.factor(), False), op.cells * eye))
+    assert np.array_equal(op.solve(eye), cho_solve_banded((op.chol, False), op.cells * eye))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -419,7 +427,7 @@ def test_solve_rejects_non_finite_load(bad):
 def test_nu1_eigenfunction_matches_cho_solve_banded_iteration(dim):
     # The same inverse iteration as nu1, written with scipy's wrapper.
     op = OperatorMatrix(build_grid(256, 1.5, dim))
-    factor = (op.factor(), False)
+    factor = (op.chol, False)
 
     def normalized(v):
         return v / np.sqrt(np.sum(op.cells * v * v))
