@@ -259,19 +259,23 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     trail = [reduction_step] + inner.trail
     witness = None
     if inner.status == FALSIFIED:
-        t0 = inner.witness
-        witness = t0**q
-        check = ps.evaluate_exact(witness)
-        trail.append(
-            {
-                "step": "witness-confirmation",
-                "radius": format_rational(witness),
-                "value": format_rational(check),
-            }
-        )
-        if not check < 0:
-            raise ArithmeticError("witness does not confirm the violation")
+        witness, step = _witness_confirmation(ps, inner.witness, q)
+        trail.append(step)
     return Certificate(claim, inner.status, witness, trail)
+
+
+def _witness_confirmation(ps: PowerSum, t0: Fraction, q: int) -> tuple[Fraction, dict]:
+    """The radius r = t0^q of a witness t0 of the cleared polynomial, and
+    the trail step that confirms the violation by the power sum's exact
+    value there.  Raises ArithmeticError when that value is not negative
+    (the engine contradicts itself; an assert would vanish under -O)."""
+    radius = t0**q
+    value = ps.evaluate_exact(radius)
+    if not value < 0:
+        raise ArithmeticError("witness does not confirm the violation")
+    step = {"step": "witness-confirmation", "radius": format_rational(radius),
+            "value": format_rational(value)}
+    return radius, step
 
 
 def _horner_samples(coeffs: Sequence[float]) -> np.ndarray:
@@ -356,15 +360,8 @@ def _sampling_fallback(
     cs = integer_coeffs(poly)
     for k in sorted(range(1, den), key=lambda k: k != best_t):
         if not positive[k - 1] and sign_at(cs, Fraction(k, den)) < 0:
-            witness = Fraction(k, den) ** q
-            trail.append(
-                {
-                    "step": "witness-confirmation",
-                    "radius": format_rational(witness),
-                    "value": format_rational(ps.evaluate_exact(witness)),
-                }
-            )
-            trail.append({"step": "conclusion", "status": FALSIFIED})
+            witness, step = _witness_confirmation(ps, Fraction(k, den), q)
+            trail += [step, {"step": "conclusion", "status": FALSIFIED}]
             return Certificate(claim, FALSIFIED, witness, trail)
     trail.append(
         {

@@ -717,6 +717,18 @@ def test_witness_that_does_not_confirm_raises(monkeypatch):
         power_sum_nonneg(PowerSum.of((1, 0), (1, 1)))
 
 
+def test_fallback_witness_that_does_not_confirm_raises(monkeypatch):
+    # The degree-cap fallback confirms its witness as the Sturm path does:
+    # the subsolution check of touchdown-m at m = 11/2 (N = 17, degree 75)
+    # is falsified by sampling, and a power sum that is not negative
+    # there must stop the engine.
+    ps = _fallback_m_eleven_halves("subsolution")
+    assert reduce_power_sum(ps)[0].degree == 75
+    monkeypatch.setattr(PowerSum, "evaluate_exact", lambda self, r: F(0))
+    with pytest.raises(ArithmeticError, match="witness does not confirm"):
+        power_sum_nonneg(ps)
+
+
 def test_m2_bilaplacian_identity_failure_raises(monkeypatch):
     monkeypatch.setattr(certify_mod, "apply_bilaplacian", lambda w, n: PowerSum.of((1, 0)))
     with pytest.raises(ArithmeticError, match="bilaplacian of the m = 2 profile"):
