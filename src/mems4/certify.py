@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from mems4.closed_forms import (
     PowerSum,
@@ -30,6 +28,9 @@ from mems4.closed_forms import (
     touchdown_shape,
 )
 from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs, sign_at
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -281,7 +282,12 @@ def _witness_confirmation(ps: PowerSum, t0: Fraction, q: int) -> tuple[Fraction,
 def _horner_samples(coeffs: Sequence[float]) -> np.ndarray:
     """Float Horner values of the ascending coefficients at the samples
     k/(FALLBACK_SAMPLES + 1), k = 1..FALLBACK_SAMPLES.  numpy takes the
-    IEEE steps of a scalar Horner loop: y * x rounded, then y * x + c."""
+    IEEE steps of a scalar Horner loop: y * x rounded, then y * x + c.
+    numpy is imported here, in the degree-cap fallback, the only place
+    the exact engine uses it, so the exact-engine commands start without
+    it."""
+    import numpy as np
+
     den = FALLBACK_SAMPLES + 1
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         return np.polyval(np.asarray(coeffs, dtype=float)[::-1], np.arange(1, den) / den)
@@ -293,6 +299,8 @@ def _screen_pick(vals: np.ndarray) -> int | None:
     value is least, if it is negative, else None.  A NaN sample never
     compares below the running minimum, so it is never picked: it reads
     as 0 in a copy, and ``vals`` reaches the float filter unchanged."""
+    import numpy as np
+
     vals = np.where(np.isnan(vals), 0.0, vals)
     return int(vals.argmin()) + 1 if vals.min() < 0 else None
 
@@ -325,6 +333,8 @@ def _certified_positive(coeffs: Sequence[float], vals: np.ndarray) -> list[bool]
       d < 2^40.  So P > T gives p(x) > (4.9d + 14) u Q - (2d + 4) eta,
       which is positive because u Q >= eta when Q >= 2^-1022.
     """
+    import numpy as np
+
     d = len(coeffs) - 1
     mags = _horner_samples(np.abs(coeffs))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):

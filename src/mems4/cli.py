@@ -19,7 +19,8 @@ dimension, an operator that is not numerically positive definite on its
 mesh, boundary data whose extension comes within 1e-6 of the contact
 plane (branch.CEILING), --tol <= 0, --rel-width outside (0, 1), a
 dimension range outside 1..64 or below its claim's floor, a search --dim
-outside 1..64, a voltage that is NaN, negative or above the largest
+outside 1..64, a float command's --dim below 1 or above the largest
+float (1.8e308), a voltage that is NaN, negative or above the largest
 float (1.8e308), an --alpha or --beta of magnitude above it, a search
 --lambda whose numerator and denominator have more than 600 digits
 together (MAX_VOLTAGE_DIGITS), a grid count, --profiles or search
@@ -27,6 +28,13 @@ candidate count above 4096, a search grid flag missing for --family or
 given for the other family, a candidate outside its family (m > 0,
 m != 4/3; alpha, beta > 0), and a candidate whose checks pass
 MAX_CHECK_DEGREE.
+
+Importing this module loads neither numpy nor the float engine
+(mems4.branch, mems4.radial_operator).  ``bounds``, ``certify`` and
+``search-subsolution`` run on the exact engine, which imports numpy only
+in its degree-cap sampling fallback; ``branch``, ``pullin`` and
+``profile`` import numpy and the float engine through ``_float_engine``
+when they first check their inputs.
 """
 
 from __future__ import annotations
@@ -37,22 +45,13 @@ import re
 import sys
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
-from typing import Callable
-
-import numpy as np
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 from mems4 import certify
 from mems4.certify import MAX_DIMENSION
-from mems4.branch import (
-    minimal_solution,
-    BranchPoint,
-    Workspace,
-    check_increasing_grid,
-    continue_branch,
-    pull_in_voltage,
-    regularity_verdict,
-)
 from mems4.closed_forms import (
     BoundaryPair,
     format_rational,
@@ -60,7 +59,6 @@ from mems4.closed_forms import (
     quadratic_lower_bound,
     rational_to_decimal,
 )
-from mems4.radial_operator import RadialField, RadialGrid, build_grid
 from mems4.store import (
     default_out_root,
     rational_json,
@@ -69,6 +67,10 @@ from mems4.store import (
     write_json,
     write_jsonl,
 )
+
+if TYPE_CHECKING:
+    from mems4.branch import BranchPoint
+    from mems4.radial_operator import RadialField, RadialGrid
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -103,6 +105,31 @@ MAX_VOLTAGE_DIGITS = 4300 - 4 * MAX_CHECK_DEGREE - 100
 CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
 # The grid flags (argparse dests) each search family reads.
 FAMILY_GRIDS = {"perturbed-touchdown": ("alpha_grid", "beta_grid"), "touchdown-m": ("m",)}
+
+
+@cache
+def _float_engine() -> SimpleNamespace:
+    """numpy and the float engine, imported when a float command (branch,
+    pullin, profile) first checks its inputs: numpy is most of an
+    exact-engine command's start-up, and those commands never use it.
+    Commands call ``branch``'s functions through the module at call time,
+    so whatever mems4.branch holds then is what runs."""
+    import numpy
+
+    from mems4 import branch, radial_operator
+
+    return SimpleNamespace(np=numpy, branch=branch, build_grid=radial_operator.build_grid)
+
+
+def __getattr__(name: str):
+    """mems4.branch's ``pull_in_voltage`` and ``continue_branch`` as
+    attributes of this module, bound in its namespace on first access:
+    perfbench's tracer wraps them here and restores them from that
+    namespace.  The commands call mems4.branch's own, never these."""
+    if name in ("pull_in_voltage", "continue_branch"):
+        value = globals()[name] = getattr(_float_engine().branch, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,7 +222,7 @@ def _boundary(cfg: dict) -> BoundaryPair:
 
 
 def _grid(cfg: dict, dim: int) -> RadialGrid:
-    return build_grid(cfg["mesh"], cfg["gamma"], dim)
+    return _float_engine().build_grid(cfg["mesh"], cfg["gamma"], dim)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -219,7 +246,7 @@ def parse_lambda_spec(text: str) -> list[float] | None:
         raise ValueError(f"count must be in 1..{MAX_GRID}")
     if count == 1:
         return [start]
-    return list(np.linspace(start, stop, count))
+    return list(_float_engine().np.linspace(start, stop, count))
 
 
 def parse_fraction_grid(text: str) -> list[Fraction]:
@@ -257,7 +284,7 @@ def _solver_dim(args, cfg) -> int:
     """--dim, once the solver workspace of the run builds: branch.Workspace
     rejects a dimension below 1, a grading too strong or a mesh too fine
     for the dimension, and boundary data that grazes the contact plane."""
-    Workspace(_boundary(cfg), _grid(cfg, args.dim))
+    _float_engine().branch.Workspace(_boundary(cfg), _grid(cfg, args.dim))
     return args.dim
 
 
@@ -364,8 +391,10 @@ def _profile_path(run: Path, lam: float) -> Path:
 
 
 def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
-    est = pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=1e-3, tol=cfg["tol"])
-    return list(np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
+    engine = _float_engine()
+    est = engine.branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
+                                        rel_width=1e-3, tol=cfg["tol"])
+    return list(engine.np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
 
 
 def _branch_inputs(args, cfg) -> dict:
@@ -376,7 +405,7 @@ def _branch_inputs(args, cfg) -> dict:
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
     _check_voltages(lambdas)
-    check_increasing_grid(lambdas)
+    _float_engine().branch.check_increasing_grid(lambdas)
     inputs = {"dim": dim, "lambdas": lambdas}
     # Keyed only when asked for, so runs without profiles keep their names.
     if args.profiles:
@@ -385,24 +414,25 @@ def _branch_inputs(args, cfg) -> dict:
 
 
 def _run_branch(cfg, inputs, run) -> list[str]:
-    grid = _grid(cfg, inputs["dim"])
-    result = continue_branch(_boundary(cfg), grid, inputs["lambdas"], tol=cfg["tol"])
+    engine, grid = _float_engine(), _grid(cfg, inputs["dim"])
+    result = engine.branch.continue_branch(_boundary(cfg), grid, inputs["lambdas"], tol=cfg["tol"])
     records = [_branch_record(pt) for pt in result.points]
     if result.divergence is not None:
         records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
                         "reason": result.divergence.reason})
     write_jsonl(run / "branch.jsonl", records)
     if inputs.get("profiles") and result.points:
-        for i in np.unique(np.linspace(0, len(result.points) - 1, inputs["profiles"]).astype(int)):
+        picks = engine.np.linspace(0, len(result.points) - 1, inputs["profiles"]).astype(int)
+        for i in engine.np.unique(picks):
             pt = result.points[i]
             _write_profile(_profile_path(run, pt.lam), pt.field)
     return [] if result.points else ["diverged"]
 
 
 def _run_pullin(cfg, inputs, run) -> list[str]:
-    dim = inputs["dim"]
-    est = pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
-                          rel_width=cfg["rel_width"], tol=cfg["tol"])
+    dim, branch = inputs["dim"], _float_engine().branch
+    est = branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
+                                 rel_width=cfg["rel_width"], tol=cfg["tol"])
     payload = {
         "dim": dim,
         "lambda_lo": est.lambda_lo,
@@ -413,7 +443,7 @@ def _run_pullin(cfg, inputs, run) -> list[str]:
         "consistent": est.consistent,
         "near_fold_max": est.near_fold.max_value,
         "near_fold_mu1": est.near_fold.mu1,
-        "regularity_verdict": regularity_verdict(est),
+        "regularity_verdict": branch.regularity_verdict(est),
         "notes": est.notes,
     }
     write_json(run / "pullin.json", payload)
@@ -429,9 +459,9 @@ def _profile_inputs(args, cfg) -> dict:
 
 
 def _run_profile(cfg, inputs, run) -> list[str]:
-    grid = _grid(cfg, inputs["dim"])
-    pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
-    if isinstance(pt, BranchPoint):
+    branch, grid = _float_engine().branch, _grid(cfg, inputs["dim"])
+    pt = branch.minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
+    if isinstance(pt, branch.BranchPoint):
         _write_profile(_profile_path(run, pt.lam), pt.field)
         write_json(run / "point.json", _branch_record(pt))
         return []

@@ -17,13 +17,13 @@ operator that exists is positive definite on its mesh; every back-solve
 that factor directly, after checking that the right-hand side is finite.
 
 The banded LAPACK routines come from ``_linalg``, which imports them on
-the first operator built.  Importing this module therefore loads numpy
-only, and the exact-engine commands, which never build an operator,
-start without the linear-algebra library.
+the first operator built, so importing this module loads numpy only.
+The exact-engine commands import neither.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -69,6 +69,8 @@ def build_grid(n_nodes: int, gamma: float, dim: int) -> RadialGrid:
         raise ValueError("grading exponent must be >= 1")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if dim > sys.float_info.max:  # the operator computes in float(dim)
+        raise ValueError("dimension must be at most the largest float (1.8e308)")
     i = np.arange(1, n_nodes + 1, dtype=float)
     nodes = (i / (n_nodes + 1)) ** float(gamma)
     return RadialGrid(nodes, float(gamma), dim)

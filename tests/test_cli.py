@@ -162,6 +162,8 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=0.9999995"],
         ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16", "--alpha=0.9999995"],
         ["branch", "--dim", "3", "--lambda", "1:2:2", "--mesh", "16", "--alpha=0.9999995"],
+        # A dimension past the largest float.
+        ["pullin", "--dim", "1" + "0" * 400],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):

@@ -1,7 +1,8 @@
-"""Start-up cost: the exact-engine commands run without scipy.linalg.
+"""Start-up cost: the exact-engine commands run without numpy and
+scipy.linalg, which load with the first float command.
 
 Each check runs the commands in a fresh interpreter, since this test
-process has long since imported SciPy for the float-engine tests.
+process has long since imported both for the float-engine tests.
 """
 
 import json
@@ -19,20 +20,26 @@ _CHILD = """
 import json, sys
 from mems4.cli import main
 codes = [main(argv + ["--out", sys.argv[1]]) for argv in json.loads(sys.argv[2])]
-print(json.dumps({"codes": codes, "linalg": "scipy.linalg" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "linalg": "scipy.linalg" in sys.modules}))
 """
+
+
+def _fresh(code: str, *args: str) -> dict:
+    """The JSON object that ``code`` prints last, run in a new interpreter."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _run_fresh(tmp_path, *commands) -> dict:
     """Exit codes of the commands, run one after another in a new
-    interpreter, and whether scipy.linalg was loaded at the end."""
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(tmp_path), json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+    interpreter, and whether numpy and scipy.linalg were loaded at the end."""
+    return _fresh(_CHILD, str(tmp_path), json.dumps(commands))
 
 
 def test_exact_engine_commands_do_not_load_scipy_linalg(tmp_path):
@@ -42,12 +49,39 @@ def test_exact_engine_commands_do_not_load_scipy_linalg(tmp_path):
         ["certify", "m3-gap", "--n", "16..18"],
         ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "3"],
     )
-    assert out == {"codes": [0, 1, 0], "linalg": False}  # m3-gap fails at N = 16
+    # m3-gap fails at N = 16; m = 3's checks stay below the degree cap.
+    assert out == {"codes": [0, 1, 0], "numpy": False, "linalg": False}
+
+
+def test_degree_cap_fallback_loads_numpy_only(tmp_path):
+    # m = 11/2's checks pass the degree cap: the sampling fallback runs,
+    # and one check stays inconclusive.
+    out = _run_fresh(
+        tmp_path, ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "11/2"],
+    )
+    assert out == {"codes": [2], "numpy": True, "linalg": False}
 
 
 def test_float_command_loads_scipy_linalg(tmp_path):
     out = _run_fresh(tmp_path, ["pullin", "--dim", "2", "--mesh", "64", "--rel-width", "1e-3"])
-    assert out == {"codes": [0], "linalg": True}
+    assert out == {"codes": [0], "numpy": True, "linalg": True}
+
+
+def test_cli_resolves_branch_entry_points():
+    # perfbench's tracer wraps these names on mems4.cli and restores them
+    # from the module's namespace.
+    out = _fresh("""
+import json
+import mems4.cli
+names = ("pull_in_voltage", "continue_branch")
+found = [getattr(mems4.cli, n) for n in names]  # loads the float engine
+import mems4.branch
+print(json.dumps({
+    "same": [f is getattr(mems4.branch, n) for f, n in zip(found, names)],
+    "bound": [n in vars(mems4.cli) for n in names],
+}))
+""")
+    assert out == {"same": [True, True], "bound": [True, True]}
 
 
 def test_numpy_and_scipy_share_linalg_error():
