@@ -143,23 +143,17 @@ def _solve_at(
     def forcing(u):
         return lam / (1.0 - u) ** 2
 
-    # Monotone phase (increasing from below when started at v = 0).  The
-    # forcing, the next iterate and the increment go into buffers made
-    # once; u and u_new swap.  Same operations as forcing(u), so the same
-    # bits.
-    load, u_new, diff = np.empty(n), np.empty(n), np.empty(n)
+    # Monotone phase (increasing from below when started at v = 0).
     for _ in range(MAX_MONOTONE):
-        np.divide(lam, np.square(np.subtract(1.0, u, out=load), out=load), out=load)
-        v_new = op.solve(load)
-        np.add(v_new, phi, out=u_new)
+        v_new = op.solve(forcing(u))
+        u_new = v_new + phi
         top = u_new.max()
-        if not top < 1 - CEILING:
-            if not np.isfinite(top):  # the back-solve overflowed (max propagates NaN)
-                return DivergenceReport(lam, "iterates overflowed", float(u.max()))
+        if not np.isfinite(top):  # the back-solve overflowed (max propagates NaN)
+            return DivergenceReport(lam, "iterates overflowed", float(u.max()))
+        if top >= 1 - CEILING:
             return DivergenceReport(lam, "iterates reached the contact ceiling", float(top))
-        inc = float(np.abs(np.subtract(u_new, u, out=diff), out=diff).max())
-        v = v_new
-        u, u_new = u_new, u
+        inc = float(np.abs(u_new - u).max())
+        v, u = v_new, u_new
         if inc < STALL_INCREMENT:
             break
 

@@ -33,8 +33,9 @@ Importing this module loads neither numpy nor the float engine
 (mems4.branch, mems4.radial_operator).  ``bounds``, ``certify`` and
 ``search-subsolution`` run on the exact engine, which imports numpy only
 in its degree-cap sampling fallback; ``branch``, ``pullin`` and
-``profile`` import numpy and the float engine through ``_float_engine``
-when they first check their inputs.
+``profile`` import numpy and the float engine inside the functions that
+check their inputs and run them, and call mems4.branch's functions
+through the module.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ import re
 import sys
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 from mems4 import certify
@@ -107,27 +106,15 @@ CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
 FAMILY_GRIDS = {"perturbed-touchdown": ("alpha_grid", "beta_grid"), "touchdown-m": ("m",)}
 
 
-@cache
-def _float_engine() -> SimpleNamespace:
-    """numpy and the float engine, imported when a float command (branch,
-    pullin, profile) first checks its inputs: numpy is most of an
-    exact-engine command's start-up, and those commands never use it.
-    Commands call ``branch``'s functions through the module at call time,
-    so whatever mems4.branch holds then is what runs."""
-    import numpy
-
-    from mems4 import branch, radial_operator
-
-    return SimpleNamespace(np=numpy, branch=branch, build_grid=radial_operator.build_grid)
-
-
 def __getattr__(name: str):
     """mems4.branch's ``pull_in_voltage`` and ``continue_branch`` as
     attributes of this module, bound in its namespace on first access:
     perfbench's tracer wraps them here and restores them from that
     namespace.  The commands call mems4.branch's own, never these."""
     if name in ("pull_in_voltage", "continue_branch"):
-        value = globals()[name] = getattr(_float_engine().branch, name)
+        from mems4 import branch
+
+        value = globals()[name] = getattr(branch, name)
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -222,7 +209,9 @@ def _boundary(cfg: dict) -> BoundaryPair:
 
 
 def _grid(cfg: dict, dim: int) -> RadialGrid:
-    return _float_engine().build_grid(cfg["mesh"], cfg["gamma"], dim)
+    from mems4.radial_operator import build_grid
+
+    return build_grid(cfg["mesh"], cfg["gamma"], dim)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -246,7 +235,9 @@ def parse_lambda_spec(text: str) -> list[float] | None:
         raise ValueError(f"count must be in 1..{MAX_GRID}")
     if count == 1:
         return [start]
-    return list(_float_engine().np.linspace(start, stop, count))
+    import numpy as np
+
+    return list(np.linspace(start, stop, count))
 
 
 def parse_fraction_grid(text: str) -> list[Fraction]:
@@ -284,7 +275,9 @@ def _solver_dim(args, cfg) -> int:
     """--dim, once the solver workspace of the run builds: branch.Workspace
     rejects a dimension below 1, a grading too strong or a mesh too fine
     for the dimension, and boundary data that grazes the contact plane."""
-    _float_engine().branch.Workspace(_boundary(cfg), _grid(cfg, args.dim))
+    from mems4.branch import Workspace
+
+    Workspace(_boundary(cfg), _grid(cfg, args.dim))
     return args.dim
 
 
@@ -391,10 +384,12 @@ def _profile_path(run: Path, lam: float) -> Path:
 
 
 def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
-    engine = _float_engine()
-    est = engine.branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
-                                        rel_width=1e-3, tol=cfg["tol"])
-    return list(engine.np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
+    import numpy as np
+
+    from mems4 import branch
+
+    est = branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=1e-3, tol=cfg["tol"])
+    return list(np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
 
 
 def _branch_inputs(args, cfg) -> dict:
@@ -405,7 +400,9 @@ def _branch_inputs(args, cfg) -> dict:
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
     _check_voltages(lambdas)
-    _float_engine().branch.check_increasing_grid(lambdas)
+    from mems4.branch import check_increasing_grid
+
+    check_increasing_grid(lambdas)
     inputs = {"dim": dim, "lambdas": lambdas}
     # Keyed only when asked for, so runs without profiles keep their names.
     if args.profiles:
@@ -414,23 +411,28 @@ def _branch_inputs(args, cfg) -> dict:
 
 
 def _run_branch(cfg, inputs, run) -> list[str]:
-    engine, grid = _float_engine(), _grid(cfg, inputs["dim"])
-    result = engine.branch.continue_branch(_boundary(cfg), grid, inputs["lambdas"], tol=cfg["tol"])
+    import numpy as np
+
+    from mems4 import branch
+
+    grid = _grid(cfg, inputs["dim"])
+    result = branch.continue_branch(_boundary(cfg), grid, inputs["lambdas"], tol=cfg["tol"])
     records = [_branch_record(pt) for pt in result.points]
     if result.divergence is not None:
         records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
                         "reason": result.divergence.reason})
     write_jsonl(run / "branch.jsonl", records)
     if inputs.get("profiles") and result.points:
-        picks = engine.np.linspace(0, len(result.points) - 1, inputs["profiles"]).astype(int)
-        for i in engine.np.unique(picks):
+        for i in np.unique(np.linspace(0, len(result.points) - 1, inputs["profiles"]).astype(int)):
             pt = result.points[i]
             _write_profile(_profile_path(run, pt.lam), pt.field)
     return [] if result.points else ["diverged"]
 
 
 def _run_pullin(cfg, inputs, run) -> list[str]:
-    dim, branch = inputs["dim"], _float_engine().branch
+    from mems4 import branch
+
+    dim = inputs["dim"]
     est = branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
                                  rel_width=cfg["rel_width"], tol=cfg["tol"])
     payload = {
@@ -459,9 +461,11 @@ def _profile_inputs(args, cfg) -> dict:
 
 
 def _run_profile(cfg, inputs, run) -> list[str]:
-    branch, grid = _float_engine().branch, _grid(cfg, inputs["dim"])
-    pt = branch.minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
-    if isinstance(pt, branch.BranchPoint):
+    from mems4.branch import BranchPoint, minimal_solution
+
+    grid = _grid(cfg, inputs["dim"])
+    pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
+    if isinstance(pt, BranchPoint):
         _write_profile(_profile_path(run, pt.lam), pt.field)
         write_json(run / "point.json", _branch_record(pt))
         return []
