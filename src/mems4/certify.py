@@ -2,8 +2,10 @@
 
 Every claim is reduced to sign questions about polynomials with rational
 coefficients on (0, 1) (substituting t = r^(1/q) to clear fractional
-exponents), then settled by Sturm-sequence root isolation and exact sign
-evaluation.  A Certificate carries its claim and the full evaluation
+exponents), then settled by exact sign evaluation: a negative value at
+one of a few fixed probe points falsifies at once, and otherwise
+Sturm-sequence root isolation finds every sign change, so it is what
+verifies.  A Certificate carries its claim and the full evaluation
 trail; "falsified" always comes with an exact rational witness.  Replay
 rebuilds the certificate from its claim with this same engine and
 accepts it only if the whole certificate comes out identical, so it
@@ -37,6 +39,9 @@ FALSIFIED = "falsified"
 INCONCLUSIVE = "inconclusive"
 
 DEGREE_CAP = 64
+# Points of (0, 1) where certify_nonneg tests the sign of p, in this
+# order, before it isolates any root.
+PROBES = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
 FALLBACK_SAMPLES = 10**4
 # Largest dimension of a claim or a threshold range: a range is certified
 # one dimension at a time, so the cap bounds the work a claim can ask for.
@@ -107,12 +112,16 @@ def check_dimensions(name: str, n_min: int, n_max: int) -> None:
 def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certificate:
     """Certify p >= 0 on the open interval (0, 1).
 
-    Exact procedure: isolate every distinct interior root by Sturm
-    bisection, then determine the sign of p at each isolating-interval
-    edge and each gap midpoint by exact evaluation; this covers the whole
-    open interval.  Polynomials beyond degree 64 are rejected
-    (DegreeCapExceeded).  ``claim`` adds keys to the claim record; it
-    cannot change the kind, the polynomial or the interval.
+    Exact procedure: probes falsify first, and isolation is what
+    verifies.  The exact sign of p at each of PROBES, in order, needs no
+    Sturm chain; the first negative probe is the witness, and a
+    non-negative one writes no trail entry.  Otherwise isolate every
+    distinct interior root by Sturm bisection, then determine the sign of
+    p at each isolating-interval edge and each gap midpoint by exact
+    evaluation; this covers the whole open interval.  Polynomials beyond
+    degree 64 are rejected (DegreeCapExceeded).  ``claim`` adds keys to
+    the claim record; it cannot change the kind, the polynomial or the
+    interval.
     """
     a, b = Fraction(0), Fraction(1)
     if p.degree > DEGREE_CAP:
@@ -138,12 +147,6 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
             {"step": "endpoint-value", "point": format_rational(pt), "value": format_rational(p(pt))}
         )
 
-    # Every distinct interior root lands in exactly one isolating interval
-    # whose edges are interior non-roots; the sign of p is constant on the
-    # complementary gaps and on either side of each isolated root.
-    ivs = p.isolate_roots(a, b)
-    trail.append({"step": "interior-root-count", "count": len(ivs)})
-
     def sign_point(x: Fraction, where: str) -> Certificate | None:
         v = p(x)
         trail.append(
@@ -158,6 +161,18 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
             trail.append({"step": "conclusion", "status": FALSIFIED})
             return Certificate(base_claim, FALSIFIED, x, trail)
         return None
+
+    # A negative probe falsifies p without its Sturm chain.
+    _, cs = p.integer_form
+    for x in PROBES:
+        if sign_at(cs, x) < 0:
+            return sign_point(x, "probe")
+
+    # Every distinct interior root lands in exactly one isolating interval
+    # whose edges are interior non-roots; the sign of p is constant on the
+    # complementary gaps and on either side of each isolated root.
+    ivs = p.isolate_roots(a, b)
+    trail.append({"step": "interior-root-count", "count": len(ivs)})
 
     for lo, hi in ivs:
         for x in (lo, hi):

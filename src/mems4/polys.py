@@ -45,12 +45,19 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(den, cs): the lcm den of the coefficient denominators and the
+        integer coefficients cs_i = den * c_i, so cs has the sign of self
+        at every point.  Computed once per instance."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+
     def __call__(self, x: Fraction) -> Fraction:
         """Exact value at x: one integer homogeneous Horner sum over the
         common denominator of the coefficients, then a single Fraction."""
         x = Fraction(x)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        cs = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        den, cs = self.integer_form
         b = x.denominator
         return Fraction(_homogeneous_horner(cs, x) * b, den * b ** len(cs))
 
@@ -182,8 +189,7 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def integer_coeffs(p: RationalPolynomial) -> list[int]:
     """Coprime integer coefficients of p times a positive rational, so
     they have the sign of p at every point; [] for the zero polynomial."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _primitive(p.integer_form[1])
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mems4.certify as certify_mod
@@ -152,6 +152,92 @@ def test_nonneg_sign_change_multiple_roots():
     cert = certify_nonneg(p)
     assert cert.status == "falsified"
     assert p(cert.witness) < 0
+
+
+def _sympy_nonneg(p: RationalPolynomial) -> bool:
+    """sympy's verdict on p >= 0 over the open (0, 1): its sign at the
+    midpoint of each gap between sympy's distinct real roots there."""
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+                    or [0], S)
+    if sp.is_zero:
+        return True
+    cuts = sorted({0, 1, *(r for r in sp.real_roots() if 0 < r < 1)})
+    return all(sp.eval((u + v) / 2) >= 0 for u, v in zip(cuts, cuts[1:]))
+
+
+_LINEAR_ROOTS = st.one_of(
+    st.sampled_from([F(0), F(1), *certify_mod.PROBES]),
+    st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_LINEAR_ROOTS, st.integers(1, 3)), max_size=5),
+    st.sampled_from([F(1), F(-2, 3)]),
+)
+@example(roots=[(F(0), 1), (F(1), 2), (F(7, 8), 1), (F(11, 12), 1)], lead=F(1))
+@example(roots=[(F(1, 2), 2), (F(1, 4), 1)], lead=F(-2, 3))
+def test_nonneg_status_matches_sympy(roots, lead):
+    # Products of (s - r)^k, repeated roots and roots at 0, 1 and the
+    # probes included: the status is sympy's verdict, and every witness
+    # is a point where p is negative.
+    p = _expand(lead * sympy.Mul(*((S - sympy.Rational(r.numerator, r.denominator)) ** k
+                                   for r, k in roots)))
+    cert = certify_nonneg(p)
+    assert cert.status == ("verified" if _sympy_nonneg(p) else "falsified")
+    if cert.witness is not None:
+        assert 0 < cert.witness < 1 and p(cert.witness) < 0
+
+
+def test_negative_probe_falsifies_without_isolation():
+    # s - 1/2 is zero at the first probe and negative at the second: the
+    # trail holds one probe evaluation and no root count, and the Sturm
+    # chain is never built.
+    p = P(F(-1, 2), 1)
+    cert = certify_nonneg(p)
+    assert cert.status == "falsified" and cert.witness == F(1, 4)
+    assert [t["step"] for t in cert.trail] == [
+        "input", "endpoint-value", "endpoint-value", "sign-evaluation", "conclusion",
+    ]
+    assert cert.trail[3] == {"step": "sign-evaluation", "where": "probe",
+                             "point": "1/4", "value": "-1/4"}
+    assert "_remainders" not in p.__dict__
+
+
+def test_negative_set_between_probes_falsifies_through_isolation():
+    # (s - 7/8)(s - 15/16) is negative only on (7/8, 15/16), near 0.9,
+    # where no probe lies: isolation finds the witness.
+    p = _expand((S - sympy.Rational(7, 8)) * (S - sympy.Rational(15, 16)))
+    cert = certify_nonneg(p)
+    assert cert.status == "falsified"
+    assert F(7, 8) < cert.witness < F(15, 16) and p(cert.witness) < 0
+    steps = [t["step"] for t in cert.trail]
+    assert {"step": "interior-root-count", "count": 2} in cert.trail
+    assert all(t.get("where") != "probe" for t in cert.trail)
+    assert steps[:4] == ["input", "endpoint-value", "endpoint-value", "interior-root-count"]
+
+
+def test_probe_witness_replays_and_an_edited_one_does_not():
+    for cert in (certify_nonneg(P(F(-1, 2), 1)), certify_m3_gap(4)):
+        assert any(t.get("where") == "probe" for t in cert.trail)
+        d = json.loads(json.dumps(cert.to_json_dict()))
+        assert replay_certificate(Certificate.from_json_dict(d))
+        d["witness"] = "1/8"
+        assert not replay_certificate(Certificate.from_json_dict(d))
+
+
+def test_probe_witness_stays_within_the_digit_limit():
+    # At a voltage with 309 digits, the semi-stability check of this
+    # candidate (check degree 345) once took its witness from a deep
+    # bisection, and its confirmation value passed Python's 4300-digit
+    # limit for integer text.  A probe witness keeps r = (1/2)^q small.
+    pd, w = candidate_profile("perturbed-touchdown", (F(17, 13), F(1, 6)))
+    report = check_candidate(w, 17, F("1.7976931348623157e308"), pd)
+    semistable = report.checks["semistable"]
+    assert semistable.status == "falsified"
+    assert any(t.get("where") == "probe" for t in semistable.trail)
+    json.dumps(report.to_json_dict())
 
 
 def test_degree_cap():

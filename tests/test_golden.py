@@ -96,7 +96,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "certify-m3-gap": (1, {
         "certify-8daaf1e136/certificates/m3-gap-16.json":
-            "ea3ef83b92db1d0a22822febc5b9472600bf8646ae678e2944fb00b301aefde7",
+            "17507646017e67fcc53df8c826df0f1c3a5ed116db1f51ef66a0909fd6499644",
         "certify-8daaf1e136/certificates/m3-gap-17.json":
             "b6b6428dc8c60a88ba37023bfdcccbc042eb885e1980690d3d47c006375a8c62",
         "certify-8daaf1e136/certificates/m3-gap-18.json":
@@ -106,7 +106,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "certify-m3-gap-falsified": (1, {
         "certify-9c0eeb08c5/certificates/m3-gap-4.json":
-            "ebf86fa6dbfa5a479095fd5270807ff5bc357c7efb61facebbbd81cb86d0d196",
+            "206e386d84acbc89e1ecd46bd9f1826995b8494a72dc19abc4bde9db65e03490",
         "certify-9c0eeb08c5/config.json":
             "3f2fdae98b06cfc278f594882d4e4f0bd6accd73421a883c57be9829758d62b1",
     }),
@@ -176,13 +176,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         "search-subsolution-3757286448/config.json":
             "afdcc427ab8f245e802cb41635b76d7d5afeb8646d4dae23a311723247116de8",
         "search-subsolution-3757286448/search.json":
-            "627bb092354f186a57585555e59b34e5867cfebb0030a1e2eb1bac9dc92846b2",
+            "e269561af1975b59c053bb4df8252c141730115b0b277026a20c3143016388f3",
     }),
     "search-touchdown-m": (0, {
         "search-subsolution-d7e6eb3518/config.json":
             "6996e2eb78f9357742ad3b65591e8fc19963a0a937c3d94362655140d7ad2b53",
         "search-subsolution-d7e6eb3518/search.json":
-            "5334016572b09380adced54106afe6c72714f8a1311646c9e747d93cbf9fb2e5",
+            "59f2c15772531e3aa6c47db9d010f4829c5eb3f5c4d3e6d7a0e2cbdfdd1382ff",
     }),
 }
 

@@ -39,6 +39,15 @@ def test_eval_horner():
     assert p(F(1, 2)) == F(-3, 4)
 
 
+def test_integer_form_is_cached_and_builds_no_remainders():
+    p = P(F(1, 6), F(-3, 4), 2)
+    assert p.integer_form == (12, (2, -9, 24))
+    assert p.integer_form is p.integer_form
+    assert p(F(1, 3)) == F(1, 6) - F(1, 4) + F(2, 9)
+    assert "_remainders" not in p.__dict__
+    assert P().integer_form == (1, ())
+
+
 def _sympy_poly(p):
     return sympy.Poly(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0],
