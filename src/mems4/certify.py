@@ -3,13 +3,15 @@
 Every claim is reduced to sign questions about polynomials with rational
 coefficients on (0, 1) (substituting t = r^(1/q) to clear fractional
 exponents), then settled by exact sign evaluation: a negative value at
-one of a few fixed probe points falsifies at once, and otherwise
-Sturm-sequence root isolation finds every sign change, so it is what
-verifies.  A Certificate carries its claim and the full evaluation
-trail; "falsified" always comes with an exact rational witness.  Replay
-rebuilds the certificate from its claim with this same engine and
-accepts it only if the whole certificate comes out identical, so it
-catches an edited file, not an engine bug.
+one of a few fixed probe points falsifies at once; otherwise, up to
+degree 64, Sturm-sequence root isolation finds every sign change, and
+above it a Bernstein sign test (Vincent-Collins-Akritas bisection)
+decides, handing a repeated root to Sturm isolation.  Every claim comes
+out verified or falsified.  A Certificate carries its claim and the full
+evaluation trail; "falsified" always comes with an exact rational
+witness.  Replay rebuilds the certificate from its claim with this same
+engine and accepts it only if the whole certificate comes out identical,
+so it catches an edited file, not an engine bug.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from mems4.closed_forms import (
     PowerSum,
@@ -29,20 +31,36 @@ from mems4.closed_forms import (
     touchdown_profile,
     touchdown_shape,
 )
-from mems4.polys import RationalPolynomial, from_power_shifts, integer_coeffs, sign_at
-
-if TYPE_CHECKING:
-    import numpy as np
+from mems4.polys import (
+    RationalPolynomial, bernstein_sign, from_power_shifts, integer_coeffs, sign_at,
+)
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
-INCONCLUSIVE = "inconclusive"
 
-DEGREE_CAP = 64
 # Points of (0, 1) where certify_nonneg tests the sign of p, in this
 # order, before it isolates any root.
 PROBES = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
-FALLBACK_SAMPLES = 10**4
+# Largest degree that certify_nonneg hands straight to Sturm isolation;
+# above it the Bernstein sign test runs first.
+STURM_DEGREE = 64
+# Halvings after which a piece that still has two or more sign
+# variations hands the polynomial to Sturm isolation, as a repeated root
+# always does.  In sweeps of 240 random admitted search candidates (check
+# degree 65..900, N = 9, 12, 16, 17, voltage H_N/2, H_N/4 and 1.8e308)
+# every check was decided within 6; a repeated root at degree 900 spends
+# about 2.4 s on these 8 before the hand-off.
+BERNSTEIN_DEPTH = 8
+# Largest degree certify_nonneg accepts, so also the largest
+# check_degree of a search candidate, which the CLI checks before the run
+# key.  It bounds time: those sweeps decided each check above degree 64
+# within 0.06 s, each of BERNSTEIN_DEPTH's levels taking one or two
+# O(d^2) Taylor shifts.
+MAX_CHECK_DEGREE = 900
+# Most bits in the numerator or the denominator of an exact value that a
+# trail writes: 14000 bits is 4215 digits, within Python's limit of 4300
+# on integer text.  A longer value is written as its sign.
+MAX_VALUE_BITS = 14_000
 # Largest dimension of a claim or a threshold range: a range is certified
 # one dimension at a time, so the cap bounds the work a claim can ask for.
 MAX_DIMENSION = 64
@@ -52,17 +70,13 @@ MAX_DIMENSION = 64
 DIMENSION_FLOORS = {"m2-subsolution": 3, "m3-stability": 5}
 
 
-class DegreeCapExceeded(ValueError):
-    """Raised when a reduction produces a polynomial beyond the engine cap."""
-
-
 @dataclass
 class Certificate:
     """Outcome of one rigorous sign verification.
 
-    status is one of "verified", "falsified", "inconclusive".  A falsified
-    certificate carries an exact rational witness at which the claim fails;
-    re-evaluating the claim there reproduces the violation exactly.
+    status is "verified" or "falsified".  A falsified certificate carries
+    an exact rational witness at which the claim fails; re-evaluating the
+    claim there reproduces the violation exactly.
     """
 
     claim: dict
@@ -93,6 +107,14 @@ class Certificate:
         )
 
 
+def _value_entry(v: Fraction) -> dict:
+    """A trail step's record of the exact value v: {"value": v}, or
+    {"sign": -1, 0 or 1} past MAX_VALUE_BITS."""
+    if max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_VALUE_BITS:
+        return {"sign": (v > 0) - (v < 0)}
+    return {"value": format_rational(v)}
+
+
 def _poly_strings(p: RationalPolynomial) -> list[str]:
     return [format_rational(c) for c in p.coeffs]
 
@@ -112,20 +134,23 @@ def check_dimensions(name: str, n_min: int, n_max: int) -> None:
 def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certificate:
     """Certify p >= 0 on the open interval (0, 1).
 
-    Exact procedure: probes falsify first, and isolation is what
-    verifies.  The exact sign of p at each of PROBES, in order, needs no
-    Sturm chain; the first negative probe is the witness, and a
-    non-negative one writes no trail entry.  Otherwise isolate every
-    distinct interior root by Sturm bisection, then determine the sign of
-    p at each isolating-interval edge and each gap midpoint by exact
-    evaluation; this covers the whole open interval.  Polynomials beyond
-    degree 64 are rejected (DegreeCapExceeded).  ``claim`` adds keys to
-    the claim record; it cannot change the kind, the polynomial or the
+    Exact procedure: probes falsify first.  The exact sign of p at each
+    of PROBES, in order, needs no Sturm chain; the first negative probe
+    is the witness, and a non-negative one writes no trail entry.  Above
+    STURM_DEGREE, polys.bernstein_sign then decides: its pieces, on each
+    of which p > 0, make the "bernstein" step that verifies, or its
+    negative point is the witness.  Up to STURM_DEGREE, or when a piece
+    keeps two sign variations past BERNSTEIN_DEPTH halvings (a repeated
+    root), isolate every distinct interior root by Sturm bisection, then
+    determine the sign of p at each isolating-interval edge and each gap
+    midpoint by exact evaluation; this covers the whole open interval.
+    Raises ValueError above MAX_CHECK_DEGREE.  ``claim`` adds keys to the
+    claim record; it cannot change the kind, the polynomial or the
     interval.
     """
     a, b = Fraction(0), Fraction(1)
-    if p.degree > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {DEGREE_CAP}")
+    if p.degree > MAX_CHECK_DEGREE:
+        raise ValueError(f"degree {p.degree} exceeds {MAX_CHECK_DEGREE}")
     base_claim = {
         **(claim or {}),
         "kind": "polynomial-nonneg",
@@ -144,7 +169,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     # Recorded in the trail; an open interval puts no condition on them.
     for pt in (a, b):
         trail.append(
-            {"step": "endpoint-value", "point": format_rational(pt), "value": format_rational(p(pt))}
+            {"step": "endpoint-value", "point": format_rational(pt), **_value_entry(p(pt))}
         )
 
     def sign_point(x: Fraction, where: str) -> Certificate | None:
@@ -154,7 +179,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
                 "step": "sign-evaluation",
                 "where": where,
                 "point": format_rational(x),
-                "value": format_rational(v),
+                **_value_entry(v),
             }
         )
         if v < 0:
@@ -167,6 +192,17 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     for x in PROBES:
         if sign_at(cs, x) < 0:
             return sign_point(x, "probe")
+
+    # None (Sturm isolation below) up to STURM_DEGREE or for a repeated root.
+    decided = bernstein_sign(integer_coeffs(p), BERNSTEIN_DEPTH) if p.degree > STURM_DEGREE else None
+    if decided is not None:
+        pieces, witness = decided
+        if witness is not None:
+            return sign_point(witness, "bernstein")
+        trail.append({"step": "bernstein",
+                      "pieces": [[format_rational(lo), format_rational(hi)] for lo, hi in pieces]})
+        trail.append({"step": "conclusion", "status": VERIFIED})
+        return Certificate(base_claim, VERIFIED, None, trail)
 
     # Every distinct interior root lands in exactly one isolating interval
     # whose edges are interior non-roots; the sign of p is constant on the
@@ -195,8 +231,8 @@ def replay_certificate(cert: Certificate) -> bool:
     ``cert`` only if status, witness, claim and trail all match it.
 
     A claim of an unknown kind, or one whose rebuild raises (a malformed
-    field, a dimension outside its claim's range, a degree beyond the
-    cap), does not replay.
+    field, a dimension outside its claim's range, a degree above
+    MAX_CHECK_DEGREE), does not replay.
     """
     try:
         fresh = _recompute(cert.claim)
@@ -253,11 +289,9 @@ def _power_sum_claim(ps: PowerSum, label: str) -> dict:
 
 
 def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
-    """Certify that a rational power sum is >= 0 on (0, 1).
-
-    Falls back to dense exact sampling (graded inconclusive, never
-    verified) when the cleared polynomial exceeds the degree cap.
-    """
+    """Certify that a rational power sum is >= 0 on (0, 1): certify_nonneg
+    on the cleared polynomial (ValueError above MAX_CHECK_DEGREE), whose
+    witness t0 becomes the radius t0^q."""
     claim = _power_sum_claim(ps, label)
     if ps.is_zero():
         return Certificate(claim, VERIFIED, None, [{"step": "conclusion", "note": "zero power sum"}])
@@ -268,10 +302,7 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
         "substitution_order": q,
         "polynomial": _poly_strings(poly),
     }
-    try:
-        inner = certify_nonneg(poly)
-    except DegreeCapExceeded:
-        return _sampling_fallback(ps, poly, q, claim, reduction_step)
+    inner = certify_nonneg(poly)
     trail = [reduction_step] + inner.trail
     witness = None
     if inner.status == FALSIFIED:
@@ -290,113 +321,8 @@ def _witness_confirmation(ps: PowerSum, t0: Fraction, q: int) -> tuple[Fraction,
     if not value < 0:
         raise ArithmeticError("witness does not confirm the violation")
     step = {"step": "witness-confirmation", "radius": format_rational(radius),
-            "value": format_rational(value)}
+            **_value_entry(value)}
     return radius, step
-
-
-def _horner_samples(coeffs: Sequence[float]) -> np.ndarray:
-    """Float Horner values of the ascending coefficients at the samples
-    k/(FALLBACK_SAMPLES + 1), k = 1..FALLBACK_SAMPLES.  numpy takes the
-    IEEE steps of a scalar Horner loop: y * x rounded, then y * x + c.
-    numpy is imported here, in the degree-cap fallback, the only place
-    the exact engine uses it, so the exact-engine commands start without
-    it."""
-    import numpy as np
-
-    den = FALLBACK_SAMPLES + 1
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return np.polyval(np.asarray(coeffs, dtype=float)[::-1], np.arange(1, den) / den)
-
-
-def _screen_pick(vals: np.ndarray) -> int | None:
-    """Cheap float screen that steers witness confirmation: given the
-    Horner values at the samples, the k of the first sample where the
-    value is least, if it is negative, else None.  A NaN sample never
-    compares below the running minimum, so it is never picked: it reads
-    as 0 in a copy, and ``vals`` reaches the float filter unchanged."""
-    import numpy as np
-
-    vals = np.where(np.isnan(vals), 0.0, vals)
-    return int(vals.argmin()) + 1 if vals.min() < 0 else None
-
-
-def _certified_positive(coeffs: Sequence[float], vals: np.ndarray) -> list[bool]:
-    """For each sample x = k/(FALLBACK_SAMPLES + 1), whether a float
-    filter proves p(x) > 0, where p = sum c_i x^i has degree d and
-    ``coeffs`` are its coefficients rounded to nearest: relative error at
-    most u for |c_i| >= 2^-1022, absolute error at most eta for a c_i that
-    rounds into or below the subnormal range (to 0 included); the proof
-    covers both.  Let P and Q be the float Horner values of p and of
-    S(x) = sum |c_i| x^i at fl(x) (``vals = _horner_samples(coeffs)``
-    holds every P), and u = 2^-53.  The sample is certified when P is finite, Q >= 2^-1022
-    and P > T = fl((8d + 16) u Q).  A NaN or infinite P never is.
-
-    Proof (round to nearest; gamma_n = n u / (1 - n u); eta = 2^-1075,
-    the largest absolute error of a rounding into the subnormal range):
-    * Inputs.  fl(x) is correctly rounded and normal, and
-      fl(c_i) = c_i (1 + s_i) + e'_i with |s_i| <= u, |e'_i| <= eta, so
-      fl(c_i) fl(x)^i = c_i x^i (1 + t_i) + e_i with |t_i| <= gamma_(i+1)
-      and |e_i| <= |e'_i| <= eta (fl(x) < 1).
-    * Horner.  Its d products and d sums give each term a factor
-      (1 + t'_i), |t'_i| <= gamma_2d, and add at most d eta from
-      underflowed products (every later step multiplies by fl(x) < 1, and
-      a sum that underflows is exact).  With A = (2d + 2) eta,
-      |P - p(x)| <= gamma_(3d+1) S + A  and  Q >= (1 - gamma_(3d+1)) S - A.
-    * Bound.  (8d + 16) u is exact, so T >= (8d + 16) u Q (1 - u) - eta.
-      Eliminating S, p(x) >= P - g (Q + A) - A with
-      g = gamma_(3d+1) / (1 - gamma_(3d+1)) < 1.01 (3d + 1) u for
-      d < 2^40.  So P > T gives p(x) > (4.9d + 14) u Q - (2d + 4) eta,
-      which is positive because u Q >= eta when Q >= 2^-1022.
-    """
-    import numpy as np
-
-    d = len(coeffs) - 1
-    mags = _horner_samples(np.abs(coeffs))
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        bound = (8 * d + 16) * 2.0**-53 * mags
-        positive = np.isfinite(vals) & (mags >= np.finfo(float).tiny) & (vals > bound)
-    return positive.tolist()
-
-
-def _sampling_fallback(
-    ps: PowerSum,
-    poly: RationalPolynomial,
-    q: int,
-    claim: dict,
-    reduction_step: dict,
-) -> Certificate:
-    trail = [dict(reduction_step, note="degree cap exceeded; exact sampling fallback")]
-    try:
-        fcoeffs = [float(c) for c in poly.coeffs]
-    except OverflowError:
-        # The float screens read p / 2^k instead, which has p's signs:
-        # every |c_i| / 2^k < 2^1001.
-        top = max(abs(c) for c in poly.coeffs)
-        k = top.numerator.bit_length() - top.denominator.bit_length() - 1000
-        fcoeffs = [float(c / 2**k) for c in poly.coeffs]
-    vals = _horner_samples(fcoeffs)
-    best_t = _screen_pick(vals)
-    positive = _certified_positive(fcoeffs, vals)
-    # The float screen's pick first, then every sample in order that the
-    # screen does not certify positive, each tested by its exact sign.  A
-    # certified sample cannot be a witness, so skipping it changes neither
-    # the witness nor the status.
-    den = FALLBACK_SAMPLES + 1
-    cs = integer_coeffs(poly)
-    for k in sorted(range(1, den), key=lambda k: k != best_t):
-        if not positive[k - 1] and sign_at(cs, Fraction(k, den)) < 0:
-            witness, step = _witness_confirmation(ps, Fraction(k, den), q)
-            trail += [step, {"step": "conclusion", "status": FALSIFIED}]
-            return Certificate(claim, FALSIFIED, witness, trail)
-    trail.append(
-        {
-            "step": "exact-sampling",
-            "points": FALLBACK_SAMPLES,
-            "note": "no violation found; sampling cannot verify",
-        }
-    )
-    trail.append({"step": "conclusion", "status": INCONCLUSIVE})
-    return Certificate(claim, INCONCLUSIVE, None, trail)
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +447,9 @@ def _composite(
     side_ok: bool = True,
 ) -> Certificate:
     """A composite claim is falsified if any part (or the side condition)
-    fails, verified if every part verifies, else inconclusive; its
-    witness is the first falsified part's."""
-    statuses = [c.status for c in parts]
-    if FALSIFIED in statuses or not side_ok:
-        status = FALSIFIED
-    elif all(s == VERIFIED for s in statuses):
-        status = VERIFIED
-    else:
-        status = INCONCLUSIVE
+    fails, else verified; its witness is the first falsified part's."""
+    failed = not side_ok or any(c.status == FALSIFIED for c in parts)
+    status = FALSIFIED if failed else VERIFIED
     witness = next((c.witness for c in parts if c.status == FALSIFIED), None)
     claim = {
         "kind": "composite",
@@ -782,9 +702,9 @@ def subsolution_search(
     sub-solution at voltage lam (default H_N/2).
 
     family "perturbed-touchdown" expects (alpha, beta) pairs; family
-    "touchdown-m" expects profile parameters m.  Candidates whose cleared
-    polynomials exceed the engine degree cap are graded inconclusive,
-    never skipped.
+    "touchdown-m" expects profile parameters m.  Every check of every
+    candidate is verified or falsified; a check above MAX_CHECK_DEGREE
+    raises ValueError.
     """
     if lam is None:
         lam = hardy_rellich(n) / 2

@@ -12,30 +12,30 @@ and specs may be negative: "--beta -1/5" and "--alpha-grid -1/3:0:4"
 parse as values.
 
 Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
-or flagged, 3+ usage and I/O errors.  Usage errors include a flag the
-command does not take, a --config key that is not one of its settings,
---mesh outside 16..16384, a --gamma too large for the mesh and
-dimension, an operator that is not numerically positive definite on its
-mesh, boundary data whose extension comes within 1e-6 of the contact
-plane (branch.CEILING), --tol <= 0, --rel-width outside (0, 1), a
-dimension range outside 1..64 or below its claim's floor, a search --dim
-outside 1..64, a float command's --dim below 1 or above the largest
-float (1.8e308), a voltage that is NaN, negative or above the largest
-float (1.8e308), an --alpha or --beta of magnitude above it, a search
---lambda whose numerator and denominator have more than 600 digits
-together (MAX_VOLTAGE_DIGITS), a grid count, --profiles or search
-candidate count above 4096, a search grid flag missing for --family or
-given for the other family, a candidate outside its family (m > 0,
-m != 4/3; alpha, beta > 0), and a candidate whose checks pass
-MAX_CHECK_DEGREE.
+or flagged (only ``pullin``: exit 2 comes from the float engine, since
+the exact engine verifies or falsifies every claim), 3+ usage and I/O
+errors.  Usage errors include a flag the command does not take, a
+--config key that is not one of its settings, --mesh outside 16..16384,
+a --gamma too large for the mesh and dimension, an operator that is not
+numerically positive definite on its mesh, boundary data whose extension
+comes within 1e-6 of the contact plane (branch.CEILING), --tol <= 0,
+--rel-width outside (0, 1), a dimension range outside 1..64 or below its
+claim's floor, a search --dim outside 1..64, a float command's --dim
+below 1 or above the largest float (1.8e308), a voltage that is NaN,
+negative or above the largest float (1.8e308), an --alpha or --beta of
+magnitude above it, a search --lambda whose numerator and denominator
+have more than 600 digits together (MAX_VOLTAGE_DIGITS), a grid count,
+--profiles or search candidate count above 4096, a search grid flag
+missing for --family or given for the other family, a candidate outside
+its family (m > 0, m != 4/3; alpha, beta > 0), and a candidate whose
+checks pass certify.MAX_CHECK_DEGREE.
 
 Importing this module loads neither numpy nor the float engine
 (mems4.branch, mems4.radial_operator).  ``bounds``, ``certify`` and
-``search-subsolution`` run on the exact engine, which imports numpy only
-in its degree-cap sampling fallback; ``branch``, ``pullin`` and
-``profile`` import numpy and the float engine inside the functions that
-check their inputs and run them, and call mems4.branch's functions
-through the module.
+``search-subsolution`` run on the exact engine, which imports neither;
+``branch``, ``pullin`` and ``profile`` import numpy and the float engine
+inside the functions that check their inputs and run them, and call
+mems4.branch's functions through the module.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from mems4 import certify
-from mems4.certify import MAX_DIMENSION
+from mems4.certify import MAX_CHECK_DEGREE, MAX_DIMENSION
 from mems4.closed_forms import (
     BoundaryPair,
     format_rational,
@@ -85,21 +85,16 @@ MAX_MESH = 16384
 # and candidates of a search: 16 voltages and 144 candidates are the
 # largest in use, and a count is checked before any list is built.
 MAX_GRID = 4096
-# Largest certify.check_degree of a search candidate (three times its
-# profile's cleared degree).  A check past certify.DEGREE_CAP samples
-# t = k/10001 exactly, and a falsified one writes its witness's exact
-# value: about 4 digits per unit of this degree plus the voltage's (309
-# at most for a float voltage), and Python turns no integer of more than
-# 4300 digits into text.  At 900 the longest is about 3900 digits at
-# --lambda 1.8e308; exact-search's candidates reach 99.
-MAX_CHECK_DEGREE = 900
 # Most decimal digits in a search --lambda's numerator and denominator
-# together.  The voltage's digits add to every exact value a check
-# writes, on top of the about 4 per unit of check degree, so this is what
-# MAX_CHECK_DEGREE leaves of the 4300, less 100 to spare: 600.  Every
-# float written to 17 significant digits fits (1.7976931348623157e308
-# has 309 + 1).
-MAX_VOLTAGE_DIGITS = 4300 - 4 * MAX_CHECK_DEGREE - 100
+# together.  Python turns no integer of more than 4300 digits into text.
+# A trail writes exact values past certify.MAX_VALUE_BITS as signs, so
+# the voltage's digits reach a certificate through its claim's
+# coefficients and endpoint values, and a witness near r = 0 has digits
+# that grow with the voltage's magnitude, not its digits.  600 admits
+# every float written to 17 significant digits (1.7976931348623157e308
+# has 309 + 1) and bounds what Sturm isolation's exact arithmetic, which
+# slows with the voltage's digits, has to carry.
+MAX_VOLTAGE_DIGITS = 600
 
 CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
 # The grid flags (argparse dests) each search family reads.
@@ -520,7 +515,7 @@ def _run_search(cfg, inputs, run) -> list[str]:
     report = certify.subsolution_search(inputs["dim"], inputs["family"], inputs["params"], lam=lam)
     write_json(run / "search.json", report.to_json_dict())
     print(f"candidates: {len(report.candidates)}, passing: {len(report.passing)}")
-    return [c.status for cand in report.candidates for c in cand.checks.values()]
+    return []
 
 
 @dataclass(frozen=True)
@@ -558,7 +553,7 @@ COMMANDS = (
             _arg("--n", default="17..30", help=f"dimension range within 1..{MAX_DIMENSION}"),
         ),
         (), _certify_inputs, _run_certify,
-        exit_codes=(("falsified", EXIT_FALSIFIED), ("inconclusive", EXIT_INCONCLUSIVE)),
+        exit_codes=(("falsified", EXIT_FALSIFIED),),
     ),
     Command(
         "branch", "minimal-branch sweep",
@@ -590,7 +585,7 @@ COMMANDS = (
             _arg("--m", help="profile parameters, single value or start:stop:count"),
             _arg("--lambda", dest="lam", help="voltage (exact rational); default H_N/2"),
         ),
-        (), _search_inputs, _run_search, exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),),
+        (), _search_inputs, _run_search,
     ),
 )
 

@@ -1,5 +1,5 @@
-"""Exact univariate polynomials: square-free part, Sturm chain and real
-root isolation.
+"""Exact univariate polynomials: square-free part, Sturm chain, real
+root isolation, and a Bernstein sign test on (0, 1).
 
 Coefficients are arbitrary-precision rationals, but everything past the
 input computes over Python integers.  Each polynomial builds one
@@ -13,7 +13,8 @@ part's chain, through roots at the interval's ends (a root is simple
 there, so its zero sign counts as just past it), and refines by
 bisection with these exact sign tests, so every interval endpoint
 reported here is a rational number whose sign data can be replayed
-independently.
+independently.  The Bernstein sign test needs no remainder sequence:
+Descartes' rule on one Taylor shift per piece, over integers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -232,6 +234,80 @@ def sign_at(cs: Sequence[int], x: Fraction) -> int:
     (ascending)."""
     acc = _homogeneous_horner(cs, x)
     return (acc > 0) - (acc < 0)
+
+
+def _taylor_shift(cs: Sequence[int]) -> list[int]:
+    """Coefficients of p(x + 1) for integer coefficients cs (ascending):
+    pass i replaces cs[i:] by its suffix sums."""
+    a = list(cs)
+    for i in range(len(a) - 1):
+        a[i:] = list(accumulate(reversed(a[i:])))[::-1]
+    return a
+
+
+def bernstein_sign(
+    cs: Sequence[int], depth: int
+) -> tuple[list[tuple[Fraction, Fraction]], Fraction | None] | None:
+    """Decide whether the integer polynomial cs (ascending, not zero) is
+    >= 0 on (0, 1) by Vincent-Collins-Akritas bisection.
+
+    On a piece (lo, lo + w), p(lo + w x) is a positive multiple of the
+    local polynomial P, and the signs of (1+t)^d P(1/(1+t)), P's
+    Bernstein coefficients times positive binomials, bound its roots
+    (Descartes): no sign variation, no root; one, one simple root.  A
+    piece with two or more is split at its midpoint, where the sign is
+    tested exactly.  Pieces are taken level by level, left to right.
+    Returns (pieces, None) when p > 0 on each piece and p >= 0 at each
+    split point, the pieces tiling (0, 1) in order; ([], x) with p(x) < 0,
+    x the fewest-bit dyadic of the first negative piece found; None when
+    a piece still has two or more variations at ``depth`` halvings, as a
+    repeated root always has."""
+    d = len(cs) - 1
+    level = [(Fraction(0), list(cs))]
+    pieces: list[tuple[Fraction, Fraction]] = []
+    for j in range(depth + 1):
+        half_w = Fraction(1, 2 ** (j + 1))
+        nxt = []
+        for lo, p in level:
+            # signs[0] is P's sign just left of the piece's right end.
+            signs = [c > 0 for c in _taylor_shift(p[::-1]) if c]
+            variations = sum(u != v for u, v in zip(signs, signs[1:]))
+            if variations == 0 and signs[0]:
+                pieces.append((lo, lo + 2 * half_w))
+            elif variations == 0:
+                return [], lo + half_w
+            elif variations == 1:
+                return [], _negative_dyadic(cs, lo, lo + 2 * half_w, right=not signs[0])
+            else:
+                left = [c << (d - i) for i, c in enumerate(p)]  # 2^d P(x/2)
+                if sum(left) < 0:  # 2^d P(1/2)
+                    return [], lo + half_w
+                nxt += [(lo, left), (lo + half_w, _taylor_shift(left))]
+        if not nxt:
+            return sorted(pieces), None
+        level = nxt
+    return None
+
+
+def _negative_dyadic(cs: Sequence[int], lo: Fraction, hi: Fraction, right: bool) -> Fraction:
+    """The fewest-bit dyadic where cs < 0 in a dyadic piece (lo, hi)
+    holding one simple root of cs, negative to its right if ``right``.
+
+    That side ends at e = hi (else lo), so the dyadic is e -+ (hi - lo)/2^k
+    for the least k at which cs is negative there, and cs stays negative
+    for every larger k: k is found by doubling, then bisection."""
+    end, step = (hi, lo - hi) if right else (lo, hi - lo)
+
+    def negative(k: int) -> bool:
+        return sign_at(cs, end + step / 2**k) < 0
+
+    below, k = 0, 1
+    while not negative(k):
+        below, k = k, 2 * k
+    while k - below > 1:
+        mid = (below + k) // 2
+        below, k = (below, mid) if negative(mid) else (mid, k)
+    return end + step / 2**k
 
 
 def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:

@@ -3,7 +3,6 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -13,7 +12,7 @@ import mems4.certify as certify_mod
 from mems4.certify import (
     MAX_DIMENSION,
     Certificate,
-    DegreeCapExceeded,
+    MAX_CHECK_DEGREE,
     certify_m2_subsolution,
     certify_m3_gap,
     certify_m3_stability,
@@ -175,15 +174,22 @@ _LINEAR_ROOTS = st.one_of(
 @given(
     st.lists(st.tuples(_LINEAR_ROOTS, st.integers(1, 3)), max_size=5),
     st.sampled_from([F(1), F(-2, 3)]),
+    st.sampled_from([0, 64]),
 )
-@example(roots=[(F(0), 1), (F(1), 2), (F(7, 8), 1), (F(11, 12), 1)], lead=F(1))
-@example(roots=[(F(1, 2), 2), (F(1, 4), 1)], lead=F(-2, 3))
-def test_nonneg_status_matches_sympy(roots, lead):
+@example(roots=[(F(0), 1), (F(1), 2), (F(7, 8), 1), (F(11, 12), 1)], lead=F(1), lift=0)
+@example(roots=[(F(1, 2), 2), (F(1, 4), 1)], lead=F(-2, 3), lift=0)
+@example(roots=[(F(1, 3), 2), (F(7, 8), 1), (F(11, 12), 1)], lead=F(1), lift=64)
+@example(roots=[(F(1, 3), 2), (F(1, 2), 3), (F(5, 6), 2)], lead=F(1), lift=64)
+def test_nonneg_status_matches_sympy(roots, lead, lift):
     # Products of (s - r)^k, repeated roots and roots at 0, 1 and the
-    # probes included: the status is sympy's verdict, and every witness
-    # is a point where p is negative.
-    p = _expand(lead * sympy.Mul(*((S - sympy.Rational(r.numerator, r.denominator)) ** k
-                                   for r, k in roots)))
+    # probes included, times (1 + s)^lift, positive on (0, 1): lift 64
+    # takes every nonconstant product past STURM_DEGREE, to the Bernstein
+    # test and, for a repeated root off the dyadics, on to Sturm
+    # isolation.  The status is sympy's verdict, and every witness is a
+    # point where p is negative.
+    p = _expand(lead * (1 + S) ** lift
+                * sympy.Mul(*((S - sympy.Rational(r.numerator, r.denominator)) ** k
+                              for r, k in roots)))
     cert = certify_nonneg(p)
     assert cert.status == ("verified" if _sympy_nonneg(p) else "falsified")
     if cert.witness is not None:
@@ -241,10 +247,16 @@ def test_probe_witness_stays_within_the_digit_limit():
 
 
 def test_degree_cap():
-    coeffs = [F(0)] * 66
-    coeffs.append(F(1))
-    with pytest.raises(DegreeCapExceeded):
-        certify_nonneg(RationalPolynomial(tuple(coeffs)))
+    # certify_nonneg accepts degree MAX_CHECK_DEGREE and raises above it,
+    # so a crafted claim one degree higher fails replay instead of running.
+    top = RationalPolynomial((F(0),) * MAX_CHECK_DEGREE + (F(1),))
+    cert = certify_nonneg(top)
+    assert cert.status == "verified"
+    with pytest.raises(ValueError, match="exceeds"):
+        certify_nonneg(RationalPolynomial((F(0),) * (MAX_CHECK_DEGREE + 1) + (F(1),)))
+    crafted = Certificate.from_json_dict(cert.to_json_dict())
+    crafted.claim["polynomial"] = ["0/1"] * (MAX_CHECK_DEGREE + 1) + ["1/1"]
+    assert not replay_certificate(crafted)
 
 
 def test_nonneg_at_degree_cap_with_many_touching_roots():
@@ -261,6 +273,49 @@ def test_nonneg_at_degree_cap_with_many_touching_roots():
     assert cert2.status == "falsified"
     assert q(cert2.witness) < 0
     assert replay_certificate(cert2)
+
+
+def test_nonneg_past_sturm_degree_with_many_touching_roots():
+    # 33 squared linear factors: degree 66, past STURM_DEGREE.  Each double
+    # root k/34 but 1/2 lies off the dyadics and keeps two sign variations
+    # in every piece that holds it, so the Bernstein test hands the
+    # polynomial to Sturm isolation, which verifies it; one factor of odd
+    # multiplicity falsifies it there.
+    factors = [(S - sympy.Rational(k, 34)) ** 2 for k in range(1, 34)]
+    p = _expand(sympy.Mul(*factors))
+    assert p.degree == 66 > certify_mod.STURM_DEGREE
+    cert = certify_nonneg(p)
+    assert cert.status == "verified"
+    assert {"step": "interior-root-count", "count": 33} in cert.trail
+    q = _expand(sympy.Mul(*factors[:-1], S - sympy.Rational(33, 34)))
+    cert2 = certify_nonneg(q)
+    assert cert2.status == "falsified" and q(cert2.witness) < 0
+    assert replay_certificate(cert2)
+
+
+def test_repeated_root_hands_off_to_sturm():
+    # (s - 1/3)^2 (1 + s)^90 never gets below two variations on the piece
+    # around 1/3; past BERNSTEIN_DEPTH halvings Sturm isolation decides.
+    p = _expand((S - sympy.Rational(1, 3)) ** 2 * (1 + S) ** 90)
+    cert = certify_nonneg(p)
+    assert cert.status == "verified"
+    steps = [t["step"] for t in cert.trail]
+    assert "bernstein" not in steps and "interior-root-count" in steps
+
+
+def test_bernstein_trail_verifies_and_falsifies():
+    # (1 + s)^70 has no root in (0, 1): one piece.  Times
+    # (s - 5/8)(s - 11/16) it is negative on (5/8, 11/16) only, which no
+    # probe reaches; 21/32 is the fewest-bit dyadic there.
+    lift = (1 + S) ** 70
+    cert = certify_nonneg(_expand(lift))
+    assert cert.status == "verified"
+    assert {"step": "bernstein", "pieces": [["0/1", "1/1"]]} in cert.trail
+    p = _expand(lift * (S - sympy.Rational(5, 8)) * (S - sympy.Rational(11, 16)))
+    cert = certify_nonneg(p)
+    assert cert.status == "falsified" and cert.witness == F(21, 32) and p(cert.witness) < 0
+    assert cert.trail[-2]["where"] == "bernstein"
+    assert replay_certificate(_round_trip(cert))
 
 
 @settings(max_examples=30)
@@ -301,10 +356,10 @@ def _round_trip(cert: Certificate) -> Certificate:
 
 
 def test_replay_accepts_every_kind_after_json_round_trip():
-    # m = 11/2 goes through the full degree-cap sampling fallback.
+    # m = 11/2's checks pass STURM_DEGREE: the Bernstein test decides them.
     search = subsolution_search(17, "touchdown-m", [F(3), F(11, 2)])
     power_sums = [c for cand in search.candidates for c in cand.checks.values()]
-    assert any("fallback" in str(c.trail[0].get("note")) for c in power_sums)
+    assert any(t["step"] == "bernstein" for c in power_sums for t in c.trail)
     certs = power_sums + [
         certify_thresholds(1, 64),
         certify_m3_gap(20),
@@ -567,11 +622,10 @@ def test_search_phi0_family_fails_at_9():
         ("perturbed-touchdown", (F(100, 99), F(1))),
     ],
 )
-def test_check_degree_bounds_every_check(monkeypatch, family, params):
+def test_check_degree_bounds_every_check(family, params):
     # check_degree is three times the profile's cleared degree, and each
     # check's cleared degree and largest exponent, in units of its
     # substitution order, stay within it.
-    monkeypatch.setattr(certify_mod, "FALLBACK_SAMPLES", 200)
     pd, w = candidate_profile(family, params)
     bound = check_degree(w)
     assert bound == 3 * reduce_power_sum(w)[0].degree
@@ -614,185 +668,6 @@ def test_candidate_vs_w2_at_31():
     assert len(report.passing) == 1
 
 
-def test_degree_cap_goes_inconclusive_not_skipped(monkeypatch):
-    # alpha with a large denominator forces a substitution order beyond
-    # the cap; the candidate must be graded, not dropped.  The sampling
-    # fallback is thinned here to keep the test quick.
-    monkeypatch.setattr(certify_mod, "FALLBACK_SAMPLES", 200)
-    report = subsolution_search(9, "perturbed-touchdown", [(F(100, 99), F(1))])
-    assert len(report.candidates) == 1
-    cand = report.candidates[0]
-    assert not cand.passed
-    assert any(c.status == "inconclusive" for c in cand.checks.values())
-
-
-def _scalar_screen(coeffs):
-    # The scalar Horner loop the vectorised screen replaced, kept as its
-    # reference: the first sample whose value is below every earlier one
-    # and below zero.
-    best_t, best_v = None, 0.0
-    for k in range(1, certify_mod.FALLBACK_SAMPLES + 1):
-        t = k / (certify_mod.FALLBACK_SAMPLES + 1)
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        if acc < best_v:
-            best_t, best_v = k, acc
-    return best_t
-
-
-def _random_screen_coeffs(seed):
-    rng = np.random.default_rng(seed)
-    degree = int(rng.integers(65, 81))
-    return [
-        float(F(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 1000))))
-        for _ in range(degree + 1)
-    ]
-
-
-BIG = 1.5e308
-
-
-@pytest.mark.parametrize(
-    "coeffs",
-    [_random_screen_coeffs(seed) for seed in range(6)]
-    + [
-        [1.0 + i for i in range(70)],  # positive everywhere: no pick
-        [BIG] * 40 + [-BIG] * 30,  # Horner sums overflow to -inf
-        [-BIG] * 40 + [BIG] * 30,  # ... and to +inf
-        [float("nan")] + [-1.0] * 69,  # NaN at every sample
-        [1.0] * 30 + [float("inf")] + [-BIG] * 39,  # -inf + inf = NaN, else +inf
-        [1.0] * 30 + [-float("inf")] + [BIG] * 39,  # inf - inf = NaN, else -inf
-        [-1.0] * 30 + [-float("inf")] + [1.0] * 39,  # -inf from a coefficient
-    ],
-)
-def test_fallback_screen_matches_scalar_loop(coeffs):
-    # The screen reads NaN samples as 0 without writing that into the
-    # values the float filter reads next.
-    vals = certify_mod._horner_samples(coeffs)
-    before = vals.copy()
-    assert certify_mod._screen_pick(vals) == _scalar_screen(coeffs)
-    assert np.array_equal(vals, before, equal_nan=True)
-
-
-def _fallback_random(seed):
-    # Random coefficients, the constant term shifted by the float minimum
-    # over the samples, so the least samples sit within rounding error of 0.
-    rng = np.random.default_rng(seed)
-    degree = int(rng.integers(65, 81))
-    cs = [
-        F(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 1000)))
-        for _ in range(degree + 1)
-    ]
-    cs[0] -= F(float(certify_mod._horner_samples([float(c) for c in cs]).min()))
-    return PowerSum.of(*((c, i) for i, c in enumerate(cs)))
-
-
-def _fallback_below_rounding():
-    # (den t - k0)^2 (1 + t^65) - 10^-20: negative only at t = k0/den, by
-    # far less than the float error there, where the float value is > 0.
-    den, k0 = certify_mod.FALLBACK_SAMPLES + 1, 5025
-    square = [(k0 * k0, 0), (-2 * den * k0, 1), (den * den, 2)]
-    return PowerSum.of(
-        *square, *((c, e + 65) for c, e in square), (F(-1, 10**20), 0)
-    )
-
-
-def _fallback_overflow():
-    # 10^308 (1 + t^68 + t^69 - t^60 - ... - t^64): the float Horner sum
-    # is +inf near t = 1, exactly where the polynomial turns negative.
-    big = 10**308
-    return PowerSum.of(
-        (big, 0), (big, 68), (big, 69), *((-big, e) for e in range(60, 65))
-    )
-
-
-def _fallback_m_eleven_halves(check):
-    # A check of touchdown-m at m = 11/2, N = 17, voltage H_N/2 that
-    # exceeds the degree cap, read back from the power sum its claim holds.
-    report = check_candidate(touchdown_profile(F(11, 2)), 17, hardy_rellich(17) / 2, {})
-    terms = report.checks[check].claim["terms"]
-    return PowerSum.of(*((F(c), F(e)) for c, e in terms))
-
-
-_FALLBACK_CASES = {
-    **{f"random-{seed}": (lambda seed=seed: _fallback_random(seed)) for seed in range(6)},
-    "below-rounding": _fallback_below_rounding,
-    "overflow": _fallback_overflow,
-    "m=11/2-subsolution": lambda: _fallback_m_eleven_halves("subsolution"),
-    "m=11/2-semistable": lambda: _fallback_m_eleven_halves("semistable"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_FALLBACK_CASES))
-def test_filtered_fallback_matches_exact_loop(case):
-    # The unfiltered fallback, kept here as the reference: the float
-    # screen's pick first, then every sample in order, each decided
-    # exactly.  The filtered fallback must agree on status and witness,
-    # and no sample the float filter certifies may be <= 0 exactly.
-    ps = _FALLBACK_CASES[case]()
-    poly, _, q = reduce_power_sum(ps)
-    assert poly.degree > certify_mod.DEGREE_CAP
-    den = certify_mod.FALLBACK_SAMPLES + 1
-    cs = integer_coeffs(poly)
-    signs = [sign_at(cs, F(k, den)) for k in range(1, den)]
-    fcoeffs = [float(c) for c in poly.coeffs]
-    vals = certify_mod._horner_samples(fcoeffs)
-    pick = certify_mod._screen_pick(vals)
-    expected = ("inconclusive", None)
-    for k in sorted(range(1, den), key=lambda k: k != pick):
-        if signs[k - 1] < 0:
-            expected = ("falsified", F(k, den) ** q)
-            break
-    certified = certify_mod._certified_positive(fcoeffs, vals)
-    assert all(s > 0 for s, ok in zip(signs, certified) if ok)
-    if case == "below-rounding":
-        assert signs[5024] < 0 < vals[5024] and expected[1] == F(5025, den)
-    if case == "overflow":
-        assert expected[0] == "falsified"
-        assert all(np.isinf(vals[k - 1]) for k in range(1, den) if signs[k - 1] < 0)
-    cert = power_sum_nonneg(ps)
-    assert "fallback" in cert.trail[0]["note"]
-    assert (cert.status, cert.witness) == expected
-
-
-def _times(ps, scale):
-    return PowerSum.of(*((t.coeff * scale, t.exponent) for t in ps.terms))
-
-
-def test_fallback_beyond_float_range(monkeypatch):
-    # Coefficients past the largest float are screened as p / 2^k.  A
-    # power-of-two multiple of a fallback case keeps its grade and witness;
-    # small terms next to huge ones round into or below the subnormal
-    # range, and every sample the float filter then certifies is > 0.
-    screened = []
-    certified_positive = certify_mod._certified_positive
-    monkeypatch.setattr(certify_mod, "_certified_positive",
-                        lambda cs, vals: screened.append(cs) or certified_positive(cs, vals))
-    for seed in (0, 1):
-        base = _fallback_random(seed)
-        big = _times(base, F(2**2070))
-        assert max(abs(t.coeff) for t in big.terms) > 2**1024
-        expected = power_sum_nonneg(base)
-        cert = power_sum_nonneg(big)
-        assert "fallback" in cert.trail[0]["note"]
-        assert (cert.status, cert.witness) == (expected.status, expected.witness)
-    d = max(t.exponent for t in big.terms)
-    mixed = PowerSum.of(*((t.coeff, t.exponent) for t in big.terms),
-                        (F(2**60, 3), d + 1), (F(-5, 7), d + 2), (F(2**-1000), d + 3))
-    screened.clear()
-    power_sum_nonneg(mixed)
-    (fcoeffs,) = screened
-    assert max(abs(c) for c in fcoeffs) < 2.0**1001
-    assert 0 < fcoeffs[-3] < np.finfo(float).tiny and fcoeffs[-2:] == [0.0, 0.0]
-    poly, _, _ = reduce_power_sum(mixed)
-    cs = integer_coeffs(poly)
-    den = certify_mod.FALLBACK_SAMPLES + 1
-    ok = certified_positive(fcoeffs, certify_mod._horner_samples(fcoeffs))
-    assert any(ok)
-    assert all(sign_at(cs, F(k, den)) > 0 for k in range(1, den) if ok[k - 1])
-
-
 def test_witness_that_does_not_confirm_raises(monkeypatch):
     # A falsified inner certificate whose witness is not a violation of
     # the power sum must stop the engine, also under python -O.
@@ -803,16 +678,58 @@ def test_witness_that_does_not_confirm_raises(monkeypatch):
         power_sum_nonneg(PowerSum.of((1, 0), (1, 1)))
 
 
-def test_fallback_witness_that_does_not_confirm_raises(monkeypatch):
-    # The degree-cap fallback confirms its witness as the Sturm path does:
-    # the subsolution check of touchdown-m at m = 11/2 (N = 17, degree 75)
-    # is falsified by sampling, and a power sum that is not negative
-    # there must stop the engine.
-    ps = _fallback_m_eleven_halves("subsolution")
+def _m_eleven_halves(check):
+    # A check of touchdown-m at m = 11/2, N = 17, voltage H_N/2, of cleared
+    # degree 75, read back from the power sum its claim holds.
+    report = check_candidate(touchdown_profile(F(11, 2)), 17, hardy_rellich(17) / 2, {})
+    terms = report.checks[check].claim["terms"]
+    return PowerSum.of(*((F(c), F(e)) for c, e in terms))
+
+
+def test_high_degree_witness_that_does_not_confirm_raises(monkeypatch):
+    # A Bernstein witness is confirmed as a Sturm one is: the subsolution
+    # check of touchdown-m at m = 11/2 is falsified past STURM_DEGREE, and a
+    # power sum that is not negative there must stop the engine.
+    ps = _m_eleven_halves("subsolution")
     assert reduce_power_sum(ps)[0].degree == 75
+    assert power_sum_nonneg(ps).trail[-3]["where"] == "bernstein"
     monkeypatch.setattr(PowerSum, "evaluate_exact", lambda self, r: F(0))
     with pytest.raises(ArithmeticError, match="witness does not confirm"):
         power_sum_nonneg(ps)
+
+
+def test_high_degree_candidate_decides_without_sturm(monkeypatch):
+    # alpha 37/18, beta 8/15 at N = 16 (check degree 699): Sturm isolation
+    # of its subsolution check ran past 15 s; the Bernstein test decides
+    # every check without building a remainder sequence.
+    def no_remainders(self):
+        raise AssertionError("a remainder sequence was built")
+
+    monkeypatch.setattr(RationalPolynomial, "_remainders", property(no_remainders))
+    pd, w = candidate_profile("perturbed-touchdown", (F(37, 18), F(8, 15)))
+    assert check_degree(w) == 699
+    report = check_candidate(w, 16, hardy_rellich(16) / 2, pd)
+    assert {k: c.status for k, c in report.checks.items()} == {
+        "range-lower": "verified", "range-upper": "verified",
+        "subsolution": "falsified", "semistable": "verified",
+    }
+
+
+def test_witness_values_past_the_bit_limit_are_written_as_signs():
+    # At the largest float voltage this candidate's subsolution check is
+    # negative only within about 2^-4096 of r = 0 (alpha = 5/4: g grows
+    # like r^(-1/4)).  Its exact values there pass MAX_VALUE_BITS, so the
+    # trail writes their signs; the witness itself is written exactly,
+    # and the certificate replays from JSON.
+    pd, w = candidate_profile("perturbed-touchdown", (F(5, 4), F(5)))
+    cert = check_candidate(w, 17, F(1.7976931348623157e308), pd).checks["subsolution"]
+    assert cert.status == "falsified"
+    evaluation, _, confirmation = cert.trail[-3:]
+    assert evaluation["where"] == "bernstein"
+    for step in (evaluation, confirmation):
+        assert step["sign"] == -1 and "value" not in step
+    assert cert.witness.denominator.bit_length() < certify_mod.MAX_VALUE_BITS
+    assert replay_certificate(_round_trip(cert))
 
 
 def test_m2_bilaplacian_identity_failure_raises(monkeypatch):

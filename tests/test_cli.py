@@ -537,14 +537,20 @@ def test_search_family_w3_passes(tmp_path):
 
 
 def test_search_at_largest_float_voltages_is_graded(tmp_path):
-    # The m = 11/2 semistable check exceeds the degree cap, and at this
-    # voltage its coefficients exceed the float range: the sampling
-    # fallback grades it instead of overflowing.
+    # At this voltage the m = 11/2 checks' coefficients exceed the float
+    # range; the Bernstein test decides the two past the Sturm degree in
+    # integers, and every check is verified or falsified.
     code = run_cli("search-subsolution", "--dim", "17", "--family", "touchdown-m",
                    "--m", "11/2", "--lambda", "1.5e308", "--out", str(tmp_path))
-    assert code == 2
+    assert code == 0
     payload = json.loads(find_one(tmp_path, "search.json").read_text())
     assert payload["voltage"] == "15" + "0" * 307 + "/1"
+    checks = payload["candidates"][0]["checks"]
+    assert {k: c["status"] for k, c in checks.items()} == {
+        "range-lower": "verified", "range-upper": "verified",
+        "subsolution": "verified", "semistable": "falsified",
+    }
+    assert any(t["step"] == "bernstein" for t in checks["subsolution"]["trail"])
 
 
 def test_search_voltage_keys_the_run(tmp_path):

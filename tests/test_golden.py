@@ -50,6 +50,8 @@ CASES = {
         "search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
         "--alpha-grid", "1:2:2", "--beta-grid", "1/3:2:2",
     ],
+    # Checks past certify.STURM_DEGREE, which a sampling fallback once
+    # graded; the Bernstein test decides them.
     "search-fallback": [
         "search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "11/2",
     ],
@@ -166,11 +168,11 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         "pullin-0ff39056f8/pullin.json":
             "e6f3e4ec9544b326639376b803e4d94be521f172f92f13979c182d53972441a1",
     }),
-    "search-fallback": (2, {
+    "search-fallback": (0, {
         "search-subsolution-880baf35f3/config.json":
             "d1e21ed29a5a3008cebc9d1cd7f9485a48ea48e58551143d338f6f9093e604a8",
         "search-subsolution-880baf35f3/search.json":
-            "694e58c47442a8ba6d32b7521eab13e7b32a61e1b83dc9ac546fca4eacaf84f0",
+            "7339ea941a41352017f61bca3462259326b9960f980aaae03c7d116363a2a84a",
     }),
     "search-perturbed-touchdown": (0, {
         "search-subsolution-3757286448/config.json":

@@ -14,6 +14,8 @@ from mems4.polys import (
     _derivative,
     _exact_quotient,
     _pseudo_remainder,
+    _taylor_shift,
+    bernstein_sign,
     from_power_shifts,
     integer_coeffs,
     sign_at,
@@ -321,3 +323,22 @@ def test_inexact_division_raises():
     # python -O as well.
     with pytest.raises(ArithmeticError, match="inexact polynomial division"):
         _exact_quotient([1, 0, 1], [-1, 1])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
+def test_taylor_shift_matches_sympy(coeffs):
+    shifted = sympy.Poly(list(reversed(coeffs)), X).compose(sympy.Poly(X + 1, X))
+    expected = [int(c) for c in reversed(shifted.all_coeffs())]
+    assert _taylor_shift(coeffs) == expected + [0] * (len(coeffs) - len(expected))
+
+
+def test_bernstein_sign_pieces_witness_and_stall():
+    # 64 (x - 1/2)^2 + 1: positive, with two sign variations on (0, 1)
+    # and none on either half.
+    assert bernstein_sign([17, -64, 64], 4) == ([(0, F(1, 2)), (F(1, 2), 1)], None)
+    # 128 (x - 3/8)(x - 7/16): negative only between its roots, where
+    # 13/32 is the fewest-bit dyadic.
+    assert bernstein_sign([21, -104, 128], 8) == ([], F(13, 32))
+    # (3x - 1)^2 keeps two variations on the piece around 1/3.
+    assert bernstein_sign([1, -6, 9], 8) is None

@@ -49,17 +49,21 @@ def test_exact_engine_commands_do_not_load_scipy_linalg(tmp_path):
         ["certify", "m3-gap", "--n", "16..18"],
         ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "3"],
     )
-    # m3-gap fails at N = 16; m = 3's checks stay below the degree cap.
+    # m3-gap fails at N = 16; m = 3's checks go to Sturm isolation.
     assert out == {"codes": [0, 1, 0], "numpy": False, "linalg": False}
 
 
-def test_degree_cap_fallback_loads_numpy_only(tmp_path):
-    # m = 11/2's checks pass the degree cap: the sampling fallback runs,
-    # and one check stays inconclusive.
+def test_high_degree_search_loads_no_numpy(tmp_path):
+    # m = 11/2's checks pass certify.STURM_DEGREE: the Bernstein sign test
+    # decides them in integers, so every check is decided without numpy.
     out = _run_fresh(
         tmp_path, ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "11/2"],
     )
-    assert out == {"codes": [2], "numpy": True, "linalg": False}
+    assert out == {"codes": [0], "numpy": False, "linalg": False}
+    search = json.loads(next(tmp_path.rglob("search.json")).read_text())
+    statuses = {k: c["status"] for k, c in search["candidates"][0]["checks"].items()}
+    assert statuses == {"range-lower": "verified", "range-upper": "verified",
+                        "subsolution": "falsified", "semistable": "verified"}
 
 
 def test_float_command_loads_scipy_linalg(tmp_path):
