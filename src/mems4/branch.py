@@ -12,6 +12,7 @@ is the bisection oracle for the pull-in voltage.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +43,8 @@ STALL_INCREMENT = 1e-7
 # A pull-in notes nu1's accuracy floor when the eigensolver's nu1 and the
 # Rayleigh estimate of its eigenfunction differ by more than this.
 NU1_FLOOR_REL = 1e-4
+# The upward search of a pull-in bracket multiplies its upper end by this.
+GROWTH = 1.3
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,7 @@ class PullInEstimate:
     near_fold: BranchPoint
     consistent: bool | None = None
     notes: list[str] = field(default_factory=list)
+    flagged: bool = False  # the oracle converged above 1.02 * 4 nu1 / 27
 
 
 def analytic_pull_in_bounds(op: OperatorMatrix) -> tuple[Fraction, float, float]:
@@ -122,6 +126,28 @@ class Workspace:
         self.phi_lap = float(bp.beta) * grid.dim  # Laplacian of the extension
         if np.max(self.phi) >= 1 - CEILING:
             raise ValueError("boundary extension grazes the contact plane")
+
+
+def pull_in_ceiling(ws: Workspace) -> float:
+    """A bound on every voltage pull_in_voltage tries; ValueError when it
+    passes half the largest float.
+
+    Admissible data have Phi >= alpha, so v / (1 - alpha) is a
+    supersolution of the homogeneous problem at lam / (1 - alpha)^3.  With
+    the Green positivity the monotone phase assumes, lam* <= (1 - alpha)^3
+    4 nu1 / 27 <= (1 - alpha)^3 4 R / 27, R >= nu1 the Rayleigh quotient of
+    (1 - r^2)^2 on the mesh.  The search starts at 1.02 * 4 nu1 / 27 and
+    ends below GROWTH lam*, so it stays under GROWTH max(1, (1 - alpha)^3)
+    4 R / 27, computed exactly since (1 - alpha)^3 can overflow a float.
+    Half the largest float keeps the bisection's lo + hi and Newton's
+    2 lam finite."""
+    op = ws.op
+    bump = (1.0 - ws.grid.nodes**2) ** 2
+    rayleigh = float(np.sum(op.cells * bump * op.apply(bump)) / np.sum(op.cells * bump**2))
+    ceiling = Fraction(GROWTH) * max(1, (1 - ws.bp.alpha) ** 3) * 4 * Fraction(rayleigh) / 27
+    if not ceiling <= sys.float_info.max / 2:
+        raise ValueError("the pull-in voltage may pass half the largest float (9.0e307)")
+    return float(ceiling)
 
 
 def _solve_at(
@@ -264,6 +290,7 @@ def pull_in_voltage(
 ) -> PullInEstimate:
     """Bracket the pull-in voltage by bisection on solver convergence."""
     ws = Workspace(bp, grid)
+    pull_in_ceiling(ws)
     homogeneous = bp.alpha == 0 and bp.beta == 0
     lower_exact, upper_nu, nu1_gap = analytic_pull_in_bounds(ws.op)
     notes: list[str] = []
@@ -272,13 +299,12 @@ def pull_in_voltage(
 
     hi = upper_nu * 1.02
     out = _solve_at(ws, hi, tol)
-    grew = False
+    flagged = not isinstance(out, DivergenceReport)
     while not isinstance(out, DivergenceReport):
-        grew = True
         sol = out
-        hi *= 1.3
+        hi *= GROWTH
         out = _solve_at(ws, hi, tol, sol[0])
-    if grew:
+    if flagged:
         notes.append("upper end grew past the analytic bound; oracle flagged")
 
     lo = hi / 2
@@ -311,6 +337,7 @@ def pull_in_voltage(
         dim=grid.dim,
         near_fold=_make_point(ws, lo, v, rho),
         notes=notes,
+        flagged=flagged,
     )
     if homogeneous:
         est.consistent = (lo >= float(lower_exact)) and (hi <= upper_nu)

@@ -11,14 +11,16 @@ only for the settings it reads (``Command.settings``).  Rational values
 and specs may be negative: "--beta -1/5" and "--alpha-grid -1/3:0:4"
 parse as values.
 
-Exit codes: 0 success/verified, 1 falsified or diverged, 2 inconclusive
-or flagged (only ``pullin``: exit 2 comes from the float engine, since
-the exact engine verifies or falsifies every claim), 3+ usage and I/O
-errors.  Usage errors include a flag the command does not take, a
---config key that is not one of its settings, --mesh outside 16..16384,
-a --gamma too large for the mesh and dimension, an operator that is not
-numerically positive definite on its mesh, boundary data whose extension
-comes within 1e-6 of the contact plane (branch.CEILING), --tol <= 0,
+Exit codes, which each runner returns from its engine's decisions: 0
+success/verified, 1 falsified or diverged, 2 inconclusive or flagged
+(only ``pullin``: exit 2 comes from the float engine, since the exact
+engine verifies or falsifies every claim), 3+ usage and I/O errors.
+Usage errors include a flag the command does not take, a --config key
+that is not one of its settings, --mesh outside 16..16384, a --gamma too
+large for the mesh and dimension, an operator that is not numerically
+positive definite on its mesh, boundary data whose extension comes within
+1e-6 of the contact plane (branch.CEILING), ``pullin`` data whose pull-in
+voltage may pass half the largest float (branch.pull_in_ceiling), --tol <= 0,
 --rel-width outside (0, 1), a dimension range outside 1..64 or below its
 claim's floor, a search --dim outside 1..64, a float command's --dim
 below 1 or above the largest float (1.8e308), a voltage that is NaN,
@@ -30,12 +32,12 @@ missing for --family or given for the other family, a candidate outside
 its family (m > 0, m != 4/3; alpha, beta > 0), and a candidate whose
 checks pass certify.MAX_CHECK_DEGREE.
 
-Importing this module loads neither numpy nor the float engine
-(mems4.branch, mems4.radial_operator).  ``bounds``, ``certify`` and
-``search-subsolution`` run on the exact engine, which imports neither;
-``branch``, ``pullin`` and ``profile`` import numpy and the float engine
-inside the functions that check their inputs and run them, and call
-mems4.branch's functions through the module.
+This module never loads numpy (``_linspace`` builds its grids) and its
+import loads no float engine (mems4.branch, mems4.radial_operator).
+``bounds``, ``certify`` and ``search-subsolution`` run on the exact
+engine, which loads neither; ``branch``, ``pullin`` and ``profile`` load
+the float engine, and numpy with it, inside the functions that check
+their inputs and run them, and call mems4.branch's functions through it.
 """
 
 from __future__ import annotations
@@ -218,37 +220,40 @@ def parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
-def parse_lambda_spec(text: str) -> list[float] | None:
-    """Voltage grids "start:stop:count"; "auto" returns None."""
-    if text == "auto":
-        return None
+def _linspace(start, stop, count: int) -> list:
+    """``count`` evenly spaced points from start to stop: exact for
+    Fractions, and numpy's linspace bit for bit for floats (k step + start,
+    then stop; (k/div) delta + start when the step underflows to zero)."""
+    if count < 2 or start == stop:
+        return [start] * count
+    div, delta = count - 1, stop - start
+    step = delta / div
+    if step == 0:
+        return [k / div * delta + start for k in range(div)] + [stop]
+    return [k * step + start for k in range(div)] + [stop]
+
+
+def _parse_grid(text: str, value: Callable[[str], object], usage: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("voltage spec must be start:stop:count or auto")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        raise ValueError(usage)
+    start, stop, count = value(parts[0]), value(parts[1]), int(parts[2])
     if not 1 <= count <= MAX_GRID:
         raise ValueError(f"count must be in 1..{MAX_GRID}")
-    if count == 1:
-        return [start]
-    import numpy as np
+    return _linspace(start, stop, count)
 
-    return list(np.linspace(start, stop, count))
+
+def parse_lambda_spec(text: str) -> list[float] | None:
+    """Voltage grids "start:stop:count"; "auto" returns None."""
+    usage = "voltage spec must be start:stop:count or auto"
+    return None if text == "auto" else _parse_grid(text, float, usage)
 
 
 def parse_fraction_grid(text: str) -> list[Fraction]:
-    """Exact rational grids "1:3:9" (start:stop:count, equal steps)."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [Fraction(parts[0])]
-    if len(parts) != 3:
-        raise ValueError("grid spec must be start:stop:count")
-    start, stop, count = Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
-    if not 1 <= count <= MAX_GRID:
-        raise ValueError(f"count must be in 1..{MAX_GRID}")
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + k * step for k in range(count)]
+    """Exact rational grids "1:3:9" (start:stop:count) or one value "2/3"."""
+    if ":" not in text:
+        return [Fraction(text)]
+    return _parse_grid(text, Fraction, "grid spec must be start:stop:count")
 
 
 def _check_voltages(values) -> None:
@@ -311,7 +316,7 @@ def _csv_fields(row: dict) -> list[tuple[str, object]]:
     return fields
 
 
-def _run_bounds(cfg, inputs, run) -> list[str]:
+def _run_bounds(cfg, inputs, run) -> int:
     n_min, n_max = inputs["n"]
     rows = [
         {"n": row.dimension, **{name: value(row) for name, value in _BOUNDS_COLUMNS}}
@@ -327,14 +332,14 @@ def _run_bounds(cfg, inputs, run) -> list[str]:
         header = [name for name, _ in _csv_fields(rows[0])]
         cells = [[value for _, value in _csv_fields(row)] for row in rows]
         write_csv(run / "tables" / "bounds.csv", header, cells)
-    return []
+    return EXIT_OK
 
 
 def _certify_inputs(args, cfg) -> dict:
     return {"claim": args.claim, "n": _dimension_range(args.n, args.claim)}
 
 
-def _run_certify(cfg, inputs, run) -> list[str]:
+def _run_certify(cfg, inputs, run) -> int:
     claim, (n_min, n_max) = inputs["claim"], inputs["n"]
     if claim == "thresholds":
         cert = certify.certify_thresholds(n_min, n_max)
@@ -346,13 +351,13 @@ def _run_certify(cfg, inputs, run) -> list[str]:
             for r in certify.threshold_table(n_min, n_max)
         ]
         write_csv(run / "tables" / "thresholds.csv", header, rows)
-        return [cert.status]
-    statuses = []
+        return EXIT_FALSIFIED if cert.status == certify.FALSIFIED else EXIT_OK
+    falsified = False
     for n in range(n_min, n_max + 1):
         cert = certify.CLAIMS[claim](n)
         write_json(run / "certificates" / f"{claim}-{n}.json", cert.to_json_dict())
-        statuses.append(cert.status)
-    return statuses
+        falsified |= cert.status == certify.FALSIFIED
+    return EXIT_FALSIFIED if falsified else EXIT_OK
 
 
 def _branch_record(pt: BranchPoint) -> dict:
@@ -379,12 +384,10 @@ def _profile_path(run: Path, lam: float) -> Path:
 
 
 def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
-    import numpy as np
-
     from mems4 import branch
 
     est = branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=1e-3, tol=cfg["tol"])
-    return list(np.linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count))
+    return _linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count)
 
 
 def _branch_inputs(args, cfg) -> dict:
@@ -405,9 +408,7 @@ def _branch_inputs(args, cfg) -> dict:
     return inputs
 
 
-def _run_branch(cfg, inputs, run) -> list[str]:
-    import numpy as np
-
+def _run_branch(cfg, inputs, run) -> int:
     from mems4 import branch
 
     grid = _grid(cfg, inputs["dim"])
@@ -417,14 +418,23 @@ def _run_branch(cfg, inputs, run) -> list[str]:
         records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
                         "reason": result.divergence.reason})
     write_jsonl(run / "branch.jsonl", records)
-    if inputs.get("profiles") and result.points:
-        for i in np.unique(np.linspace(0, len(result.points) - 1, inputs["profiles"]).astype(int)):
-            pt = result.points[i]
-            _write_profile(_profile_path(run, pt.lam), pt.field)
-    return [] if result.points else ["diverged"]
+    if not result.points:
+        return EXIT_FALSIFIED
+    picks = _linspace(0, len(result.points) - 1, inputs.get("profiles", 0))
+    for pt in [result.points[i] for i in sorted({int(x) for x in picks})]:
+        _write_profile(_profile_path(run, pt.lam), pt.field)
+    return EXIT_OK
 
 
-def _run_pullin(cfg, inputs, run) -> list[str]:
+def _pullin_inputs(args, cfg) -> dict:
+    """--dim, as _solver_dim checks it, with branch.pull_in_ceiling too."""
+    from mems4 import branch
+
+    branch.pull_in_ceiling(branch.Workspace(_boundary(cfg), _grid(cfg, args.dim)))
+    return {"dim": args.dim}
+
+
+def _run_pullin(cfg, inputs, run) -> int:
     from mems4 import branch
 
     dim = inputs["dim"]
@@ -445,9 +455,7 @@ def _run_pullin(cfg, inputs, run) -> list[str]:
     }
     write_json(run / "pullin.json", payload)
     _write_profile(run / "profiles" / "near-fold.csv", est.near_fold.field)
-    if est.consistent is False or any("flagged" in n for n in est.notes):
-        return ["inconclusive"]
-    return []
+    return EXIT_INCONCLUSIVE if est.consistent is False or est.flagged else EXIT_OK
 
 
 def _profile_inputs(args, cfg) -> dict:
@@ -455,7 +463,7 @@ def _profile_inputs(args, cfg) -> dict:
     return {"dim": _solver_dim(args, cfg), "lambda": args.lam}
 
 
-def _run_profile(cfg, inputs, run) -> list[str]:
+def _run_profile(cfg, inputs, run) -> int:
     from mems4.branch import BranchPoint, minimal_solution
 
     grid = _grid(cfg, inputs["dim"])
@@ -463,10 +471,10 @@ def _run_profile(cfg, inputs, run) -> list[str]:
     if isinstance(pt, BranchPoint):
         _write_profile(_profile_path(run, pt.lam), pt.field)
         write_json(run / "point.json", _branch_record(pt))
-        return []
+        return EXIT_OK
     write_json(run / "divergence.json",
                {"lambda": pt.lam, "reason": pt.reason, "last_max": pt.last_max})
-    return ["diverged"]
+    return EXIT_FALSIFIED
 
 
 def _search_params(args) -> list:
@@ -510,12 +518,12 @@ def _search_inputs(args, cfg) -> dict:
     return inputs
 
 
-def _run_search(cfg, inputs, run) -> list[str]:
+def _run_search(cfg, inputs, run) -> int:
     lam = Fraction(inputs["lambda"]) if "lambda" in inputs else None
     report = certify.subsolution_search(inputs["dim"], inputs["family"], inputs["params"], lam=lam)
     write_json(run / "search.json", report.to_json_dict())
     print(f"candidates: {len(report.candidates)}, passing: {len(report.passing)}")
-    return []
+    return EXIT_OK
 
 
 @dataclass(frozen=True)
@@ -527,8 +535,8 @@ class Command:
     ``inputs`` validates the command's own arguments and returns the
     fields that, with the settings, key the run directory; config.json
     records exactly that key, the run's whole input.  ``run`` writes the
-    artifacts from the settings and those fields alone, returning their
-    statuses; the first of ``exit_codes`` among them picks the exit code.
+    artifacts from the settings and those fields alone and returns the
+    exit code, read from the decisions the engines made.
     """
 
     name: str
@@ -536,8 +544,7 @@ class Command:
     arguments: tuple
     settings: tuple[str, ...]
     inputs: Callable[[argparse.Namespace, dict], dict]
-    run: Callable[[dict, dict, Path], list[str]]
-    exit_codes: tuple[tuple[str, int], ...] = ()
+    run: Callable[[dict, dict, Path], int]
 
 
 COMMANDS = (
@@ -553,7 +560,6 @@ COMMANDS = (
             _arg("--n", default="17..30", help=f"dimension range within 1..{MAX_DIMENSION}"),
         ),
         (), _certify_inputs, _run_certify,
-        exit_codes=(("falsified", EXIT_FALSIFIED),),
     ),
     Command(
         "branch", "minimal-branch sweep",
@@ -562,18 +568,17 @@ COMMANDS = (
             _arg("--lambda", dest="lam", default="auto", help="start:stop:count or auto"),
             _arg("--profiles", type=int, default=0, help=f"dump k profiles, 0..{MAX_GRID}"),
         ),
-        _SOLVER_SETTINGS, _branch_inputs, _run_branch, exit_codes=(("diverged", EXIT_FALSIFIED),),
+        _SOLVER_SETTINGS, _branch_inputs, _run_branch,
     ),
     Command(
         "pullin", "pull-in voltage bracket", (_DIM,),
         (*_SOLVER_SETTINGS, "rel_width"),
-        lambda args, cfg: {"dim": _solver_dim(args, cfg)}, _run_pullin,
-        exit_codes=(("inconclusive", EXIT_INCONCLUSIVE),),
+        _pullin_inputs, _run_pullin,
     ),
     Command(
         "profile", "single deflection profile",
         (_DIM, _arg("--lambda", dest="lam", required=True, type=float)),
-        _SOLVER_SETTINGS, _profile_inputs, _run_profile, exit_codes=(("diverged", EXIT_FALSIFIED),),
+        _SOLVER_SETTINGS, _profile_inputs, _run_profile,
     ),
     Command(
         "search-subsolution", "parametrized sub-solution search",
@@ -598,8 +603,7 @@ def _execute(command: Command, args) -> int:
     run = run_directory(out_root, command.name, record)
     write_json(run / "config.json", record)
     print(run)
-    statuses = command.run(cfg, inputs, run)
-    return next((code for status, code in command.exit_codes if status in statuses), EXIT_OK)
+    return command.run(cfg, inputs, run)
 
 
 def build_parser() -> _Parser:

@@ -9,12 +9,15 @@ from numpy.linalg import LinAlgError
 
 import mems4.branch
 from mems4.branch import (
+    GROWTH,
     BranchPoint,
     DivergenceReport,
+    Workspace,
     analytic_pull_in_bounds,
     continue_branch,
     extremal_diagnostics,
     minimal_solution,
+    pull_in_ceiling,
     pull_in_voltage,
     regularity_verdict,
 )
@@ -271,6 +274,23 @@ def test_pull_in_bracket_n2():
     assert est.consistent is True
     assert est.near_fold is not None
     assert est.near_fold.mu1 > 0
+    assert not est.flagged
+
+
+def test_pull_in_ceiling_bounds_the_upward_search():
+    # The ceiling is GROWTH max(1, (1 - alpha)^3) 4 R / 27, R >= nu1 the
+    # Rayleigh quotient of (1 - r^2)^2.  At alpha = -1.5e102 it passes half
+    # the largest float, where the bisection's lo + hi would overflow, and
+    # pull_in_voltage refuses before any solve.
+    grid = build_grid(16, 1.5, 3)
+    upper = analytic_pull_in_bounds(OperatorMatrix(grid))[1]
+    assert upper < pull_in_ceiling(Workspace(HOMOGENEOUS, grid)) / GROWTH < 1.05 * upper
+    far = pull_in_ceiling(Workspace(BoundaryPair(F(-10**102), F(0)), grid))
+    assert far == pytest.approx(GROWTH * 4 * 241.59 / 27 * (1 + 1e102) ** 3, rel=1e-4)
+    with pytest.raises(ValueError, match="half the largest float"):
+        pull_in_ceiling(Workspace(BoundaryPair(F(-15 * 10**101), F(0)), grid))
+    with pytest.raises(ValueError, match="half the largest float"):
+        pull_in_voltage(BoundaryPair(F(-10**103), F(0)), grid)
 
 
 @pytest.mark.xfail(
@@ -306,7 +326,7 @@ def test_nu1_accuracy_floor_note(monkeypatch):
     fine = pull_in_voltage(HOMOGENEOUS, build_grid(1024, 1.5, 1), rel_width=1e-3)
     floor = [n for n in fine.notes if n.startswith("nu1 accuracy floor")]
     assert floor == ["nu1 accuracy floor: eigensolvers differ by 5.9e-04 relative"]
-    assert not any("flagged" in n for n in fine.notes)
+    assert not any("flagged" in n for n in fine.notes) and not fine.flagged
     coarse = pull_in_voltage(HOMOGENEOUS, build_grid(256, 1.5, 17), rel_width=1e-3)
     assert not any(n.startswith("nu1 accuracy floor") for n in coarse.notes)
 

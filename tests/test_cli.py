@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mems4.branch import pull_in_voltage
 from mems4.cli import (
     COMMANDS,
     MAX_GRID,
@@ -21,6 +22,8 @@ from mems4.cli import (
     parse_range,
     resolve_settings,
 )
+from mems4.closed_forms import HOMOGENEOUS
+from mems4.radial_operator import build_grid
 from fractions import Fraction
 
 F = Fraction
@@ -51,6 +54,17 @@ def test_parse_helpers():
     # The largest count accepted.
     assert len(parse_lambda_spec(f"0:1:{MAX_GRID}")) == MAX_GRID
     assert len(parse_fraction_grid(f"0:1:{MAX_GRID}")) == MAX_GRID
+    # Voltage grids keep numpy's linspace bit for bit, as config.json keyed
+    # them, the zero-step (denormal) span included.
+    rng = np.random.default_rng(20081)
+    specs = [(50.0, 1330.0, 16), (0.0, 1e-320, 3), (1.0, 10.0, 10), (5.0, 100.0, 3)]
+    for _ in range(500):
+        a, b = sorted(rng.uniform(0, 1, 2) * 10.0 ** rng.integers(-320, 308))
+        specs.append((float(a), float(b), int(rng.integers(2, 80))))
+    for start, stop, count in specs:
+        got = parse_lambda_spec(f"{start!r}:{stop!r}:{count}")
+        want = np.linspace(start, stop, count)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want], (start, stop, count)
 
 
 SETTINGS_OF = {command.name: command.settings for command in COMMANDS}
@@ -164,6 +178,9 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         ["branch", "--dim", "3", "--lambda", "1:2:2", "--mesh", "16", "--alpha=0.9999995"],
         # A dimension past the largest float.
         ["pullin", "--dim", "1" + "0" * 400],
+        # A pull-in voltage near 1e308, where the bisection's lo + hi
+        # would overflow: the ceiling passes half the largest float.
+        ["pullin", "--dim", "3", "--mesh", "16", "--alpha=-1.5e102"],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
@@ -230,23 +247,14 @@ def test_mesh_too_fine_for_dimension_fails_fast(tmp_path, capsys):
     assert "not numerically positive definite" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(
-    reason=(
-        "pull_in_voltage's upward search multiplies hi by 1.3 with no "
-        "ceiling; with beta = 0 the pull-in voltage grows like (1 - alpha)^3, "
-        "so at alpha = -1e103 it leaves the floats, the back-solve overflows "
-        "and the run exits 3 after config.json is written"
-    ),
-    raises=AssertionError,
-    strict=True,
-)
-def test_huge_boundary_value_leaves_no_bare_run_directory(tmp_path):
-    with np.errstate(over="ignore"):
-        run_cli("pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e103",
-                "--out", str(tmp_path))
-    bare = [run for run in tmp_path.iterdir()
-            if [p.name for p in run.iterdir()] == ["config.json"]]
-    assert not bare
+def test_huge_boundary_value_leaves_no_bare_run_directory(tmp_path, capsys):
+    # With beta = 0 the pull-in voltage grows like (1 - alpha)^3; at
+    # alpha = -1e103 its ceiling passes half the largest float, so the run
+    # exits 3 before the run key instead of overflowing after config.json.
+    assert run_cli("pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e103",
+                   "--out", str(tmp_path)) == 3
+    assert not any(tmp_path.iterdir())
+    assert "may pass half the largest float" in capsys.readouterr().err
 
 
 def exit_code(*argv) -> int:
@@ -471,6 +479,19 @@ def test_branch_auto_grid_singular_dimension(tmp_path):
             assert u <= 1.0 - r ** (4.0 / 3.0) + 1e-9
 
 
+def test_branch_auto_grid_spans_below_a_coarse_bracket(tmp_path):
+    # "auto" spaces 12 voltages from lo/12 to 0.98 lo, lo the lower end of
+    # a 1e-3 pull-in bracket; --profiles above the point count writes one
+    # profile per point.
+    code = run_cli("branch", "--dim", "3", "--mesh", "32", "--lambda", "auto",
+                   "--profiles", "20", "--out", str(tmp_path))
+    assert code == 0
+    lo = pull_in_voltage(HOMOGENEOUS, build_grid(32, 1.5, 3), rel_width=1e-3).lambda_lo
+    config = json.loads(find_one(tmp_path, "config.json").read_text())
+    assert config["lambdas"] == list(np.linspace(lo / 12, 0.98 * lo, 12))
+    assert len(list(tmp_path.rglob("profiles/*.csv"))) == 12
+
+
 def test_pullin_json(tmp_path):
     code = run_cli(
         "pullin", "--dim", "2", "--mesh", "128", "--rel-width", "1e-3",
@@ -485,6 +506,19 @@ def test_pullin_json(tmp_path):
     assert (
         float(payload["analytic_lower"]["decimal"]) < payload["lambda_lo"]
     )
+
+
+def test_pullin_grown_upper_end_exits_two(tmp_path):
+    # At alpha = -1e102 the pull-in voltage is past the analytic start of
+    # the upward search, so the bracket grows and the oracle is flagged;
+    # its ceiling, 4.65e307, is still a float.
+    code = run_cli("pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e102",
+                   "--out", str(tmp_path))
+    assert code == 2
+    payload = json.loads(find_one(tmp_path, "pullin.json").read_text())
+    assert "upper end grew past the analytic bound; oracle flagged" in payload["notes"]
+    assert payload["consistent"] is None
+    assert payload["lambda_hi"] < 4.65e307
 
 
 def test_profile_command(tmp_path):
