@@ -45,6 +45,14 @@ STALL_INCREMENT = 1e-7
 NU1_FLOOR_REL = 1e-4
 # The upward search of a pull-in bracket multiplies its upper end by this.
 GROWTH = 1.3
+# Smallest solver tolerance: Newton takes the backward error down to
+# 0.3..2.3e-16 at every branch voltage in dims 1..5 (gamma 1.5, n up to
+# 16384).  Where A is badly scaled (coarse meshes from dim 6 on) it
+# stalls higher near the fold, up to 1e-10, which lowers the bracket.
+MIN_TOL = 1e-15
+# Smallest relative bracket width: above the float spacing 2^-52, so each
+# bisection midpoint moves an end until the bracket is narrow enough.
+MIN_REL_WIDTH = 1e-15
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,18 @@ def pull_in_ceiling(ws: Workspace) -> float:
     if not ceiling <= sys.float_info.max / 2:
         raise ValueError("the pull-in voltage may pass half the largest float (9.0e307)")
     return float(ceiling)
+
+
+def check_tol(tol: float) -> None:
+    """ValueError unless tol is at least MIN_TOL."""
+    if not tol >= MIN_TOL:
+        raise ValueError(f"tol must be at least {MIN_TOL:g}, not {tol!r}")
+
+
+def check_rel_width(rel_width: float) -> None:
+    """ValueError unless rel_width is in [MIN_REL_WIDTH, 1)."""
+    if not MIN_REL_WIDTH <= rel_width < 1:
+        raise ValueError(f"rel_width must be in [{MIN_REL_WIDTH:g}, 1), not {rel_width!r}")
 
 
 def _solve_at(
@@ -257,6 +277,7 @@ def continue_branch(
 ) -> BranchRun:
     """Walk the minimal branch over an increasing voltage grid with
     extrapolated warm starts; the first divergence truncates the run."""
+    check_tol(tol)
     lambdas = [float(x) for x in lambdas]
     check_increasing_grid(lambdas)
     run = BranchRun(points=[])
@@ -289,6 +310,8 @@ def pull_in_voltage(
     tol: float = DEFAULT_TOL,
 ) -> PullInEstimate:
     """Bracket the pull-in voltage by bisection on solver convergence."""
+    check_rel_width(rel_width)
+    check_tol(tol)
     ws = Workspace(bp, grid)
     pull_in_ceiling(ws)
     homogeneous = bp.alpha == 0 and bp.beta == 0

@@ -20,12 +20,14 @@ that is not one of its settings, --mesh outside 16..16384, a --gamma too
 large for the mesh and dimension, an operator that is not numerically
 positive definite on its mesh, boundary data whose extension comes within
 1e-6 of the contact plane (branch.CEILING), ``pullin`` data whose pull-in
-voltage may pass half the largest float (branch.pull_in_ceiling), --tol <= 0,
---rel-width outside (0, 1), a dimension range outside 1..64 or below its
-claim's floor, a search --dim outside 1..64, a float command's --dim
-below 1 or above the largest float (1.8e308), a voltage that is NaN,
-negative or above the largest float (1.8e308), an --alpha or --beta of
-magnitude above it, a search --lambda whose numerator and denominator
+voltage may pass half the largest float (branch.pull_in_ceiling), --tol
+below 1e-15 (branch.MIN_TOL: above the backward error Newton reaches
+on a well-scaled operator), --rel-width outside [1e-15, 1)
+(branch.MIN_REL_WIDTH: above the float spacing, so the bisection ends),
+a dimension range outside 1..64 or below its claim's floor, a search
+--dim outside 1..64, a float command's --dim below 1 or above the
+largest float (1.8e308), a voltage that is NaN, negative or above the
+largest float (1.8e308), an --alpha or --beta of magnitude above it, a search --lambda whose numerator and denominator
 have more than 600 digits together (MAX_VOLTAGE_DIGITS), a grid count,
 --profiles or search candidate count above 4096, a search grid flag
 missing for --family or given for the other family, a candidate outside
@@ -145,12 +147,25 @@ class Setting:
         return "--" + self.name.replace("_", "-")
 
 
+def _branch_check(name: str) -> Callable[[object], bool]:
+    """The Setting check mems4.branch's ``name`` makes (it raises
+    ValueError), imported when a float command resolves the setting."""
+    def valid(value) -> bool:
+        from mems4 import branch
+
+        getattr(branch, name)(value)
+        return True
+
+    return valid
+
+
 SETTINGS = {s.name: s for s in (
     Setting("mesh", 512, int, lambda v: 16 <= v <= MAX_MESH, f"interior node count, 16..{MAX_MESH}"),
     Setting("gamma", 1.5, float, lambda v: v >= 1, "mesh grading exponent, >= 1"),
-    Setting("tol", 1e-10, float, lambda v: v > 0, "solver residual tolerance, > 0"),
-    Setting("rel_width", 1e-6, float, lambda v: 0 < v < 1,
-            "pull-in bracket relative width, in (0, 1)"),
+    Setting("tol", 1e-10, float, _branch_check("check_tol"),
+            "solver residual tolerance, at least 1e-15"),
+    Setting("rel_width", 1e-6, float, _branch_check("check_rel_width"),
+            "pull-in bracket relative width, in [1e-15, 1)"),
     # The float engine samples alpha and beta in doubles.
     Setting("alpha", Fraction(0), Fraction, lambda v: abs(v) <= sys.float_info.max,
             "boundary value at r=1, exact rational of magnitude at most 1.8e308"),

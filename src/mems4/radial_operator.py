@@ -16,16 +16,18 @@ operator that exists is positive definite on its mesh; every back-solve
 (the clamped solve and the nu1 inverse iteration) calls LAPACK pbtrs on
 that factor directly, after checking that the right-hand side is finite.
 
-The banded LAPACK routines come from ``_linalg``, which imports them on
-the first operator built, so importing this module loads numpy only.
-The exact-engine commands import neither.
+The LAPACK routines come from ``_lapack`` on the first operator built,
+so importing this module loads numpy only; each call passes what SciPy's
+wrapper (cholesky_banded, eig_banded, solve_banded) would, so results are
+the wrapper's bit for bit.  The exact-engine commands load neither.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import sys
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -37,14 +39,29 @@ NU1_STEP_TOL = 1e-12
 NU1_MAX_ITER = 200
 
 
-@cache
-def _linalg():
-    """The banded LAPACK module, imported when the first OperatorMatrix is
-    built: the import is most of a command's start-up time, and the exact
-    engine never needs it.  Its LinAlgError is numpy.linalg.LinAlgError."""
-    import scipy.linalg as linalg
+def _lapack():
+    """SciPy's compiled LAPACK module scipy.linalg._flapack, loaded without
+    the package's __init__, which loads much of SciPy (27 MB resident with
+    SciPy 1.17 on Python 3.11) for routines the engine never calls.  It is
+    registered in sys.modules under its own name, so the package, if
+    imported later, reuses it.  There is no fallback."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        name, package.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"the float engine needs SciPy's compiled LAPACK module {name}")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    return linalg
+
+def _check_info(info: int, routine: str) -> None:
+    """LAPACK's negative info: an argument the routine refused."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
 @dataclass(frozen=True)
@@ -149,13 +166,14 @@ class OperatorMatrix:
         if not np.all(np.isfinite(self._banded)):
             raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
                              f"{self.dim}: a band entry is not finite")
-        linalg = _linalg()
-        try:
-            self.chol = linalg.cholesky_banded(self._banded, lower=False)
-        except np.linalg.LinAlgError as exc:
+        self._lapack = _lapack()
+        # cholesky_banded(ab, lower=False): its finite check is the one above.
+        self.chol, info = self._lapack.dpbtrf(self._banded, lower=0)
+        if info > 0:
             raise ValueError(f"mesh {n} with gamma {grid.gamma:g} in dimension {self.dim}: "
-                             f"the operator is not numerically positive definite ({exc})") from exc
-        self._pbtrs = linalg.lapack.dpbtrs
+                             f"the operator is not numerically positive definite "
+                             f"({info}-th leading minor not positive definite)")
+        _check_info(info, "pbtrf")
 
     def _assemble_banded(self) -> np.ndarray:
         n = self.grid.n
@@ -199,9 +217,8 @@ class OperatorMatrix:
         finite and needs no check."""
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side contains non-finite entries")
-        x, info = self._pbtrs(self.chol, rhs, lower=0, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        x, info = self._lapack.dpbtrs(self.chol, rhs, lower=0, overwrite_b=1)
+        _check_info(info, "pbtrs")
         return x
 
     def solve(self, f: np.ndarray) -> np.ndarray:
@@ -211,15 +228,24 @@ class OperatorMatrix:
 
     def solve_shifted(self, rhs: np.ndarray, shift_diag: np.ndarray) -> np.ndarray:
         """Solve (A - W diag(shift_diag)) x = W rhs with banded LU (the
-        shifted matrix need not be definite near a fold)."""
-        # General (2, 2) band layout: the upper rows are the symmetric
-        # storage, the lower rows mirror it.
-        ab = np.zeros((5, self.grid.n))
-        ab[:3] = self._banded
-        ab[3, :-1] = self._banded[1, 1:]
-        ab[4, :-2] = self._banded[0, 2:]
-        ab[2, :] -= self.cells * shift_diag
-        return _linalg().solve_banded((2, 2), ab, self.cells * rhs)
+        shifted matrix need not be definite near a fold), as the gbsv call
+        of solve_banded((2, 2), ...).  ValueError for a non-finite entry,
+        numpy.linalg.LinAlgError for an exactly singular matrix."""
+        # gbsv's (2, 2) band layout: two rows of fill-in, then the upper
+        # rows of the symmetric storage, then its mirror below.
+        ab = np.zeros((7, self.grid.n))
+        ab[2:5] = self._banded
+        ab[4, :] -= self.cells * shift_diag
+        ab[5, :-1] = self._banded[1, 1:]
+        ab[6, :-2] = self._banded[0, 2:]
+        b = self.cells * rhs
+        if not (np.isfinite(ab[4]).all() and np.isfinite(b).all()):
+            raise ValueError("shifted matrix or right-hand side contains non-finite entries")
+        _, _, x, info = self._lapack.dgbsv(2, 2, ab, b, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        _check_info(info, "gbsv")
+        return x
 
     def _lowest_eigenvalue(self, weight: np.ndarray | None) -> float:
         """Lowest eigenvalue of the symmetric-banded similarity transform
@@ -232,9 +258,14 @@ class OperatorMatrix:
         ab[0, 2:] /= sq[2:] * sq[:-2]
         if weight is not None:
             ab[2, :] -= weight
-        vals = _linalg().eig_banded(ab, lower=False, select="i", select_range=(0, 0),
-                                    eigvals_only=True)
-        return float(vals[0])
+        # eig_banded(ab, select="i", select_range=(0, 0), eigvals_only=True)
+        lapack = self._lapack
+        w, _, m, _, info = lapack.dsbevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2, lower=0,
+                                         abstol=2 * lapack.dlamch("s"), mmax=1)
+        _check_info(info, "sbevx")
+        if info > 0 or m != 1:
+            raise np.linalg.LinAlgError(f"LAPACK sbevx found {m} eigenvalues, not 1 (info {info})")
+        return float(w[0])
 
     def _w_normalized(self, v: np.ndarray) -> np.ndarray:
         return v / np.sqrt(np.sum(self.cells * v * v))

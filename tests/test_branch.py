@@ -10,6 +10,8 @@ from numpy.linalg import LinAlgError
 import mems4.branch
 from mems4.branch import (
     GROWTH,
+    MIN_REL_WIDTH,
+    MIN_TOL,
     BranchPoint,
     DivergenceReport,
     Workspace,
@@ -329,6 +331,42 @@ def test_nu1_accuracy_floor_note(monkeypatch):
     assert not any("flagged" in n for n in fine.notes) and not fine.flagged
     coarse = pull_in_voltage(HOMOGENEOUS, build_grid(256, 1.5, 17), rel_width=1e-3)
     assert not any(n.startswith("nu1 accuracy floor") for n in coarse.notes)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 17])
+def test_pull_in_at_the_smallest_rel_width_ends(dim):
+    # Above the float spacing 2^-52 every midpoint moves an end, so the
+    # bisection stops with a bracket no wider than MIN_REL_WIDTH.
+    est = pull_in_voltage(HOMOGENEOUS, build_grid(16, 1.5, dim), rel_width=MIN_REL_WIDTH)
+    assert 0 < est.lambda_hi - est.lambda_lo <= MIN_REL_WIDTH * est.lambda_lo
+
+
+@pytest.mark.parametrize("rel_width", [0.0, 1e-17, 2.0**-52, np.nextafter(MIN_REL_WIDTH, 0), 1.0,
+                                       np.nan])
+def test_pull_in_rejects_rel_width_outside_its_bounds(grid3, rel_width):
+    with pytest.raises(ValueError, match="rel_width"):
+        pull_in_voltage(HOMOGENEOUS, grid3, rel_width=rel_width)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300, np.nextafter(MIN_TOL, 0), np.nan])
+def test_solvers_reject_tol_below_the_floor(grid3, tol):
+    for solve in (lambda: pull_in_voltage(HOMOGENEOUS, grid3, tol=tol),
+                  lambda: continue_branch(HOMOGENEOUS, grid3, [1.0], tol),
+                  lambda: minimal_solution(1.0, HOMOGENEOUS, grid3, tol)):
+        with pytest.raises(ValueError, match="tol"):
+            solve()
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_pull_in_at_the_smallest_tol_keeps_the_bracket(dim, n):
+    # In dims 1..5 Newton reaches MIN_TOL at every voltage up to the fold,
+    # so the bisection decides as it does at the default tolerance.
+    grid = build_grid(n, 1.5, dim)
+    est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-3, tol=MIN_TOL)
+    default = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-3)
+    assert (est.lambda_lo, est.lambda_hi) == (default.lambda_lo, default.lambda_hi)
+    assert est.near_fold.residual < MIN_TOL
 
 
 def test_pull_in_nonhomogeneous_has_no_analytic_bounds():

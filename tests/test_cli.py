@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mems4.branch import pull_in_voltage
+from mems4.branch import MIN_REL_WIDTH, MIN_TOL, pull_in_voltage
 from mems4.cli import (
     COMMANDS,
     MAX_GRID,
@@ -93,12 +93,15 @@ def test_config_validation():
         resolve_settings(bounds, {"format": "xml"})
     with pytest.raises(ValueError):
         resolve_settings(pullin, {"mesh": MAX_MESH + 1})
-    for tol in (0.0, -1.0):
+    # The float engine's own bounds: branch.check_tol and check_rel_width.
+    for tol in (0.0, -1.0, 1e-300, math.nextafter(MIN_TOL, 0), math.nan):
         with pytest.raises(ValueError):
             resolve_settings(pullin, {"tol": tol})
-    for rel_width in (0.0, -1e-3, 1.0):
+    for rel_width in (0.0, -1e-3, 1.0, 2.0**-52, math.nextafter(MIN_REL_WIDTH, 0), math.nan):
         with pytest.raises(ValueError):
             resolve_settings(pullin, {"rel_width": rel_width})
+    floors = resolve_settings(pullin, {"tol": MIN_TOL, "rel_width": MIN_REL_WIDTH})
+    assert (floors["tol"], floors["rel_width"]) == (MIN_TOL, MIN_REL_WIDTH)
     assert resolve_settings(pullin, {"mesh": MAX_MESH})["mesh"] == MAX_MESH
 
 
@@ -181,6 +184,13 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         # A pull-in voltage near 1e308, where the bisection's lo + hi
         # would overflow: the ceiling passes half the largest float.
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=-1.5e102"],
+        # A bracket width at or below the float spacing, where the
+        # bisection's midpoint stops moving, and a tolerance no backward
+        # error reaches.
+        ["pullin", "--dim", "1", "--mesh", "16", "--rel-width", "1e-17"],
+        ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-300"],
+        ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-300"],
+        ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"tol": 1e-16}],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):

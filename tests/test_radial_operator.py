@@ -1,11 +1,13 @@
 """Tests for the discrete radial bilaplacian."""
 
+import importlib.machinery
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded, solve_banded
 from scipy.optimize import brentq
 from scipy.special import iv, jv
 
@@ -283,8 +285,10 @@ def test_nu1_memory_stays_linear():
 def test_operator_not_positive_definite_fails_when_built():
     # At n = 16384 the dim 1 matrix loses positive definiteness in
     # rounding; the banded Cholesky runs in the constructor, so no
-    # operator exists to fail later.
-    with pytest.raises(ValueError, match="not numerically positive definite"):
+    # operator exists to fail later.  The message names the leading minor
+    # as scipy's cholesky_banded does.
+    with pytest.raises(ValueError, match=r"not numerically positive definite "
+                                         r"\(\d+-th leading minor not positive definite\)$"):
         OperatorMatrix(build_grid(16384, 1.5, 1))
 
 
@@ -442,3 +446,76 @@ def test_nu1_eigenfunction_matches_cho_solve_banded_iteration(dim):
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
     assert np.array_equal(op.nu1()[1].values, phi)
+
+
+def _general_band(op: OperatorMatrix, shift: np.ndarray) -> np.ndarray:
+    """A - W diag(shift) in solve_banded's (2, 2) layout."""
+    ab = np.zeros((5, op.grid.n))
+    ab[:3] = op._banded
+    ab[3, :-1] = op._banded[1, 1:]
+    ab[4, :-2] = op._banded[0, 2:]
+    ab[2] -= op.cells * shift
+    return ab
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("dim", [1, 5, 9, 17])
+def test_lapack_calls_match_scipy_wrappers_bitwise(dim, n):
+    # The operator calls LAPACK with the arguments scipy.linalg's wrappers
+    # pass, so factor, eigenvalues and shifted solves are theirs bit for bit.
+    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    assert np.array_equal(op.chol, cholesky_banded(op._banded, lower=False))
+    rng = np.random.default_rng(dim * n)
+    sq = np.sqrt(op.cells)
+    for weight in (None, rng.uniform(0, 10, n)):
+        ab = np.copy(op._banded)
+        ab[2] /= op.cells
+        ab[1, 1:] /= sq[1:] * sq[:-1]
+        ab[0, 2:] /= sq[2:] * sq[:-2]
+        if weight is not None:
+            ab[2] -= weight
+        expected = eig_banded(ab, lower=False, select="i", select_range=(0, 0), eigvals_only=True)
+        assert op._lowest_eigenvalue(weight) == expected[0]
+    nu = op.nu1()[0]
+    for shift in (np.zeros(n), nu * (1.0 + rng.random(n))):
+        rhs = rng.standard_normal(n)
+        expected = solve_banded((2, 2), _general_band(op, shift), op.cells * rhs)
+        got = op.solve_shifted(rhs, shift)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def test_singular_shifted_matrix_raises_linalg_error():
+    # A diagonal band with one entry shifted exactly to zero: LAPACK gbsv
+    # meets a zero pivot, as scipy's solve_banded reports it.
+    op = OperatorMatrix(build_grid(64, 1.5, 5))
+    op._banded = np.zeros((3, 64))
+    op._banded[2] = 2.0 * op.cells
+    shift = np.zeros(64)
+    shift[17] = 2.0
+    rhs = np.ones(64)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        op.solve_shifted(rhs, shift)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((2, 2), _general_band(op, shift), op.cells * rhs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_shifted_rejects_non_finite_entries(bad):
+    op = OperatorMatrix(build_grid(64, 1.5, 5))
+    shift = np.ones(64)
+    shift[17] = bad
+    with pytest.raises(ValueError):
+        op.solve_shifted(np.ones(64), shift)
+    with pytest.raises(ValueError):
+        solve_banded((2, 2), _general_band(op, shift), op.cells)
+    with pytest.raises(ValueError):
+        op.solve_shifted(np.where(np.arange(64) == 17, bad, 1.0), np.ones(64))
+
+
+def test_missing_lapack_extension_raises_import_error(monkeypatch):
+    # No fallback: without SciPy's compiled module the engine cannot run.
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match="scipy.linalg._flapack"):
+        mems4.radial_operator._lapack()

@@ -1,5 +1,6 @@
 """Start-up cost: the exact-engine commands run without numpy and
-scipy.linalg, which load with the first float command.
+SciPy; the float commands load numpy and SciPy's compiled LAPACK module
+scipy.linalg._flapack, but not the scipy.linalg package.
 
 Each check runs the commands in a fresh interpreter, since this test
 process has long since imported both for the float-engine tests.
@@ -11,17 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy
-import scipy.linalg
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _CHILD = """
 import json, sys
 from mems4.cli import main
 codes = [main(argv + ["--out", sys.argv[1]]) for argv in json.loads(sys.argv[2])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "linalg": "scipy.linalg" in sys.modules}))
+out = {"codes": codes, "numpy": "numpy" in sys.modules, "linalg": "scipy.linalg" in sys.modules,
+       "flapack": "scipy.linalg._flapack" in sys.modules}
 """
 
 
@@ -36,10 +34,11 @@ def _fresh(code: str, *args: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _run_fresh(tmp_path, *commands) -> dict:
+def _run_fresh(tmp_path, *commands, then: str = "") -> dict:
     """Exit codes of the commands, run one after another in a new
-    interpreter, and whether numpy and scipy.linalg were loaded at the end."""
-    return _fresh(_CHILD, str(tmp_path), json.dumps(commands))
+    interpreter, and whether numpy, scipy.linalg and its _flapack were
+    loaded at the end; ``then`` runs after them and may add to ``out``."""
+    return _fresh(_CHILD + then + "print(json.dumps(out))", str(tmp_path), json.dumps(commands))
 
 
 def test_exact_engine_commands_do_not_load_scipy_linalg(tmp_path):
@@ -50,7 +49,7 @@ def test_exact_engine_commands_do_not_load_scipy_linalg(tmp_path):
         ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "3"],
     )
     # m3-gap fails at N = 16; m = 3's checks go to Sturm isolation.
-    assert out == {"codes": [0, 1, 0], "numpy": False, "linalg": False}
+    assert out == {"codes": [0, 1, 0], "numpy": False, "linalg": False, "flapack": False}
 
 
 def test_high_degree_search_loads_no_numpy(tmp_path):
@@ -59,16 +58,26 @@ def test_high_degree_search_loads_no_numpy(tmp_path):
     out = _run_fresh(
         tmp_path, ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "11/2"],
     )
-    assert out == {"codes": [0], "numpy": False, "linalg": False}
+    assert out == {"codes": [0], "numpy": False, "linalg": False, "flapack": False}
     search = json.loads(next(tmp_path.rglob("search.json")).read_text())
     statuses = {k: c["status"] for k, c in search["candidates"][0]["checks"].items()}
     assert statuses == {"range-lower": "verified", "range-upper": "verified",
                         "subsolution": "falsified", "semistable": "verified"}
 
 
-def test_float_command_loads_scipy_linalg(tmp_path):
-    out = _run_fresh(tmp_path, ["pullin", "--dim", "2", "--mesh", "64", "--rel-width", "1e-3"])
-    assert out == {"codes": [0], "numpy": True, "linalg": True}
+def test_float_command_loads_flapack_not_scipy_linalg(tmp_path):
+    # The operator loads SciPy's compiled LAPACK module by itself; a later
+    # import of scipy.linalg reuses that module, not a second copy.
+    out = _run_fresh(
+        tmp_path, ["pullin", "--dim", "2", "--mesh", "64", "--rel-width", "1e-3"],
+        then="""
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack
+out["same"] = scipy.linalg.lapack.dpbtrs is flapack.dpbtrs
+out["registered"] = sys.modules["scipy.linalg._flapack"] is flapack
+""")
+    assert out == {"codes": [0], "numpy": True, "linalg": False, "flapack": True,
+                   "same": True, "registered": True}
 
 
 def test_cli_resolves_branch_entry_points():
@@ -87,7 +96,3 @@ print(json.dumps({
 """)
     assert out == {"same": [True, True], "bound": [True, True]}
 
-
-def test_numpy_and_scipy_share_linalg_error():
-    # branch.py catches numpy's class for a failure raised by scipy.linalg.
-    assert numpy.linalg.LinAlgError is scipy.linalg.LinAlgError
