@@ -1,5 +1,5 @@
-"""Minimal-branch continuation, pull-in voltage estimation, and
-extremal-solution diagnostics.
+"""Minimal-branch continuation, pull-in voltage estimation, and the
+near-fold regularity verdict.
 
 The solver works in the shifted variable v = u - Phi (Phi the boundary
 extension), so the discrete problem is the clamped bilaplacian equation
@@ -19,14 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from mems4.closed_forms import (
-    HOMOGENEOUS,
     BoundaryPair,
     boundary_extension,
     hardy_rellich,
     is_admissible,
     quadratic_lower_bound,
     singular_voltage,
-    touchdown_shape,
 )
 from mems4.radial_operator import (
     OperatorMatrix,
@@ -365,91 +363,6 @@ def pull_in_voltage(
     if homogeneous:
         est.consistent = (lo >= float(lower_exact)) and (hi <= upper_nu)
     return est
-
-
-@dataclass
-class ExtremalDiagnostics:
-    """Boundedness and pointwise-envelope checks along a branch."""
-
-    max_energy_h2: float
-    max_energy_cubed: float
-    stability_inequality_margins: list[float]
-    stability_inequality_ok: bool
-    touchdown_bound_max_violation: float | None
-    touchdown_bound_ok: bool | None
-    envelope_coefficient: float | None
-    envelope_min_margin: float | None
-    envelope_ok: bool | None
-    notes: list[str] = field(default_factory=list)
-
-
-# Relative quadrature tolerance of the stability-route inequality, and how
-# far the near-fold profile may dip below the lower touchdown envelope.
-STABILITY_REL_TOL = 1e-6
-ENVELOPE_SLACK = 0.02
-
-
-def extremal_diagnostics(
-    points: list[BranchPoint],
-    bp: BoundaryPair = HOMOGENEOUS,
-    lambda_star_hi: float | None = None,
-) -> ExtremalDiagnostics:
-    """Check the a-priori estimates along a computed branch.
-
-    (a) both energies stay finite; (b) the stability-route inequality
-    2 int (u-Phi)^2/(1-u)^3 <= int (u-Phi)/(1-u)^2 at every point up to
-    quadrature tolerance; (c) for N >= 9, u <= 1 - r^(4/3) nodewise; (d)
-    with a pull-in upper estimate, the near-fold profile dominates the
-    lower envelope 1 - C r^(4/3) - slack, C = (lam_hi / lb)^(1/3).
-    """
-    if not points:
-        raise ValueError("need at least one branch point")
-    grid = points[0].field.grid
-    dim = grid.dim
-    ws = Workspace(bp, grid)
-    phi, cells = ws.phi, ws.op.cells
-
-    margins = []
-    ineq_ok = True
-    for pt in points:
-        u = pt.field.values
-        shifted = u - phi
-        lhs = 2.0 * float(np.sum(cells * shifted**2 / (1.0 - u) ** 3))
-        rhs = float(np.sum(cells * shifted / (1.0 - u) ** 2))
-        margins.append(rhs - lhs)
-        if rhs - lhs < -STABILITY_REL_TOL * (abs(rhs) + abs(lhs)):
-            ineq_ok = False
-
-    touchdown_violation = None
-    touchdown_ok = None
-    if dim >= 9:
-        ub = sample_power_sum(touchdown_shape(), grid.nodes)
-        touchdown_violation = max(
-            float(np.max(pt.field.values - ub)) for pt in points
-        )
-        touchdown_ok = touchdown_violation <= 10 * DEFAULT_TOL
-
-    env_c = env_margin = env_ok = None
-    if lambda_star_hi is not None and dim >= 9:
-        if not lambda_star_hi > 0:
-            raise ValueError("pull-in estimate must be positive")
-        env_c = (lambda_star_hi / float(singular_voltage(dim))) ** (1.0 / 3.0)
-        envelope = 1.0 - env_c * grid.nodes ** (4.0 / 3.0)
-        last = points[-1].field.values
-        env_margin = float(np.min(last - envelope))
-        env_ok = env_margin >= -ENVELOPE_SLACK
-
-    return ExtremalDiagnostics(
-        max_energy_h2=max(pt.energy_h2 for pt in points),
-        max_energy_cubed=max(pt.energy_cubed for pt in points),
-        stability_inequality_margins=margins,
-        stability_inequality_ok=ineq_ok,
-        touchdown_bound_max_violation=touchdown_violation,
-        touchdown_bound_ok=touchdown_ok,
-        envelope_coefficient=env_c,
-        envelope_min_margin=env_margin,
-        envelope_ok=env_ok,
-    )
 
 
 REGULAR = "regular-consistent"

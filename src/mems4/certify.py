@@ -44,18 +44,11 @@ PROBES = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
 # Largest degree that certify_nonneg hands straight to Sturm isolation;
 # above it the Bernstein sign test runs first.
 STURM_DEGREE = 64
-# Halvings after which a piece that still has two or more sign
-# variations hands the polynomial to Sturm isolation, as a repeated root
-# always does.  In sweeps of 240 random admitted search candidates (check
-# degree 65..900, N = 9, 12, 16, 17, voltage H_N/2, H_N/4 and 1.8e308)
-# every check was decided within 6; a repeated root at degree 900 spends
-# about 2.4 s on these 8 before the hand-off.
-BERNSTEIN_DEPTH = 8
 # Largest degree certify_nonneg accepts, so also the largest
 # check_degree of a search candidate, which the CLI checks before the run
-# key.  It bounds time: those sweeps decided each check above degree 64
-# within 0.06 s, each of BERNSTEIN_DEPTH's levels taking one or two
-# O(d^2) Taylor shifts.
+# key.  It bounds time: the sweeps described at polys.BERNSTEIN_DEPTH
+# decided each check above degree 64 within 0.06 s, each of its levels
+# taking one or two O(d^2) Taylor shifts.
 MAX_CHECK_DEGREE = 900
 # Most bits in the numerator or the denominator of an exact value that a
 # trail writes: 14000 bits is 4215 digits, within Python's limit of 4300
@@ -140,7 +133,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     STURM_DEGREE, polys.bernstein_sign then decides: its pieces, on each
     of which p > 0, make the "bernstein" step that verifies, or its
     negative point is the witness.  Up to STURM_DEGREE, or when a piece
-    keeps two sign variations past BERNSTEIN_DEPTH halvings (a repeated
+    keeps two sign variations past polys.BERNSTEIN_DEPTH halvings (a repeated
     root), isolate every distinct interior root by Sturm bisection, then
     determine the sign of p at each isolating-interval edge and each gap
     midpoint by exact evaluation; this covers the whole open interval.
@@ -194,7 +187,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
             return sign_point(x, "probe")
 
     # None (Sturm isolation below) up to STURM_DEGREE or for a repeated root.
-    decided = bernstein_sign(integer_coeffs(p), BERNSTEIN_DEPTH) if p.degree > STURM_DEGREE else None
+    decided = bernstein_sign(integer_coeffs(p)) if p.degree > STURM_DEGREE else None
     if decided is not None:
         pieces, witness = decided
         if witness is not None:

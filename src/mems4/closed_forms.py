@@ -252,6 +252,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_to_decimal(x: Fraction, digits: int = 17) -> str:
+def rational_to_decimal(x: Fraction) -> str:
     """17-significant-digit decimal rendering for human readers."""
-    return f"{float(x):.{digits}g}"
+    return f"{float(x):.17g}"

@@ -295,7 +295,7 @@ def test_nonneg_past_sturm_degree_with_many_touching_roots():
 
 def test_repeated_root_hands_off_to_sturm():
     # (s - 1/3)^2 (1 + s)^90 never gets below two variations on the piece
-    # around 1/3; past BERNSTEIN_DEPTH halvings Sturm isolation decides.
+    # around 1/3; past polys.BERNSTEIN_DEPTH halvings Sturm isolation decides.
     p = _expand((S - sympy.Rational(1, 3)) ** 2 * (1 + S) ** 90)
     cert = certify_nonneg(p)
     assert cert.status == "verified"

@@ -336,9 +336,9 @@ def test_taylor_shift_matches_sympy(coeffs):
 def test_bernstein_sign_pieces_witness_and_stall():
     # 64 (x - 1/2)^2 + 1: positive, with two sign variations on (0, 1)
     # and none on either half.
-    assert bernstein_sign([17, -64, 64], 4) == ([(0, F(1, 2)), (F(1, 2), 1)], None)
+    assert bernstein_sign([17, -64, 64]) == ([(0, F(1, 2)), (F(1, 2), 1)], None)
     # 128 (x - 3/8)(x - 7/16): negative only between its roots, where
     # 13/32 is the fewest-bit dyadic.
-    assert bernstein_sign([21, -104, 128], 8) == ([], F(13, 32))
+    assert bernstein_sign([21, -104, 128]) == ([], F(13, 32))
     # (3x - 1)^2 keeps two variations on the piece around 1/3.
-    assert bernstein_sign([1, -6, 9], 8) is None
+    assert bernstein_sign([1, -6, 9]) is None

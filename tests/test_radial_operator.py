@@ -265,12 +265,6 @@ def test_nu1_eigenfunction_matches_dense_ground_state(dim):
     assert np.sqrt(np.sum(op.cells * diff * diff)) < 1e-8
 
 
-def test_nu1_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(mems4.radial_operator, "NU1_MAX_ITER", 1)
-    with pytest.raises(RuntimeError):
-        OperatorMatrix(build_grid(128, 1.5, 3)).nu1()
-
-
 def test_nu1_memory_stays_linear():
     # A dense eigenvector path would hold an n x n matrix: 128 MB at n = 4096.
     tracemalloc.start()
