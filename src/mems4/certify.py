@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from mems4.closed_forms import (
     PowerSum,
@@ -630,18 +630,6 @@ class SearchReport:
     def passing(self) -> list[CandidateReport]:
         return [c for c in self.candidates if c.passed]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "dimension": self.dimension,
-            "voltage": format_rational(self.voltage),
-            "voltage_decimal": rational_to_decimal(self.voltage),
-            "family": self.family,
-            "candidates": [c.to_json_dict() for c in self.candidates],
-            "passing_count": len(self.passing),
-            "notes": self.notes,
-        }
-
 
 def check_candidate(
     w: PowerSum, n: int, lam: Fraction, params: dict
@@ -685,6 +673,37 @@ def check_candidate(
     return CandidateReport(params, boundary_exact, checks, passed, notes)
 
 
+def search_setup(n: int, family: str, lam: Fraction | None = None) -> tuple[Fraction, list[str]]:
+    """The voltage of a search in dimension n (lam, default H_N/2) and
+    the notes its report carries."""
+    notes = []
+    if not 9 <= n <= 16:
+        notes.append(
+            "dimension outside the open range 9..16; results are a sanity check"
+        )
+    if family == "perturbed-touchdown":
+        notes.append(
+            "perturbation coefficient is 4/(3 beta), the unique scaling that "
+            "clamps the profile exactly for every (alpha, beta)"
+        )
+    return hardy_rellich(n) / 2 if lam is None else Fraction(lam), notes
+
+
+def search_candidates(
+    n: int, family: str, param_grid: Iterable, lam: Fraction
+) -> Iterator[CandidateReport]:
+    """Check each candidate of param_grid at voltage lam and yield its
+    report, in grid order, so a caller can write and release one report
+    before the next is built.  A check above MAX_CHECK_DEGREE raises
+    ValueError."""
+    for params in param_grid:
+        pd, w = candidate_profile(family, params)
+        report = check_candidate(w, n, lam, pd)
+        if family == "touchdown-m" and pd["m"] not in (2, 3):
+            report.notes.append("parameter outside the certified range m in {2, 3}")
+        yield report
+
+
 def subsolution_search(
     n: int,
     family: str,
@@ -699,24 +718,5 @@ def subsolution_search(
     candidate is verified or falsified; a check above MAX_CHECK_DEGREE
     raises ValueError.
     """
-    if lam is None:
-        lam = hardy_rellich(n) / 2
-    lam = Fraction(lam)
-    notes = []
-    if not 9 <= n <= 16:
-        notes.append(
-            "dimension outside the open range 9..16; results are a sanity check"
-        )
-    if family == "perturbed-touchdown":
-        notes.append(
-            "perturbation coefficient is 4/(3 beta), the unique scaling that "
-            "clamps the profile exactly for every (alpha, beta)"
-        )
-    candidates = []
-    for params in param_grid:
-        pd, w = candidate_profile(family, params)
-        report = check_candidate(w, n, lam, pd)
-        if family == "touchdown-m" and pd["m"] not in (2, 3):
-            report.notes.append("parameter outside the certified range m in {2, 3}")
-        candidates.append(report)
-    return SearchReport(n, lam, family, candidates, notes)
+    lam, notes = search_setup(n, family, lam)
+    return SearchReport(n, lam, family, list(search_candidates(n, family, param_grid, lam)), notes)

@@ -68,6 +68,7 @@ from mems4.store import (
     run_directory,
     write_csv,
     write_json,
+    write_json_list,
     write_jsonl,
 )
 
@@ -534,10 +535,28 @@ def _search_inputs(args, cfg) -> dict:
 
 
 def _run_search(cfg, inputs, run) -> int:
+    """Stream the search into search.json: each candidate's report is
+    written, then released, before the next one is checked."""
+    n, family, params = inputs["dim"], inputs["family"], inputs["params"]
     lam = Fraction(inputs["lambda"]) if "lambda" in inputs else None
-    report = certify.subsolution_search(inputs["dim"], inputs["family"], inputs["params"], lam=lam)
-    write_json(run / "search.json", report.to_json_dict())
-    print(f"candidates: {len(report.candidates)}, passing: {len(report.passing)}")
+    lam, notes = certify.search_setup(n, family, lam)
+    passing = 0
+
+    def candidates():
+        nonlocal passing
+        for report in certify.search_candidates(n, family, params, lam):
+            passing += report.passed
+            yield report.to_json_dict()
+
+    write_json_list(run / "search.json", "candidates", candidates(), lambda: {
+        "dimension": n,
+        "voltage": format_rational(lam),
+        "voltage_decimal": rational_to_decimal(lam),
+        "family": family,
+        "passing_count": passing,
+        "notes": notes,
+    })
+    print(f"candidates: {len(params)}, passing: {passing}")
     return EXIT_OK
 
 

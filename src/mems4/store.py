@@ -16,6 +16,7 @@ import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterable
 
 from mems4.closed_forms import format_rational, rational_to_decimal
 
@@ -70,6 +71,30 @@ def write_json(path: Path, obj: dict) -> None:
     with _atomic_file(path) as fh:
         json.dump(payload, fh, **_JSON_OPTIONS)
         fh.write("\n")
+
+
+def write_json_list(path: Path, key: str, items: Iterable, fields: Callable[[], dict]) -> None:
+    """Write canonical_json of {key: list(items), **fields()} (with
+    schema_version, as write_json) without building the list: each item is
+    encoded into the file as the iterator yields it, then fields() is
+    called, so it may report what the iteration counted.  ``key`` must
+    sort before every key of fields().  canonical_json writes no raw
+    newline inside a string, so an item's text at list depth is its own
+    canonical text with 4 more spaces after each newline."""
+    encoder = json.JSONEncoder(**_JSON_OPTIONS)
+    with _atomic_file(path) as fh:
+        fh.write("{\n  " + json.dumps(key) + ": [")
+        count = 0
+        for count, item in enumerate(items, 1):
+            fh.write(",\n    " if count > 1 else "\n    ")
+            for chunk in encoder.iterencode(item):
+                fh.write(chunk.replace("\n", "\n    "))
+        fh.write("\n  ]" if count else "]")
+        payload = {"schema_version": SCHEMA_VERSION}
+        payload.update(fields())
+        if min(payload) <= key:
+            raise ValueError(f"field {min(payload)!r} does not sort after {key!r}")
+        fh.write("," + canonical_json(payload)[1:])
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -29,7 +29,7 @@ from mems4.closed_forms import (
     singular_voltage,
     touchdown_shape,
 )
-from mems4.radial_operator import OperatorMatrix, build_grid, sample_power_sum
+from mems4.radial_operator import NU1_MAX_ITER, OperatorMatrix, build_grid, sample_power_sum
 
 F = Fraction
 
@@ -169,13 +169,25 @@ def test_divergence_above_upper_bound(grid3):
     assert out.last_max >= 0
 
 
-def test_nu1_floor_at_finest_mesh_is_a_gap_not_an_error():
+def test_nu1_floor_at_finest_mesh_is_a_gap_not_an_error(monkeypatch):
     # At n = 16384 in dim 3, nu1's inverse iteration stalls at round-off
-    # above its step tolerance; it stops at its cap, and the Rayleigh gap
-    # that pull_in_voltage writes as the accuracy-floor note shows it.
-    _, upper, gap = analytic_pull_in_bounds(OperatorMatrix(build_grid(16384, 1.5, 3)))
+    # above its step tolerance; it stops once the step stops shrinking,
+    # far below its cap, and the Rayleigh gap that pull_in_voltage writes
+    # as the accuracy-floor note shows it.
+    op = OperatorMatrix(build_grid(16384, 1.5, 3))
+    solves = []
+    back_solve = OperatorMatrix._back_solve
+
+    def counted(self, rhs):
+        solves.append(1)
+        return back_solve(self, rhs)
+
+    monkeypatch.setattr(OperatorMatrix, "_back_solve", counted)
+    _, upper, gap = analytic_pull_in_bounds(op)
     assert np.isfinite(upper)
     assert gap > NU1_FLOOR_REL
+    # nu1's steps, then the Rayleigh estimate's one solve.
+    assert len(solves) < NU1_MAX_ITER / 4
 
 
 def test_overflowing_warm_start_is_a_divergence(grid3):

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,8 +23,11 @@ from mems4.cli import (
     parse_range,
     resolve_settings,
 )
-from mems4.closed_forms import HOMOGENEOUS
+from mems4 import certify
+from mems4.certify import subsolution_search
+from mems4.closed_forms import HOMOGENEOUS, format_rational, rational_to_decimal
 from mems4.radial_operator import build_grid
+from mems4.store import canonical_json
 from fractions import Fraction
 
 F = Fraction
@@ -630,6 +634,85 @@ def test_search_empty_grid(tmp_path, capsys):
     assert code == 3
     assert not any(tmp_path.iterdir())
     assert "--family perturbed-touchdown needs --alpha-grid" in capsys.readouterr().err
+
+
+def _search_document(report) -> dict:
+    # search.json as one canonical document of the materialized report.
+    return {
+        "schema_version": 1,
+        "dimension": report.dimension,
+        "voltage": format_rational(report.voltage),
+        "voltage_decimal": rational_to_decimal(report.voltage),
+        "family": report.family,
+        "candidates": [c.to_json_dict() for c in report.candidates],
+        "passing_count": len(report.passing),
+        "notes": report.notes,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "17", "--family", "touchdown-m", "--m", "2:3:2"],
+    ["--dim", "9", "--family", "perturbed-touchdown", "--alpha-grid", "1:2:2",
+     "--beta-grid", "1/3:2:2"],
+    ["--dim", "17", "--family", "touchdown-m", "--m", "11/2"],
+    ["--dim", "9", "--family", "perturbed-touchdown", "--alpha-grid", "5/6",
+     "--beta-grid", "1/2", "--lambda", "7/3"],
+], ids=["touchdown-m", "perturbed-touchdown", "fallback", "one-candidate"])
+def test_streamed_search_equals_the_materialized_report(tmp_path, capsys, argv):
+    # The CLI writes each candidate as it is checked; the file is the
+    # canonical_json of the whole report that subsolution_search returns
+    # for the inputs config.json records.
+    assert run_cli("search-subsolution", *argv, "--out", str(tmp_path)) == 0
+    config = json.loads(find_one(tmp_path, "config.json").read_text())
+    lam = F(config["lambda"]) if "lambda" in config else None
+    report = subsolution_search(config["dim"], config["family"], config["params"], lam=lam)
+    expected = canonical_json(_search_document(report))
+    assert find_one(tmp_path, "search.json").read_bytes() == expected.encode()
+    assert (f"candidates: {len(report.candidates)}, passing: {len(report.passing)}"
+            in capsys.readouterr().out)
+
+
+def test_search_memory_does_not_grow_with_the_candidates(tmp_path, capsys):
+    # 256 copies of one candidate: a search holds one candidate's report
+    # at a time, so its peak stays far below the file it writes.  A
+    # one-candidate search first pays what any first search allocates
+    # once and keeps (first-call state, CPython's tuple free lists).
+    grid = ["--dim", "9", "--family", "perturbed-touchdown", "--beta-grid", "1/2"]
+    assert run_cli("search-subsolution", *grid, "--alpha-grid", "5/6",
+                   "--out", str(tmp_path / "warm")) == 0
+    tracemalloc.start()
+    try:
+        code = run_cli("search-subsolution", *grid, "--alpha-grid", "5/6:5/6:256",
+                       "--out", str(tmp_path / "big"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "candidates: 256, passing: 0" in capsys.readouterr().out
+    size = find_one(tmp_path / "big", "search.json").stat().st_size
+    assert size > 1_800_000
+    assert peak < size / 2
+
+
+def test_failed_search_keeps_config_and_writes_no_search_json(tmp_path, monkeypatch):
+    # A candidate that raises ends the streamed write: the run directory
+    # keeps config.json, with no search.json and no temporary file.
+    calls = []
+    check_candidate = certify.check_candidate
+
+    def third_raises(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("third candidate")
+        return check_candidate(*args)
+
+    monkeypatch.setattr(certify, "check_candidate", third_raises)
+    code = run_cli("search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+                   "--alpha-grid", "1:2:4", "--beta-grid", "1/3", "--out", str(tmp_path))
+    assert code == 3
+    assert len(calls) == 3
+    (run,) = tmp_path.iterdir()
+    assert [p.name for p in run.iterdir()] == ["config.json"]
 
 
 def test_search_bad_spec(tmp_path):

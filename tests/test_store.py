@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from mems4.store import SCHEMA_VERSION, atomic_write_text, canonical_json, write_csv, write_json
+from mems4.store import (
+    SCHEMA_VERSION, atomic_write_text, canonical_json, write_csv, write_json, write_json_list,
+)
 
 
 @pytest.mark.parametrize(
@@ -43,6 +45,29 @@ def test_streamed_json_equals_canonical_json(tmp_path):
     expected = canonical_json({"schema_version": SCHEMA_VERSION, **obj})
     assert (tmp_path / "a.json").read_bytes() == expected.encode()
     assert json.loads((tmp_path / "a.json").read_text())["big"] == 2**400 - 1
+
+
+@pytest.mark.parametrize("items", [
+    [],
+    [{}],
+    [{"b": [1, {"c": []}], "a": "line\nbreak \u00e9", "d": None}, 2.5, "x", [[]], {"e": {}}],
+], ids=["empty", "one-empty-dict", "mixed"])
+def test_streamed_list_equals_canonical_json(tmp_path, items):
+    # The list's items are written as an iterator yields them, the other
+    # fields after it; the bytes are canonical_json's, "candidates": []
+    # included for no items.
+    fields = {"notes": ["n"], "passing_count": 0}
+    write_json_list(tmp_path / "s.json", "candidates", iter(items), lambda: fields)
+    expected = canonical_json({"schema_version": SCHEMA_VERSION, "candidates": items, **fields})
+    assert (tmp_path / "s.json").read_bytes() == expected.encode()
+    if not items:
+        assert '  "candidates": [],\n' in expected
+
+
+def test_streamed_list_key_must_sort_first(tmp_path):
+    with pytest.raises(ValueError):
+        write_json_list(tmp_path / "s.json", "rows", iter([1]), lambda: {"notes": []})
+    assert not any(tmp_path.iterdir())
 
 
 def test_json_write_memory_does_not_grow_with_the_document(tmp_path):
