@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from mems4.closed_forms import (
@@ -261,13 +260,12 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
     """
     if ps.is_zero():
         return RationalPolynomial(()), Fraction(0), 1
-    e_min = ps.min_exponent()
-    q = 1
-    for t in ps.terms:
-        q = lcm(q, (t.exponent - e_min).denominator)
-        q = lcm(q, t.exponent.denominator)
-    pairs = [(t.coeff, int((t.exponent - e_min) * q)) for t in ps.terms]
-    return from_power_shifts(pairs), e_min, q
+    # q is the lcm of the exponent denominators, and term i's exponent is
+    # k_i/q, so its t-degree is k_i - k_0.
+    _, q, pairs = ps.integer_form
+    k_min = pairs[0][1]
+    shifts = [(t.coeff, k - k_min) for t, (_, k) in zip(ps.terms, pairs)]
+    return from_power_shifts(shifts), ps.min_exponent(), q
 
 
 def _power_sum_claim(ps: PowerSum, label: str) -> dict:
@@ -585,15 +583,15 @@ def check_degree(w: PowerSum) -> int:
     """3 hi q for a profile w = 1 + sum c_i r^(e_i) with 0 < e_i <= hi,
     hi >= 4/3 (both search families), and q the lcm of the e_i's
     denominators: three times w's own cleared degree, read from its
-    exponents without building a polynomial.
+    integer form (hi q is its largest exponent numerator) without
+    building a polynomial.
 
     Every power sum that check_candidate certifies has exponents in
     (1/q)Z, within [0, 3 hi] or, for the sub-solution check, within
     [min(0, 3 lo - 4), 3 hi - 4], lo = min e_i.  So in units of 1/q its
     span (its cleared degree) and its largest exponent are at most 3 hi q.
     """
-    es = [t.exponent for t in w.terms if t.exponent != 0]
-    return int(3 * max(es) * lcm(*(e.denominator for e in es)))
+    return 3 * w.integer_form[2][-1][1]
 
 
 @dataclass
@@ -614,21 +612,6 @@ class CandidateReport:
             "passed": self.passed,
             "notes": self.notes,
         }
-
-
-@dataclass
-class SearchReport:
-    """Outcome of a parametrized sub-solution search at fixed voltage."""
-
-    dimension: int
-    voltage: Fraction
-    family: str
-    candidates: list[CandidateReport]
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def passing(self) -> list[CandidateReport]:
-        return [c for c in self.candidates if c.passed]
 
 
 def check_candidate(
@@ -703,20 +686,3 @@ def search_candidates(
             report.notes.append("parameter outside the certified range m in {2, 3}")
         yield report
 
-
-def subsolution_search(
-    n: int,
-    family: str,
-    param_grid: Iterable,
-    lam: Fraction | None = None,
-) -> SearchReport:
-    """Search a parametrized profile family for a singular semi-stable
-    sub-solution at voltage lam (default H_N/2).
-
-    family "perturbed-touchdown" expects (alpha, beta) pairs; family
-    "touchdown-m" expects profile parameters m.  Every check of every
-    candidate is verified or falsified; a check above MAX_CHECK_DEGREE
-    raises ValueError.
-    """
-    lam, notes = search_setup(n, family, lam)
-    return SearchReport(n, lam, family, list(search_candidates(n, family, param_grid, lam)), notes)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -83,7 +85,9 @@ class PowerSum:
     Built from (coefficient, exponent) pairs, PowerTerms included; the
     term list is normalized on construction: converted to Fractions,
     sorted by exponent, duplicate exponents merged, zero coefficients
-    dropped.
+    dropped.  Sums, products, scaling, the bilaplacian and exact values
+    compute on the integer form, and a result term is built as one
+    Fraction.
     """
 
     terms: tuple[PowerTerm, ...]
@@ -105,6 +109,19 @@ class PowerSum:
         )
         object.__setattr__(self, "terms", norm)
 
+    @cached_property
+    def integer_form(self) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        """(den, qden, pairs): den and qden are the lcm of the coefficient
+        and of the exponent denominators, and pairs holds one (a, k) per
+        term, in term order, for the term (a/den) r^(k/qden).  Computed
+        once per instance; an arithmetic result comes with its own."""
+        den = lcm(*(t.coeff.denominator for t in self.terms))
+        qden = lcm(*(t.exponent.denominator for t in self.terms))
+        return den, qden, tuple(
+            (c.numerator * (den // c.denominator), e.numerator * (qden // e.denominator))
+            for c, e in self.terms
+        )
+
     @staticmethod
     def of(*pairs: tuple[Rational, Rational]) -> "PowerSum":
         """Build from (coefficient, exponent) pairs."""
@@ -115,36 +132,64 @@ class PowerSum:
         return PowerSum.of((c, 0))
 
     def __add__(self, other: "PowerSum") -> "PowerSum":
-        return PowerSum(self.terms + other.terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PowerSum") -> "PowerSum":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "PowerSum", sign: int) -> "PowerSum":
+        """self + sign * other."""
+        d1, q1, p1 = self.integer_form
+        d2, q2, p2 = other.integer_form
+        den, qden = lcm(d1, d2), lcm(q1, q2)
+        merged: dict[int, int] = {}
+        for pairs, cf, kf in ((p1, den // d1, qden // q1), (p2, sign * (den // d2), qden // q2)):
+            for a, k in pairs:
+                k *= kf
+                merged[k] = merged.get(k, 0) + a * cf
+        return _from_integer_form(den, qden, merged)
 
     def __neg__(self) -> "PowerSum":
-        return PowerSum(tuple((-c, e) for c, e in self.terms))
+        return self.scale(-1)
 
     def __mul__(self, other: "PowerSum") -> "PowerSum":
-        return PowerSum(
-            tuple((c * d, e + f) for c, e in self.terms for d, f in other.terms)
-        )
+        d1, q1, p1 = self.integer_form
+        d2, q2, p2 = other.integer_form
+        qden = lcm(q1, q2)
+        f1, f2 = qden // q1, qden // q2
+        p2 = [(b, l * f2) for b, l in p2]
+        merged: dict[int, int] = {}
+        for a, k in p1:
+            k *= f1
+            for b, l in p2:
+                merged[k + l] = merged.get(k + l, 0) + a * b
+        return _from_integer_form(d1 * d2, qden, merged)
 
     def scale(self, c: Rational) -> "PowerSum":
         c = Fraction(c)
-        return PowerSum(tuple((c * d, e) for d, e in self.terms))
+        den, qden, pairs = self.integer_form
+        return _from_integer_form(den * c.denominator, qden, {k: a * c.numerator for a, k in pairs})
 
     def derivative(self) -> "PowerSum":
         return PowerSum(tuple((c * e, e - 1) for c, e in self.terms if e != 0))
 
     def evaluate_exact(self, r: Rational) -> Fraction:
-        """Exact value at rational r > 0; raises if some r^exponent is
-        irrational at this point."""
+        """Exact value at rational r >= 0; raises if some r^exponent is
+        irrational at this point (ValueError) or r = 0 meets a negative
+        exponent (ZeroDivisionError).  Some r^(k/q) is irrational exactly
+        when the root r^(1/q) is, q the lcm of the exponent denominators,
+        so the value is one integer sum in powers of that root."""
         r = Fraction(r)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        total = Fraction(0)
-        for t in self.terms:
-            total += t.coeff * rational_pow(r, t.exponent)
-        return total
+        den, q, pairs = self.integer_form
+        if not pairs:
+            return Fraction(0)
+        root = rational_pow(r, Fraction(1, q))
+        u, v = root.numerator, root.denominator
+        k0, k1 = pairs[0][1], pairs[-1][1]
+        total = sum(a * u ** (k - k0) * v ** (k1 - k) for a, k in pairs)
+        return Fraction(total, den * v ** (k1 - k0)) * root**k0
 
     def min_exponent(self) -> Fraction:
         if not self.terms:
@@ -153,6 +198,25 @@ class PowerSum:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+def _from_integer_form(den: int, qden: int, merged: dict[int, int]) -> PowerSum:
+    """The power sum of the terms (merged[k]/den) r^(k/qden), built from
+    this integer form without the constructor's normalization: zero
+    coefficients are dropped, and den and qden are divided by their gcd
+    with the remaining numerators, which makes them the lcm of the terms'
+    denominators."""
+    ks = sorted(k for k, a in merged.items() if a)
+    g = gcd(den, *(merged[k] for k in ks))
+    h = gcd(qden, *ks)
+    den, qden = den // g, qden // h
+    pairs = tuple((merged[k] // g, k // h) for k in ks)
+    ps = object.__new__(PowerSum)
+    object.__setattr__(ps, "terms", tuple(
+        PowerTerm(Fraction(a, den), Fraction(k, qden)) for a, k in pairs
+    ))
+    ps.__dict__["integer_form"] = (den, qden, pairs)  # integer_form's cache
+    return ps
 
 
 def _int_nth_root(a: int, q: int) -> int | None:
@@ -221,9 +285,13 @@ def boundary_extension(bp: BoundaryPair) -> PowerSum:
 
 
 def apply_bilaplacian(ps: PowerSum, n: int) -> PowerSum:
-    """Termwise bilaplacian: sum c K(s,N) r^(s-4), normalized."""
+    """Termwise bilaplacian: sum c K(s,N) r^(s-4), normalized.  With
+    s = k/q, q^4 K(s,N) = k (k + (N-2)q) (k - 2q) (k + (N-4)q)."""
     _check_dimension(n)
-    return PowerSum(tuple((c * bilaplacian_power_coeff(e, n), e - 4) for c, e in ps.terms))
+    den, q, pairs = ps.integer_form
+    return _from_integer_form(den * q**4, q, {
+        k - 4 * q: a * k * (k + (n - 2) * q) * (k - 2 * q) * (k + (n - 4) * q) for a, k in pairs
+    })
 
 
 def touchdown_shape() -> PowerSum:

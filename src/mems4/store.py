@@ -15,6 +15,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -28,12 +29,87 @@ def rational_json(x: Fraction) -> dict:
     return {"fraction": format_rational(x), "decimal": rational_to_decimal(x)}
 
 
-# The one encoding of every JSON artifact and of the run key.
-_JSON_OPTIONS = {"sort_keys": True, "indent": 2}
+# A container being encoded with a ``write`` hands its parts on after an
+# item once they number more than this, so encoding a document needs no
+# memory of its size.
+_WRITE_EVERY = 1024
+_INF = float("inf")
+
+
+def _scalar_text(x) -> str | None:
+    """json's text of None, a bool, an int or a float (NaN and the
+    infinities as json writes them); None for any other value."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INF or x == -_INF:
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
+def _encode(obj, parts: list[str], newline: str, write: Callable[[str], object] | None = None) -> None:
+    """Append the text of obj to parts as json.dumps(obj, sort_keys=True,
+    indent=2) writes it on a line that starts with ``newline`` ("\n" and
+    the line's indent).  Given ``write``, a list or dict passes the joined
+    parts to it, and clears them, whenever they pass _WRITE_EVERY after an
+    item.  Raises TypeError where json does: on a value or a key of
+    another type, and on keys that do not sort."""
+    if isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        head, sep = "[" + inner, "," + inner
+        for value in obj:
+            parts.append(head)
+            head = sep
+            _encode(value, parts, inner, write)
+            if write is not None and len(parts) > _WRITE_EVERY:
+                write("".join(parts))
+                parts.clear()
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        head, sep = "{" + inner, "," + inner
+        for key, value in sorted(obj.items()):
+            text = key if isinstance(key, str) else _scalar_text(key)
+            if text is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            parts.append(head + _quote(text) + ": ")
+            head = sep
+            _encode(value, parts, inner, write)
+            if write is not None and len(parts) > _WRITE_EVERY:
+                write("".join(parts))
+                parts.clear()
+        parts.append(newline + "}")
+    else:
+        text = _scalar_text(obj)
+        if text is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        parts.append(text)
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, **_JSON_OPTIONS) + "\n"
+    """The one encoding of every JSON artifact and of the run key:
+    json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
+    parts: list[str] = []
+    _encode(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 @contextmanager
@@ -63,32 +139,34 @@ def atomic_write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_encoded(fh, obj, newline: str, head: str = "") -> None:
+    """Write head, then obj encoded as at ``newline`` by _encode, to fh."""
+    parts = [head]
+    _encode(obj, parts, newline, fh.write)
+    fh.write("".join(parts))
+
+
 def write_json(path: Path, obj: dict) -> None:
-    """Write canonical_json of the payload, encoded chunk by chunk into the
-    file: memory stays flat however large the document is."""
+    """Write canonical_json of the payload, about a thousand parts at a time
+    into the file: memory stays flat however large the document is."""
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(obj)
     with _atomic_file(path) as fh:
-        json.dump(payload, fh, **_JSON_OPTIONS)
+        _write_encoded(fh, payload, "\n")
         fh.write("\n")
 
 
 def write_json_list(path: Path, key: str, items: Iterable, fields: Callable[[], dict]) -> None:
     """Write canonical_json of {key: list(items), **fields()} (with
     schema_version, as write_json) without building the list: each item is
-    encoded into the file as the iterator yields it, then fields() is
-    called, so it may report what the iteration counted.  ``key`` must
-    sort before every key of fields().  canonical_json writes no raw
-    newline inside a string, so an item's text at list depth is its own
-    canonical text with 4 more spaces after each newline."""
-    encoder = json.JSONEncoder(**_JSON_OPTIONS)
+    encoded at list depth into the file as the iterator yields it, then
+    fields() is called, so it may report what the iteration counted.
+    ``key`` must sort before every key of fields()."""
     with _atomic_file(path) as fh:
-        fh.write("{\n  " + json.dumps(key) + ": [")
+        fh.write("{\n  " + _quote(key) + ": [")
         count = 0
         for count, item in enumerate(items, 1):
-            fh.write(",\n    " if count > 1 else "\n    ")
-            for chunk in encoder.iterencode(item):
-                fh.write(chunk.replace("\n", "\n    "))
+            _write_encoded(fh, item, "\n    ", ",\n    " if count > 1 else "\n    ")
         fh.write("\n  ]" if count else "]")
         payload = {"schema_version": SCHEMA_VERSION}
         payload.update(fields())

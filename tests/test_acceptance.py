@@ -21,7 +21,8 @@ from mems4.branch import (
 )
 from mems4.certify import (
     certify_thresholds,
-    subsolution_search,
+    search_candidates,
+    search_setup,
     threshold_table,
 )
 from mems4.cli import main as cli_main
@@ -285,19 +286,21 @@ def test_criterion_10_subsolution_search():
         for a in (F(1), F(4, 3), F(5, 3), F(2))
         for b in (F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2))
     ]
-    rep9 = subsolution_search(9, "perturbed-touchdown", grid9)
-    rep17 = subsolution_search(17, "touchdown-m", [F(3)])
+    lam9, _ = search_setup(9, "perturbed-touchdown")
+    lam17, _ = search_setup(17, "touchdown-m")
+    rep9 = list(search_candidates(9, "perturbed-touchdown", grid9, lam9))
+    rep17 = list(search_candidates(17, "touchdown-m", [F(3)], lam17))
     elapsed = time.perf_counter() - t0
     ok = (
-        len(rep9.candidates) == len(grid9)
-        and len(rep9.passing) == 0
-        and len(rep17.passing) == 1
+        len(rep9) == len(grid9)
+        and not any(c.passed for c in rep9)
+        and [c.passed for c in rep17] == [True]
         and elapsed < 60.0
     )
     report(
         10,
         "perturbation family fails at N=9; cubic profile passes at N=17",
         ok,
-        f"{len(rep9.candidates)} candidates, 0 passing at N=9; "
+        f"{len(rep9)} candidates, 0 passing at N=9; "
         f"N=17 passes, {elapsed:.1f}s",
     )

@@ -25,8 +25,9 @@ from mems4.certify import (
     power_sum_nonneg,
     reduce_power_sum,
     replay_certificate,
+    search_candidates,
+    search_setup,
     stability_gap_polynomial,
-    subsolution_search,
     threshold_table,
 )
 from mems4.closed_forms import PowerSum, hardy_rellich, singular_voltage, touchdown_profile
@@ -351,14 +352,21 @@ def test_replay_verified_and_falsified():
         assert not replay_certificate(bad)
 
 
+def _search(n, family, grid, lam=None):
+    """The voltage of a search (default H_N/2), its candidate reports and
+    its notes."""
+    lam, notes = search_setup(n, family, lam)
+    return lam, list(search_candidates(n, family, grid, lam)), notes
+
+
 def _round_trip(cert: Certificate) -> Certificate:
     return Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
 
 
 def test_replay_accepts_every_kind_after_json_round_trip():
     # m = 11/2's checks pass STURM_DEGREE: the Bernstein test decides them.
-    search = subsolution_search(17, "touchdown-m", [F(3), F(11, 2)])
-    power_sums = [c for cand in search.candidates for c in cand.checks.values()]
+    _, candidates, _ = _search(17, "touchdown-m", [F(3), F(11, 2)])
+    power_sums = [c for cand in candidates for c in cand.checks.values()]
     assert any(t["step"] == "bernstein" for c in power_sums for t in c.trail)
     certs = power_sums + [
         certify_thresholds(1, 64),
@@ -375,7 +383,7 @@ def test_replay_accepts_every_kind_after_json_round_trip():
 
 def _range_upper() -> Certificate:
     """The power-sum certificate of 1 - w >= 0 for the m = 3 profile."""
-    return subsolution_search(17, "touchdown-m", [F(3)]).candidates[0].checks["range-upper"]
+    return _search(17, "touchdown-m", [F(3)])[1][0].checks["range-upper"]
 
 
 def _set_step(step: str, key: str, value, which: int = 0):
@@ -576,10 +584,10 @@ def test_perturbed_touchdown_recovers_profile_family():
 
 
 def test_search_w3_passes_at_17():
-    report = subsolution_search(17, "touchdown-m", [F(3)])
-    assert report.voltage == hardy_rellich(17) / 2
-    assert len(report.passing) == 1
-    cand = report.candidates[0]
+    lam, candidates, _ = _search(17, "touchdown-m", [F(3)])
+    assert lam == hardy_rellich(17) / 2
+    assert [c.passed for c in candidates] == [True]
+    cand = candidates[0]
     assert cand.boundary_exact
     assert all(c.status == "verified" for c in cand.checks.values())
 
@@ -589,9 +597,9 @@ def test_search_w3_gap_check_matches_named_certificate():
     # reduction (s = r^(5/3)) must deliver the same verdicts across and
     # beyond the certified range.
     for n in (9, 12, 16, 17, 23, 30, 31):
-        report = subsolution_search(n, "touchdown-m", [F(3)])
+        _, candidates, _ = _search(n, "touchdown-m", [F(3)])
         assert (
-            report.candidates[0].checks["subsolution"].status
+            candidates[0].checks["subsolution"].status
             == certify_m3_gap(n).status
         )
 
@@ -602,11 +610,11 @@ def test_search_phi0_family_fails_at_9():
         for a in (F(1), F(4, 3), F(5, 3), F(2))
         for b in (F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2))
     ]
-    report = subsolution_search(9, "perturbed-touchdown", grid)
-    assert len(report.candidates) == len(grid)
-    assert report.passing == []
+    _, candidates, _ = _search(9, "perturbed-touchdown", grid)
+    assert len(candidates) == len(grid)
+    assert not any(c.passed for c in candidates)
     # every failure is explained: at least one check not verified
-    for cand in report.candidates:
+    for cand in candidates:
         assert any(c.status != "verified" for c in cand.checks.values())
 
 
@@ -650,22 +658,21 @@ def test_candidate_profile_checks_its_family():
 
 
 def test_search_empty_grid():
-    report = subsolution_search(9, "perturbed-touchdown", [])
-    assert report.candidates == []
-    assert report.passing == []
+    _, candidates, _ = _search(9, "perturbed-touchdown", [])
+    assert candidates == []
 
 
 def test_search_notes_outside_range():
-    report = subsolution_search(17, "touchdown-m", [F(3)])
-    assert any("9..16" in note for note in report.notes)
+    _, _, notes = _search(17, "touchdown-m", [F(3)])
+    assert any("9..16" in note for note in notes)
 
 
 def test_candidate_vs_w2_at_31():
     # m=2 profile at voltage 27*lb in dimension 31 passes all four checks,
     # matching the dedicated m2 certificate.
     lam = 27 * singular_voltage(31)
-    report = subsolution_search(31, "touchdown-m", [F(2)], lam=lam)
-    assert len(report.passing) == 1
+    _, candidates, _ = _search(31, "touchdown-m", [F(2)], lam=lam)
+    assert [c.passed for c in candidates] == [True]
 
 
 def test_witness_that_does_not_confirm_raises(monkeypatch):

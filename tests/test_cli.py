@@ -24,10 +24,9 @@ from mems4.cli import (
     resolve_settings,
 )
 from mems4 import certify
-from mems4.certify import subsolution_search
+from mems4.certify import search_candidates, search_setup
 from mems4.closed_forms import HOMOGENEOUS, format_rational, rational_to_decimal
 from mems4.radial_operator import build_grid
-from mems4.store import canonical_json
 from fractions import Fraction
 
 F = Fraction
@@ -636,17 +635,21 @@ def test_search_empty_grid(tmp_path, capsys):
     assert "--family perturbed-touchdown needs --alpha-grid" in capsys.readouterr().err
 
 
-def _search_document(report) -> dict:
-    # search.json as one canonical document of the materialized report.
+def _search_document(config: dict) -> dict:
+    # search.json as one document of the materialized candidate reports
+    # for the inputs config.json records.
+    n, family = config["dim"], config["family"]
+    lam, notes = search_setup(n, family, F(config["lambda"]) if "lambda" in config else None)
+    candidates = list(search_candidates(n, family, config["params"], lam))
     return {
         "schema_version": 1,
-        "dimension": report.dimension,
-        "voltage": format_rational(report.voltage),
-        "voltage_decimal": rational_to_decimal(report.voltage),
-        "family": report.family,
-        "candidates": [c.to_json_dict() for c in report.candidates],
-        "passing_count": len(report.passing),
-        "notes": report.notes,
+        "dimension": n,
+        "voltage": format_rational(lam),
+        "voltage_decimal": rational_to_decimal(lam),
+        "family": family,
+        "candidates": [c.to_json_dict() for c in candidates],
+        "passing_count": sum(c.passed for c in candidates),
+        "notes": notes,
     }
 
 
@@ -660,15 +663,14 @@ def _search_document(report) -> dict:
 ], ids=["touchdown-m", "perturbed-touchdown", "fallback", "one-candidate"])
 def test_streamed_search_equals_the_materialized_report(tmp_path, capsys, argv):
     # The CLI writes each candidate as it is checked; the file is the
-    # canonical_json of the whole report that subsolution_search returns
-    # for the inputs config.json records.
+    # standard library's sort_keys, indent=2 encoding of the whole
+    # document built from a list of every candidate's report.
     assert run_cli("search-subsolution", *argv, "--out", str(tmp_path)) == 0
     config = json.loads(find_one(tmp_path, "config.json").read_text())
-    lam = F(config["lambda"]) if "lambda" in config else None
-    report = subsolution_search(config["dim"], config["family"], config["params"], lam=lam)
-    expected = canonical_json(_search_document(report))
+    document = _search_document(config)
+    expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
     assert find_one(tmp_path, "search.json").read_bytes() == expected.encode()
-    assert (f"candidates: {len(report.candidates)}, passing: {len(report.passing)}"
+    assert (f"candidates: {len(document['candidates'])}, passing: {document['passing_count']}"
             in capsys.readouterr().out)
 
 

@@ -157,6 +157,78 @@ def test_power_sum_product_eval(a, b, r):
     assert (p * q).evaluate_exact(r) == p.evaluate_exact(r) * q.evaluate_exact(r)
 
 
+# The termwise Fraction formulas, normalized by the constructor: the
+# oracle for PowerSum's integer kernels.
+def _termwise_mul(p, q):
+    return PowerSum(tuple((c * d, e + f) for c, e in p.terms for d, f in q.terms))
+
+
+def _termwise_add(p, q):
+    return PowerSum(p.terms + q.terms)
+
+
+def _termwise_neg(p):
+    return PowerSum(tuple((-c, e) for c, e in p.terms))
+
+
+def _termwise_scale(p, c):
+    return PowerSum(tuple((c * d, e) for d, e in p.terms))
+
+
+def _termwise_bilaplacian(p, n):
+    return PowerSum(tuple((c * bilaplacian_power_coeff(e, n), e - 4) for c, e in p.terms))
+
+
+# Few exponents, so that terms share them, negative ones among them; some
+# terms come back negated, so that coefficients cancel to an empty sum.
+_exponents = st.sampled_from([F(0), FT, F(-8, 3), F(2), F(-1, 2), F(4)]) | st.fractions(
+    min_value=F(-6), max_value=F(6), max_denominator=12
+)
+
+
+@st.composite
+def power_sums(draw):
+    pairs = draw(st.lists(st.tuples(rationals, _exponents), max_size=6))
+    pairs += [(-c, e) for c, e in pairs[: draw(st.integers(0, len(pairs)))]]
+    return PowerSum(tuple(pairs))
+
+
+def _termwise_evaluate(p, r):
+    return sum((c * rational_pow(r, e) for c, e in p.terms), F(0))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _same(out, expected):
+    assert out == expected
+    assert all(type(c) is F and type(e) is F for c, e in out.terms)
+    # A result's integer form is the one its own terms give.
+    assert out.integer_form == PowerSum(out.terms).integer_form
+
+
+@given(power_sums(), power_sums(), rationals, dimensions)
+def test_power_sum_kernels_match_termwise_formulas(p, q, c, n):
+    _same(p * q, _termwise_mul(p, q))
+    _same(p + q, _termwise_add(p, q))
+    _same(p - q, _termwise_add(p, _termwise_neg(q)))
+    _same(-p, _termwise_neg(p))
+    _same(p.scale(c), _termwise_scale(p, c))
+    _same(apply_bilaplacian(p, n), _termwise_bilaplacian(p, n))
+    # At 0, at 1, at a point where every power is rational and at one
+    # where some power may be irrational.
+    root = F(abs(c.numerator) % 7 + 1, abs(c.denominator) % 5 + 1)
+    for r in (F(0), F(1), root ** p.integer_form[1], root):
+        assert _outcome(p.evaluate_exact, r) == _outcome(_termwise_evaluate, p, r)
+    _same(p * q * p - q.scale(c), _termwise_add(
+        _termwise_mul(_termwise_mul(p, q), p), _termwise_neg(_termwise_scale(q, c))
+    ))
+
+
 def test_rational_pow():
     assert rational_pow(F(1, 8), F(4, 3)) == F(1, 16)
     assert rational_pow(F(27, 8), F(-2, 3)) == F(4, 9)

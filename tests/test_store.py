@@ -1,5 +1,6 @@
 """Tests for the on-disk result store."""
 
+import gc
 import json
 import os
 import stat
@@ -7,7 +8,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import mems4.store as store
 from mems4.store import (
     SCHEMA_VERSION, atomic_write_text, canonical_json, write_csv, write_json, write_json_list,
 )
@@ -32,6 +36,88 @@ def test_artifacts_get_the_mode_open_would_give(tmp_path, umask, mode):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "plain.txt", "tables"]
 
 
+def _stdlib(obj) -> str:
+    """The encoding every JSON artifact keeps, from the standard library."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# JSON trees: every scalar json writes (control, non-ASCII, astral and
+# lone-surrogate characters, big ints, signed zeros, subnormals, nan and
+# infinities), tuples beside lists, and dicts whose keys are all text,
+# all numbers (bools among them) or the one key None.
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1e-310, float("nan"), float("inf"), -float("inf")])
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**600, 2**600) | _FLOATS
+    | st.text(st.characters(blacklist_categories=()))
+    | st.text(st.sampled_from("\x00\x1f\x7f\"\\/\n\té€\U0001d49c\ud800"))
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner)
+        | st.dictionaries(st.one_of(st.integers(), _FLOATS, st.booleans()), inner)
+        | st.dictionaries(st.none(), inner)
+    ),
+    max_leaves=30,
+)
+_FILES = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+
+
+@given(_TREES)
+def test_canonical_json_is_the_stdlib_encoding(obj):
+    assert canonical_json(obj) == _stdlib(obj)
+
+
+@_FILES
+@given(st.dictionaries(st.text(), _TREES, max_size=4))
+def test_written_json_is_the_stdlib_encoding(tmp_path, monkeypatch, obj):
+    # Written out every few parts, so at every kind of boundary.
+    monkeypatch.setattr(store, "_WRITE_EVERY", 2)
+    write_json(tmp_path / "a.json", obj)
+    expected = _stdlib({"schema_version": SCHEMA_VERSION, **obj})
+    assert (tmp_path / "a.json").read_bytes() == expected.encode()
+
+
+@_FILES
+@given(st.lists(_TREES, max_size=5), st.dictionaries(st.text().map("d".__add__), _TREES, max_size=3))
+def test_written_json_list_is_the_stdlib_encoding(tmp_path, monkeypatch, items, fields):
+    monkeypatch.setattr(store, "_WRITE_EVERY", 2)
+    write_json_list(tmp_path / "s.json", "candidates", iter(items), lambda: fields)
+    expected = _stdlib({"schema_version": SCHEMA_VERSION, "candidates": items, **fields})
+    assert (tmp_path / "s.json").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("obj", [
+    Fraction(1, 3), [1, {"a": Fraction(1, 3)}], {Fraction(1, 3): 1}, {(1, 2): 1},
+    {"a": 1, 2: 1}, {None: 1, 0: 1}, {1.5: 1, "b": 2}, {1, 2}, b"x",
+], ids=["fraction", "nested-fraction", "fraction-key", "tuple-key", "str-and-int-keys",
+        "none-and-int-keys", "float-and-str-keys", "set", "bytes"])
+def test_encoder_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        _stdlib(obj)
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+def test_streamed_list_leaves_no_garbage(tmp_path):
+    # Each item's encoding builds no reference cycle, so a search of any
+    # size leaves nothing for the cycle collector.
+    item = {"claim": {"terms": [["1/2", "4/3"]]}, "trail": [{"step": "input", "degree": 3}],
+            "flags": [True, None, 2.5], "passed": False}
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        write_json_list(tmp_path / "s.json", "candidates", iter([item] * 256),
+                        lambda: {"passing_count": 0})
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
 def test_streamed_json_equals_canonical_json(tmp_path):
     obj = {
         "empty": [[], {}, [[]], {"a": {}}],
@@ -43,6 +129,7 @@ def test_streamed_json_equals_canonical_json(tmp_path):
     }
     write_json(tmp_path / "a.json", obj)
     expected = canonical_json({"schema_version": SCHEMA_VERSION, **obj})
+    assert expected == _stdlib({"schema_version": SCHEMA_VERSION, **obj})
     assert (tmp_path / "a.json").read_bytes() == expected.encode()
     assert json.loads((tmp_path / "a.json").read_text())["big"] == 2**400 - 1
 
@@ -59,6 +146,7 @@ def test_streamed_list_equals_canonical_json(tmp_path, items):
     fields = {"notes": ["n"], "passing_count": 0}
     write_json_list(tmp_path / "s.json", "candidates", iter(items), lambda: fields)
     expected = canonical_json({"schema_version": SCHEMA_VERSION, "candidates": items, **fields})
+    assert expected == _stdlib({"schema_version": SCHEMA_VERSION, "candidates": items, **fields})
     assert (tmp_path / "s.json").read_bytes() == expected.encode()
     if not items:
         assert '  "candidates": [],\n' in expected
@@ -81,7 +169,7 @@ def test_json_write_memory_does_not_grow_with_the_document(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (tmp_path / "big.json").stat().st_size == encoded
+    assert (tmp_path / "big.json").read_text() == _stdlib({"schema_version": SCHEMA_VERSION, "rows": rows})
     assert peak < encoded / 4
 
 
