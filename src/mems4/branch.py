@@ -75,6 +75,11 @@ class DivergenceReport:
     last_max: float
 
 
+class NoConvergentVoltage(RuntimeError):
+    """pull_in_voltage found no voltage above its 1e-12 floor at which the
+    solver converges, so it has no bracket to report."""
+
+
 @dataclass
 class BranchRun:
     """Branch points in increasing voltage order; a divergence at some
@@ -337,7 +342,7 @@ def pull_in_voltage(
             break
         lo /= 2
     if sol is None:
-        raise RuntimeError("no convergent voltage found above 1e-12")
+        raise NoConvergentVoltage("no convergent voltage found above 1e-12")
 
     while (hi - lo) > rel_width * lo:
         mid = 0.5 * (lo + hi)

@@ -31,7 +31,7 @@ from mems4.closed_forms import (
     touchdown_shape,
 )
 from mems4.polys import (
-    RationalPolynomial, bernstein_sign, from_power_shifts, integer_coeffs, sign_at,
+    RationalPolynomial, bernstein_sign, integer_coeffs, sign_at,
 )
 
 VERIFIED = "verified"
@@ -260,12 +260,14 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
     """
     if ps.is_zero():
         return RationalPolynomial(()), Fraction(0), 1
-    # q is the lcm of the exponent denominators, and term i's exponent is
-    # k_i/q, so its t-degree is k_i - k_0.
-    _, q, pairs = ps.integer_form
+    # q is the lcm of the exponent denominators, and the term (a/den) r^(k/q)
+    # becomes (a/den) t^(k - k_min).
+    den, q, pairs = ps.integer_form
     k_min = pairs[0][1]
-    shifts = [(t.coeff, k - k_min) for t, (_, k) in zip(ps.terms, pairs)]
-    return from_power_shifts(shifts), ps.min_exponent(), q
+    coeffs = [0] * (pairs[-1][1] - k_min + 1)
+    for a, k in pairs:
+        coeffs[k - k_min] = Fraction(a, den)
+    return RationalPolynomial(tuple(coeffs)), ps.min_exponent(), q
 
 
 def _power_sum_claim(ps: PowerSum, label: str) -> dict:
@@ -287,13 +289,13 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     if ps.is_zero():
         return Certificate(claim, VERIFIED, None, [{"step": "conclusion", "note": "zero power sum"}])
     poly, e_min, q = reduce_power_sum(ps)
+    inner = certify_nonneg(poly)
     reduction_step = {
         "step": "power-substitution",
         "multiplier_exponent": format_rational(-e_min),
         "substitution_order": q,
-        "polynomial": _poly_strings(poly),
+        "polynomial": inner.claim["polynomial"],
     }
-    inner = certify_nonneg(poly)
     trail = [reduction_step] + inner.trail
     witness = None
     if inner.status == FALSIFIED:

@@ -399,10 +399,25 @@ def _profile_path(run: Path, lam: float) -> Path:
     return run / "profiles" / f"lambda-{float(lam)!r}.csv"
 
 
-def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
+class Diverged(Exception):
+    """A float command found no convergent voltage to work from; main
+    reports it on one line and exits 1."""
+
+
+def _pull_in_voltage(cfg: dict, dim: int, rel_width: float):
+    """branch.pull_in_voltage on the run's boundary data, mesh and tol;
+    raises Diverged when no voltage converges."""
     from mems4 import branch
 
-    est = branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=1e-3, tol=cfg["tol"])
+    try:
+        return branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
+                                      rel_width=rel_width, tol=cfg["tol"])
+    except branch.NoConvergentVoltage as exc:
+        raise Diverged(exc) from None
+
+
+def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
+    est = _pull_in_voltage(cfg, dim, 1e-3)
     return _linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count)
 
 
@@ -454,8 +469,7 @@ def _run_pullin(cfg, inputs, run) -> int:
     from mems4 import branch
 
     dim = inputs["dim"]
-    est = branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
-                                 rel_width=cfg["rel_width"], tol=cfg["tol"])
+    est = _pull_in_voltage(cfg, dim, cfg["rel_width"])
     payload = {
         "dim": dim,
         "lambda_lo": est.lambda_lo,
@@ -665,6 +679,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"mems4 {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Diverged as exc:
+        print(f"mems4 {args.command}: diverged: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
     except OSError as exc:
         print(f"mems4: I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
 from typing import NamedTuple, Union
 
 Rational = Union[Fraction, int]
@@ -82,50 +81,49 @@ class PowerTerm(NamedTuple):
 class PowerSum:
     """A finite sum of rational powers of r with rational coefficients.
 
-    Built from (coefficient, exponent) pairs, PowerTerms included; the
-    term list is normalized on construction: converted to Fractions,
-    sorted by exponent, duplicate exponents merged, zero coefficients
-    dropped.  Sums, products, scaling, the bilaplacian and exact values
-    compute on the integer form, and a result term is built as one
-    Fraction.
+    Its one value is the integer form (den, qden, pairs): integers
+    den, qden > 0 and one (a, k) per term (a/den) r^(k/qden).  The
+    constructor canonicalizes the form it is given, whose pairs may be
+    any iterable: duplicate exponents merged, zero coefficients dropped,
+    pairs sorted by exponent, and den and qden divided by their gcd with
+    the numerators, so that they are the lcm of the terms' coefficient
+    and exponent denominators.  Equal sums then compare and hash equal
+    however they were built.  All arithmetic computes on the form; the
+    Fraction terms are read from it on demand.
     """
 
-    terms: tuple[PowerTerm, ...]
+    integer_form: tuple[int, int, tuple[tuple[int, int], ...]]
 
     def __post_init__(self):
-        # Keyed by the exponent's integer pair: hashing a Fraction costs a
-        # modular inverse.
-        merged: dict[tuple[int, int], list] = {}
-        for c, e in self.terms:
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            e = e if isinstance(e, Fraction) else Fraction(e)
-            key = (e.numerator, e.denominator)
-            if key in merged:
-                merged[key][1] += c
-            else:
-                merged[key] = [e, c]
-        norm = tuple(
-            PowerTerm(c, e) for e, c in sorted(merged.values(), key=itemgetter(0)) if c != 0
-        )
-        object.__setattr__(self, "terms", norm)
+        den, qden, pairs = self.integer_form
+        merged: dict[int, int] = {}
+        for a, k in pairs:
+            merged[k] = merged.get(k, 0) + a
+        ks = sorted(k for k, a in merged.items() if a)
+        g = gcd(den, *(merged[k] for k in ks))
+        h = gcd(qden, *ks)
+        object.__setattr__(self, "integer_form", (
+            den // g, qden // h, tuple((merged[k] // g, k // h) for k in ks)
+        ))
 
     @cached_property
-    def integer_form(self) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        """(den, qden, pairs): den and qden are the lcm of the coefficient
-        and of the exponent denominators, and pairs holds one (a, k) per
-        term, in term order, for the term (a/den) r^(k/qden).  Computed
-        once per instance; an arithmetic result comes with its own."""
-        den = lcm(*(t.coeff.denominator for t in self.terms))
-        qden = lcm(*(t.exponent.denominator for t in self.terms))
-        return den, qden, tuple(
-            (c.numerator * (den // c.denominator), e.numerator * (qden // e.denominator))
-            for c, e in self.terms
-        )
+    def terms(self) -> tuple[PowerTerm, ...]:
+        """The terms in exponent order, with Fraction coefficient and
+        exponent.  Computed once per instance."""
+        den, qden, pairs = self.integer_form
+        return tuple(PowerTerm(Fraction(a, den), Fraction(k, qden)) for a, k in pairs)
 
     @staticmethod
     def of(*pairs: tuple[Rational, Rational]) -> "PowerSum":
-        """Build from (coefficient, exponent) pairs."""
-        return PowerSum(pairs)
+        """Build from (coefficient, exponent) pairs, PowerTerms included."""
+        cs = [Fraction(c) for c, _ in pairs]
+        es = [Fraction(e) for _, e in pairs]
+        den = lcm(*(c.denominator for c in cs))
+        qden = lcm(*(e.denominator for e in es))
+        return PowerSum((den, qden, (
+            (c.numerator * (den // c.denominator), e.numerator * (qden // e.denominator))
+            for c, e in zip(cs, es)
+        )))
 
     @staticmethod
     def constant(c: Rational) -> "PowerSum":
@@ -142,12 +140,11 @@ class PowerSum:
         d1, q1, p1 = self.integer_form
         d2, q2, p2 = other.integer_form
         den, qden = lcm(d1, d2), lcm(q1, q2)
-        merged: dict[int, int] = {}
-        for pairs, cf, kf in ((p1, den // d1, qden // q1), (p2, sign * (den // d2), qden // q2)):
-            for a, k in pairs:
-                k *= kf
-                merged[k] = merged.get(k, 0) + a * cf
-        return _from_integer_form(den, qden, merged)
+        return PowerSum((den, qden, (
+            (a * c, k * f)
+            for pairs, c, f in ((p1, den // d1, qden // q1), (p2, sign * (den // d2), qden // q2))
+            for a, k in pairs
+        )))
 
     def __neg__(self) -> "PowerSum":
         return self.scale(-1)
@@ -158,20 +155,17 @@ class PowerSum:
         qden = lcm(q1, q2)
         f1, f2 = qden // q1, qden // q2
         p2 = [(b, l * f2) for b, l in p2]
-        merged: dict[int, int] = {}
-        for a, k in p1:
-            k *= f1
-            for b, l in p2:
-                merged[k + l] = merged.get(k + l, 0) + a * b
-        return _from_integer_form(d1 * d2, qden, merged)
+        return PowerSum((d1 * d2, qden, ((a * b, k * f1 + l) for a, k in p1 for b, l in p2)))
 
     def scale(self, c: Rational) -> "PowerSum":
         c = Fraction(c)
         den, qden, pairs = self.integer_form
-        return _from_integer_form(den * c.denominator, qden, {k: a * c.numerator for a, k in pairs})
+        return PowerSum((den * c.denominator, qden, ((a * c.numerator, k) for a, k in pairs)))
 
     def derivative(self) -> "PowerSum":
-        return PowerSum(tuple((c * e, e - 1) for c, e in self.terms if e != 0))
+        """d/dr (a/den) r^(k/q) = (a k/(den q)) r^((k - q)/q)."""
+        den, q, pairs = self.integer_form
+        return PowerSum((den * q, q, ((a * k, k - q) for a, k in pairs)))
 
     def evaluate_exact(self, r: Rational) -> Fraction:
         """Exact value at rational r >= 0; raises if some r^exponent is
@@ -192,31 +186,11 @@ class PowerSum:
         return Fraction(total, den * v ** (k1 - k0)) * root**k0
 
     def min_exponent(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[0].exponent
+        _, qden, pairs = self.integer_form
+        return Fraction(pairs[0][1], qden) if pairs else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _from_integer_form(den: int, qden: int, merged: dict[int, int]) -> PowerSum:
-    """The power sum of the terms (merged[k]/den) r^(k/qden), built from
-    this integer form without the constructor's normalization: zero
-    coefficients are dropped, and den and qden are divided by their gcd
-    with the remaining numerators, which makes them the lcm of the terms'
-    denominators."""
-    ks = sorted(k for k, a in merged.items() if a)
-    g = gcd(den, *(merged[k] for k in ks))
-    h = gcd(qden, *ks)
-    den, qden = den // g, qden // h
-    pairs = tuple((merged[k] // g, k // h) for k in ks)
-    ps = object.__new__(PowerSum)
-    object.__setattr__(ps, "terms", tuple(
-        PowerTerm(Fraction(a, den), Fraction(k, qden)) for a, k in pairs
-    ))
-    ps.__dict__["integer_form"] = (den, qden, pairs)  # integer_form's cache
-    return ps
+        return not self.integer_form[2]
 
 
 def _int_nth_root(a: int, q: int) -> int | None:
@@ -289,9 +263,9 @@ def apply_bilaplacian(ps: PowerSum, n: int) -> PowerSum:
     s = k/q, q^4 K(s,N) = k (k + (N-2)q) (k - 2q) (k + (N-4)q)."""
     _check_dimension(n)
     den, q, pairs = ps.integer_form
-    return _from_integer_form(den * q**4, q, {
-        k - 4 * q: a * k * (k + (n - 2) * q) * (k - 2 * q) * (k + (n - 4) * q) for a, k in pairs
-    })
+    return PowerSum((den * q**4, q, (
+        (a * k * (k + (n - 2) * q) * (k - 2 * q) * (k + (n - 4) * q), k - 4 * q) for a, k in pairs
+    )))
 
 
 def touchdown_shape() -> PowerSum:

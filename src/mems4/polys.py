@@ -24,7 +24,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Halvings after which a piece that still has two or more sign
 # variations stops the Bernstein sign test, as a repeated root always
@@ -322,16 +322,3 @@ def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     signs = [s for s in (sign_at(p, x) for p in chain) if s != 0]
     return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
 
-
-def from_power_shifts(
-    pairs: Iterable[tuple[Fraction, int]]
-) -> RationalPolynomial:
-    """Polynomial from (coefficient, nonnegative integer exponent) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        return RationalPolynomial(())
-    n = max(e for _, e in pairs)
-    out = [Fraction(0)] * (n + 1)
-    for c, e in pairs:
-        out[e] += Fraction(c)
-    return RationalPolynomial(tuple(out))

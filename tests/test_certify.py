@@ -679,7 +679,8 @@ def test_witness_that_does_not_confirm_raises(monkeypatch):
     # A falsified inner certificate whose witness is not a violation of
     # the power sum must stop the engine, also under python -O.
     monkeypatch.setattr(
-        certify_mod, "certify_nonneg", lambda p: Certificate({}, "falsified", F(1, 2), [])
+        certify_mod, "certify_nonneg",
+        lambda p: Certificate({"polynomial": []}, "falsified", F(1, 2), []),
     )
     with pytest.raises(ArithmeticError, match="witness does not confirm"):
         power_sum_nonneg(PowerSum.of((1, 0), (1, 1)))

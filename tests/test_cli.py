@@ -270,6 +270,27 @@ def test_huge_boundary_value_leaves_no_bare_run_directory(tmp_path, capsys):
     assert "may pass half the largest float" in capsys.readouterr().err
 
 
+def test_pullin_without_a_convergent_voltage_exits_one(tmp_path, capsys):
+    # At alpha = 99999/100000 the pull-in voltage falls below the search's
+    # 1e-12 floor: the run keeps its config.json, writes nothing else and
+    # reports the divergence on one line.
+    assert run_cli("pullin", "--dim", "1", "--mesh", "16", "--alpha", "99999/100000",
+                   "--out", str(tmp_path)) == 1
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.json"]
+    assert capsys.readouterr().err == (
+        "mems4 pullin: diverged: no convergent voltage found above 1e-12\n")
+
+
+def test_branch_auto_grid_without_a_convergent_voltage_exits_one(tmp_path, capsys):
+    # The auto voltage grid needs a pull-in bracket, which is found before
+    # the run key, so no run directory is written.
+    assert run_cli("branch", "--dim", "1", "--mesh", "16", "--alpha", "99999/100000",
+                   "--out", str(tmp_path)) == 1
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err == (
+        "mems4 branch: diverged: no convergent voltage found above 1e-12\n")
+
+
 def exit_code(*argv) -> int:
     """Exit code of a run, argparse's usage errors included."""
     try:

@@ -1,6 +1,8 @@
 """Exactness tests for the rational power-sum calculus."""
 
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
@@ -157,26 +159,45 @@ def test_power_sum_product_eval(a, b, r):
     assert (p * q).evaluate_exact(r) == p.evaluate_exact(r) * q.evaluate_exact(r)
 
 
-# The termwise Fraction formulas, normalized by the constructor: the
-# oracle for PowerSum's integer kernels.
+def _normalized(pairs):
+    """The Fraction-keyed term merge: exponents sorted, duplicates merged,
+    zero coefficients dropped.  The oracle normalizer, independent of
+    PowerSum's integer one."""
+    merged = {}
+    for c, e in pairs:
+        c, e = F(c), F(e)
+        key = (e.numerator, e.denominator)
+        if key in merged:
+            merged[key][1] += c
+        else:
+            merged[key] = [e, c]
+    return tuple((c, e) for e, c in sorted(merged.values(), key=itemgetter(0)) if c != 0)
+
+
+# The termwise Fraction formulas, normalized by the oracle: the oracle for
+# PowerSum's integer kernels.
 def _termwise_mul(p, q):
-    return PowerSum(tuple((c * d, e + f) for c, e in p.terms for d, f in q.terms))
+    return _normalized((c * d, e + f) for c, e in p for d, f in q)
 
 
 def _termwise_add(p, q):
-    return PowerSum(p.terms + q.terms)
+    return _normalized(p + q)
 
 
 def _termwise_neg(p):
-    return PowerSum(tuple((-c, e) for c, e in p.terms))
+    return _normalized((-c, e) for c, e in p)
 
 
 def _termwise_scale(p, c):
-    return PowerSum(tuple((c * d, e) for d, e in p.terms))
+    return _normalized((c * d, e) for d, e in p)
 
 
 def _termwise_bilaplacian(p, n):
-    return PowerSum(tuple((c * bilaplacian_power_coeff(e, n), e - 4) for c, e in p.terms))
+    return _normalized((c * bilaplacian_power_coeff(e, n), e - 4) for c, e in p)
+
+
+def _termwise_derivative(p):
+    return _normalized((c * e, e - 1) for c, e in p)
 
 
 # Few exponents, so that terms share them, negative ones among them; some
@@ -190,7 +211,7 @@ _exponents = st.sampled_from([F(0), FT, F(-8, 3), F(2), F(-1, 2), F(4)]) | st.fr
 def power_sums(draw):
     pairs = draw(st.lists(st.tuples(rationals, _exponents), max_size=6))
     pairs += [(-c, e) for c, e in pairs[: draw(st.integers(0, len(pairs)))]]
-    return PowerSum(tuple(pairs))
+    return PowerSum.of(*_normalized(pairs))
 
 
 def _termwise_evaluate(p, r):
@@ -205,28 +226,45 @@ def _outcome(f, *args):
 
 
 def _same(out, expected):
-    assert out == expected
+    assert out.terms == expected
     assert all(type(c) is F and type(e) is F for c, e in out.terms)
-    # A result's integer form is the one its own terms give.
-    assert out.integer_form == PowerSum(out.terms).integer_form
+    # The form is canonical: den and qden are the lcm of the coefficient
+    # and of the exponent denominators.
+    den = lcm(*(c.denominator for c, _ in expected))
+    qden = lcm(*(e.denominator for _, e in expected))
+    assert out.integer_form == (den, qden, tuple((c * den, e * qden) for c, e in expected))
 
 
 @given(power_sums(), power_sums(), rationals, dimensions)
 def test_power_sum_kernels_match_termwise_formulas(p, q, c, n):
-    _same(p * q, _termwise_mul(p, q))
-    _same(p + q, _termwise_add(p, q))
-    _same(p - q, _termwise_add(p, _termwise_neg(q)))
-    _same(-p, _termwise_neg(p))
-    _same(p.scale(c), _termwise_scale(p, c))
-    _same(apply_bilaplacian(p, n), _termwise_bilaplacian(p, n))
+    s, t = p.terms, q.terms
+    _same(p * q, _termwise_mul(s, t))
+    _same(p + q, _termwise_add(s, t))
+    _same(p - q, _termwise_add(s, _termwise_neg(t)))
+    _same(-p, _termwise_neg(s))
+    _same(p.scale(c), _termwise_scale(s, c))
+    _same(apply_bilaplacian(p, n), _termwise_bilaplacian(s, n))
+    _same(p.derivative(), _termwise_derivative(s))
     # At 0, at 1, at a point where every power is rational and at one
     # where some power may be irrational.
     root = F(abs(c.numerator) % 7 + 1, abs(c.denominator) % 5 + 1)
     for r in (F(0), F(1), root ** p.integer_form[1], root):
         assert _outcome(p.evaluate_exact, r) == _outcome(_termwise_evaluate, p, r)
     _same(p * q * p - q.scale(c), _termwise_add(
-        _termwise_mul(_termwise_mul(p, q), p), _termwise_neg(_termwise_scale(q, c))
+        _termwise_mul(_termwise_mul(s, t), s), _termwise_neg(_termwise_scale(t, c))
     ))
+
+
+def test_non_canonical_form_equals_the_canonical_one():
+    ps = PowerSum((6, 2, ((2, 0), (0, 4), (3, 2))))
+    built = PowerSum.of((F(1, 3), 0), (F(1, 2), 1))
+    assert ps == built and hash(ps) == hash(built)
+    assert ps.integer_form == (6, 1, ((2, 0), (3, 1)))
+
+
+@given(st.lists(st.tuples(rationals, _exponents), max_size=8))
+def test_of_matches_the_termwise_merge(pairs):
+    _same(PowerSum.of(*pairs), _normalized(pairs))
 
 
 def test_rational_pow():

@@ -16,7 +16,6 @@ from mems4.polys import (
     _pseudo_remainder,
     _taylor_shift,
     bernstein_sign,
-    from_power_shifts,
     integer_coeffs,
     sign_at,
 )
@@ -122,11 +121,6 @@ def test_derivative():
     chain = p.sturm_sequence()
     assert chain[0] == [5, 0, 3, 2]
     assert chain[1] == list(reversed(derivative.all_coeffs())) == [0, 1, 1]
-
-
-def test_from_power_shifts():
-    p = from_power_shifts([(F(2), 3), (F(-1), 0), (F(1), 3)])
-    assert p == P(-1, 0, 0, 3)
 
 
 _ROOTS = st.one_of(
