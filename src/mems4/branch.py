@@ -34,7 +34,11 @@ from mems4.radial_operator import (
 )
 
 CEILING = 1e-6  # iterates reaching 1 - CEILING count as touchdown
-DEFAULT_TOL = 1e-10
+# Newton accepts a solve once the operator's componentwise backward error
+# is below TOL.  It reaches 0.3..2.3e-16 at every branch voltage in dims
+# 1..5 (gamma 1.5, n up to 16384).  Where A is badly scaled (coarse meshes
+# from dim 6 on) it stalls higher near the fold, which lowers the bracket.
+TOL = 1e-10
 MAX_MONOTONE = 500
 MAX_NEWTON = 60
 STALL_INCREMENT = 1e-7
@@ -43,11 +47,6 @@ STALL_INCREMENT = 1e-7
 NU1_FLOOR_REL = 1e-4
 # The upward search of a pull-in bracket multiplies its upper end by this.
 GROWTH = 1.3
-# Smallest solver tolerance: Newton takes the backward error down to
-# 0.3..2.3e-16 at every branch voltage in dims 1..5 (gamma 1.5, n up to
-# 16384).  Where A is badly scaled (coarse meshes from dim 6 on) it
-# stalls higher near the fold, up to 1e-10, which lowers the bracket.
-MIN_TOL = 1e-15
 # Smallest relative bracket width: above the float spacing 2^-52, so each
 # bisection midpoint moves an end until the bracket is narrow enough.
 MIN_REL_WIDTH = 1e-15
@@ -161,24 +160,13 @@ def pull_in_ceiling(ws: Workspace) -> float:
     return float(ceiling)
 
 
-def check_tol(tol: float) -> None:
-    """ValueError unless tol is at least MIN_TOL."""
-    if not tol >= MIN_TOL:
-        raise ValueError(f"tol must be at least {MIN_TOL:g}, not {tol!r}")
-
-
 def check_rel_width(rel_width: float) -> None:
     """ValueError unless rel_width is in [MIN_REL_WIDTH, 1)."""
     if not MIN_REL_WIDTH <= rel_width < 1:
         raise ValueError(f"rel_width must be in [{MIN_REL_WIDTH:g}, 1), not {rel_width!r}")
 
 
-def _solve_at(
-    ws: Workspace,
-    lam: float,
-    tol: float,
-    v0: np.ndarray | None = None,
-):
+def _solve_at(ws: Workspace, lam: float, v0: np.ndarray | None = None):
     """Monotone-then-Newton solve; returns (v, residual) with the
     deflection u = v + Phi, or a DivergenceReport.  The residual is the
     operator's componentwise backward error."""
@@ -209,7 +197,7 @@ def _solve_at(
     # Damped Newton on the shifted variable.
     for _ in range(MAX_NEWTON):
         res_vec, rho = op.residual(v, forcing(u))
-        if rho < tol:
+        if rho < TOL:
             return v, rho
         try:
             delta = op.solve_shifted(-res_vec, 2.0 * lam / (1.0 - u) ** 3)
@@ -250,19 +238,15 @@ def _make_point(ws: Workspace, lam: float, v: np.ndarray, residual: float) -> Br
     )
 
 
-def minimal_solution(
-    lam: float,
-    bp: BoundaryPair,
-    grid: RadialGrid,
-    tol: float = DEFAULT_TOL,
-) -> BranchPoint | DivergenceReport:
+def minimal_solution(lam: float, bp: BoundaryPair,
+                     grid: RadialGrid) -> BranchPoint | DivergenceReport:
     """Compute the minimal solution at one voltage, or report divergence:
     the one-voltage branch, started cold.  The cold fixed-point iterates
     increase pointwise (tested as an invariant).
     """
     if lam < 0:
         raise ValueError("voltage must be nonnegative")
-    run = continue_branch(bp, grid, [lam], tol)
+    run = continue_branch(bp, grid, [lam])
     return run.points[0] if run.points else run.divergence
 
 
@@ -272,15 +256,9 @@ def check_increasing_grid(lambdas) -> None:
         raise ValueError("voltage grid must be strictly increasing")
 
 
-def continue_branch(
-    bp: BoundaryPair,
-    grid: RadialGrid,
-    lambdas,
-    tol: float = DEFAULT_TOL,
-) -> BranchRun:
+def continue_branch(bp: BoundaryPair, grid: RadialGrid, lambdas) -> BranchRun:
     """Walk the minimal branch over an increasing voltage grid with
     extrapolated warm starts; the first divergence truncates the run."""
-    check_tol(tol)
     lambdas = [float(x) for x in lambdas]
     check_increasing_grid(lambdas)
     run = BranchRun(points=[])
@@ -294,9 +272,9 @@ def continue_branch(
                 warm = v2 + (v2 - v1) * ((lam - l2) / (l2 - l1))
         elif prev:
             warm = prev[-1][1]
-        out = _solve_at(ws, lam, tol, warm)
+        out = _solve_at(ws, lam, warm)
         if isinstance(out, DivergenceReport) and warm is not None:
-            out = _solve_at(ws, lam, tol, None)  # cold restart
+            out = _solve_at(ws, lam)  # cold restart
         if isinstance(out, DivergenceReport):
             run.divergence = out
             break
@@ -306,15 +284,9 @@ def continue_branch(
     return run
 
 
-def pull_in_voltage(
-    bp: BoundaryPair,
-    grid: RadialGrid,
-    rel_width: float = 1e-6,
-    tol: float = DEFAULT_TOL,
-) -> PullInEstimate:
+def pull_in_voltage(bp: BoundaryPair, grid: RadialGrid, rel_width: float = 1e-6) -> PullInEstimate:
     """Bracket the pull-in voltage by bisection on solver convergence."""
     check_rel_width(rel_width)
-    check_tol(tol)
     ws = Workspace(bp, grid)
     pull_in_ceiling(ws)
     homogeneous = bp.alpha == 0 and bp.beta == 0
@@ -324,19 +296,19 @@ def pull_in_voltage(
         notes.append(f"nu1 accuracy floor: eigensolvers differ by {nu1_gap:.1e} relative")
 
     hi = upper_nu * 1.02
-    out = _solve_at(ws, hi, tol)
+    out = _solve_at(ws, hi)
     flagged = not isinstance(out, DivergenceReport)
     while not isinstance(out, DivergenceReport):
         sol = out
         hi *= GROWTH
-        out = _solve_at(ws, hi, tol, sol[0])
+        out = _solve_at(ws, hi, sol[0])
     if flagged:
         notes.append("upper end grew past the analytic bound; oracle flagged")
 
     lo = hi / 2
     sol = None
     while lo > 1e-12:
-        out = _solve_at(ws, lo, tol)
+        out = _solve_at(ws, lo)
         if not isinstance(out, DivergenceReport):
             sol = out
             break
@@ -346,9 +318,9 @@ def pull_in_voltage(
 
     while (hi - lo) > rel_width * lo:
         mid = 0.5 * (lo + hi)
-        out = _solve_at(ws, mid, tol, sol[0])
+        out = _solve_at(ws, mid, sol[0])
         if isinstance(out, DivergenceReport):
-            out = _solve_at(ws, mid, tol)  # cold retry before declaring no-solution
+            out = _solve_at(ws, mid)  # cold retry before declaring no-solution
         if isinstance(out, DivergenceReport):
             hi = mid
         else:

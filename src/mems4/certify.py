@@ -123,6 +123,11 @@ def check_dimensions(name: str, n_min: int, n_max: int) -> None:
         raise ValueError(f"need {floor} <= nmin <= nmax <= {MAX_DIMENSION} for {name}")
 
 
+def _check_degree_cap(degree: int) -> None:
+    if degree > MAX_CHECK_DEGREE:
+        raise ValueError(f"degree {degree} exceeds {MAX_CHECK_DEGREE}")
+
+
 def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certificate:
     """Certify p >= 0 on the open interval (0, 1).
 
@@ -141,8 +146,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     interval.
     """
     a, b = Fraction(0), Fraction(1)
-    if p.degree > MAX_CHECK_DEGREE:
-        raise ValueError(f"degree {p.degree} exceeds {MAX_CHECK_DEGREE}")
+    _check_degree_cap(p.degree)
     base_claim = {
         **(claim or {}),
         "kind": "polynomial-nonneg",
@@ -222,9 +226,9 @@ def replay_certificate(cert: Certificate) -> bool:
     """Rebuild the certificate that ``cert.claim`` describes and accept
     ``cert`` only if status, witness, claim and trail all match it.
 
-    A claim of an unknown kind, or one whose rebuild raises (a malformed
-    field, a dimension outside its claim's range, a degree above
-    MAX_CHECK_DEGREE), does not replay.
+    A claim that is not a JSON object, one of an unknown kind, or one
+    whose rebuild raises (a malformed field, a dimension outside its
+    claim's range, a degree above MAX_CHECK_DEGREE), does not replay.
     """
     try:
         fresh = _recompute(cert.claim)
@@ -234,6 +238,8 @@ def replay_certificate(cert: Certificate) -> bool:
 
 
 def _recompute(claim: dict) -> Certificate | None:
+    if not isinstance(claim, dict):
+        return None
     if claim.get("kind") == "threshold-pattern":
         return certify_thresholds(*claim["range"])
     if claim.get("name") in CLAIMS:
@@ -257,6 +263,8 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
     Multiplies by the positive factor r^(-e_min) first, so the sign of the
     power sum on (0,1) equals the sign of the returned polynomial on (0,1).
     Returns (polynomial, shift exponent e_min, substitution order q).
+    Raises certify_nonneg's ValueError above MAX_CHECK_DEGREE before
+    building the polynomial.
     """
     if ps.is_zero():
         return RationalPolynomial(()), Fraction(0), 1
@@ -264,7 +272,9 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
     # becomes (a/den) t^(k - k_min).
     den, q, pairs = ps.integer_form
     k_min = pairs[0][1]
-    coeffs = [0] * (pairs[-1][1] - k_min + 1)
+    degree = pairs[-1][1] - k_min
+    _check_degree_cap(degree)
+    coeffs = [0] * (degree + 1)
     for a, k in pairs:
         coeffs[k - k_min] = Fraction(a, den)
     return RationalPolynomial(tuple(coeffs)), ps.min_exponent(), q

@@ -18,21 +18,21 @@ engine verifies or falsifies every claim), 3+ usage and I/O errors.
 Usage errors include a flag the command does not take, a --config key
 that is not one of its settings, --mesh outside 16..16384, a --gamma too
 large for the mesh and dimension, an operator that is not numerically
-positive definite on its mesh, boundary data whose extension comes within
-1e-6 of the contact plane (branch.CEILING), ``pullin`` data whose pull-in
-voltage may pass half the largest float (branch.pull_in_ceiling), --tol
-below 1e-15 (branch.MIN_TOL: above the backward error Newton reaches
-on a well-scaled operator), --rel-width outside [1e-15, 1)
+positive definite on its mesh, boundary data whose extension comes
+within 1e-6 of the contact plane (branch.CEILING), ``pullin`` data whose
+pull-in voltage may pass half the largest float
+(branch.pull_in_ceiling), --rel-width outside [1e-15, 1)
 (branch.MIN_REL_WIDTH: above the float spacing, so the bisection ends),
 a dimension range outside 1..64 or below its claim's floor, a search
 --dim outside 1..64, a float command's --dim below 1 or above the
 largest float (1.8e308), a voltage that is NaN, negative or above the
-largest float (1.8e308), an --alpha or --beta of magnitude above it, a search --lambda whose numerator and denominator
-have more than 600 digits together (MAX_VOLTAGE_DIGITS), a grid count,
---profiles or search candidate count above 4096, a search grid flag
-missing for --family or given for the other family, a candidate outside
-its family (m > 0, m != 4/3; alpha, beta > 0), and a candidate whose
-checks pass certify.MAX_CHECK_DEGREE.
+largest float (1.8e308), an --alpha or --beta of magnitude above it, a
+search --lambda whose numerator and denominator have more than 600
+digits together (MAX_VOLTAGE_DIGITS), a grid count, --profiles or search
+candidate count above 4096, a search grid flag missing for --family or
+given for the other family, a candidate outside its family (m > 0, m !=
+4/3; alpha, beta > 0), and a candidate whose checks pass
+certify.MAX_CHECK_DEGREE.
 
 This module never loads numpy (``_linspace`` builds its grids) and its
 import loads no float engine (mems4.branch, mems4.radial_operator).
@@ -163,8 +163,6 @@ def _branch_check(name: str) -> Callable[[object], bool]:
 SETTINGS = {s.name: s for s in (
     Setting("mesh", 512, int, lambda v: 16 <= v <= MAX_MESH, f"interior node count, 16..{MAX_MESH}"),
     Setting("gamma", 1.5, float, lambda v: v >= 1, "mesh grading exponent, >= 1"),
-    Setting("tol", 1e-10, float, _branch_check("check_tol"),
-            "solver residual tolerance, at least 1e-15"),
     Setting("rel_width", 1e-6, float, _branch_check("check_rel_width"),
             "pull-in bracket relative width, in [1e-15, 1)"),
     # The float engine samples alpha and beta in doubles.
@@ -174,7 +172,7 @@ SETTINGS = {s.name: s for s in (
             "boundary slope at r=1, exact rational of magnitude at most 1.8e308"),
     Setting("format", "csv", str, lambda v: v in ("csv", "json"), "table format, csv or json"),
 )}
-_SOLVER_SETTINGS = ("mesh", "gamma", "tol", "alpha", "beta")
+_SOLVER_SETTINGS = ("mesh", "gamma", "alpha", "beta")
 
 
 def resolve_settings(names: tuple[str, ...], given: dict) -> dict:
@@ -405,13 +403,12 @@ class Diverged(Exception):
 
 
 def _pull_in_voltage(cfg: dict, dim: int, rel_width: float):
-    """branch.pull_in_voltage on the run's boundary data, mesh and tol;
+    """branch.pull_in_voltage on the run's boundary data and mesh;
     raises Diverged when no voltage converges."""
     from mems4 import branch
 
     try:
-        return branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim),
-                                      rel_width=rel_width, tol=cfg["tol"])
+        return branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=rel_width)
     except branch.NoConvergentVoltage as exc:
         raise Diverged(exc) from None
 
@@ -443,7 +440,7 @@ def _run_branch(cfg, inputs, run) -> int:
     from mems4 import branch
 
     grid = _grid(cfg, inputs["dim"])
-    result = branch.continue_branch(_boundary(cfg), grid, inputs["lambdas"], tol=cfg["tol"])
+    result = branch.continue_branch(_boundary(cfg), grid, inputs["lambdas"])
     records = [_branch_record(pt) for pt in result.points]
     if result.divergence is not None:
         records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
@@ -497,7 +494,7 @@ def _run_profile(cfg, inputs, run) -> int:
     from mems4.branch import BranchPoint, minimal_solution
 
     grid = _grid(cfg, inputs["dim"])
-    pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid, tol=cfg["tol"])
+    pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid)
     if isinstance(pt, BranchPoint):
         _write_profile(_profile_path(run, pt.lam), pt.field)
         write_json(run / "point.json", _branch_record(pt))

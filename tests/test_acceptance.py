@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 from scipy.special import iv, jv
 
 from mems4.branch import (
+    TOL,
     continue_branch,
     pull_in_voltage,
     regularity_verdict,
@@ -39,7 +40,6 @@ F = Fraction
 
 ACCEPT_MESH = 1024
 ACCEPT_GAMMA = 1.5
-ACCEPT_TOL = 1e-10
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -54,7 +54,7 @@ def pullin_estimates():
     out = {}
     for dim in (2, 3, 9, 17):
         grid = build_grid(ACCEPT_MESH, ACCEPT_GAMMA, dim)
-        out[dim] = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-6, tol=ACCEPT_TOL)
+        out[dim] = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-6)
     return out
 
 
@@ -65,7 +65,7 @@ def verdict_sweep():
     for dim in list(range(1, 9)) + [12, 17]:
         for mesh in (512, 1024):
             grid = build_grid(mesh, ACCEPT_GAMMA, dim)
-            est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-5, tol=ACCEPT_TOL)
+            est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-5)
             out[(dim, mesh)] = (est, regularity_verdict(est))
     return out
 
@@ -189,12 +189,12 @@ def test_criterion_6_branch_properties_n3():
     grid = build_grid(512, ACCEPT_GAMMA, 3)
     lambdas = np.linspace(1.0, 10.0, 10)
     assert lambdas[-1] < 32.0 / 3.0
-    run = continue_branch(HOMOGENEOUS, grid, lambdas, tol=ACCEPT_TOL)
+    run = continue_branch(HOMOGENEOUS, grid, lambdas)
     ok = len(run.points) == 10
     for p, q in zip(run.points, run.points[1:]):
-        ok = ok and bool(np.all(q.field.values >= p.field.values - 10 * ACCEPT_TOL))
+        ok = ok and bool(np.all(q.field.values >= p.field.values - 10 * TOL))
     for p in run.points:
-        ok = ok and bool(np.all(np.diff(p.field.values) <= 10 * ACCEPT_TOL))
+        ok = ok and bool(np.all(np.diff(p.field.values) <= 10 * TOL))
         ok = ok and p.mu1 > 0
     # Stability-route inequality 2 int u^2/(1-u)^3 <= int u/(1-u)^2 (Phi = 0
     # for homogeneous data), up to a relative quadrature tolerance of 1e-6.
@@ -221,11 +221,11 @@ def test_criterion_7_singular_regime_bounds(pullin_estimates):
     grid = est.near_fold.field.grid
     lb = float(singular_voltage(17))
     lambdas = list(np.linspace(20.0, 0.98 * lb, 6)) + [est.lambda_lo * 0.9]
-    run = continue_branch(HOMOGENEOUS, grid, sorted(lambdas), tol=ACCEPT_TOL)
+    run = continue_branch(HOMOGENEOUS, grid, sorted(lambdas))
     points = run.points + [est.near_fold]
     ub = sample_power_sum(touchdown_shape(), grid.nodes)
     worst = max(float(np.max(p.field.values - ub)) for p in points)
-    ok = len(run.points) == 7 and worst <= 10 * ACCEPT_TOL
+    ok = len(run.points) == 7 and worst <= 10 * TOL
     c0 = (est.lambda_hi / lb) ** (1.0 / 3.0)
     envelope = 1.0 - c0 * grid.nodes ** (4.0 / 3.0)
     margin = float(np.min(est.near_fold.field.values - envelope))

@@ -11,7 +11,6 @@ import mems4.branch
 from mems4.branch import (
     GROWTH,
     MIN_REL_WIDTH,
-    MIN_TOL,
     NU1_FLOOR_REL,
     BranchPoint,
     DivergenceReport,
@@ -64,7 +63,7 @@ def test_rejects_inadmissible_pair(grid3):
 
 def test_single_solve_below_lower_bound(grid3):
     # 0.9 * 32/3: existence is guaranteed, so the solver must converge.
-    pt = minimal_solution(0.9 * 32.0 / 3.0, HOMOGENEOUS, grid3, tol=1e-10)
+    pt = minimal_solution(0.9 * 32.0 / 3.0, HOMOGENEOUS, grid3)
     assert isinstance(pt, BranchPoint)
     assert pt.max_value < 1.0
     assert pt.residual <= 1e-10
@@ -361,27 +360,6 @@ def test_pull_in_at_the_smallest_rel_width_ends(dim):
 def test_pull_in_rejects_rel_width_outside_its_bounds(grid3, rel_width):
     with pytest.raises(ValueError, match="rel_width"):
         pull_in_voltage(HOMOGENEOUS, grid3, rel_width=rel_width)
-
-
-@pytest.mark.parametrize("tol", [0.0, 1e-300, np.nextafter(MIN_TOL, 0), np.nan])
-def test_solvers_reject_tol_below_the_floor(grid3, tol):
-    for solve in (lambda: pull_in_voltage(HOMOGENEOUS, grid3, tol=tol),
-                  lambda: continue_branch(HOMOGENEOUS, grid3, [1.0], tol),
-                  lambda: minimal_solution(1.0, HOMOGENEOUS, grid3, tol)):
-        with pytest.raises(ValueError, match="tol"):
-            solve()
-
-
-@pytest.mark.parametrize("n", [16, 1024])
-@pytest.mark.parametrize("dim", [1, 3, 5])
-def test_pull_in_at_the_smallest_tol_keeps_the_bracket(dim, n):
-    # In dims 1..5 Newton reaches MIN_TOL at every voltage up to the fold,
-    # so the bisection decides as it does at the default tolerance.
-    grid = build_grid(n, 1.5, dim)
-    est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-3, tol=MIN_TOL)
-    default = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-3)
-    assert (est.lambda_lo, est.lambda_hi) == (default.lambda_lo, default.lambda_hi)
-    assert est.near_fold.residual < MIN_TOL
 
 
 def test_pull_in_nonhomogeneous_has_no_analytic_bounds():

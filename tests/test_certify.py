@@ -1,6 +1,7 @@
 """Tests for the exact certification engine and the named claims."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -449,8 +450,22 @@ def test_replay_rejects_oversized_and_unknown_claims():
     d = certify_m3_gap(17).to_json_dict()
     d["claim"]["dimension"] = MAX_DIMENSION + 1
     assert not replay_certificate(Certificate.from_json_dict(d))
-    for bad_claim in ({"kind": "composite", "name": "other", "dimension": 3}, {"kind": "unknown"}):
+    for bad_claim in ({"kind": "composite", "name": "other", "dimension": 3}, {"kind": "unknown"},
+                      [], "x", None):
         assert not replay_certificate(Certificate(bad_claim, "verified"))
+    # A power-sum claim whose exponents span 2 * 10^6 units of 1/q is
+    # refused at the degree cap before its cleared polynomial is built.
+    d = power_sum_nonneg(PowerSum.of((1, F(1, 3)), (F(-1, 2), 0))).to_json_dict()
+    d["claim"]["terms"] = [["1", "1/1000000"], ["-1/2", "0"], ["1", "2"]]
+    tracemalloc.start()
+    try:
+        assert not replay_certificate(Certificate.from_json_dict(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match=f"degree 1999999 exceeds {MAX_CHECK_DEGREE}"):
+        reduce_power_sum(PowerSum.of((1, F(1, 10**6)), (1, 2)))
 
 
 # --- power sum reduction --------------------------------------------------

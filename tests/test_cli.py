@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mems4.branch import MIN_REL_WIDTH, MIN_TOL, pull_in_voltage
+from mems4.branch import MIN_REL_WIDTH, pull_in_voltage
 from mems4.cli import (
     COMMANDS,
     MAX_GRID,
@@ -77,7 +77,7 @@ def test_config_round_trip(tmp_path):
     # The config block of a run's config.json, passed back through
     # --config, reproduces the run in the same directory.
     flags = ["pullin", "--dim", "3", "--mesh", "64", "--rel-width", "1e-3",
-             "--alpha=1/10", "--beta=-1/2", "--gamma", "2", "--tol", "1e-9"]
+             "--alpha=1/10", "--beta=-1/2", "--gamma", "2"]
     assert run_cli(*flags, "--out", str(tmp_path)) == 0
     first = find_one(tmp_path, "config.json")
     cfg_path = tmp_path / "cfg.json"
@@ -96,15 +96,14 @@ def test_config_validation():
         resolve_settings(bounds, {"format": "xml"})
     with pytest.raises(ValueError):
         resolve_settings(pullin, {"mesh": MAX_MESH + 1})
-    # The float engine's own bounds: branch.check_tol and check_rel_width.
-    for tol in (0.0, -1.0, 1e-300, math.nextafter(MIN_TOL, 0), math.nan):
-        with pytest.raises(ValueError):
-            resolve_settings(pullin, {"tol": tol})
+    # The Newton threshold is the constant branch.TOL, not a setting.
+    with pytest.raises(ValueError, match="unknown setting tol"):
+        resolve_settings(pullin, {"tol": 1e-10})
+    # The float engine's own bound: branch.check_rel_width.
     for rel_width in (0.0, -1e-3, 1.0, 2.0**-52, math.nextafter(MIN_REL_WIDTH, 0), math.nan):
         with pytest.raises(ValueError):
             resolve_settings(pullin, {"rel_width": rel_width})
-    floors = resolve_settings(pullin, {"tol": MIN_TOL, "rel_width": MIN_REL_WIDTH})
-    assert (floors["tol"], floors["rel_width"]) == (MIN_TOL, MIN_REL_WIDTH)
+    assert resolve_settings(pullin, {"rel_width": MIN_REL_WIDTH})["rel_width"] == MIN_REL_WIDTH
     assert resolve_settings(pullin, {"mesh": MAX_MESH})["mesh"] == MAX_MESH
 
 
@@ -118,7 +117,7 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
     [
         ["pullin", "--dim", "3", "--rel-width", "0"],
         ["pullin", "--dim", "3", "--rel-width=-1e-3"],
-        ["pullin", "--dim", "3", "--tol", "-1"],
+        ["pullin", "--dim", "3", "--tol", "-1"],  # --tol is no flag (see below)
         ["pullin", "--dim", "3", "--mesh", str(MAX_MESH + 1)],
         ["profile", "--dim", "3", "--lambda", "nan"],
         ["profile", "--dim", "3", "--lambda", "inf"],
@@ -188,9 +187,11 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         # would overflow: the ceiling passes half the largest float.
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=-1.5e102"],
         # A bracket width at or below the float spacing, where the
-        # bisection's midpoint stops moving, and a tolerance no backward
-        # error reaches.
+        # bisection's midpoint stops moving.
         ["pullin", "--dim", "1", "--mesh", "16", "--rel-width", "1e-17"],
+        # The Newton threshold is the constant branch.TOL, so --tol is no
+        # flag and tol no --config key: a config block written when it was
+        # a setting still exits 3, as an unknown setting.
         ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-300"],
         ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-300"],
         ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"tol": 1e-16}],
@@ -201,7 +202,7 @@ def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
         cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
         cfg.write_text(json.dumps(flags[-1]))
         flags = [*flags[:-1], str(cfg)]
-    assert run_cli(*flags, "--out", str(tmp_path)) == 3
+    assert exit_code(*flags, "--out", str(tmp_path)) == 3  # argparse's usage errors too
     assert not any(tmp_path.iterdir())
 
 
@@ -308,9 +309,13 @@ def exit_code(*argv) -> int:
         SEARCH_W3 + ["--tol", "1e-3"],
         SEARCH_W3 + ["--alpha", "1/2"],  # not a prefix of --alpha-grid
         ["certify", "m3-gap", "--n", "17", "--config", "cfg.json"],
+        # No command reads a solver tolerance: Newton's is branch.TOL.
+        ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-10"],
+        ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--tol", "1e-10"],
+        ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-10"],
     ],
     ids=["bounds-mesh", "pullin-format", "certify-jobs", "search-tol", "search-alpha",
-         "certify-config"],
+         "certify-config", "pullin-tol", "branch-tol", "profile-tol"],
 )
 def test_command_rejects_flags_it_does_not_read(tmp_path, flags):
     (tmp_path / "cfg.json").write_text("{}")

@@ -71,19 +71,19 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "0dc49d2934f877b6b50356ff8951b98ada7cbc82809e6f72735fa6bca634968f",
     }),
     "branch-divergence": (0, {
-        "branch-999df4ec0f/branch.jsonl":
+        "branch-fd65b5e78f/branch.jsonl":
             "8003ed7e526243c1a86274cfe7adc1b1600e27df7541c403518494f751aa017e",
-        "branch-999df4ec0f/config.json":
-            "e4b17a983a0a3e7fb65975d8011d025536b2de9688ac0ee679e11bb74b6cb062",
+        "branch-fd65b5e78f/config.json":
+            "01e199aa921d89edbefa40e2a30bf10e26257a06958c20119c3620dbe56f4007",
     }),
     "branch-profiles": (0, {
-        "branch-8e01b82f14/branch.jsonl":
+        "branch-fecead7a81/branch.jsonl":
             "ea578ff2cebc3d1a982e6edeedd83d75891bf0d2af59ee77793e9a613cad514a",
-        "branch-8e01b82f14/config.json":
-            "78fb9565f0a82fc64642d42828503baba9d291e01c4924938c2bc3b2869932e3",
-        "branch-8e01b82f14/profiles/lambda-1.0.csv":
+        "branch-fecead7a81/config.json":
+            "9d71d16cd5eeae4bea6a961f6ef24ef3562179f0ecafc51b6eb2189e37c47a4c",
+        "branch-fecead7a81/profiles/lambda-1.0.csv":
             "9574863af2625272ad6f0afbaf918a4b4e05357798f90bf483ed6f2c21381d3f",
-        "branch-8e01b82f14/profiles/lambda-9.0.csv":
+        "branch-fecead7a81/profiles/lambda-9.0.csv":
             "6d40bb559ecc6cdb933a87dd32f8136bc0adc9b2300d4eeb4da4a7c4b58ab969",
     }),
     "certify-m2-subsolution": (0, {
@@ -131,41 +131,41 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "17b56505966b5f5fe82d697166687513adb6fadea52e950da1ae32e49f24d509",
     }),
     "profile-converged": (0, {
-        "profile-f074abb561/config.json":
-            "5ab893ac1409ade906fbe4dc2736131e029f2dd0716c44f5e610734e511961aa",
-        "profile-f074abb561/point.json":
+        "profile-2470cc510b/config.json":
+            "71294598a6fbb8d3e9e47361a560bce9f57947a72953da5ab48c3e5a3df3ae91",
+        "profile-2470cc510b/point.json":
             "032111a1bc6c554e4a59fdfc914b66da173ff5c2008e34d4417e0c93cf74b71d",
-        "profile-f074abb561/profiles/lambda-5.0.csv":
+        "profile-2470cc510b/profiles/lambda-5.0.csv":
             "755966519105f488768f90cb2396734e067e57ceee1e7c51c4bd6d257e9a397c",
     }),
     "profile-divergent": (1, {
-        "profile-642b4f5135/config.json":
-            "c5248cbd155a204afe574d63f5597441278bc46ffc156bece1a47b3b48a96065",
-        "profile-642b4f5135/divergence.json":
+        "profile-436416b8e1/config.json":
+            "9478a3c65a9925d017496c1e693ac6ea1fe3b4e384e08933a5f75796f1351726",
+        "profile-436416b8e1/divergence.json":
             "a444560641ac2fe10eb17f7652b84eb523a15c73970e06eda43e9ec867b6682d",
     }),
     "pullin-alpha": (0, {
-        "pullin-70a2e92d07/config.json":
-            "5e308e2c73e2139e887104905cbecdbe6b031c04d7710bf32056131d0e2993f1",
-        "pullin-70a2e92d07/profiles/near-fold.csv":
+        "pullin-b0ccfcd23c/config.json":
+            "aaf5aec67a3fde7d0645963a1e70265e62a2d7567ba634b00ff8714984b2da87",
+        "pullin-b0ccfcd23c/profiles/near-fold.csv":
             "caf3c2c2e5d012cc064db8f7101b32d7da6da57a8ff3aeeba9e780522bf92f7f",
-        "pullin-70a2e92d07/pullin.json":
+        "pullin-b0ccfcd23c/pullin.json":
             "c98767f18bcaec1dd4afd300a498f0f16f61f6e2bc735a87016b9586a68007dd",
     }),
     "pullin-homogeneous": (0, {
-        "pullin-d72357e4cc/config.json":
-            "52e89f97e84f30509fbea99dbc39d4626639f3abedae4d31a203f3d264ee5229",
-        "pullin-d72357e4cc/profiles/near-fold.csv":
+        "pullin-5a49fda49f/config.json":
+            "c37afd0b4370b8dcefcf591e6a5df8b6e10ac0cea897c5f04d74454991cfbe89",
+        "pullin-5a49fda49f/profiles/near-fold.csv":
             "d7c38894450a1f2ee7032fe16353ee2f15bfff9e31b86ef9af1612071585c6a2",
-        "pullin-d72357e4cc/pullin.json":
+        "pullin-5a49fda49f/pullin.json":
             "56cf98123068ab3fcd50f810172e559420fef52dfe2f1cbc72f08559364e1c91",
     }),
     "pullin-singular": (0, {
-        "pullin-0ff39056f8/config.json":
-            "bbd6a7dbefc703203bc6b6b73f904e5a3c49f6418553ac48fe739baa6a2163da",
-        "pullin-0ff39056f8/profiles/near-fold.csv":
+        "pullin-7b01a29fd3/config.json":
+            "6a27e741d197852d1f0f71a969b6f38653f5e00f7129612878f0f671fa4dd6bb",
+        "pullin-7b01a29fd3/profiles/near-fold.csv":
             "278d8319793ad8edf284ad69e37cba72502cf4a948312d79a388c153f43b6a71",
-        "pullin-0ff39056f8/pullin.json":
+        "pullin-7b01a29fd3/pullin.json":
             "e6f3e4ec9544b326639376b803e4d94be521f172f92f13979c182d53972441a1",
     }),
     "search-fallback": (0, {
