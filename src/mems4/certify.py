@@ -10,15 +10,18 @@ decides, handing a repeated root to Sturm isolation.  Every claim comes
 out verified or falsified.  A Certificate carries its claim and the full
 evaluation trail; "falsified" always comes with an exact rational
 witness.  Replay rebuilds the certificate from its claim with this same
-engine and accepts it only if the whole certificate comes out identical,
-so it catches an edited file, not an engine bug.
+engine and accepts it only if the rebuilt JSON object has the sorted-key
+JSON text of the whole object the certificate was read from (every key,
+the witness's decimal and the schema version included), so it catches
+an edited file, not an engine bug.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from mems4.closed_forms import (
     PowerSum,
@@ -30,9 +33,7 @@ from mems4.closed_forms import (
     touchdown_profile,
     touchdown_shape,
 )
-from mems4.polys import (
-    RationalPolynomial, bernstein_sign, integer_coeffs, sign_at,
-)
+from mems4.polys import RationalPolynomial, bernstein_sign, sign_at
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -75,6 +76,8 @@ class Certificate:
     status: str
     witness: Fraction | None = None
     trail: list[dict] = field(default_factory=list)
+    # The JSON object from_json_dict read, which replay compares whole.
+    source: dict | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,6 +99,7 @@ class Certificate:
             status=d["status"],
             witness=None if w is None else Fraction(w),
             trail=list(d["trail"]),
+            source=d,
         )
 
 
@@ -107,20 +111,14 @@ def _value_entry(v: Fraction) -> dict:
     return {"value": format_rational(v)}
 
 
-def _poly_strings(p: RationalPolynomial) -> list[str]:
-    return [format_rational(c) for c in p.coeffs]
-
-
-def _poly_from_strings(ss: Sequence[str]) -> RationalPolynomial:
-    return RationalPolynomial(tuple(Fraction(s) for s in ss))
-
-
 def check_dimensions(name: str, n_min: int, n_max: int) -> None:
-    """Raise ValueError unless floor <= n_min <= n_max <= MAX_DIMENSION,
-    where floor is claim ``name``'s entry in DIMENSION_FLOORS (else 1)."""
+    """Raise ValueError unless n_min and n_max are integers (not bools)
+    with floor <= n_min <= n_max <= MAX_DIMENSION, where floor is claim
+    ``name``'s entry in DIMENSION_FLOORS (else 1)."""
     floor = DIMENSION_FLOORS.get(name, 1)
-    if not floor <= n_min <= n_max <= MAX_DIMENSION:
-        raise ValueError(f"need {floor} <= nmin <= nmax <= {MAX_DIMENSION} for {name}")
+    ints = all(isinstance(n, int) and not isinstance(n, bool) for n in (n_min, n_max))
+    if not (ints and floor <= n_min <= n_max <= MAX_DIMENSION):
+        raise ValueError(f"need integers {floor} <= nmin <= nmax <= {MAX_DIMENSION} for {name}")
 
 
 def _check_degree_cap(degree: int) -> None:
@@ -150,7 +148,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     base_claim = {
         **(claim or {}),
         "kind": "polynomial-nonneg",
-        "polynomial": _poly_strings(p),
+        "polynomial": [format_rational(c) for c in p.coeffs],
         "interval": [format_rational(a), format_rational(b)],
         "closed": False,
     }
@@ -190,7 +188,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
             return sign_point(x, "probe")
 
     # None (Sturm isolation below) up to STURM_DEGREE or for a repeated root.
-    decided = bernstein_sign(integer_coeffs(p)) if p.degree > STURM_DEGREE else None
+    decided = bernstein_sign(cs) if p.degree > STURM_DEGREE else None
     if decided is not None:
         pieces, witness = decided
         if witness is not None:
@@ -224,7 +222,9 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
 
 def replay_certificate(cert: Certificate) -> bool:
     """Rebuild the certificate that ``cert.claim`` describes and accept
-    ``cert`` only if status, witness, claim and trail all match it.
+    ``cert`` only if status, witness, claim and trail all match it and,
+    for one read by from_json_dict, the rebuilt JSON object has the
+    sorted-key JSON text of the whole object read.
 
     A claim that is not a JSON object, one of an unknown kind, or one
     whose rebuild raises (a malformed field, a dimension outside its
@@ -232,9 +232,17 @@ def replay_certificate(cert: Certificate) -> bool:
     """
     try:
         fresh = _recompute(cert.claim)
+        if fresh is None:
+            return False
+        rebuilt = fresh.to_json_dict()
+        # Text, not ==, so that true, 1 and 1.0 differ; json's C encoder
+        # takes a third of the time of store.canonical_json.
+        return rebuilt == cert.to_json_dict() and (
+            cert.source is None
+            or json.dumps(cert.source, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
+        )
     except (ValueError, KeyError, TypeError, ZeroDivisionError):
         return False
-    return fresh is not None and fresh.to_json_dict() == cert.to_json_dict()
 
 
 def _recompute(claim: dict) -> Certificate | None:
@@ -248,7 +256,9 @@ def _recompute(claim: dict) -> Certificate | None:
         terms = [(Fraction(c), Fraction(e)) for c, e in claim["terms"]]
         return power_sum_nonneg(PowerSum.of(*terms), claim["label"])
     if claim.get("kind") == "polynomial-nonneg":
-        return certify_nonneg(_poly_from_strings(claim["polynomial"]), claim)
+        # A claim's list has no trailing zero, so its length gives the degree.
+        _check_degree_cap(len(claim["polynomial"]) - 1)
+        return certify_nonneg(RationalPolynomial.of(*claim["polynomial"]), claim)
     return None
 
 
@@ -267,7 +277,7 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
     building the polynomial.
     """
     if ps.is_zero():
-        return RationalPolynomial(()), Fraction(0), 1
+        return RationalPolynomial.of(), Fraction(0), 1
     # q is the lcm of the exponent denominators, and the term (a/den) r^(k/q)
     # becomes (a/den) t^(k - k_min).
     den, q, pairs = ps.integer_form
@@ -276,8 +286,8 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
     _check_degree_cap(degree)
     coeffs = [0] * (degree + 1)
     for a, k in pairs:
-        coeffs[k - k_min] = Fraction(a, den)
-    return RationalPolynomial(tuple(coeffs)), ps.min_exponent(), q
+        coeffs[k - k_min] = a
+    return RationalPolynomial((den, coeffs)), Fraction(k_min, q), q
 
 
 def _power_sum_claim(ps: PowerSum, label: str) -> dict:
@@ -346,7 +356,7 @@ def stability_gap_polynomial(n: int) -> RationalPolynomial:
     B = Fraction(8 * (3 * n - 2) * (3 * n - 8), 45)
     C = Fraction(12 * (n * n - 1), 5)
     # (9-4s)^2 = 81 - 72s + 16s^2
-    return RationalPolynomial((A - 81 * B, 72 * B - 81 * C, 72 * C - 16 * B, -16 * C))
+    return RationalPolynomial.of(A - 81 * B, 72 * B - 81 * C, 72 * C - 16 * B, -16 * C)
 
 
 def certify_m3_gap(n: int) -> Certificate:
@@ -483,7 +493,7 @@ def certify_m2_subsolution(n: int) -> Certificate:
     # Structural identities recorded exactly.
     if bilap != PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3))):
         raise ArithmeticError("bilaplacian of the m = 2 profile is not 3*lb r^(-8/3)")
-    sub_poly = RationalPolynomial((0, 12, -4))  # 9 - (3-2t)^2 = 12t - 4t^2
+    sub_poly = RationalPolynomial.of(0, 12, -4)  # 9 - (3-2t)^2 = 12t - 4t^2
     c_sub = certify_nonneg(
         sub_poly,
         claim={
@@ -492,7 +502,7 @@ def certify_m2_subsolution(n: int) -> Certificate:
             "description": "9 - (3-2t)^2 >= 0 with t = r^(2/3)",
         },
     )
-    pert_poly = RationalPolynomial((0, 0, 2, -2))  # 2 t^2 (1 - t)
+    pert_poly = RationalPolynomial.of(0, 0, 2, -2)  # 2 t^2 (1 - t)
     c_pert = certify_nonneg(
         pert_poly,
         claim={
@@ -520,7 +530,7 @@ def certify_m3_stability(n: int) -> Certificate:
     Hardy-Rellich step it feeds (ValueError below)."""
     check_dimensions("m3-stability", n, n)
     # (9-4s)^3 - 125 >= 0 on (0,1); root exactly at s = 1.
-    bound_poly = RationalPolynomial((604, -972, 432, -64))
+    bound_poly = RationalPolynomial.of(604, -972, 432, -64)
     c_bound = certify_nonneg(
         bound_poly,
         claim={
@@ -530,7 +540,7 @@ def certify_m3_stability(n: int) -> Certificate:
     )
     # Monotonicity: d/ds (9-4s)^3 = -12(9-4s)^2 <= 0, so 125/(9-4s)^3 is
     # increasing; certify 12(9-4s)^2 = 972 - 864s + 192s^2 >= 0.
-    mono_poly = RationalPolynomial((972, -864, 192))
+    mono_poly = RationalPolynomial.of(972, -864, 192)
     c_mono = certify_nonneg(
         mono_poly,
         claim={

@@ -185,10 +185,6 @@ class PowerSum:
         total = sum(a * u ** (k - k0) * v ** (k1 - k) for a, k in pairs)
         return Fraction(total, den * v ** (k1 - k0)) * root**k0
 
-    def min_exponent(self) -> Fraction:
-        _, qden, pairs = self.integer_form
-        return Fraction(pairs[0][1], qden) if pairs else Fraction(0)
-
     def is_zero(self) -> bool:
         return not self.integer_form[2]
 

@@ -1,12 +1,12 @@
 """Exact univariate polynomials: square-free part, Sturm chain, real
 root isolation, and a Bernstein sign test on (0, 1).
 
-Coefficients are arbitrary-precision rationals, but everything past the
-input computes over Python integers.  Each polynomial builds one
-primitive pseudo-remainder sequence f, f', prem(f, f'), ... down to the
-gcd of f and f', once, and keeps it: the square-free part divides f by
-that gcd exactly, and the Sturm chain (a list of integer coefficient
-lists) is the square-free part's own sequence with the signs +, +, -, -.
+A polynomial is integer coefficients over one denominator, so all of it
+computes over Python integers.  Each polynomial builds one primitive
+pseudo-remainder sequence f, f', prem(f, f'), ... down to the gcd of f
+and f', once, and keeps it: the square-free part divides f by that gcd
+exactly, and the Sturm chain (a list of integer coefficient lists) is
+the square-free part's own sequence with the signs +, +, -, -.
 The value or the sign of a polynomial at a rational a/b comes from the
 integer sum c_i a^i b^(d-i).  Isolation counts on the square-free
 part's chain, through roots at the interval's ends (a root is simple
@@ -37,31 +37,45 @@ BERNSTEIN_DEPTH = 8
 
 @dataclass(frozen=True)
 class RationalPolynomial:
-    """Dense polynomial over Q, coefficients in ascending degree order."""
+    """Dense polynomial over Q, coefficients in ascending degree order.
 
-    coeffs: tuple[Fraction, ...]
+    Its one value is the integer form (den, cs), the polynomial
+    sum (cs_i / den) x^i with den > 0, so cs has its sign everywhere.
+    The constructor drops trailing zeros from cs (any iterable) and
+    divides den and cs by their gcd, so equal polynomials compare and
+    hash equal however they were built.
+    """
+
+    integer_form: tuple[int, tuple[int, ...]]
 
     def __post_init__(self):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs]
+        den, cs = self.integer_form
+        cs = list(cs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        g = gcd(den, *cs)
+        object.__setattr__(self, "integer_form", (den // g, tuple(c // g for c in cs)))
+
+    @staticmethod
+    def of(*coeffs: Fraction | int | str) -> "RationalPolynomial":
+        """Build from rational coefficients in ascending degree order."""
+        fs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fs))
+        return RationalPolynomial((den, (c.numerator * (den // c.denominator) for c in fs)))
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction coefficients, read once per instance."""
+        den, cs = self.integer_form
+        return tuple(Fraction(c, den) for c in cs)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.integer_form[1]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(den, cs): the lcm den of the coefficient denominators and the
-        integer coefficients cs_i = den * c_i, so cs has the sign of self
-        at every point.  Computed once per instance."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        return not self.integer_form[1]
 
     def __call__(self, x: Fraction) -> Fraction:
         """Exact value at x: one integer homogeneous Horner sum over the
@@ -73,11 +87,11 @@ class RationalPolynomial:
 
     @cached_property
     def _remainders(self) -> list[list[int]]:
-        """f = integer_coeffs(self), its primitive derivative f', then the
-        primitive pseudo-remainders r_(k+1) = prem(r_(k-1), r_k) down to
-        the last nonzero one, the primitive gcd of f and f'.  Computed
-        once per instance; [] for the zero polynomial."""
-        seq = [integer_coeffs(self)] if self.coeffs else []
+        """f, the primitive integer coefficients, its primitive derivative
+        f', then the primitive pseudo-remainders r_(k+1) = prem(r_(k-1), r_k)
+        down to the last nonzero one, the primitive gcd of f and f'.
+        Computed once per instance; [] for the zero polynomial."""
+        seq = [_primitive(self.integer_form[1])] if self.degree >= 0 else []
         r = _derivative(seq[0]) if seq else []
         while r:
             seq.append(r)
@@ -87,16 +101,17 @@ class RationalPolynomial:
     def squarefree_part(self) -> "RationalPolynomial":
         """self divided by the monic gcd of self and its derivative.
 
-        Computed over Z: the primitive gcd g of the primitive coefficients
-        f divides f exactly (Gauss's lemma), and one rational scale
-        lc(self) / lc(f) * lc(g) turns f / g into the rational quotient."""
+        Computed over Z: the primitive gcd g of f = cs / content divides f
+        exactly (Gauss's lemma), and self / (g / lc(g)) is f / g times the
+        integer content * lc(g), over den."""
         if self.degree <= 0:
             return self
         f, g = self._remainders[0], self._remainders[-1]
         if len(g) == 1:
             return self
-        scale = self.coeffs[-1] / f[-1] * g[-1]
-        return RationalPolynomial(tuple(scale * c for c in _exact_quotient(f, g)))
+        den, cs = self.integer_form
+        scale = cs[-1] // f[-1] * g[-1]
+        return RationalPolynomial((den, (scale * c for c in _exact_quotient(f, g))))
 
     def sturm_sequence(self) -> list[list[int]]:
         """Sturm chain of the square-free part as integer coefficient
@@ -194,12 +209,6 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if any(r):
         raise ArithmeticError("inexact polynomial division")
     return q
-
-
-def integer_coeffs(p: RationalPolynomial) -> list[int]:
-    """Coprime integer coefficients of p times a positive rational, so
-    they have the sign of p at every point; [] for the zero polynomial."""
-    return _primitive(p.integer_form[1])
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:

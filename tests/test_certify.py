@@ -32,20 +32,20 @@ from mems4.certify import (
     threshold_table,
 )
 from mems4.closed_forms import PowerSum, hardy_rellich, singular_voltage, touchdown_profile
-from mems4.polys import RationalPolynomial, integer_coeffs, sign_at
+from mems4.polys import RationalPolynomial
 
 F = Fraction
 S = sympy.Symbol("s")
 
 
 def P(*coeffs):
-    return RationalPolynomial(coeffs)
+    return RationalPolynomial.of(*coeffs)
 
 
 def _expand(expr):
     """The polynomial expr in S, multiplied out by sympy."""
     cs = sympy.Poly(expr, S).all_coeffs()
-    return RationalPolynomial(tuple(F(int(c.p), int(c.q)) for c in reversed(cs)))
+    return P(*(F(int(c.p), int(c.q)) for c in reversed(cs)))
 
 
 # --- gap polynomial -----------------------------------------------------
@@ -251,11 +251,11 @@ def test_probe_witness_stays_within_the_digit_limit():
 def test_degree_cap():
     # certify_nonneg accepts degree MAX_CHECK_DEGREE and raises above it,
     # so a crafted claim one degree higher fails replay instead of running.
-    top = RationalPolynomial((F(0),) * MAX_CHECK_DEGREE + (F(1),))
+    top = P(*[0] * MAX_CHECK_DEGREE, 1)
     cert = certify_nonneg(top)
     assert cert.status == "verified"
     with pytest.raises(ValueError, match="exceeds"):
-        certify_nonneg(RationalPolynomial((F(0),) * (MAX_CHECK_DEGREE + 1) + (F(1),)))
+        certify_nonneg(P(*[0] * (MAX_CHECK_DEGREE + 1), 1))
     crafted = Certificate.from_json_dict(cert.to_json_dict())
     crafted.claim["polynomial"] = ["0/1"] * (MAX_CHECK_DEGREE + 1) + ["1/1"]
     assert not replay_certificate(crafted)
@@ -324,7 +324,7 @@ def test_bernstein_trail_verifies_and_falsifies():
 @given(st.fractions(min_value=F(1, 100), max_value=F(100), max_denominator=100))
 def test_rescaling_invariance(c):
     p = stability_gap_polynomial(12)
-    scaled = RationalPolynomial(tuple(c * a for a in p.coeffs))
+    scaled = P(*(c * a for a in p.coeffs))
     assert certify_nonneg(p).status == certify_nonneg(scaled).status
 
 
@@ -404,10 +404,17 @@ def _set_pattern_onset(d):
     d["claim"]["pattern"]["double_voltage_le_hardy_from"] = 3
 
 
+def _set_field(key: str, value):
+    def edit(d):
+        d[key] = value
+    return edit
+
+
 # The certificates under edit, and each edit: it keeps the certificate
 # well formed, and a rebuild from the claim differs from it somewhere.
 ORIGINALS = {
     "m3-gap": lambda: certify_m3_gap(17),
+    "m3-gap-4": lambda: certify_m3_gap(4),
     "power-sum": _range_upper,
     "thresholds": lambda: certify_thresholds(1, 40),
     "m2": lambda: certify_m2_subsolution(31),
@@ -422,6 +429,14 @@ EDITS = {
     "m2-description": ("m2", _set_claim("description", "anything")),
     "m2-dimension": ("m2", _set_claim("dimension", 2)),
     "m2-boundary-values": ("m2", _set_step("boundary-values", "value", False)),
+    # Fields that from_json_dict does not keep and to_json_dict rebuilds.
+    "m3-gap-4-witness-decimal": ("m3-gap-4", _set_field("witness_decimal", "0.999")),
+    "m3-gap-4-schema-version": ("m3-gap-4", _set_field("schema_version", 7)),
+    "m3-gap-4-witness-number": ("m3-gap-4", _set_field("witness", 0.5)),
+    "m3-gap-4-extra-key": ("m3-gap-4", _set_field("extra", None)),
+    # Values that == takes for the rebuilt ones: 0 == False, 3.0 == 3.
+    "m3-gap-closed-as-zero": ("m3-gap", _set_step("input", "closed", 0)),
+    "m3-gap-degree-as-float": ("m3-gap", _set_step("input", "degree", 3.0)),
 }
 
 
@@ -431,6 +446,37 @@ def test_replay_rejects_edited_certificate(edit):
     d = json.loads(json.dumps(ORIGINALS[original]().to_json_dict()))
     assert replay_certificate(Certificate.from_json_dict(d))
     change(d)
+    assert not replay_certificate(Certificate.from_json_dict(d))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: certify_m3_gap(True),
+    lambda: certify_m3_gap(17.0),
+    lambda: certify_m3_stability(17.0),
+    lambda: certify_m2_subsolution(5.0),
+    lambda: certify_thresholds(True, 3),
+    lambda: certify_thresholds(1, 3.0),
+    lambda: threshold_table(1, True),
+], ids=["m3-gap-true", "m3-gap-float", "m3-stability-float", "m2-float", "thresholds-true",
+        "thresholds-float", "table-true"])
+def test_dimensions_must_be_integers(call):
+    # bool is an int and 17.0 compares equal to 17; neither is a dimension.
+    with pytest.raises(ValueError, match="need"):
+        call()
+
+
+@pytest.mark.parametrize("original, key, value", [
+    (lambda: certify_m3_gap(1), "dimension", True),
+    (lambda: certify_m3_stability(17), "dimension", 17.0),
+    (lambda: certify_thresholds(1, 3), "range", [True, 3]),
+    (lambda: certify_thresholds(1, 1), "range", [1, True]),
+], ids=["m3-gap-true", "m3-stability-float", "thresholds-true-min", "thresholds-true-max"])
+def test_replay_rejects_non_integer_dimensions(original, key, value):
+    # Each edited claim rebuilds to the same values, since True == 1 and
+    # 17.0 == 17, so only the dimension check can refuse it.
+    d = json.loads(json.dumps(original().to_json_dict()))
+    assert replay_certificate(Certificate.from_json_dict(d))
+    d["claim"][key] = value
     assert not replay_certificate(Certificate.from_json_dict(d))
 
 
@@ -453,17 +499,21 @@ def test_replay_rejects_oversized_and_unknown_claims():
     for bad_claim in ({"kind": "composite", "name": "other", "dimension": 3}, {"kind": "unknown"},
                       [], "x", None):
         assert not replay_certificate(Certificate(bad_claim, "verified"))
-    # A power-sum claim whose exponents span 2 * 10^6 units of 1/q is
-    # refused at the degree cap before its cleared polynomial is built.
+    # A power-sum claim whose exponents span 2 * 10^6 units of 1/q, and a
+    # polynomial claim of 10^6 + 1 coefficients, are refused at the degree
+    # cap before a polynomial is built.
     d = power_sum_nonneg(PowerSum.of((1, F(1, 3)), (F(-1, 2), 0))).to_json_dict()
     d["claim"]["terms"] = [["1", "1/1000000"], ["-1/2", "0"], ["1", "2"]]
-    tracemalloc.start()
-    try:
-        assert not replay_certificate(Certificate.from_json_dict(d))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    p = certify_nonneg(P(0, 1, -1)).to_json_dict()
+    p["claim"]["polynomial"] = ["0/1"] * 10**6 + ["1/1"]
+    for d in (d, p):
+        tracemalloc.start()
+        try:
+            assert not replay_certificate(Certificate.from_json_dict(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
     with pytest.raises(ValueError, match=f"degree 1999999 exceeds {MAX_CHECK_DEGREE}"):
         reduce_power_sum(PowerSum.of((1, F(1, 10**6)), (1, 2)))
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import pytest
 import sympy
@@ -13,10 +14,10 @@ from mems4.polys import (
     RationalPolynomial,
     _derivative,
     _exact_quotient,
+    _primitive,
     _pseudo_remainder,
     _taylor_shift,
     bernstein_sign,
-    integer_coeffs,
     sign_at,
 )
 
@@ -25,7 +26,7 @@ X = sympy.Symbol("x")
 
 
 def P(*coeffs):
-    return RationalPolynomial(coeffs)
+    return RationalPolynomial.of(*coeffs)
 
 
 def test_normalization_and_degree():
@@ -62,7 +63,7 @@ def _product(*factors):
     sp = sympy.Poly(1, X, domain="QQ")
     for f in factors:
         sp = sp * _sympy_poly(f)
-    return RationalPolynomial(tuple(F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())))
+    return P(*(F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())))
 
 
 def test_gcd_and_squarefree():
@@ -172,11 +173,11 @@ def test_isolation_count_matches_sympy(roots, square, lead, end, other_end):
     st.booleans(),
 )
 def test_integer_sign_matches_fraction_horner(coeffs, x, root_at_x):
-    p = RationalPolynomial(tuple(coeffs))
+    p = P(*coeffs)
     if root_at_x:
         p = _product(p, P(-x, 1))
     v = p(x)
-    assert sign_at(integer_coeffs(p), x) == (v > 0) - (v < 0)
+    assert sign_at(p.integer_form[1], x) == (v > 0) - (v < 0)
 
 
 def _fraction_horner(coeffs, x):
@@ -234,25 +235,32 @@ def test_eval_matches_fraction_horner(coeffs, x, multiplicity):
         assert v == 0
 
 
-def _loop_squarefree_part(p):
-    # The square-free part as computed before the shared remainder
-    # sequence: its own gcd loop.
-    if p.degree <= 0:
-        return p
-    f = integer_coeffs(p)
+def _loop_integer_coeffs(coeffs):
+    # The primitive integer coefficients of Fraction coefficients (trailing
+    # zeros dropped), as read before the integer form was the polynomial.
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _loop_squarefree_part(coeffs):
+    # The Fraction coefficients of the square-free part as computed before
+    # the shared remainder sequence: its own gcd loop, a Fraction scale.
+    if len(coeffs) <= 1:
+        return tuple(coeffs)
+    f = _loop_integer_coeffs(coeffs)
     g, r = f, _derivative(f)
     while r:
         g, r = r, _pseudo_remainder(g, r)
     if len(g) == 1:
-        return p
-    scale = p.coeffs[-1] / f[-1] * g[-1]
-    return RationalPolynomial(tuple(scale * c for c in _exact_quotient(f, g)))
+        return tuple(coeffs)
+    scale = coeffs[-1] / f[-1] * g[-1]
+    return tuple(scale * c for c in _exact_quotient(f, g))
 
 
-def _loop_sturm_sequence(p):
+def _loop_sturm_sequence(coeffs):
     # The Sturm chain as built before: c_(k+1) = -prem(c_(k-1), c_k) on
     # the square-free part, its own loop.
-    f = integer_coeffs(_loop_squarefree_part(p))
+    f = _loop_integer_coeffs(_loop_squarefree_part(coeffs))
     chain = [f, _derivative(f)]
     while len(chain[-1]) > 1:
         r = _pseudo_remainder(chain[-2], chain[-1])
@@ -279,8 +287,69 @@ def test_shared_remainders_match_separate_loops(roots, square, lead):
     if square is not None:
         factors.append(P(-square, 0, 1))
     p = _product(P(lead), *factors)
-    assert p.squarefree_part() == _loop_squarefree_part(p)
-    assert RationalPolynomial(p.coeffs).sturm_sequence() == _loop_sturm_sequence(p)
+    assert p.squarefree_part().coeffs == _loop_squarefree_part(p.coeffs)
+    assert P(*p.coeffs).sturm_sequence() == _loop_sturm_sequence(p.coeffs)
+
+
+def _fraction_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def test_non_canonical_form_equals_the_canonical_one():
+    p = RationalPolynomial((12, (4, -6, 0, 0)))
+    built = P(F(1, 3), F(-1, 2))
+    assert p == built and hash(p) == hash(built)
+    assert p.integer_form == (6, (2, -3))
+    assert p.coeffs == (F(1, 3), F(-1, 2)) and p.degree == 1
+    assert RationalPolynomial((7, [0, 0])) == P() and P().integer_form == (1, ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=F(-9), max_value=F(9), max_denominator=12), max_size=4),
+    st.lists(st.tuples(_ROOTS, st.integers(1, 3)), max_size=3),
+    st.integers(1, 60),
+    st.integers(0, 3),
+)
+@example(raw=[F(0)], roots=[], k=5, zeros=2)
+@example(raw=[F(-2, 3)], roots=[(F(0), 2), (F(1), 1), (F(1, 2), 3)], k=6, zeros=1)
+def test_integer_form_matches_the_fraction_oracles(raw, roots, k, zeros):
+    # raw times (x - r)^m for each (r, m), multiplied out in Fractions and
+    # with its trailing zeros (if any) kept: the polynomial built by .of
+    # equals, and hashes equal to, the one built from the non-canonical
+    # form (k den, k cs + zeros), and both match the Fraction oracles.
+    for r, m in roots:
+        for _ in range(m):
+            raw = _fraction_mul(raw, [-r, F(1)])
+    coeffs = list(raw)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    coeffs = tuple(coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    p = P(*raw)
+    q = RationalPolynomial((k * den, [k * int(c * den) for c in coeffs] + [0] * zeros))
+    assert p == q and hash(p) == hash(q)
+    assert p.integer_form == q.integer_form == (den, tuple(int(c * den) for c in coeffs))
+    assert q.coeffs == coeffs and all(type(c) is F for c in q.coeffs)
+    for x in (F(0), F(1), F(1, 2), F(-7, 3), *(r for r, _ in roots)):
+        assert q(x) == _fraction_horner(coeffs, x)
+    assert q.squarefree_part().coeffs == _loop_squarefree_part(coeffs)
+    assert q.sturm_sequence() == _loop_sturm_sequence(coeffs)
+    # Isolation on (0, 1) against sympy's count of the distinct roots there.
+    ivs = q.isolate_roots(F(0), F(1))
+    if len(coeffs) > 1:
+        sp = _sympy_poly(q)
+        ends = (coeffs[0] == 0) + (sum(coeffs) == 0)
+        assert len(ivs) == sp.count_roots(0, 1) - ends
+        for lo, hi in ivs:
+            assert 0 < lo < hi < 1 and sp.count_roots(lo, hi) == 1
+            assert _fraction_horner(coeffs, lo) != 0 != _fraction_horner(coeffs, hi)
+    else:
+        assert ivs == []
 
 
 def test_square_free_isolation_builds_one_remainder_sequence(monkeypatch):
