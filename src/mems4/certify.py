@@ -28,6 +28,7 @@ from mems4.closed_forms import (
     apply_bilaplacian,
     format_rational,
     hardy_rellich,
+    parse_rational,
     rational_to_decimal,
     singular_voltage,
     touchdown_profile,
@@ -97,7 +98,7 @@ class Certificate:
         return Certificate(
             claim=d["claim"],
             status=d["status"],
-            witness=None if w is None else Fraction(w),
+            witness=None if w is None else parse_rational(w),
             trail=list(d["trail"]),
             source=d,
         )
@@ -222,9 +223,9 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
 
 def replay_certificate(cert: Certificate) -> bool:
     """Rebuild the certificate that ``cert.claim`` describes and accept
-    ``cert`` only if status, witness, claim and trail all match it and,
-    for one read by from_json_dict, the rebuilt JSON object has the
-    sorted-key JSON text of the whole object read.
+    ``cert`` only if the rebuilt JSON object has the sorted-key JSON text
+    of ``cert``'s fields and, for one read by from_json_dict, of the whole
+    object read.
 
     A claim that is not a JSON object, one of an unknown kind, or one
     whose rebuild raises (a malformed field, a dimension outside its
@@ -234,13 +235,13 @@ def replay_certificate(cert: Certificate) -> bool:
         fresh = _recompute(cert.claim)
         if fresh is None:
             return False
-        rebuilt = fresh.to_json_dict()
         # Text, not ==, so that true, 1 and 1.0 differ; json's C encoder
-        # takes a third of the time of store.canonical_json.
-        return rebuilt == cert.to_json_dict() and (
-            cert.source is None
-            or json.dumps(cert.source, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
-        )
+        # takes a third of the time of store.canonical_json.  The fields
+        # are compared as well as the object read, since they may have
+        # been set after reading.
+        rebuilt = json.dumps(fresh.to_json_dict(), sort_keys=True)
+        return all(json.dumps(given, sort_keys=True) == rebuilt
+                   for given in (cert.to_json_dict(), cert.source) if given is not None)
     except (ValueError, KeyError, TypeError, ZeroDivisionError):
         return False
 
@@ -253,12 +254,13 @@ def _recompute(claim: dict) -> Certificate | None:
     if claim.get("name") in CLAIMS:
         return CLAIMS[claim["name"]](claim["dimension"])
     if claim.get("kind") == "power-sum-nonneg":
-        terms = [(Fraction(c), Fraction(e)) for c, e in claim["terms"]]
+        terms = [(parse_rational(c), parse_rational(e)) for c, e in claim["terms"]]
         return power_sum_nonneg(PowerSum.of(*terms), claim["label"])
     if claim.get("kind") == "polynomial-nonneg":
         # A claim's list has no trailing zero, so its length gives the degree.
         _check_degree_cap(len(claim["polynomial"]) - 1)
-        return certify_nonneg(RationalPolynomial.of(*claim["polynomial"]), claim)
+        coeffs = map(parse_rational, claim["polynomial"])
+        return certify_nonneg(RationalPolynomial.of(*coeffs), claim)
     return None
 
 

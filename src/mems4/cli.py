@@ -27,6 +27,7 @@ a dimension range outside 1..64 or below its claim's floor, a search
 --dim outside 1..64, a float command's --dim below 1 or above the
 largest float (1.8e308), a voltage that is NaN, negative or above the
 largest float (1.8e308), an --alpha or --beta of magnitude above it, a
+rational with a decimal exponent past 4300 (closed_forms.MAX_EXPONENT), a
 search --lambda whose numerator and denominator have more than 600
 digits together (MAX_VOLTAGE_DIGITS), a grid count, --profiles or search
 candidate count above 4096, a search grid flag missing for --family or
@@ -59,6 +60,7 @@ from mems4.closed_forms import (
     BoundaryPair,
     format_rational,
     is_admissible,
+    parse_rational,
     quadratic_lower_bound,
     rational_to_decimal,
 )
@@ -166,9 +168,9 @@ SETTINGS = {s.name: s for s in (
     Setting("rel_width", 1e-6, float, _branch_check("check_rel_width"),
             "pull-in bracket relative width, in [1e-15, 1)"),
     # The float engine samples alpha and beta in doubles.
-    Setting("alpha", Fraction(0), Fraction, lambda v: abs(v) <= sys.float_info.max,
+    Setting("alpha", Fraction(0), parse_rational, lambda v: abs(v) <= sys.float_info.max,
             "boundary value at r=1, exact rational of magnitude at most 1.8e308"),
-    Setting("beta", Fraction(0), Fraction, lambda v: abs(v) <= sys.float_info.max,
+    Setting("beta", Fraction(0), parse_rational, lambda v: abs(v) <= sys.float_info.max,
             "boundary slope at r=1, exact rational of magnitude at most 1.8e308"),
     Setting("format", "csv", str, lambda v: v in ("csv", "json"), "table format, csv or json"),
 )}
@@ -266,8 +268,8 @@ def parse_lambda_spec(text: str) -> list[float] | None:
 def parse_fraction_grid(text: str) -> list[Fraction]:
     """Exact rational grids "1:3:9" (start:stop:count) or one value "2/3"."""
     if ":" not in text:
-        return [Fraction(text)]
-    return _parse_grid(text, Fraction, "grid spec must be start:stop:count")
+        return [parse_rational(text)]
+    return _parse_grid(text, parse_rational, "grid spec must be start:stop:count")
 
 
 def _check_voltages(values) -> None:
@@ -536,7 +538,7 @@ def _search_inputs(args, cfg) -> dict:
     inputs = {"dim": dim, "family": args.family, "params": params}
     # Given only with --lambda; the search's own default is H_N/2.
     if args.lam is not None:
-        lam = Fraction(args.lam)
+        lam = parse_rational(args.lam)
         _check_voltages([lam])
         if len(str(lam.numerator)) + len(str(lam.denominator)) > MAX_VOLTAGE_DIGITS:
             raise ValueError(f"--lambda: its numerator and denominator exceed "

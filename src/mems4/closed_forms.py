@@ -10,6 +10,7 @@ samples power sums with `radial_operator.sample_power_sum`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,6 +18,11 @@ from math import gcd, lcm
 from typing import NamedTuple, Union
 
 Rational = Union[Fraction, int]
+
+# Largest decimal exponent parse_rational reads: Python turns no integer
+# of more than 4300 digits into text, so no artifact can write a larger one.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 FOUR_THIRDS = Fraction(4, 3)
 
@@ -283,6 +289,17 @@ def touchdown_profile(m: Rational) -> PowerSum:
         raise ValueError("m = 4/3 is a coefficient pole of the profile family")
     d = 3 * m - 4
     return PowerSum.of((1, 0), (Fraction(-3 * m, d), FOUR_THIRDS), (Fraction(4, d), m))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) for a rational read from outside the program, but a
+    decimal exponent of magnitude above MAX_EXPONENT raises ValueError
+    before Fraction expands it, which takes seconds to minutes.  A value
+    that is not text (a number read from JSON) goes to Fraction as it is."""
+    exponent = _EXPONENT.search(text) if isinstance(text, str) else None
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent above {MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def format_rational(x: Fraction) -> str:

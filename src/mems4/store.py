@@ -5,6 +5,10 @@ branch.jsonl, profiles/*.csv, certificates/*.json, tables/*.csv as the
 command produces them.  Every JSON artifact carries a schema_version
 field and every CSV starts with a header row; no timestamps are written,
 so reruns with identical configuration are byte-identical.
+
+Every artifact is one text that atomic_write_text writes through a
+temporary file and a rename, except search.json, which write_json_list
+streams into its temporary file one candidate at a time.
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ def rational_json(x: Fraction) -> dict:
     return {"fraction": format_rational(x), "decimal": rational_to_decimal(x)}
 
 
-# A container being encoded with a ``write`` hands its parts on after an
-# item once they number more than this, so encoding a document needs no
-# memory of its size.
-_WRITE_EVERY = 1024
 _INF = float("inf")
 
 
@@ -56,13 +56,11 @@ def _scalar_text(x) -> str | None:
     return None
 
 
-def _encode(obj, parts: list[str], newline: str, write: Callable[[str], object] | None = None) -> None:
+def _encode(obj, parts: list[str], newline: str) -> None:
     """Append the text of obj to parts as json.dumps(obj, sort_keys=True,
     indent=2) writes it on a line that starts with ``newline`` ("\n" and
-    the line's indent).  Given ``write``, a list or dict passes the joined
-    parts to it, and clears them, whenever they pass _WRITE_EVERY after an
-    item.  Raises TypeError where json does: on a value or a key of
-    another type, and on keys that do not sort."""
+    the line's indent).  Raises TypeError where json does: on a value or
+    a key of another type, and on keys that do not sort."""
     if isinstance(obj, str):
         parts.append(_quote(obj))
     elif isinstance(obj, (list, tuple)):
@@ -74,10 +72,7 @@ def _encode(obj, parts: list[str], newline: str, write: Callable[[str], object] 
         for value in obj:
             parts.append(head)
             head = sep
-            _encode(value, parts, inner, write)
-            if write is not None and len(parts) > _WRITE_EVERY:
-                write("".join(parts))
-                parts.clear()
+            _encode(value, parts, inner)
         parts.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -91,10 +86,7 @@ def _encode(obj, parts: list[str], newline: str, write: Callable[[str], object] 
                 raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
             parts.append(head + _quote(text) + ": ")
             head = sep
-            _encode(value, parts, inner, write)
-            if write is not None and len(parts) > _WRITE_EVERY:
-                write("".join(parts))
-                parts.clear()
+            _encode(value, parts, inner)
         parts.append(newline + "}")
     else:
         text = _scalar_text(obj)
@@ -139,34 +131,24 @@ def atomic_write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_encoded(fh, obj, newline: str, head: str = "") -> None:
-    """Write head, then obj encoded as at ``newline`` by _encode, to fh."""
-    parts = [head]
-    _encode(obj, parts, newline, fh.write)
-    fh.write("".join(parts))
-
-
 def write_json(path: Path, obj: dict) -> None:
-    """Write canonical_json of the payload, about a thousand parts at a time
-    into the file: memory stays flat however large the document is."""
-    payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(obj)
-    with _atomic_file(path) as fh:
-        _write_encoded(fh, payload, "\n")
-        fh.write("\n")
+    """Write canonical_json of obj with schema_version as one text."""
+    atomic_write_text(path, canonical_json({"schema_version": SCHEMA_VERSION, **obj}))
 
 
 def write_json_list(path: Path, key: str, items: Iterable, fields: Callable[[], dict]) -> None:
     """Write canonical_json of {key: list(items), **fields()} (with
     schema_version, as write_json) without building the list: each item is
-    encoded at list depth into the file as the iterator yields it, then
+    encoded whole, at list depth, and written as the iterator yields it, then
     fields() is called, so it may report what the iteration counted.
     ``key`` must sort before every key of fields()."""
     with _atomic_file(path) as fh:
         fh.write("{\n  " + _quote(key) + ": [")
         count = 0
         for count, item in enumerate(items, 1):
-            _write_encoded(fh, item, "\n    ", ",\n    " if count > 1 else "\n    ")
+            parts = [",\n    " if count > 1 else "\n    "]
+            _encode(item, parts, "\n    ")
+            fh.write("".join(parts))
         fh.write("\n  ]" if count else "]")
         payload = {"schema_version": SCHEMA_VERSION}
         payload.update(fields())

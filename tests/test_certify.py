@@ -1,6 +1,7 @@
 """Tests for the exact certification engine and the named claims."""
 
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -516,6 +517,26 @@ def test_replay_rejects_oversized_and_unknown_claims():
         assert peak < 2**20
     with pytest.raises(ValueError, match=f"degree 1999999 exceeds {MAX_CHECK_DEGREE}"):
         reduce_power_sum(PowerSum.of((1, F(1, 10**6)), (1, 2)))
+
+
+def test_replay_refuses_a_huge_decimal_exponent_at_once():
+    # Fraction("1e3000000") builds a number of three million digits, which
+    # takes seconds; the exponent is refused before that.
+    p = json.loads(json.dumps(certify_nonneg(P(0, 1, -1)).to_json_dict()))
+    p["claim"]["polynomial"][1] = "1e3000000"
+    d = json.loads(json.dumps(_range_upper().to_json_dict()))
+    d["claim"]["terms"][0][0] = "1e3000000"
+    for edited in (p, d):
+        start = time.perf_counter()
+        assert not replay_certificate(Certificate.from_json_dict(edited))
+        assert time.perf_counter() - start < 0.1
+    # A witness is read with the certificate, which it does not let read.
+    w = json.loads(json.dumps(certify_m3_gap(4).to_json_dict()))
+    w["witness"] = "1e3000000"
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        Certificate.from_json_dict(w)
+    assert time.perf_counter() - start < 0.1
 
 
 # --- power sum reduction --------------------------------------------------

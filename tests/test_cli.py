@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -203,6 +204,33 @@ def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
         cfg.write_text(json.dumps(flags[-1]))
         flags = [*flags[:-1], str(cfg)]
     assert exit_code(*flags, "--out", str(tmp_path)) == 3  # argparse's usage errors too
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["pullin", "--dim", "3", "--mesh", "16", "--alpha=1e10000000"],
+        ["pullin", "--dim", "3", "--mesh", "16", "--beta=-1e-30000000"],
+        ["pullin", "--dim", "3", "--mesh", "16", "--config", {"alpha": "1e10000000"}],
+        ["search-subsolution", "--dim", "9", "--family", "touchdown-m", "--m", "1e10000000"],
+        ["search-subsolution", "--dim", "9", "--family", "touchdown-m", "--m", "1:1e10000000:2"],
+        ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
+         "--alpha-grid", "1", "--beta-grid", "1e-10000000:1:2"],
+        SEARCH_W3 + ["--lambda", "1e10000000"],
+    ],
+    ids=["alpha", "beta", "config-alpha", "m", "m-grid", "beta-grid", "lambda"],
+)
+def test_huge_decimal_exponent_exits_at_once(tmp_path, tmp_path_factory, flags):
+    # Fraction("1e10000000") builds a number of ten million digits, which
+    # takes seconds; the exponent is refused before that.
+    if isinstance(flags[-1], dict):  # the contents of a --config file
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_text(json.dumps(flags[-1]))
+        flags = [*flags[:-1], str(cfg)]
+    start = time.perf_counter()
+    assert exit_code(*flags, "--out", str(tmp_path)) == 3
+    assert time.perf_counter() - start < 2
     assert not any(tmp_path.iterdir())
 
 

@@ -17,6 +17,7 @@ from mems4.closed_forms import (
     hardy_rellich,
     is_admissible,
     laplacian_power_coeff,
+    parse_rational,
     quadratic_lower_bound,
     rational_pow,
     singular_voltage,
@@ -31,6 +32,18 @@ rationals = st.fractions(
     min_value=F(-50), max_value=F(50), max_denominator=60
 )
 dimensions = st.integers(min_value=1, max_value=40)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "-1/5", "0.5", "1e-3", " 2e+3 ", "7"])
+def test_parse_rational_is_fraction_up_to_the_exponent_limit(text):
+    assert parse_rational(text) == F(text)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2.5e-4301", "1e10000000", "1e" + "9" * 5000])
+def test_parse_rational_refuses_a_huge_exponent_before_expanding_it(text):
+    # Fraction itself would build a number of that many digits first.
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 def test_quadratic_lower_bound_values():

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
+import mems4.store as store
 from mems4.cli import COMMANDS, main, resolve_settings
+from mems4.store import atomic_write_text
 
 CASES = {
     "bounds-csv": ["bounds", "--n", "1..12"],
@@ -205,6 +207,21 @@ def run_case(name: str, out: Path) -> tuple[int, dict[str, str]]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_golden_hashes(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_artifact_but_search_json_is_one_text(name, tmp_path, monkeypatch):
+    # store.atomic_write_text is the one write path of every artifact
+    # except search.json, which write_json_list streams.
+    written = []
+
+    def record(path, text):
+        written.append(Path(path).relative_to(tmp_path).as_posix())
+        atomic_write_text(path, text)
+
+    monkeypatch.setattr(store, "atomic_write_text", record)
+    _, hashes = run_case(name, tmp_path)
+    assert sorted(written) == [rel for rel in hashes if not rel.endswith("/search.json")]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

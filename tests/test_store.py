@@ -4,14 +4,12 @@ import gc
 import json
 import os
 import stat
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import mems4.store as store
 from mems4.store import (
     SCHEMA_VERSION, atomic_write_text, canonical_json, write_csv, write_json, write_json_list,
 )
@@ -71,9 +69,7 @@ def test_canonical_json_is_the_stdlib_encoding(obj):
 
 @_FILES
 @given(st.dictionaries(st.text(), _TREES, max_size=4))
-def test_written_json_is_the_stdlib_encoding(tmp_path, monkeypatch, obj):
-    # Written out every few parts, so at every kind of boundary.
-    monkeypatch.setattr(store, "_WRITE_EVERY", 2)
+def test_written_json_is_the_stdlib_encoding(tmp_path, obj):
     write_json(tmp_path / "a.json", obj)
     expected = _stdlib({"schema_version": SCHEMA_VERSION, **obj})
     assert (tmp_path / "a.json").read_bytes() == expected.encode()
@@ -81,8 +77,7 @@ def test_written_json_is_the_stdlib_encoding(tmp_path, monkeypatch, obj):
 
 @_FILES
 @given(st.lists(_TREES, max_size=5), st.dictionaries(st.text().map("d".__add__), _TREES, max_size=3))
-def test_written_json_list_is_the_stdlib_encoding(tmp_path, monkeypatch, items, fields):
-    monkeypatch.setattr(store, "_WRITE_EVERY", 2)
+def test_written_json_list_is_the_stdlib_encoding(tmp_path, items, fields):
     write_json_list(tmp_path / "s.json", "candidates", iter(items), lambda: fields)
     expected = _stdlib({"schema_version": SCHEMA_VERSION, "candidates": items, **fields})
     assert (tmp_path / "s.json").read_bytes() == expected.encode()
@@ -158,26 +153,11 @@ def test_streamed_list_key_must_sort_first(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_json_write_memory_does_not_grow_with_the_document(tmp_path):
-    rows = [{"index": i, "fraction": f"{i}/{i + 7}", "decimal": i / 7, "ok": i % 2 == 0}
-            for i in range(10000)]
-    encoded = len(canonical_json({"schema_version": SCHEMA_VERSION, "rows": rows}))
-    assert encoded >= 1_000_000
-    tracemalloc.start()
-    try:
-        write_json(tmp_path / "big.json", {"rows": rows})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (tmp_path / "big.json").read_text() == _stdlib({"schema_version": SCHEMA_VERSION, "rows": rows})
-    assert peak < encoded / 4
-
-
 def test_failed_json_write_leaves_the_old_file(tmp_path):
     target = tmp_path / "search.json"
     target.write_text("old\n")
-    # The list encodes to far more than the file buffer, so chunks are on
-    # disk before the encoder reaches the Fraction.
+    # The encoder reaches the Fraction after a long list; the old file
+    # stays and no temporary file is left.
     obj = {"a": list(range(100000)), "b": Fraction(1, 3)}
     with pytest.raises(TypeError):
         write_json(target, obj)
