@@ -9,11 +9,12 @@ above it a Bernstein sign test (Vincent-Collins-Akritas bisection)
 decides, handing a repeated root to Sturm isolation.  Every claim comes
 out verified or falsified.  A Certificate carries its claim and the full
 evaluation trail; "falsified" always comes with an exact rational
-witness.  Replay rebuilds the certificate from its claim with this same
-engine and accepts it only if the rebuilt JSON object has the sorted-key
-JSON text of the whole object the certificate was read from (every key,
-the witness's decimal and the schema version included), so it catches
-an edited file, not an engine bug.
+witness.  A Certificate is exactly its file: from_json_dict reads no
+other.  Replay rebuilds it from its claim with this same engine and makes
+one comparison, of sorted-key JSON texts, with the certificate or the
+JSON value read from its file, every key included.  It answers False,
+never an exception, for a value that is not a certificate, and it
+catches an edited file, not an engine bug.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ MAX_DIMENSION = 64
 DIMENSION_FLOORS = {"m2-subsolution": 3, "m3-stability": 5}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     """Outcome of one rigorous sign verification.
 
@@ -77,8 +78,6 @@ class Certificate:
     status: str
     witness: Fraction | None = None
     trail: list[dict] = field(default_factory=list)
-    # The JSON object from_json_dict read, which replay compares whole.
-    source: dict | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,22 +85,32 @@ class Certificate:
             "claim": self.claim,
             "status": self.status,
             "witness": None if self.witness is None else format_rational(self.witness),
-            "witness_decimal": None
-            if self.witness is None
-            else rational_to_decimal(self.witness),
+            "witness_decimal": None if self.witness is None else rational_to_decimal(self.witness),
             "trail": self.trail,
         }
 
     @staticmethod
-    def from_json_dict(d: dict) -> "Certificate":
-        w = d.get("witness")
-        return Certificate(
-            claim=d["claim"],
-            status=d["status"],
-            witness=None if w is None else parse_rational(w),
-            trail=list(d["trail"]),
-            source=d,
-        )
+    def from_json_dict(d) -> "Certificate":
+        """The certificate whose to_json_dict has the sorted-key JSON text
+        of d.  Raises ValueError, and only ValueError, for any other value:
+        not an object, a missing or extra key, a witness that does not
+        parse or is beyond float range, an edited witness_decimal or
+        schema_version."""
+        try:
+            w = d["witness"]
+            cert = Certificate(d["claim"], d["status"], None if w is None else parse_rational(w),
+                               d["trail"])
+            if _text(cert.to_json_dict()) == _text(d):
+                return cert
+        except Exception as e:
+            raise ValueError("not a certificate") from e
+        raise ValueError("not a certificate")
+
+
+def _text(obj) -> str:
+    """Sorted-key JSON text, compared rather than ==, so that true, 1 and
+    1.0 differ; json's C encoder takes a third of canonical_json's time."""
+    return json.dumps(obj, sort_keys=True)
 
 
 def _value_entry(v: Fraction) -> dict:
@@ -221,34 +230,24 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     return Certificate(base_claim, VERIFIED, None, trail)
 
 
-def replay_certificate(cert: Certificate) -> bool:
-    """Rebuild the certificate that ``cert.claim`` describes and accept
-    ``cert`` only if the rebuilt JSON object has the sorted-key JSON text
-    of ``cert``'s fields and, for one read by from_json_dict, of the whole
-    object read.
+def replay_certificate(cert: Certificate | dict) -> bool:
+    """Rebuild the certificate that the claim of ``cert`` (a Certificate,
+    or the JSON value read from its file) describes, and accept ``cert``
+    only if the rebuilt JSON object has its sorted-key JSON text.
 
-    A claim that is not a JSON object, one of an unknown kind, or one
-    whose rebuild raises (a malformed field, a dimension outside its
-    claim's range, a degree above MAX_CHECK_DEGREE), does not replay.
+    Every other value gives False, and nothing raises: one that is not an
+    object or lacks a key, a claim of an unknown kind or one whose rebuild
+    raises (a malformed field, a dimension outside its claim's range, a
+    degree above MAX_CHECK_DEGREE), a field that differs from the rebuild.
     """
     try:
-        fresh = _recompute(cert.claim)
-        if fresh is None:
-            return False
-        # Text, not ==, so that true, 1 and 1.0 differ; json's C encoder
-        # takes a third of the time of store.canonical_json.  The fields
-        # are compared as well as the object read, since they may have
-        # been set after reading.
-        rebuilt = json.dumps(fresh.to_json_dict(), sort_keys=True)
-        return all(json.dumps(given, sort_keys=True) == rebuilt
-                   for given in (cert.to_json_dict(), cert.source) if given is not None)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError):
+        d = cert.to_json_dict() if isinstance(cert, Certificate) else cert
+        return _text(_recompute(d["claim"]).to_json_dict()) == _text(d)
+    except Exception:
         return False
 
 
-def _recompute(claim: dict) -> Certificate | None:
-    if not isinstance(claim, dict):
-        return None
+def _recompute(claim: dict) -> Certificate:
     if claim.get("kind") == "threshold-pattern":
         return certify_thresholds(*claim["range"])
     if claim.get("name") in CLAIMS:
@@ -261,7 +260,7 @@ def _recompute(claim: dict) -> Certificate | None:
         _check_degree_cap(len(claim["polynomial"]) - 1)
         coeffs = map(parse_rational, claim["polynomial"])
         return certify_nonneg(RationalPolynomial.of(*coeffs), claim)
-    return None
+    raise ValueError("unknown claim")
 
 
 # ---------------------------------------------------------------------------

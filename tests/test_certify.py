@@ -231,9 +231,9 @@ def test_probe_witness_replays_and_an_edited_one_does_not():
     for cert in (certify_nonneg(P(F(-1, 2), 1)), certify_m3_gap(4)):
         assert any(t.get("where") == "probe" for t in cert.trail)
         d = json.loads(json.dumps(cert.to_json_dict()))
-        assert replay_certificate(Certificate.from_json_dict(d))
+        assert replay_certificate(d) and replay_certificate(Certificate.from_json_dict(d))
         d["witness"] = "1/8"
-        assert not replay_certificate(Certificate.from_json_dict(d))
+        assert not replay_certificate(d)
 
 
 def test_probe_witness_stays_within_the_digit_limit():
@@ -257,8 +257,8 @@ def test_degree_cap():
     assert cert.status == "verified"
     with pytest.raises(ValueError, match="exceeds"):
         certify_nonneg(P(*[0] * (MAX_CHECK_DEGREE + 1), 1))
-    crafted = Certificate.from_json_dict(cert.to_json_dict())
-    crafted.claim["polynomial"] = ["0/1"] * (MAX_CHECK_DEGREE + 1) + ["1/1"]
+    crafted = json.loads(json.dumps(cert.to_json_dict()))
+    crafted["claim"]["polynomial"] = ["0/1"] * (MAX_CHECK_DEGREE + 1) + ["1/1"]
     assert not replay_certificate(crafted)
 
 
@@ -333,25 +333,22 @@ def test_replay_verified_and_falsified():
     for cert in (certify_m3_gap(20), certify_m3_gap(4), certify_nonneg(P(0, 1, -1))):
         assert replay_certificate(cert)
     # Round trip through JSON preserves replayability.
-    cert = certify_m3_gap(4)
-    again = Certificate.from_json_dict(cert.to_json_dict())
-    assert replay_certificate(again)
+    d = json.loads(json.dumps(certify_m3_gap(4).to_json_dict()))
+    assert replay_certificate(d) and replay_certificate(Certificate.from_json_dict(d))
     # Tampered status must fail replay.
-    bad = Certificate.from_json_dict(cert.to_json_dict())
-    bad.status = "verified"
-    assert not replay_certificate(bad)
+    d["status"] = "verified"
+    assert not replay_certificate(d)
     # A composite's status must follow from its replayed components.
     for composite in (certify_m2_subsolution(31), certify_m3_stability(6)):
-        assert replay_certificate(Certificate.from_json_dict(composite.to_json_dict()))
+        d = json.loads(json.dumps(composite.to_json_dict()))
+        assert replay_certificate(d) and replay_certificate(Certificate.from_json_dict(d))
         for status in ("falsified", "inconclusive"):
-            bad = Certificate.from_json_dict(composite.to_json_dict())
-            bad.status = status
-            assert not replay_certificate(bad)
+            assert not replay_certificate({**d, "status": status})
     # The engine certifies only the open (0, 1); other domains do not replay.
     for edit in ({"interval": ["0/1", "2/1"]}, {"closed": True}):
-        bad = Certificate.from_json_dict(certify_nonneg(P(0, 1, -1)).to_json_dict())
-        bad.claim.update(edit)
-        assert not replay_certificate(bad)
+        d = json.loads(json.dumps(certify_nonneg(P(0, 1, -1)).to_json_dict()))
+        d["claim"].update(edit)
+        assert not replay_certificate(d)
 
 
 def _search(n, family, grid, lam=None):
@@ -380,7 +377,9 @@ def test_replay_accepts_every_kind_after_json_round_trip():
         certify_nonneg(P()),
     ]
     for cert in certs:
-        assert replay_certificate(_round_trip(cert)), cert.claim
+        d = json.loads(json.dumps(cert.to_json_dict()))
+        assert replay_certificate(d), cert.claim
+        assert replay_certificate(Certificate.from_json_dict(d)), cert.claim
 
 
 def _range_upper() -> Certificate:
@@ -445,9 +444,9 @@ EDITS = {
 def test_replay_rejects_edited_certificate(edit):
     original, change = edit
     d = json.loads(json.dumps(ORIGINALS[original]().to_json_dict()))
-    assert replay_certificate(Certificate.from_json_dict(d))
+    assert replay_certificate(d)
     change(d)
-    assert not replay_certificate(Certificate.from_json_dict(d))
+    assert not replay_certificate(d)
 
 
 @pytest.mark.parametrize("call", [
@@ -476,9 +475,9 @@ def test_replay_rejects_non_integer_dimensions(original, key, value):
     # Each edited claim rebuilds to the same values, since True == 1 and
     # 17.0 == 17, so only the dimension check can refuse it.
     d = json.loads(json.dumps(original().to_json_dict()))
-    assert replay_certificate(Certificate.from_json_dict(d))
+    assert replay_certificate(d)
     d["claim"][key] = value
-    assert not replay_certificate(Certificate.from_json_dict(d))
+    assert not replay_certificate(d)
 
 
 def test_replay_ignores_power_sum_label():
@@ -493,10 +492,10 @@ def test_replay_rejects_oversized_and_unknown_claims():
     # range is refused before any work.
     d = certify_thresholds(1, 40).to_json_dict()
     d["claim"]["range"] = [1, 10**9]
-    assert not replay_certificate(Certificate.from_json_dict(d))
+    assert not replay_certificate(d)
     d = certify_m3_gap(17).to_json_dict()
     d["claim"]["dimension"] = MAX_DIMENSION + 1
-    assert not replay_certificate(Certificate.from_json_dict(d))
+    assert not replay_certificate(d)
     for bad_claim in ({"kind": "composite", "name": "other", "dimension": 3}, {"kind": "unknown"},
                       [], "x", None):
         assert not replay_certificate(Certificate(bad_claim, "verified"))
@@ -510,7 +509,7 @@ def test_replay_rejects_oversized_and_unknown_claims():
     for d in (d, p):
         tracemalloc.start()
         try:
-            assert not replay_certificate(Certificate.from_json_dict(d))
+            assert not replay_certificate(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -528,6 +527,7 @@ def test_replay_refuses_a_huge_decimal_exponent_at_once():
     d["claim"]["terms"][0][0] = "1e3000000"
     for edited in (p, d):
         start = time.perf_counter()
+        assert not replay_certificate(edited)
         assert not replay_certificate(Certificate.from_json_dict(edited))
         assert time.perf_counter() - start < 0.1
     # A witness is read with the certificate, which it does not let read.
@@ -536,7 +536,48 @@ def test_replay_refuses_a_huge_decimal_exponent_at_once():
     start = time.perf_counter()
     with pytest.raises(ValueError):
         Certificate.from_json_dict(w)
+    assert not replay_certificate(w)
     assert time.perf_counter() - start < 0.1
+
+
+def _without(key: str) -> dict:
+    d = json.loads(json.dumps(certify_m3_gap(4).to_json_dict()))
+    del d[key]
+    return d
+
+
+def _with_witness(witness) -> dict:
+    d = json.loads(json.dumps(certify_m3_gap(4).to_json_dict()))
+    d["witness"] = witness
+    return d
+
+
+NOT_CERTIFICATES = {
+    "none": lambda: None,
+    "list": lambda: [],
+    "text": lambda: "x",
+    "number": lambda: 3,
+    **{f"no-{key}": (lambda key=key: _without(key))
+       for key in ("claim", "status", "trail", "witness")},
+    **{f"witness-{w}": (lambda w=w: _with_witness(w))
+       for w in ("abc", "1e3000000", "1e400", [1])},
+}
+
+
+@pytest.mark.parametrize("make", NOT_CERTIFICATES.values(), ids=NOT_CERTIFICATES.keys())
+def test_a_value_that_is_not_a_certificate_replays_false(make):
+    # The witness "1e400" parses, but its decimal overflows float().
+    assert replay_certificate(make()) is False
+    with pytest.raises(ValueError):
+        Certificate.from_json_dict(make())
+
+
+def test_certificate_is_frozen_and_read_exactly():
+    cert = certify_m3_gap(4)
+    with pytest.raises(AttributeError):
+        cert.status = "verified"
+    d = json.loads(json.dumps(cert.to_json_dict()))
+    assert Certificate.from_json_dict(d) == cert
 
 
 # --- power sum reduction --------------------------------------------------

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import mems4.store as store
+from mems4.certify import Certificate, replay_certificate
 from mems4.cli import COMMANDS, main, resolve_settings
 from mems4.store import atomic_write_text
 
@@ -239,6 +240,20 @@ def test_config_json_is_the_whole_input(name, tmp_path):
     assert artifact_hashes(tmp_path / "rebuilt") == {
         rel: digest for rel, digest in hashes.items() if not rel.endswith("/config.json")
     }
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith(("certify-", "search-"))))
+def test_every_written_certificate_replays(name, tmp_path):
+    # Each certificate file, and each check of a search report, replays
+    # as the JSON value read and as the Certificate read from it.
+    run_case(name, tmp_path)
+    certs = [json.loads(p.read_text()) for p in tmp_path.glob("*/certificates/*.json")]
+    for p in tmp_path.glob("*/search.json"):
+        report = json.loads(p.read_text())
+        certs += [c for cand in report["candidates"] for c in cand["checks"].values()]
+    assert certs
+    for d in certs:
+        assert replay_certificate(d) and replay_certificate(Certificate.from_json_dict(d))
 
 
 if __name__ == "__main__":
