@@ -36,8 +36,8 @@ from mems4.radial_operator import (
 CEILING = 1e-6  # iterates reaching 1 - CEILING count as touchdown
 # Newton accepts a solve once the operator's componentwise backward error
 # is below TOL.  It reaches 0.3..2.3e-16 at every branch voltage in dims
-# 1..5 (gamma 1.5, n up to 16384).  Where A is badly scaled (coarse meshes
-# from dim 6 on) it stalls higher near the fold, which lowers the bracket.
+# 1..5 (n up to 16384).  Where A is badly scaled (coarse meshes from dim 6
+# on) it stalls higher near the fold, which lowers the bracket.
 TOL = 1e-10
 MAX_MONOTONE = 500
 MAX_NEWTON = 60

@@ -16,10 +16,11 @@ success/verified, 1 falsified or diverged, 2 inconclusive or flagged
 (only ``pullin``: exit 2 comes from the float engine, since the exact
 engine verifies or falsifies every claim), 3+ usage and I/O errors.
 Usage errors include a flag the command does not take, a --config key
-that is not one of its settings, --mesh outside 16..16384, a --gamma too
-large for the mesh and dimension, an operator that is not numerically
-positive definite on its mesh, boundary data whose extension comes
-within 1e-6 of the contact plane (branch.CEILING), ``pullin`` data whose
+that is not one of its settings, --mesh outside 16..16384, a mesh and
+dimension on which the operator cannot be built (a cell volume near the
+origin underflows, or the operator is not numerically positive
+definite), boundary data whose extension comes within 1e-6 of the
+contact plane (branch.CEILING), ``pullin`` data whose
 pull-in voltage may pass half the largest float
 (branch.pull_in_ceiling), --rel-width outside [1e-15, 1)
 (branch.MIN_REL_WIDTH: above the float spacing, so the bisection ends),
@@ -164,7 +165,6 @@ def _branch_check(name: str) -> Callable[[object], bool]:
 
 SETTINGS = {s.name: s for s in (
     Setting("mesh", 512, int, lambda v: 16 <= v <= MAX_MESH, f"interior node count, 16..{MAX_MESH}"),
-    Setting("gamma", 1.5, float, lambda v: v >= 1, "mesh grading exponent, >= 1"),
     Setting("rel_width", 1e-6, float, _branch_check("check_rel_width"),
             "pull-in bracket relative width, in [1e-15, 1)"),
     # The float engine samples alpha and beta in doubles.
@@ -174,7 +174,7 @@ SETTINGS = {s.name: s for s in (
             "boundary slope at r=1, exact rational of magnitude at most 1.8e308"),
     Setting("format", "csv", str, lambda v: v in ("csv", "json"), "table format, csv or json"),
 )}
-_SOLVER_SETTINGS = ("mesh", "gamma", "alpha", "beta")
+_SOLVER_SETTINGS = ("mesh", "alpha", "beta")
 
 
 def resolve_settings(names: tuple[str, ...], given: dict) -> dict:
@@ -224,7 +224,7 @@ def _boundary(cfg: dict) -> BoundaryPair:
 def _grid(cfg: dict, dim: int) -> RadialGrid:
     from mems4.radial_operator import build_grid
 
-    return build_grid(cfg["mesh"], cfg["gamma"], dim)
+    return build_grid(cfg["mesh"], dim)
 
 
 def parse_range(text: str) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Discrete radial bilaplacian with clamped boundary conditions.
 
 The radial Laplacian u'' + (N-1)/r u' is discretized in conservative form
-r^(1-N) (r^(N-1) u')' on a graded mesh r_i = (i/(n+1))^gamma, with no node
-at the origin (the flux through r = 0 vanishes by symmetry) and ghost
+r^(1-N) (r^(N-1) u')' on the mesh r_i = (i/(n+1))^1.5 (GRADING), graded
+toward the 1 - C|x|^(4/3) cusp of the singular solution, with no node at
+the origin (the flux through r = 0 vanishes by symmetry) and ghost
 elimination of u(1) = u'(1) = 0 at r = 1.  Composing two Laplacians gives
 a pentadiagonal operator that is exactly self-adjoint and positive
 definite in the cell-volume inner product, so Green-matrix positivity and
@@ -39,12 +40,13 @@ from mems4.closed_forms import PowerSum
 # 2e-12..1.2e-11 from about step 12 on, and pull_in_voltage notes nu1's
 # accuracy floor.  The iteration then stops once NU1_STALL_STEPS steps in
 # a row have not fallen below the smallest step so far, or after
-# NU1_MAX_ITER steps.  Up to n = 8192 (gamma 1, 1.5, 2, 3; dims 1..17,
-# 20, 24, 31, 32, 40, 64) no run goes more than 6 steps without a new
-# smallest step before it converges, so there the stall never ends one.
+# NU1_MAX_ITER steps.  Up to n = 8192 (dims 1..17, 20, 24, 31, 32, 40,
+# 64, where the operator builds) no run goes more than 6 steps without a
+# new smallest step before it converges, so there the stall never ends one.
 NU1_STEP_TOL = 1e-12
 NU1_STALL_STEPS = 16
 NU1_MAX_ITER = 200
+GRADING = 1.5  # mesh nodes (i/(n+1))^GRADING, i = 1..n
 
 
 def _lapack():
@@ -74,10 +76,9 @@ def _check_info(info: int, routine: str) -> None:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Graded mesh on (0, 1): interior nodes, grading exponent, dimension."""
+    """Graded mesh on (0, 1): interior nodes and dimension."""
 
     nodes: np.ndarray
-    gamma: float
     dim: int
 
     @property
@@ -85,20 +86,17 @@ class RadialGrid:
         return len(self.nodes)
 
 
-def build_grid(n_nodes: int, gamma: float, dim: int) -> RadialGrid:
-    """Graded mesh with nodes (i/(n+1))^gamma, i = 1..n, clustered at the
-    origin for gamma > 1 to resolve r^(-8/3) forcing."""
+def build_grid(n_nodes: int, dim: int) -> RadialGrid:
+    """Graded mesh with nodes (i/(n+1))^GRADING, i = 1..n, clustered at
+    the origin to resolve r^(-8/3) forcing."""
     if n_nodes < 16:
         raise ValueError("need at least 16 interior nodes")
-    if gamma < 1:
-        raise ValueError("grading exponent must be >= 1")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     if dim > sys.float_info.max:  # the operator computes in float(dim)
         raise ValueError("dimension must be at most the largest float (1.8e308)")
     i = np.arange(1, n_nodes + 1, dtype=float)
-    nodes = (i / (n_nodes + 1)) ** float(gamma)
-    return RadialGrid(nodes, float(gamma), dim)
+    return RadialGrid((i / (n_nodes + 1)) ** GRADING, dim)
 
 
 @dataclass(frozen=True)
@@ -132,10 +130,10 @@ class OperatorMatrix:
     symmetric, positive definite; ``chol`` is its banded Cholesky factor
     (upper storage), computed here once.
 
-    Raises ValueError when the grading is too strong for the mesh and
-    dimension (a cell volume near the origin underflows to zero, or a
-    band entry overflows), and when A is not numerically positive
-    definite on this mesh.
+    Raises ValueError when the mesh is too fine near the origin for the
+    dimension (a cell volume there underflows to zero), when a band entry
+    is not finite, and when A is not numerically positive definite on
+    this mesh.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -156,30 +154,29 @@ class OperatorMatrix:
         cells[0] = powers[0] / nd
         cells[1:] = (powers[1:] - powers[:-1]) / nd
         if not np.all(cells > 0):
-            raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
-                             f"{self.dim}: a cell volume is not positive")
-        flux = mids ** (nd - 1.0) / gaps
+            raise ValueError(f"mesh {n} in dimension {self.dim}: a cell volume near the "
+                             f"origin is not positive")
         self.cells = cells
-        self.flux = flux
         self.delta = gaps[-1]
-        # Tridiagonal S (weighted Laplacian): S[i,i+1] = flux[i],
-        # S[i,i] = -(flux[i-1] + flux[i]) with flux[-1] := 0 at the origin.
-        diag = -np.copy(flux)
-        diag[1:] -= flux[:-1]
-        self.s_diag = diag
-        self.s_off = flux[:-1]
-        self.kappa = flux[-1] * 2.0 / self.delta**2
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
+            flux = mids ** (nd - 1.0) / gaps
+            self.flux = flux
+            # Tridiagonal S (weighted Laplacian): S[i,i+1] = flux[i],
+            # S[i,i] = -(flux[i-1] + flux[i]) with flux[-1] := 0 at the origin.
+            diag = -np.copy(flux)
+            diag[1:] -= flux[:-1]
+            self.s_diag = diag
+            self.s_off = flux[:-1]
+            self.kappa = flux[-1] * 2.0 / self.delta**2
             self._banded = self._assemble_banded()
         if not np.all(np.isfinite(self._banded)):
-            raise ValueError(f"gamma {grid.gamma:g} is too large for mesh {n} in dimension "
-                             f"{self.dim}: a band entry is not finite")
+            raise ValueError(f"mesh {n} in dimension {self.dim}: a band entry is not finite")
         self._lapack = _lapack()
         # cholesky_banded(ab, lower=False): its finite check is the one above.
         self.chol, info = self._lapack.dpbtrf(self._banded, lower=0)
         if info > 0:
-            raise ValueError(f"mesh {n} with gamma {grid.gamma:g} in dimension {self.dim}: "
-                             f"the operator is not numerically positive definite "
+            raise ValueError(f"mesh {n} in dimension {self.dim}: the operator is not "
+                             f"numerically positive definite "
                              f"({info}-th leading minor not positive definite)")
         _check_info(info, "pbtrf")
 

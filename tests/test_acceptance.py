@@ -39,7 +39,6 @@ from mems4.radial_operator import OperatorMatrix, build_grid, sample_power_sum
 F = Fraction
 
 ACCEPT_MESH = 1024
-ACCEPT_GAMMA = 1.5
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -53,7 +52,7 @@ def pullin_estimates():
     """Pull-in brackets for N in {2, 3, 9, 17} at 1024 nodes, 1e-6 width."""
     out = {}
     for dim in (2, 3, 9, 17):
-        grid = build_grid(ACCEPT_MESH, ACCEPT_GAMMA, dim)
+        grid = build_grid(ACCEPT_MESH, dim)
         out[dim] = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-6)
     return out
 
@@ -64,7 +63,7 @@ def verdict_sweep():
     out = {}
     for dim in list(range(1, 9)) + [12, 17]:
         for mesh in (512, 1024):
-            grid = build_grid(mesh, ACCEPT_GAMMA, dim)
+            grid = build_grid(mesh, dim)
             est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-5)
             out[(dim, mesh)] = (est, regularity_verdict(est))
     return out
@@ -126,7 +125,7 @@ def test_criterion_3_touchdown_residual():
     lb = float(singular_voltage(dim))
     errs = []
     for n in (512, 1024):
-        grid = build_grid(n, ACCEPT_GAMMA, dim)
+        grid = build_grid(n, dim)
         op = OperatorMatrix(grid)
         vals = sample_power_sum(touchdown_shape(), grid.nodes)
         out = op.apply(vals, bv=0.0, bs=-4.0 / 3.0)
@@ -152,7 +151,7 @@ def test_criterion_4_nu1_oracles():
     disk = k**4
     rels = {}
     for dim, oracle in ((1, beam), (2, disk)):
-        grid = build_grid(512, ACCEPT_GAMMA, dim)
+        grid = build_grid(512, dim)
         op = OperatorMatrix(grid)
         val, _ = op.nu1()
         rels[dim] = abs(val - oracle) / oracle
@@ -186,7 +185,7 @@ def test_criterion_5_bracket_vs_analytic_bounds(pullin_estimates):
 
 def test_criterion_6_branch_properties_n3():
     t0 = time.perf_counter()
-    grid = build_grid(512, ACCEPT_GAMMA, 3)
+    grid = build_grid(512, 3)
     lambdas = np.linspace(1.0, 10.0, 10)
     assert lambdas[-1] < 32.0 / 3.0
     run = continue_branch(HOMOGENEOUS, grid, lambdas)
@@ -263,7 +262,7 @@ def test_criterion_9_green_positivity():
     worst = 0.0
     for dim in (1, 3, 9, 17):
         for n in (64, 128):
-            grid = build_grid(n, ACCEPT_GAMMA, dim)
+            grid = build_grid(n, dim)
             op = OperatorMatrix(grid)
             G = op.solve(np.eye(grid.n))  # discrete Green functions as columns
             ratio = float(np.min(G) / np.max(G))

@@ -35,7 +35,7 @@ F = Fraction
 
 @pytest.fixture(scope="module")
 def grid3():
-    return build_grid(256, 1.5, 3)
+    return build_grid(256, 3)
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,7 @@ def test_nu1_floor_at_finest_mesh_is_a_gap_not_an_error(monkeypatch):
     # above its step tolerance; it stops once the step stops shrinking,
     # far below its cap, and the Rayleigh gap that pull_in_voltage writes
     # as the accuracy-floor note shows it.
-    op = OperatorMatrix(build_grid(16384, 1.5, 3))
+    op = OperatorMatrix(build_grid(16384, 3))
     solves = []
     back_solve = OperatorMatrix._back_solve
 
@@ -213,7 +213,7 @@ def test_nonhomogeneous_branch_below_touchdown():
     # At data (0, -4/3) the exact touchdown shape solves the equation at
     # the singular voltage, so just below it the minimal solution exists
     # and stays below that shape at every node.
-    grid = build_grid(256, 1.5, 9)
+    grid = build_grid(256, 9)
     bp = BoundaryPair(F(0), F(-4, 3))
     lb = float(singular_voltage(9))
     pt = minimal_solution(0.99 * lb, bp, grid)
@@ -227,7 +227,7 @@ def test_nonhomogeneous_at_exact_fold_is_edge_case():
     # (0, -4/3) at the singular voltage IS the fold for N = 9 (the shape
     # is a singular semi-stable solution there), so the discrete oracle
     # may fall either way; both outcomes must be sane.
-    grid = build_grid(256, 1.5, 9)
+    grid = build_grid(256, 9)
     bp = BoundaryPair(F(0), F(-4, 3))
     lb = float(singular_voltage(9))
     out = minimal_solution(lb, bp, grid)
@@ -239,7 +239,7 @@ def test_nonhomogeneous_at_exact_fold_is_edge_case():
 
 
 def test_n17_profiles_below_touchdown_shape():
-    grid = build_grid(256, 1.5, 17)
+    grid = build_grid(256, 17)
     lb = float(singular_voltage(17))
     run = continue_branch(HOMOGENEOUS, grid, np.linspace(20.0, lb * 0.99, 8))
     assert len(run.points) == 8
@@ -249,7 +249,7 @@ def test_n17_profiles_below_touchdown_shape():
 
 
 def test_pull_in_bracket_n2():
-    grid = build_grid(256, 1.5, 2)
+    grid = build_grid(256, 2)
     est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-4)
     assert est.analytic_lower == F(128, 27)
     assert est.lambda_lo <= est.lambda_hi
@@ -267,7 +267,7 @@ def test_pull_in_ceiling_bounds_the_upward_search():
     # Rayleigh quotient of (1 - r^2)^2.  At alpha = -1.5e102 it passes half
     # the largest float, where the bisection's lo + hi would overflow, and
     # pull_in_voltage refuses before any solve.
-    grid = build_grid(16, 1.5, 3)
+    grid = build_grid(16, 3)
     upper = analytic_pull_in_bounds(OperatorMatrix(grid))[1]
     assert upper < pull_in_ceiling(Workspace(HOMOGENEOUS, grid)) / GROWTH < 1.05 * upper
     far = pull_in_ceiling(Workspace(BoundaryPair(F(-10**102), F(0)), grid))
@@ -280,7 +280,7 @@ def test_pull_in_ceiling_bounds_the_upward_search():
 
 @pytest.fixture(scope="module")
 def grid12():
-    return build_grid(512, 1.5, 12)
+    return build_grid(512, 12)
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +321,7 @@ def test_constant_boundary_value_scales_the_pull_in_voltage(alpha, grid12, homog
 )
 @pytest.mark.parametrize("dim", [1, 3, 5])
 def test_near_fold_point_is_a_fixed_point(dim):
-    grid = build_grid(256, 1.5, dim)
+    grid = build_grid(256, dim)
     est = pull_in_voltage(HOMOGENEOUS, grid)
     u = est.near_fold.field.values
     step = OperatorMatrix(grid).solve(est.lambda_lo / (1.0 - u) ** 2)
@@ -335,15 +335,15 @@ def test_nu1_accuracy_floor_note(monkeypatch):
     solves = []
     plain_solve = OperatorMatrix.solve
     monkeypatch.setattr(OperatorMatrix, "solve", lambda op, f: solves.append(1) or plain_solve(op, f))
-    _, _, gap = analytic_pull_in_bounds(OperatorMatrix(build_grid(1024, 1.5, 1)))
+    _, _, gap = analytic_pull_in_bounds(OperatorMatrix(build_grid(1024, 1)))
     assert len(solves) == 1
     assert 1e-4 < gap < 1e-3
     monkeypatch.undo()
-    fine = pull_in_voltage(HOMOGENEOUS, build_grid(1024, 1.5, 1), rel_width=1e-3)
+    fine = pull_in_voltage(HOMOGENEOUS, build_grid(1024, 1), rel_width=1e-3)
     floor = [n for n in fine.notes if n.startswith("nu1 accuracy floor")]
     assert floor == ["nu1 accuracy floor: eigensolvers differ by 5.9e-04 relative"]
     assert not any("flagged" in n for n in fine.notes) and not fine.flagged
-    coarse = pull_in_voltage(HOMOGENEOUS, build_grid(256, 1.5, 17), rel_width=1e-3)
+    coarse = pull_in_voltage(HOMOGENEOUS, build_grid(256, 17), rel_width=1e-3)
     assert not any(n.startswith("nu1 accuracy floor") for n in coarse.notes)
 
 
@@ -351,7 +351,7 @@ def test_nu1_accuracy_floor_note(monkeypatch):
 def test_pull_in_at_the_smallest_rel_width_ends(dim):
     # Above the float spacing 2^-52 every midpoint moves an end, so the
     # bisection stops with a bracket no wider than MIN_REL_WIDTH.
-    est = pull_in_voltage(HOMOGENEOUS, build_grid(16, 1.5, dim), rel_width=MIN_REL_WIDTH)
+    est = pull_in_voltage(HOMOGENEOUS, build_grid(16, dim), rel_width=MIN_REL_WIDTH)
     assert 0 < est.lambda_hi - est.lambda_lo <= MIN_REL_WIDTH * est.lambda_lo
 
 
@@ -363,7 +363,7 @@ def test_pull_in_rejects_rel_width_outside_its_bounds(grid3, rel_width):
 
 
 def test_pull_in_nonhomogeneous_has_no_analytic_bounds():
-    grid = build_grid(128, 1.5, 3)
+    grid = build_grid(128, 3)
     est = pull_in_voltage(BoundaryPair(F(1, 10), F(-1, 2)), grid, rel_width=1e-3)
     assert est.analytic_lower is None
     assert est.analytic_upper is None

@@ -78,7 +78,7 @@ def test_config_round_trip(tmp_path):
     # The config block of a run's config.json, passed back through
     # --config, reproduces the run in the same directory.
     flags = ["pullin", "--dim", "3", "--mesh", "64", "--rel-width", "1e-3",
-             "--alpha=1/10", "--beta=-1/2", "--gamma", "2"]
+             "--alpha=1/10", "--beta=-1/2"]
     assert run_cli(*flags, "--out", str(tmp_path)) == 0
     first = find_one(tmp_path, "config.json")
     cfg_path = tmp_path / "cfg.json"
@@ -100,6 +100,9 @@ def test_config_validation():
     # The Newton threshold is the constant branch.TOL, not a setting.
     with pytest.raises(ValueError, match="unknown setting tol"):
         resolve_settings(pullin, {"tol": 1e-10})
+    # Nor is the mesh grading, radial_operator.GRADING.
+    with pytest.raises(ValueError, match="unknown setting gamma"):
+        resolve_settings(pullin, {"gamma": 1.5})
     # The float engine's own bound: branch.check_rel_width.
     for rel_width in (0.0, -1e-3, 1.0, 2.0**-52, math.nextafter(MIN_REL_WIDTH, 0), math.nan):
         with pytest.raises(ValueError):
@@ -143,7 +146,7 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         ["certify", "m2-subsolution", "--n", "2..4"],
         ["certify", "m3-stability", "--n", "4..6"],
         # Assembles, but its banded Cholesky fails.
-        ["pullin", "--dim", "3", "--mesh", "512", "--gamma", "42"],
+        ["pullin", "--dim", "45", "--mesh", "512"],
         ["branch", "--dim", "3", "--mesh", "16", "--profiles", "-1"],
         ["branch", "--dim", "3", "--lambda", "1:2:2", "--profiles", str(MAX_GRID + 1)],
         # A family's own grid missing, or the other family's grid given.
@@ -196,6 +199,11 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-300"],
         ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-300"],
         ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"tol": 1e-16}],
+        # The mesh grading is the constant radial_operator.GRADING, so
+        # --gamma and a gamma --config key exit 3 the same way.
+        ["pullin", "--dim", "2", "--mesh", "16", "--gamma", "2"],
+        ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--gamma", "2"],
+        ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"gamma": 1.5}],
     ],
 )
 def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
@@ -264,20 +272,23 @@ def test_check_degree_cap_edges(tmp_path, lam, family, admitted, rejected):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16", "--gamma", "400"],
-        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16", "--gamma", "inf"],
-        ["pullin", "--dim", "17", "--mesh", "512", "--gamma", "8"],
-        ["branch", "--dim", "1", "--lambda", "1:2:2", "--gamma", "45"],
+        # The first dimension whose smallest cell volume underflows.
+        ["profile", "--dim", "206", "--lambda", "1", "--mesh", "16"],
+        ["pullin", "--dim", "63", "--mesh", "4096"],
+        # The first dimension whose banded Cholesky fails.
+        ["pullin", "--dim", "69", "--mesh", "64"],
+        ["branch", "--dim", "45", "--lambda", "1:2:2", "--mesh", "512"],
     ],
 )
 def test_overgraded_mesh_exits_before_any_directory(tmp_path, capsys, flags):
-    # How much grading a mesh takes depends on the mesh and the dimension,
-    # so the operator's assembly is the check, run before the run key.
+    # Which dimensions a graded mesh takes depends on the mesh, so the
+    # operator's assembly is the check, run before the run key.
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warnings on the way
         assert run_cli(*flags, "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
-    assert "is too large for mesh" in capsys.readouterr().err
+    dim, mesh = flags[flags.index("--dim") + 1], flags[flags.index("--mesh") + 1]
+    assert f"mesh {mesh} in dimension {dim}: " in capsys.readouterr().err
 
 
 def test_mesh_too_fine_for_dimension_fails_fast(tmp_path, capsys):
@@ -553,7 +564,7 @@ def test_branch_auto_grid_spans_below_a_coarse_bracket(tmp_path):
     code = run_cli("branch", "--dim", "3", "--mesh", "32", "--lambda", "auto",
                    "--profiles", "20", "--out", str(tmp_path))
     assert code == 0
-    lo = pull_in_voltage(HOMOGENEOUS, build_grid(32, 1.5, 3), rel_width=1e-3).lambda_lo
+    lo = pull_in_voltage(HOMOGENEOUS, build_grid(32, 3), rel_width=1e-3).lambda_lo
     config = json.loads(find_one(tmp_path, "config.json").read_text())
     assert config["lambdas"] == list(np.linspace(lo / 12, 0.98 * lo, 12))
     assert len(list(tmp_path.rglob("profiles/*.csv"))) == 12
@@ -799,7 +810,7 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"mesh": 64, "gamma": 1.5}))
+    cfg_path.write_text(json.dumps({"mesh": 64}))
     code = run_cli(
         "profile", "--dim", "3", "--lambda", "1.0",
         "--config", str(cfg_path), "--mesh", "128",

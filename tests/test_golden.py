@@ -74,19 +74,19 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "0dc49d2934f877b6b50356ff8951b98ada7cbc82809e6f72735fa6bca634968f",
     }),
     "branch-divergence": (0, {
-        "branch-fd65b5e78f/branch.jsonl":
+        "branch-1cfa506402/branch.jsonl":
             "8003ed7e526243c1a86274cfe7adc1b1600e27df7541c403518494f751aa017e",
-        "branch-fd65b5e78f/config.json":
-            "01e199aa921d89edbefa40e2a30bf10e26257a06958c20119c3620dbe56f4007",
+        "branch-1cfa506402/config.json":
+            "f788d527568315a164761141c323fecfe61b9edc782b3c1f2910d0885bf47980",
     }),
     "branch-profiles": (0, {
-        "branch-fecead7a81/branch.jsonl":
+        "branch-80b84f5c39/branch.jsonl":
             "ea578ff2cebc3d1a982e6edeedd83d75891bf0d2af59ee77793e9a613cad514a",
-        "branch-fecead7a81/config.json":
-            "9d71d16cd5eeae4bea6a961f6ef24ef3562179f0ecafc51b6eb2189e37c47a4c",
-        "branch-fecead7a81/profiles/lambda-1.0.csv":
+        "branch-80b84f5c39/config.json":
+            "fab502bbd1300c4780639d136c68a9722604236104c0a8f06ec96c10070449fa",
+        "branch-80b84f5c39/profiles/lambda-1.0.csv":
             "9574863af2625272ad6f0afbaf918a4b4e05357798f90bf483ed6f2c21381d3f",
-        "branch-fecead7a81/profiles/lambda-9.0.csv":
+        "branch-80b84f5c39/profiles/lambda-9.0.csv":
             "6d40bb559ecc6cdb933a87dd32f8136bc0adc9b2300d4eeb4da4a7c4b58ab969",
     }),
     "certify-m2-subsolution": (0, {
@@ -134,41 +134,41 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "17b56505966b5f5fe82d697166687513adb6fadea52e950da1ae32e49f24d509",
     }),
     "profile-converged": (0, {
-        "profile-2470cc510b/config.json":
-            "71294598a6fbb8d3e9e47361a560bce9f57947a72953da5ab48c3e5a3df3ae91",
-        "profile-2470cc510b/point.json":
+        "profile-6d5e5cf67a/config.json":
+            "ad5525660f4e708c2c7007a433a08ff57775bdb89144a1f37144c6dfefabc4e7",
+        "profile-6d5e5cf67a/point.json":
             "032111a1bc6c554e4a59fdfc914b66da173ff5c2008e34d4417e0c93cf74b71d",
-        "profile-2470cc510b/profiles/lambda-5.0.csv":
+        "profile-6d5e5cf67a/profiles/lambda-5.0.csv":
             "755966519105f488768f90cb2396734e067e57ceee1e7c51c4bd6d257e9a397c",
     }),
     "profile-divergent": (1, {
-        "profile-436416b8e1/config.json":
-            "9478a3c65a9925d017496c1e693ac6ea1fe3b4e384e08933a5f75796f1351726",
-        "profile-436416b8e1/divergence.json":
+        "profile-d8e177c81a/config.json":
+            "bd87792669dbe7f3440948c3908fd6befcdade9631f973878a4f8b45cb5b28a0",
+        "profile-d8e177c81a/divergence.json":
             "a444560641ac2fe10eb17f7652b84eb523a15c73970e06eda43e9ec867b6682d",
     }),
     "pullin-alpha": (0, {
-        "pullin-b0ccfcd23c/config.json":
-            "aaf5aec67a3fde7d0645963a1e70265e62a2d7567ba634b00ff8714984b2da87",
-        "pullin-b0ccfcd23c/profiles/near-fold.csv":
+        "pullin-92438e5b30/config.json":
+            "dcc26c7f124c89e4b36aa7583fbbdc75f9d25175d80ca0bcb003967685964ef3",
+        "pullin-92438e5b30/profiles/near-fold.csv":
             "caf3c2c2e5d012cc064db8f7101b32d7da6da57a8ff3aeeba9e780522bf92f7f",
-        "pullin-b0ccfcd23c/pullin.json":
+        "pullin-92438e5b30/pullin.json":
             "c98767f18bcaec1dd4afd300a498f0f16f61f6e2bc735a87016b9586a68007dd",
     }),
     "pullin-homogeneous": (0, {
-        "pullin-5a49fda49f/config.json":
-            "c37afd0b4370b8dcefcf591e6a5df8b6e10ac0cea897c5f04d74454991cfbe89",
-        "pullin-5a49fda49f/profiles/near-fold.csv":
+        "pullin-1fdb808854/config.json":
+            "b8a353631e38ba19b67719ef906f178e746ff96910242d13c3c3ef59ded946e0",
+        "pullin-1fdb808854/profiles/near-fold.csv":
             "d7c38894450a1f2ee7032fe16353ee2f15bfff9e31b86ef9af1612071585c6a2",
-        "pullin-5a49fda49f/pullin.json":
+        "pullin-1fdb808854/pullin.json":
             "56cf98123068ab3fcd50f810172e559420fef52dfe2f1cbc72f08559364e1c91",
     }),
     "pullin-singular": (0, {
-        "pullin-7b01a29fd3/config.json":
-            "6a27e741d197852d1f0f71a969b6f38653f5e00f7129612878f0f671fa4dd6bb",
-        "pullin-7b01a29fd3/profiles/near-fold.csv":
+        "pullin-c2573918ce/config.json":
+            "0ad2cf490d0f6415de725901840d4d16ee9c443d18f05555155a6dc527b678df",
+        "pullin-c2573918ce/profiles/near-fold.csv":
             "278d8319793ad8edf284ad69e37cba72502cf4a948312d79a388c153f43b6a71",
-        "pullin-7b01a29fd3/pullin.json":
+        "pullin-c2573918ce/pullin.json":
             "e6f3e4ec9544b326639376b803e4d94be521f172f92f13979c182d53972441a1",
     }),
     "search-fallback": (0, {

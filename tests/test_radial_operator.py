@@ -24,6 +24,7 @@ from mems4.radial_operator import (
     NU1_STEP_TOL,
     OperatorMatrix,
     RadialField,
+    RadialGrid,
     build_grid,
     sample_power_sum,
 )
@@ -74,14 +75,9 @@ def disk_nu1() -> float:
     return k**4
 
 
-def test_build_grid_uniform():
-    grid = build_grid(64, 1.0, 3)
-    assert np.allclose(grid.nodes, np.arange(1, 65) / 65.0)
-
-
 def test_build_grid_graded():
-    grid = build_grid(64, 1.5, 9)
-    assert np.allclose(grid.nodes, (np.arange(1, 65) / 65.0) ** 1.5)
+    grid = build_grid(64, 9)
+    assert np.array_equal(grid.nodes, (np.arange(1, 65) / 65.0) ** 1.5)
     spacing = np.diff(grid.nodes)
     # clustered at the origin: first gap smaller than last
     assert spacing[0] < spacing[-1]
@@ -91,15 +87,13 @@ def test_build_grid_graded():
 
 def test_build_grid_validation():
     with pytest.raises(ValueError):
-        build_grid(8, 1.5, 3)
+        build_grid(8, 3)
     with pytest.raises(ValueError):
-        build_grid(64, 0.5, 3)
-    with pytest.raises(ValueError):
-        build_grid(64, 1.0, 0)
+        build_grid(64, 0)
 
 
 def test_radial_field_validation():
-    grid = build_grid(32, 1.0, 2)
+    grid = build_grid(32, 2)
     with pytest.raises(ValueError):
         RadialField(grid, np.zeros(5))
     with pytest.raises(ValueError):
@@ -109,7 +103,7 @@ def test_radial_field_validation():
 @pytest.mark.parametrize("dim", [1, 3, 9, 17])
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_power_residuals(dim, s):
-    grid = build_grid(256, 1.5, dim)
+    grid = build_grid(256, dim)
     op = OperatorMatrix(grid)
     vals = grid.nodes**s
     out = op.apply(vals, bv=1.0, bs=float(s))
@@ -130,7 +124,7 @@ def test_power_residual_richardson_order(dim, s):
     K = float(bilaplacian_power_coeff(s, dim))
     errs = []
     for n in (256, 512):
-        grid = build_grid(n, 1.5, dim)
+        grid = build_grid(n, dim)
         op = OperatorMatrix(grid)
         out = op.apply(grid.nodes**s, bv=1.0, bs=float(s))
         exact = K * grid.nodes ** (s - 4.0)
@@ -147,7 +141,7 @@ def test_touchdown_residual_and_order():
     lb = float(singular_voltage(dim))
     errs = []
     for n in (256, 512):
-        grid = build_grid(n, 1.5, dim)
+        grid = build_grid(n, dim)
         op = OperatorMatrix(grid)
         vals = sample_power_sum(touchdown_shape(), grid.nodes)
         out = op.apply(vals, bv=0.0, bs=-4.0 / 3.0)
@@ -165,7 +159,7 @@ def test_m3_profile_residual_n17():
     lb = float(singular_voltage(dim))
     errs = []
     for n in (256, 512):
-        grid = build_grid(n, 1.5, dim)
+        grid = build_grid(n, dim)
         op = OperatorMatrix(grid)
         vals = sample_power_sum(touchdown_profile(3), grid.nodes)
         out = op.apply(vals)
@@ -181,7 +175,7 @@ def test_m3_profile_residual_n17():
 @pytest.mark.parametrize("dim", [1, 3, 9, 17])
 def test_green_matrix_positivity_and_symmetry(dim):
     for n in (64, 128):
-        grid = build_grid(n, 1.5, dim)
+        grid = build_grid(n, dim)
         op = OperatorMatrix(grid)
         G = op.solve(np.eye(grid.n))  # discrete Green functions as columns
         assert np.min(G) >= -1e-10 * np.max(G)
@@ -194,7 +188,7 @@ def test_green_reproduces_constant_load_solution():
     # g = lb (1 - r^2)^2 / (8 N (N + 2)), positive at the origin.
     dim = 9
     lb = float(singular_voltage(dim))
-    grid = build_grid(128, 1.5, dim)
+    grid = build_grid(128, dim)
     op = OperatorMatrix(grid)
     G = op.solve(np.eye(grid.n))  # discrete Green functions as columns
     sol = G @ np.full(grid.n, lb)
@@ -204,7 +198,7 @@ def test_green_reproduces_constant_load_solution():
 
 
 def test_nu1_beam_oracle():
-    grid = build_grid(256, 1.5, 1)
+    grid = build_grid(256, 1)
     op = OperatorMatrix(grid)
     val, phi = op.nu1()
     oracle = beam_nu1()
@@ -214,7 +208,7 @@ def test_nu1_beam_oracle():
 
 
 def test_nu1_disk_oracle():
-    grid = build_grid(256, 1.5, 2)
+    grid = build_grid(256, 2)
     op = OperatorMatrix(grid)
     val, phi = op.nu1()
     oracle = disk_nu1()
@@ -226,7 +220,7 @@ def test_nu1_disk_oracle():
 def test_nu1_monotone_in_dimension():
     vals = []
     for dim in (1, 2, 3, 9, 17):
-        grid = build_grid(256, 1.5, dim)
+        grid = build_grid(256, dim)
         op = OperatorMatrix(grid)
         v, _ = op.nu1()
         vals.append(v)
@@ -234,7 +228,7 @@ def test_nu1_monotone_in_dimension():
 
 
 def test_weighted_eigenvalue_zero_weight_is_nu1():
-    grid = build_grid(128, 1.5, 3)
+    grid = build_grid(128, 3)
     op = OperatorMatrix(grid)
     nu, _ = op.nu1()
     mu = op.smallest_weighted_eigenvalue(np.zeros(grid.n))
@@ -242,7 +236,7 @@ def test_weighted_eigenvalue_zero_weight_is_nu1():
 
 
 def test_weighted_eigenvalue_is_rayleigh_minimum():
-    grid = build_grid(128, 1.5, 9)
+    grid = build_grid(128, 9)
     op = OperatorMatrix(grid)
     weight = 10.0 / (1.0 + grid.nodes**2)
     mu = op.smallest_weighted_eigenvalue(weight)
@@ -257,7 +251,7 @@ def test_weighted_eigenvalue_is_rayleigh_minimum():
 
 @pytest.mark.parametrize("dim", [1, 3, 17])
 def test_nu1_eigenfunction_matches_dense_ground_state(dim):
-    op = OperatorMatrix(build_grid(128, 1.5, dim))
+    op = OperatorMatrix(build_grid(128, dim))
     _, phi = op.nu1()
     assert np.all(phi.values > 0)
     x = phi.values / np.sqrt(np.sum(op.cells * phi.values**2))
@@ -269,7 +263,7 @@ def test_nu1_memory_stays_linear():
     # A dense eigenvector path would hold an n x n matrix: 128 MB at n = 4096.
     tracemalloc.start()
     try:
-        OperatorMatrix(build_grid(4096, 1.5, 17)).nu1()
+        OperatorMatrix(build_grid(4096, 17)).nu1()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -283,11 +277,28 @@ def test_operator_not_positive_definite_fails_when_built():
     # as scipy's cholesky_banded does.
     with pytest.raises(ValueError, match=r"not numerically positive definite "
                                          r"\(\d+-th leading minor not positive definite\)$"):
-        OperatorMatrix(build_grid(16384, 1.5, 1))
+        OperatorMatrix(build_grid(16384, 1))
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        # Two nodes one ulp apart: the flux 1/gap overflows.
+        np.concatenate([[1e-300, np.nextafter(1e-300, 1)], np.linspace(0.01, 0.9, 30)]),
+        # A node at r = 1: the last gap is zero.
+        np.concatenate([np.linspace(0.01, 0.9, 31), [1.0]]),
+    ],
+    ids=["overflow", "zero-gap"],
+)
+def test_non_finite_band_entry_raises_without_a_warning(nodes):
+    # The operator refuses the non-finite band entry, and numpy warns of
+    # nothing on the way (the suite turns RuntimeWarning into an error).
+    with pytest.raises(ValueError, match="mesh 32 in dimension 1: a band entry is not finite"):
+        OperatorMatrix(RadialGrid(nodes, 1))
 
 
 def test_weighted_eigenvalue_validation():
-    grid = build_grid(128, 1.5, 9)
+    grid = build_grid(128, 9)
     op = OperatorMatrix(grid)
     with pytest.raises(ValueError):
         op.smallest_weighted_eigenvalue(np.full(grid.n, np.inf))
@@ -304,7 +315,7 @@ def test_weighted_eigenvalue_validation():
 )
 def test_touchdown_weight_semistability_discrete():
     dim = 9
-    grid = build_grid(256, 1.5, dim)
+    grid = build_grid(256, dim)
     op = OperatorMatrix(grid)
     weight = float(hardy_rellich(dim)) / grid.nodes**4
     mu = op.smallest_weighted_eigenvalue(weight)
@@ -312,7 +323,7 @@ def test_touchdown_weight_semistability_discrete():
 
 
 def test_apply_matches_matrix_on_clamped_fields():
-    grid = build_grid(128, 1.5, 5)
+    grid = build_grid(128, 5)
     op = OperatorMatrix(grid)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(grid.n)
@@ -337,7 +348,7 @@ def test_residual_matches_reference_formulas_bitwise(dim, n):
     # The Newton right-hand side A v / W - f and the componentwise
     # backward error max |A v - W f| / (|A| |v| + |W f|), written out as
     # the solver formed them, each from its own band product.
-    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    op = OperatorMatrix(build_grid(n, dim))
     rng = np.random.default_rng(dim + n)
     v = op.solve(2.0 + rng.random(n)) * (1.0 + 1e-9 * rng.standard_normal(n))
     f = 2.0 + rng.random(n)
@@ -355,7 +366,7 @@ def test_residual_matches_reference_formulas_bitwise(dim, n):
 def test_solve_shifted_matches_dense_solve():
     # (A - W diag(shift)) x = W rhs against a dense solve of the same
     # matrix, with a shift large enough to make it indefinite.
-    grid = build_grid(64, 1.5, 3)
+    grid = build_grid(64, 3)
     op = OperatorMatrix(grid)
     nu, _ = op.nu1()
     rng = np.random.default_rng(3)
@@ -373,7 +384,7 @@ def test_solve_inverts_apply():
     # The roundtrip residual is judged in the componentwise backward-error
     # sense: matrix rows scale like 1/h^4 near the origin, so a forward
     # comparison would only measure cancellation noise.
-    grid = build_grid(128, 1.5, 3)
+    grid = build_grid(128, 3)
     op = OperatorMatrix(grid)
     f = np.sin(3 * grid.nodes) + 2.0
     v = op.solve(f)
@@ -387,7 +398,7 @@ def test_solve_inverts_apply():
 def test_solve_matches_cho_solve_banded_bitwise(dim, n):
     # The direct pbtrs back-solve does the same arithmetic as scipy's
     # wrapper, for one load and for the identity the Green tests pass.
-    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    op = OperatorMatrix(build_grid(n, dim))
     factor = (op.chol, False)
     f = 2.0 + np.random.default_rng(dim).standard_normal(n)
     assert np.array_equal(op.solve(f), cho_solve_banded(factor, op.cells * f))
@@ -400,7 +411,7 @@ def test_solve_2d_load_matches_column_solves_bitwise(dim):
     # A 2-D load holds one load per column, so its rows are scaled by the
     # cell volumes: each column comes out as the 1-D solve of that column.
     n = 64
-    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    op = OperatorMatrix(build_grid(n, dim))
     rng = np.random.default_rng(dim)
     for f in (rng.standard_normal((n, 3)), rng.standard_normal((n, n))):
         columns = np.column_stack([op.solve(f[:, j]) for j in range(f.shape[1])])
@@ -412,7 +423,7 @@ def test_solve_2d_load_matches_column_solves_bitwise(dim):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_rejects_non_finite_load(bad):
-    op = OperatorMatrix(build_grid(64, 1.5, 5))
+    op = OperatorMatrix(build_grid(64, 5))
     f = np.ones(64)
     f[17] = bad
     with pytest.raises(ValueError):
@@ -424,7 +435,7 @@ def test_solve_rejects_non_finite_load(bad):
 @pytest.mark.parametrize("dim", [1, 8, 17])
 def test_nu1_eigenfunction_matches_cho_solve_banded_iteration(dim):
     # The same inverse iteration as nu1, written with scipy's wrapper.
-    op = OperatorMatrix(build_grid(256, 1.5, dim))
+    op = OperatorMatrix(build_grid(256, dim))
     factor = (op.chol, False)
 
     def normalized(v):
@@ -457,7 +468,7 @@ def _general_band(op: OperatorMatrix, shift: np.ndarray) -> np.ndarray:
 def test_lapack_calls_match_scipy_wrappers_bitwise(dim, n):
     # The operator calls LAPACK with the arguments scipy.linalg's wrappers
     # pass, so factor, eigenvalues and shifted solves are theirs bit for bit.
-    op = OperatorMatrix(build_grid(n, 1.5, dim))
+    op = OperatorMatrix(build_grid(n, dim))
     assert np.array_equal(op.chol, cholesky_banded(op._banded, lower=False))
     rng = np.random.default_rng(dim * n)
     sq = np.sqrt(op.cells)
@@ -481,7 +492,7 @@ def test_lapack_calls_match_scipy_wrappers_bitwise(dim, n):
 def test_singular_shifted_matrix_raises_linalg_error():
     # A diagonal band with one entry shifted exactly to zero: LAPACK gbsv
     # meets a zero pivot, as scipy's solve_banded reports it.
-    op = OperatorMatrix(build_grid(64, 1.5, 5))
+    op = OperatorMatrix(build_grid(64, 5))
     op._banded = np.zeros((3, 64))
     op._banded[2] = 2.0 * op.cells
     shift = np.zeros(64)
@@ -495,7 +506,7 @@ def test_singular_shifted_matrix_raises_linalg_error():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_shifted_rejects_non_finite_entries(bad):
-    op = OperatorMatrix(build_grid(64, 1.5, 5))
+    op = OperatorMatrix(build_grid(64, 5))
     shift = np.ones(64)
     shift[17] = bad
     with pytest.raises(ValueError):
