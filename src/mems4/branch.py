@@ -166,6 +166,12 @@ def check_rel_width(rel_width: float) -> None:
         raise ValueError(f"rel_width must be in [{MIN_REL_WIDTH:g}, 1), not {rel_width!r}")
 
 
+# Boundary data of large magnitude put 1 - u so far from 0 that Newton's
+# (1 - u)^3 (past 5.6e102) and the forcing's (1 - u)^2 (past 1.3e154)
+# overflow to inf, and the true terms, which underflow, come out as 0.
+# Any other overflow ends in a non-finite iterate or residual, which the
+# solve reads as a divergence.
+@np.errstate(over="ignore")
 def _solve_at(ws: Workspace, lam: float, v0: np.ndarray | None = None):
     """Monotone-then-Newton solve; returns (v, residual) with the
     deflection u = v + Phi, or a DivergenceReport.  The residual is the
@@ -223,44 +229,39 @@ def _solve_at(ws: Workspace, lam: float, v0: np.ndarray | None = None):
 def _make_point(ws: Workspace, lam: float, v: np.ndarray, residual: float) -> BranchPoint:
     op = ws.op
     u = v + ws.phi
-    one_minus = 1.0 - u
+    with np.errstate(over="ignore"):  # inf where 1/(1 - u)^3 underflows, as in _solve_at
+        cubed = (1.0 - u) ** 3
     lap_u = op.laplacian(v) + ws.phi_lap
     energy_h2 = float(np.sum(op.cells * lap_u**2))
-    energy_cubed = float(np.sum(op.cells / one_minus**3))
+    energy_cubed = float(np.sum(op.cells / cubed))
     return BranchPoint(
         lam=lam,
         field=RadialField(ws.grid, u),
         max_value=float(np.max(u)),
-        mu1=op.smallest_weighted_eigenvalue(2.0 * lam / one_minus**3),
+        mu1=op.smallest_weighted_eigenvalue(2.0 * lam / cubed),
         residual=residual,
         energy_h2=energy_h2,
         energy_cubed=energy_cubed,
     )
 
 
-def minimal_solution(lam: float, bp: BoundaryPair,
-                     grid: RadialGrid) -> BranchPoint | DivergenceReport:
-    """Compute the minimal solution at one voltage, or report divergence:
-    the one-voltage branch, started cold.  The cold fixed-point iterates
-    increase pointwise (tested as an invariant).
-    """
-    if lam < 0:
-        raise ValueError("voltage must be nonnegative")
-    run = continue_branch(bp, grid, [lam])
-    return run.points[0] if run.points else run.divergence
-
-
-def check_increasing_grid(lambdas) -> None:
-    """Reject a voltage grid that is not strictly increasing."""
+def check_voltage_grid(lambdas) -> None:
+    """Reject a voltage grid with a voltage that is negative, NaN or
+    infinite, or that is not strictly increasing."""
+    for lam in lambdas:
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"voltage {lam!r} is not finite and nonnegative")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("voltage grid must be strictly increasing")
 
 
 def continue_branch(bp: BoundaryPair, grid: RadialGrid, lambdas) -> BranchRun:
     """Walk the minimal branch over an increasing voltage grid with
-    extrapolated warm starts; the first divergence truncates the run."""
+    extrapolated warm starts; the first divergence truncates the run.
+    One voltage gives the minimal solution there, started cold; its
+    fixed-point iterates increase pointwise (tested as an invariant)."""
     lambdas = [float(x) for x in lambdas]
-    check_increasing_grid(lambdas)
+    check_voltage_grid(lambdas)
     run = BranchRun(points=[])
     ws = Workspace(bp, grid)
     prev: list[tuple[float, np.ndarray]] = []

@@ -1,5 +1,6 @@
-"""Command-line driver: bounds tables, certificates, branch sweeps,
-pull-in estimation, profiles, and the sub-solution search.
+"""Command-line driver: the bounds table, certificates, branch sweeps
+(a profile is a one-voltage branch), pull-in estimation, and the
+sub-solution search.
 
 Every command runs one chain: resolve the settings it reads (defaults,
 then a --config file, then flags), validate its own inputs, key the run
@@ -39,8 +40,8 @@ certify.MAX_CHECK_DEGREE.
 This module never loads numpy (``_linspace`` builds its grids) and its
 import loads no float engine (mems4.branch, mems4.radial_operator).
 ``bounds``, ``certify`` and ``search-subsolution`` run on the exact
-engine, which loads neither; ``branch``, ``pullin`` and ``profile`` load
-the float engine, and numpy with it, inside the functions that check
+engine, which loads neither; ``branch`` and ``pullin`` load the float
+engine, and numpy with it, inside the functions that check
 their inputs and run them, and call mems4.branch's functions through it.
 """
 
@@ -50,7 +51,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -172,7 +173,6 @@ SETTINGS = {s.name: s for s in (
             "boundary value at r=1, exact rational of magnitude at most 1.8e308"),
     Setting("beta", Fraction(0), parse_rational, lambda v: abs(v) <= sys.float_info.max,
             "boundary slope at r=1, exact rational of magnitude at most 1.8e308"),
-    Setting("format", "csv", str, lambda v: v in ("csv", "json"), "table format, csv or json"),
 )}
 _SOLVER_SETTINGS = ("mesh", "alpha", "beta")
 
@@ -250,7 +250,10 @@ def _linspace(start, stop, count: int) -> list:
 
 
 def _parse_grid(text: str, value: Callable[[str], object], usage: str) -> list:
+    """One value "v", or "start:stop:count" evenly spaced points."""
     parts = text.split(":")
+    if len(parts) == 1:
+        return [value(text)]
     if len(parts) != 3:
         raise ValueError(usage)
     start, stop, count = value(parts[0]), value(parts[1]), int(parts[2])
@@ -260,24 +263,14 @@ def _parse_grid(text: str, value: Callable[[str], object], usage: str) -> list:
 
 
 def parse_lambda_spec(text: str) -> list[float] | None:
-    """Voltage grids "start:stop:count"; "auto" returns None."""
-    usage = "voltage spec must be start:stop:count or auto"
+    """Voltage grids "5" or "start:stop:count"; "auto" returns None."""
+    usage = "voltage spec must be a voltage, start:stop:count or auto"
     return None if text == "auto" else _parse_grid(text, float, usage)
 
 
 def parse_fraction_grid(text: str) -> list[Fraction]:
     """Exact rational grids "1:3:9" (start:stop:count) or one value "2/3"."""
-    if ":" not in text:
-        return [parse_rational(text)]
-    return _parse_grid(text, parse_rational, "grid spec must be start:stop:count")
-
-
-def _check_voltages(values) -> None:
-    """Reject voltages that are NaN, negative or above the largest float
-    (every artifact writes a float decimal of its voltage); commands call
-    this while building their run key, before any directory exists."""
-    if not all(0 <= v <= sys.float_info.max for v in values):
-        raise ValueError("voltages must be nonnegative and at most the largest float (1.8e308)")
+    return _parse_grid(text, parse_rational, "grid spec must be a value or start:stop:count")
 
 
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
@@ -304,8 +297,7 @@ def _dimension_range(text: str, claim: str) -> list[int]:
 
 
 # (column, exact value from the dimension's certify.ThresholdRow);
-# Fractions render as num/den plus a decimal column in CSV and as
-# rational_json in JSON.
+# Fractions render as num/den plus a decimal column.
 _BOUNDS_COLUMNS = (
     ("lower_quadratic", lambda row: quadratic_lower_bound(row.dimension)),
     ("singular_voltage", lambda row: row.singular_voltage),
@@ -338,16 +330,9 @@ def _run_bounds(cfg, inputs, run) -> int:
         {"n": row.dimension, **{name: value(row) for name, value in _BOUNDS_COLUMNS}}
         for row in certify.threshold_table(n_min, n_max)
     ]
-    if cfg["format"] == "json":
-        payload = [
-            {k: rational_json(v) if isinstance(v, Fraction) else v for k, v in row.items()}
-            for row in rows
-        ]
-        write_json(run / "tables" / "bounds.json", {"rows": payload})
-    else:
-        header = [name for name, _ in _csv_fields(rows[0])]
-        cells = [[value for _, value in _csv_fields(row)] for row in rows]
-        write_csv(run / "tables" / "bounds.csv", header, cells)
+    header = [name for name, _ in _csv_fields(rows[0])]
+    cells = [[value for _, value in _csv_fields(row)] for row in rows]
+    write_csv(run / "tables" / "bounds.csv", header, cells)
     return EXIT_OK
 
 
@@ -358,20 +343,12 @@ def _certify_inputs(args, cfg) -> dict:
 def _run_certify(cfg, inputs, run) -> int:
     claim, (n_min, n_max) = inputs["claim"], inputs["n"]
     if claim == "thresholds":
-        cert = certify.certify_thresholds(n_min, n_max)
-        write_json(run / "certificates" / f"thresholds-{n_min}-{n_max}.json", cert.to_json_dict())
-        header = ["n", "singular_voltage", "hardy", "double_voltage_le_hardy",
-                  "voltage27_le_half_hardy", "voltage_positive"]
-        rows = [
-            [format_rational(v) if isinstance(v, Fraction) else v for v in astuple(r)]
-            for r in certify.threshold_table(n_min, n_max)
-        ]
-        write_csv(run / "tables" / "thresholds.csv", header, rows)
-        return EXIT_FALSIFIED if cert.status == certify.FALSIFIED else EXIT_OK
+        certs = [(f"thresholds-{n_min}-{n_max}", certify.certify_thresholds(n_min, n_max))]
+    else:  # each certificate is written before the next one is made
+        certs = ((f"{claim}-{n}", certify.CLAIMS[claim](n)) for n in range(n_min, n_max + 1))
     falsified = False
-    for n in range(n_min, n_max + 1):
-        cert = certify.CLAIMS[claim](n)
-        write_json(run / "certificates" / f"{claim}-{n}.json", cert.to_json_dict())
+    for name, cert in certs:
+        write_json(run / "certificates" / f"{name}.json", cert.to_json_dict())
         falsified |= cert.status == certify.FALSIFIED
     return EXIT_FALSIFIED if falsified else EXIT_OK
 
@@ -391,12 +368,6 @@ def _branch_record(pt: BranchPoint) -> dict:
 def _write_profile(path: Path, profile: RadialField) -> None:
     rows = [[f"{r:.17g}", f"{u:.17g}"] for r, u in zip(profile.grid.nodes, profile.values)]
     write_csv(path, ["r", "u"], rows)
-
-
-def _profile_path(run: Path, lam: float) -> Path:
-    """The profile file of voltage lam, named by its shortest round-trip
-    repr, so distinct voltages never share a file."""
-    return run / "profiles" / f"lambda-{float(lam)!r}.csv"
 
 
 class Diverged(Exception):
@@ -427,10 +398,9 @@ def _branch_inputs(args, cfg) -> dict:
     lambdas = parse_lambda_spec(args.lam)
     if lambdas is None:
         lambdas = _auto_lambda_grid(cfg, dim)
-    _check_voltages(lambdas)
-    from mems4.branch import check_increasing_grid
+    from mems4.branch import check_voltage_grid  # finite, nonnegative, increasing
 
-    check_increasing_grid(lambdas)
+    check_voltage_grid(lambdas)
     inputs = {"dim": dim, "lambdas": lambdas}
     # Keyed only when asked for, so runs without profiles keep their names.
     if args.profiles:
@@ -444,15 +414,18 @@ def _run_branch(cfg, inputs, run) -> int:
     grid = _grid(cfg, inputs["dim"])
     result = branch.continue_branch(_boundary(cfg), grid, inputs["lambdas"])
     records = [_branch_record(pt) for pt in result.points]
-    if result.divergence is not None:
-        records.append({"schema_version": 1, "diverged_at": result.divergence.lam,
-                        "reason": result.divergence.reason})
+    div = result.divergence
+    if div is not None:
+        records.append({"schema_version": 1, "diverged_at": div.lam, "reason": div.reason,
+                        "last_max": div.last_max})
     write_jsonl(run / "branch.jsonl", records)
     if not result.points:
         return EXIT_FALSIFIED
     picks = _linspace(0, len(result.points) - 1, inputs.get("profiles", 0))
     for pt in [result.points[i] for i in sorted({int(x) for x in picks})]:
-        _write_profile(_profile_path(run, pt.lam), pt.field)
+        # Named by the voltage's shortest round-trip repr, so distinct
+        # voltages never share a file.
+        _write_profile(run / "profiles" / f"lambda-{pt.lam!r}.csv", pt.field)
     return EXIT_OK
 
 
@@ -485,25 +458,6 @@ def _run_pullin(cfg, inputs, run) -> int:
     write_json(run / "pullin.json", payload)
     _write_profile(run / "profiles" / "near-fold.csv", est.near_fold.field)
     return EXIT_INCONCLUSIVE if est.consistent is False or est.flagged else EXIT_OK
-
-
-def _profile_inputs(args, cfg) -> dict:
-    _check_voltages([args.lam])
-    return {"dim": _solver_dim(args, cfg), "lambda": args.lam}
-
-
-def _run_profile(cfg, inputs, run) -> int:
-    from mems4.branch import BranchPoint, minimal_solution
-
-    grid = _grid(cfg, inputs["dim"])
-    pt = minimal_solution(inputs["lambda"], _boundary(cfg), grid)
-    if isinstance(pt, BranchPoint):
-        _write_profile(_profile_path(run, pt.lam), pt.field)
-        write_json(run / "point.json", _branch_record(pt))
-        return EXIT_OK
-    write_json(run / "divergence.json",
-               {"lambda": pt.lam, "reason": pt.reason, "last_max": pt.last_max})
-    return EXIT_FALSIFIED
 
 
 def _search_params(args) -> list:
@@ -539,7 +493,9 @@ def _search_inputs(args, cfg) -> dict:
     # Given only with --lambda; the search's own default is H_N/2.
     if args.lam is not None:
         lam = parse_rational(args.lam)
-        _check_voltages([lam])
+        # Every artifact writes a float decimal of its voltage.
+        if not 0 <= lam <= sys.float_info.max:
+            raise ValueError("--lambda must be nonnegative and at most the largest float (1.8e308)")
         if len(str(lam.numerator)) + len(str(lam.denominator)) > MAX_VOLTAGE_DIGITS:
             raise ValueError(f"--lambda: its numerator and denominator exceed "
                              f"{MAX_VOLTAGE_DIGITS} digits together")
@@ -598,7 +554,7 @@ COMMANDS = (
     Command(
         "bounds", "exact bound and threshold table",
         (_arg("--n", default="1..40", help=f"dimension range within 1..{MAX_DIMENSION}"),),
-        ("format",), _bounds_inputs, _run_bounds,
+        (), _bounds_inputs, _run_bounds,
     ),
     Command(
         "certify", "exact-arithmetic certificates",
@@ -612,7 +568,8 @@ COMMANDS = (
         "branch", "minimal-branch sweep",
         (
             _DIM,
-            _arg("--lambda", dest="lam", default="auto", help="start:stop:count or auto"),
+            _arg("--lambda", dest="lam", default="auto",
+                 help="a voltage, start:stop:count or auto"),
             _arg("--profiles", type=int, default=0, help=f"dump k profiles, 0..{MAX_GRID}"),
         ),
         _SOLVER_SETTINGS, _branch_inputs, _run_branch,
@@ -621,11 +578,6 @@ COMMANDS = (
         "pullin", "pull-in voltage bracket", (_DIM,),
         (*_SOLVER_SETTINGS, "rel_width"),
         _pullin_inputs, _run_pullin,
-    ),
-    Command(
-        "profile", "single deflection profile",
-        (_DIM, _arg("--lambda", dest="lam", required=True, type=float)),
-        _SOLVER_SETTINGS, _profile_inputs, _run_profile,
     ),
     Command(
         "search-subsolution", "parametrized sub-solution search",

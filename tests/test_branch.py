@@ -1,5 +1,7 @@
 """Tests for minimal-branch continuation and pull-in estimation."""
 
+import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +19,6 @@ from mems4.branch import (
     Workspace,
     analytic_pull_in_bounds,
     continue_branch,
-    minimal_solution,
     pull_in_ceiling,
     pull_in_voltage,
     regularity_verdict,
@@ -45,8 +46,7 @@ def branch3(grid3):
 
 
 def test_zero_voltage_is_trivial(grid3):
-    pt = minimal_solution(0.0, HOMOGENEOUS, grid3)
-    assert isinstance(pt, BranchPoint)
+    (pt,) = continue_branch(HOMOGENEOUS, grid3, [0.0]).points
     assert pt.max_value == 0.0
     assert pt.residual == 0.0
     op = OperatorMatrix(grid3)
@@ -56,15 +56,38 @@ def test_zero_voltage_is_trivial(grid3):
 
 def test_rejects_inadmissible_pair(grid3):
     with pytest.raises(ValueError):
-        minimal_solution(1.0, BoundaryPair(1, 0), grid3)
-    with pytest.raises(ValueError):
-        minimal_solution(-1.0, HOMOGENEOUS, grid3)
+        continue_branch(BoundaryPair(1, 0), grid3, [1.0])
+
+
+@pytest.mark.parametrize("lambdas, bad", [([-1.0], "-1.0"), ([1.0, math.nan, 2.0], "nan"),
+                                          ([1.0, math.inf], "inf")],
+                         ids=["negative", "nan", "inf"])
+def test_rejects_unsolvable_voltage_before_any_solve(grid3, monkeypatch, lambdas, bad):
+    # NaN passes every comparison of the increasing-grid check; each of
+    # these is refused before the solver runs, naming the voltage.
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(mems4.branch, "_solve_at", no_solve)
+    with pytest.raises(ValueError, match=f"^voltage {bad} is not finite and nonnegative$"):
+        continue_branch(HOMOGENEOUS, grid3, lambdas)
+
+
+@pytest.mark.parametrize("alpha", [-10**103, -10**200], ids=["-1e103", "-1e200"])
+def test_boundary_data_of_large_magnitude_solve_without_warnings(alpha):
+    # 1 - u is about -alpha: (1 - u)^3, and at -1e200 (1 - u)^2, overflow
+    # to inf where the true forcing and energy terms underflow to 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = continue_branch(BoundaryPair(alpha, 0), build_grid(16, 1), [1.0])
+    (pt,) = run.points
+    assert pt.energy_cubed == 0.0
+    assert np.isfinite(pt.mu1)
 
 
 def test_single_solve_below_lower_bound(grid3):
     # 0.9 * 32/3: existence is guaranteed, so the solver must converge.
-    pt = minimal_solution(0.9 * 32.0 / 3.0, HOMOGENEOUS, grid3)
-    assert isinstance(pt, BranchPoint)
+    (pt,) = continue_branch(HOMOGENEOUS, grid3, [0.9 * 32.0 / 3.0]).points
     assert pt.max_value < 1.0
     assert pt.residual <= 1e-10
     assert np.all(np.diff(pt.field.values) <= 1e-12)  # radially decreasing
@@ -82,8 +105,7 @@ def test_monotone_iterates_nondecreasing(grid3, monkeypatch):
         return v
 
     monkeypatch.setattr(OperatorMatrix, "solve", recording_solve)
-    pt = minimal_solution(5.0, HOMOGENEOUS, grid3)
-    assert isinstance(pt, BranchPoint)
+    (pt,) = continue_branch(HOMOGENEOUS, grid3, [5.0]).points
     assert len(history) >= 2
     for a, b in zip(history, history[1:]):
         assert np.all(b >= a - 1e-13)
@@ -103,13 +125,14 @@ def test_newton_solve_bug_propagates(grid3, monkeypatch):
     # pull-in bisection would read as "no solution".
     _newton_solve_raising(monkeypatch, TypeError("bug"))
     with pytest.raises(TypeError, match="bug"):
-        minimal_solution(5.0, HOMOGENEOUS, grid3)
+        continue_branch(HOMOGENEOUS, grid3, [5.0])
 
 
 def test_singular_newton_matrix_is_a_divergence(grid3, monkeypatch):
     _newton_solve_raising(monkeypatch, LinAlgError("singular matrix"))
-    out = minimal_solution(5.0, HOMOGENEOUS, grid3)
-    assert isinstance(out, DivergenceReport)
+    run = continue_branch(HOMOGENEOUS, grid3, [5.0])
+    out = run.divergence
+    assert run.points == []
     assert out.reason == "linearized solve failed"
     assert 0 < out.last_max < 1
 
@@ -149,7 +172,7 @@ def test_empty_voltage_grid(grid3):
 
 def test_diagnostics_single_trivial_point(grid3):
     # At u = 0 the H^2 energy vanishes and int 1/(1-u)^3 is the ball's volume.
-    pt = minimal_solution(0.0, HOMOGENEOUS, grid3)
+    (pt,) = continue_branch(HOMOGENEOUS, grid3, [0.0]).points
     assert pt.energy_h2 == 0.0
     assert pt.energy_cubed == float(np.sum(OperatorMatrix(grid3).cells))
 
@@ -162,8 +185,9 @@ def test_voltage_grid_must_increase(grid3):
 def test_divergence_above_upper_bound(grid3):
     op = OperatorMatrix(grid3)
     _, upper, _ = analytic_pull_in_bounds(op)
-    out = minimal_solution(1.2 * upper, HOMOGENEOUS, grid3)
-    assert isinstance(out, DivergenceReport)
+    run = continue_branch(HOMOGENEOUS, grid3, [1.2 * upper])
+    out = run.divergence
+    assert run.points == []
     assert "ceiling" in out.reason or "Newton" in out.reason
     assert out.last_max >= 0
 
@@ -216,8 +240,7 @@ def test_nonhomogeneous_branch_below_touchdown():
     grid = build_grid(256, 9)
     bp = BoundaryPair(F(0), F(-4, 3))
     lb = float(singular_voltage(9))
-    pt = minimal_solution(0.99 * lb, bp, grid)
-    assert isinstance(pt, BranchPoint)
+    (pt,) = continue_branch(bp, grid, [0.99 * lb]).points
     ub = sample_power_sum(touchdown_shape(), grid.nodes)
     assert np.max(pt.field.values - ub) <= 1e-9
     assert pt.mu1 > 0
@@ -230,12 +253,12 @@ def test_nonhomogeneous_at_exact_fold_is_edge_case():
     grid = build_grid(256, 9)
     bp = BoundaryPair(F(0), F(-4, 3))
     lb = float(singular_voltage(9))
-    out = minimal_solution(lb, bp, grid)
-    if isinstance(out, BranchPoint):
+    run = continue_branch(bp, grid, [lb])
+    if run.points:
         ub = sample_power_sum(touchdown_shape(), grid.nodes)
-        assert np.max(out.field.values - ub) <= 1e-6
+        assert np.max(run.points[0].field.values - ub) <= 1e-6
     else:
-        assert out.reason
+        assert run.divergence.reason
 
 
 def test_n17_profiles_below_touchdown_shape():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mems4.branch import MIN_REL_WIDTH, pull_in_voltage
+from mems4.branch import CEILING, MIN_REL_WIDTH, pull_in_voltage
 from mems4.cli import (
     COMMANDS,
     MAX_GRID,
@@ -50,6 +50,7 @@ def test_parse_helpers():
         [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     )
     assert parse_lambda_spec("0:0:1") == [0.0]
+    assert parse_lambda_spec("5") == parse_lambda_spec("5:5:1") == [5.0]
     assert parse_lambda_spec("auto") is None
     assert parse_fraction_grid("1:3:9") == [
         F(1), F(5, 4), F(3, 2), F(7, 4), F(2), F(9, 4), F(5, 2), F(11, 4), F(3)
@@ -93,8 +94,9 @@ def test_config_validation():
         resolve_settings(pullin, {"mesh": 4})
     with pytest.raises(ValueError):
         resolve_settings(pullin, {"alpha": "2", "beta": "0"})  # inadmissible
-    with pytest.raises(ValueError):
-        resolve_settings(bounds, {"format": "xml"})
+    # bounds writes one CSV table and reads no setting.
+    with pytest.raises(ValueError, match="unknown setting format"):
+        resolve_settings(bounds, {"format": "csv"})
     with pytest.raises(ValueError):
         resolve_settings(pullin, {"mesh": MAX_MESH + 1})
     # The Newton threshold is the constant branch.TOL, not a setting.
@@ -123,9 +125,9 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         ["pullin", "--dim", "3", "--rel-width=-1e-3"],
         ["pullin", "--dim", "3", "--tol", "-1"],  # --tol is no flag (see below)
         ["pullin", "--dim", "3", "--mesh", str(MAX_MESH + 1)],
-        ["profile", "--dim", "3", "--lambda", "nan"],
-        ["profile", "--dim", "3", "--lambda", "inf"],
-        ["profile", "--dim", "3", "--lambda", "-1"],
+        ["branch", "--dim", "3", "--lambda", "nan"],
+        ["branch", "--dim", "3", "--lambda", "inf"],
+        ["branch", "--dim", "3", "--lambda", "-1"],
         ["branch", "--dim", "3", "--lambda", "nan:1:3"],
         ["branch", "--dim", "3", "--lambda", "-5:1:3"],
         SEARCH_W3 + ["--lambda", "1/0"],
@@ -178,12 +180,12 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e400"],
         ["pullin", "--dim", "3", "--mesh", "16", "--config", {"alpha": "-1e400"}],
         # Admissible, with alpha inside the float range.
-        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16",
+        ["branch", "--dim", "3", "--lambda", "1", "--mesh", "16",
          "--alpha=-1.7e308", "--beta=-3e308"],
         # Admissible (alpha - beta/2 < 1), but the boundary extension comes
         # within CEILING of the contact plane on the mesh.
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=0.9999995"],
-        ["profile", "--dim", "3", "--lambda", "1", "--mesh", "16", "--alpha=0.9999995"],
+        ["branch", "--dim", "3", "--lambda", "1", "--mesh", "16", "--alpha=0.9999995"],
         ["branch", "--dim", "3", "--lambda", "1:2:2", "--mesh", "16", "--alpha=0.9999995"],
         # A dimension past the largest float.
         ["pullin", "--dim", "1" + "0" * 400],
@@ -197,12 +199,12 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         # flag and tol no --config key: a config block written when it was
         # a setting still exits 3, as an unknown setting.
         ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-300"],
-        ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-300"],
+        ["branch", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-300"],
         ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"tol": 1e-16}],
         # The mesh grading is the constant radial_operator.GRADING, so
         # --gamma and a gamma --config key exit 3 the same way.
         ["pullin", "--dim", "2", "--mesh", "16", "--gamma", "2"],
-        ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--gamma", "2"],
+        ["branch", "--dim", "2", "--lambda", "1", "--mesh", "16", "--gamma", "2"],
         ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"gamma": 1.5}],
     ],
 )
@@ -273,7 +275,7 @@ def test_check_degree_cap_edges(tmp_path, lam, family, admitted, rejected):
     "flags",
     [
         # The first dimension whose smallest cell volume underflows.
-        ["profile", "--dim", "206", "--lambda", "1", "--mesh", "16"],
+        ["branch", "--dim", "206", "--lambda", "1", "--mesh", "16"],
         ["pullin", "--dim", "63", "--mesh", "4096"],
         # The first dimension whose banded Cholesky fails.
         ["pullin", "--dim", "69", "--mesh", "64"],
@@ -351,10 +353,15 @@ def exit_code(*argv) -> int:
         # No command reads a solver tolerance: Newton's is branch.TOL.
         ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-10"],
         ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--tol", "1e-10"],
-        ["profile", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-10"],
+        # A profile is a one-voltage branch, and bounds writes one CSV
+        # table from no settings.
+        ["profile", "--dim", "3", "--lambda", "1"],
+        ["bounds", "--n", "1..3", "--format", "json"],
+        ["bounds", "--n", "1..3", "--config", "cfg.json"],
     ],
     ids=["bounds-mesh", "pullin-format", "certify-jobs", "search-tol", "search-alpha",
-         "certify-config", "pullin-tol", "branch-tol", "profile-tol"],
+         "certify-config", "pullin-tol", "branch-tol", "profile", "bounds-format",
+         "bounds-config"],
 )
 def test_command_rejects_flags_it_does_not_read(tmp_path, flags):
     (tmp_path / "cfg.json").write_text("{}")
@@ -412,14 +419,6 @@ def test_bounds_table(tmp_path):
     assert ",0/1," in row4  # Hardy constant vanishes at N=4
 
 
-def test_bounds_json_format(tmp_path):
-    assert run_cli("bounds", "--n", "1..5", "--format", "json", "--out", str(tmp_path)) == 0
-    table = find_one(tmp_path, "bounds.json")
-    data = json.loads(table.read_text())
-    assert data["schema_version"] == 1
-    assert data["rows"][0]["n"] == 1
-
-
 def test_bounds_bad_range(tmp_path):
     assert run_cli("bounds", "--n", "10..5", "--out", str(tmp_path)) == 3
 
@@ -446,8 +445,8 @@ def test_certify_thresholds(tmp_path):
     assert run_cli("certify", "thresholds", "--n", "1..40", "--out", str(tmp_path)) == 0
     cert = json.loads(find_one(tmp_path, "thresholds-1-40.json").read_text())
     assert cert["status"] == "verified"
-    table = find_one(tmp_path, "thresholds.csv")
-    assert table.read_text().splitlines()[0].startswith("n,")
+    # Its compare steps hold the threshold table, as does bounds.csv.
+    assert not any(tmp_path.rglob("tables"))
 
 
 def test_certify_unknown_claim(tmp_path, capsys):
@@ -599,26 +598,32 @@ def test_pullin_grown_upper_end_exits_two(tmp_path):
     assert payload["lambda_hi"] < 4.65e307
 
 
-def test_profile_command(tmp_path):
-    code = run_cli(
-        "profile", "--dim", "3", "--lambda", "5.0", "--mesh", "128",
-        "--out", str(tmp_path),
-    )
-    assert code == 0
-    prof = find_one(tmp_path, "lambda-5.0.csv")
-    rows = prof.read_text().splitlines()
+def test_one_voltage_branch_writes_its_profile(tmp_path):
+    # One voltage is the one-point grid: both spellings key one run.
+    for spec in ("5.0", "5:5:1"):
+        code = run_cli(
+            "branch", "--dim", "3", "--lambda", spec, "--profiles", "1", "--mesh", "128",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+    (run,) = tmp_path.iterdir()
+    rows = (run / "profiles" / "lambda-5.0.csv").read_text().splitlines()
     assert rows[0] == "r,u"
     assert len(rows) == 129
+    (record,) = (json.loads(l) for l in (run / "branch.jsonl").read_text().splitlines())
+    assert record["lambda"] == 5.0
 
 
 def test_profile_divergent_exits_one(tmp_path):
     code = run_cli(
-        "profile", "--dim", "3", "--lambda", "500.0", "--mesh", "128",
+        "branch", "--dim", "3", "--lambda", "500.0", "--mesh", "128",
         "--out", str(tmp_path),
     )
     assert code == 1
-    payload = json.loads(find_one(tmp_path, "divergence.json").read_text())
-    assert payload["reason"]
+    (record,) = (json.loads(l) for l in find_one(tmp_path, "branch.jsonl").read_text().splitlines())
+    assert record["diverged_at"] == 500.0
+    assert record["reason"] == "iterates reached the contact ceiling"
+    assert record["last_max"] >= 1 - CEILING  # the iterate that reached it
 
 
 def _reject_constant(name):
@@ -629,12 +634,12 @@ def _reject_constant(name):
 def test_profile_overflowing_voltage_is_a_divergence(tmp_path, lam):
     # At 1.7e308 the first back-solve overflows to NaN; that iterate is a
     # divergence reported with the last finite maximum, not a crash.
-    code = run_cli("profile", "--dim", "3", "--mesh", "64", "--lambda", lam,
+    code = run_cli("branch", "--dim", "3", "--mesh", "64", "--lambda", lam,
                    "--out", str(tmp_path))
     assert code == 1
-    text = find_one(tmp_path, "divergence.json").read_text()
+    text = find_one(tmp_path, "branch.jsonl").read_text()
     payload = json.loads(text, parse_constant=_reject_constant)
-    assert payload["lambda"] == float(lam)
+    assert payload["diverged_at"] == float(lam)
     assert math.isfinite(payload["last_max"])
 
 
@@ -812,7 +817,7 @@ def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mesh": 64}))
     code = run_cli(
-        "profile", "--dim", "3", "--lambda", "1.0",
+        "branch", "--dim", "3", "--lambda", "1.0", "--profiles", "1",
         "--config", str(cfg_path), "--mesh", "128",
         "--out", str(tmp_path),
     )
@@ -830,11 +835,11 @@ def test_env_var_out_root(tmp_path, monkeypatch):
 
 def test_reemit_idempotent(tmp_path):
     # parse -> re-emit of a JSON artifact is byte-stable
-    assert run_cli("bounds", "--n", "1..5", "--format", "json", "--out", str(tmp_path)) == 0
-    table = find_one(tmp_path, "bounds.json")
-    data = json.loads(table.read_text())
+    assert run_cli("certify", "thresholds", "--n", "1..5", "--out", str(tmp_path)) == 0
+    cert = find_one(tmp_path, "thresholds-1-5.json")
+    data = json.loads(cert.read_text())
     again = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    assert again == table.read_text()
+    assert again == cert.read_text()
 
 
 def test_jsonl_reemit_idempotent(tmp_path):

@@ -29,7 +29,6 @@ from mems4.store import atomic_write_text
 
 CASES = {
     "bounds-csv": ["bounds", "--n", "1..12"],
-    "bounds-json": ["bounds", "--n", "1..12", "--format", "json"],
     "certify-thresholds": ["certify", "thresholds", "--n", "1..40"],
     "certify-m3-gap": ["certify", "m3-gap", "--n", "16..18"],
     "certify-m3-gap-falsified": ["certify", "m3-gap", "--n", "4"],
@@ -44,8 +43,10 @@ CASES = {
         "pullin", "--dim", "3", "--mesh", "128", "--rel-width", "1e-3", "--alpha=1/10",
     ],
     "pullin-singular": ["pullin", "--dim", "17", "--mesh", "256", "--rel-width", "1e-4"],
-    "profile-converged": ["profile", "--dim", "3", "--lambda", "5", "--mesh", "128"],
-    "profile-divergent": ["profile", "--dim", "3", "--lambda", "500", "--mesh", "128"],
+    # A profile is a one-voltage branch.
+    "profile-converged": ["branch", "--dim", "3", "--lambda", "5", "--profiles", "1",
+                          "--mesh", "128"],
+    "profile-divergent": ["branch", "--dim", "3", "--lambda", "500", "--mesh", "128"],
     "search-touchdown-m": [
         "search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "2:3:2",
     ],
@@ -62,20 +63,14 @@ CASES = {
 
 GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     "bounds-csv": (0, {
-        "bounds-76adaee362/config.json":
-            "63693a3ea2abb1a2db14f7f5704ca0a53dfe4d71e59cffe327fc0bd6999874fb",
-        "bounds-76adaee362/tables/bounds.csv":
+        "bounds-0244652cd2/config.json":
+            "2ac094dd89682f32c43ca4de9f63779fbf66e6ee091fb6dc5fd41f8ea5c2dc71",
+        "bounds-0244652cd2/tables/bounds.csv":
             "4dfe3b41f73266fa2c73967cafd41c553938a559c6ca71608370e9334c574e55",
-    }),
-    "bounds-json": (0, {
-        "bounds-ab7eece189/config.json":
-            "3a3d4b8d857beba3da8e8e0abad33b6728986ec06bd8e3276af19823fa33b699",
-        "bounds-ab7eece189/tables/bounds.json":
-            "0dc49d2934f877b6b50356ff8951b98ada7cbc82809e6f72735fa6bca634968f",
     }),
     "branch-divergence": (0, {
         "branch-1cfa506402/branch.jsonl":
-            "8003ed7e526243c1a86274cfe7adc1b1600e27df7541c403518494f751aa017e",
+            "9e580b8753f36170c23660bd76ce3f44ba16fb9905b4107f324c69c2578d95fb",
         "branch-1cfa506402/config.json":
             "f788d527568315a164761141c323fecfe61b9edc782b3c1f2910d0885bf47980",
     }),
@@ -130,22 +125,20 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "afe16facb031fd0cb49640ab8e310ec049461991619461cf16cc25a0d635128c",
         "certify-766a20be7d/config.json":
             "6f278f33b2e40ca400c98532c49a3bc09a1567a6576145485c4fed7a637bbc3e",
-        "certify-766a20be7d/tables/thresholds.csv":
-            "17b56505966b5f5fe82d697166687513adb6fadea52e950da1ae32e49f24d509",
     }),
     "profile-converged": (0, {
-        "profile-6d5e5cf67a/config.json":
-            "ad5525660f4e708c2c7007a433a08ff57775bdb89144a1f37144c6dfefabc4e7",
-        "profile-6d5e5cf67a/point.json":
-            "032111a1bc6c554e4a59fdfc914b66da173ff5c2008e34d4417e0c93cf74b71d",
-        "profile-6d5e5cf67a/profiles/lambda-5.0.csv":
+        "branch-f669d38b82/branch.jsonl":
+            "b3f07211d0d7577fc4355664c15963dd1be2e96411d16c93e1e89af07409cc74",
+        "branch-f669d38b82/config.json":
+            "a057f1ad5f85322411e3fb5670bcdade182d25164928a5381d40b1843cabce4e",
+        "branch-f669d38b82/profiles/lambda-5.0.csv":
             "755966519105f488768f90cb2396734e067e57ceee1e7c51c4bd6d257e9a397c",
     }),
     "profile-divergent": (1, {
-        "profile-d8e177c81a/config.json":
-            "bd87792669dbe7f3440948c3908fd6befcdade9631f973878a4f8b45cb5b28a0",
-        "profile-d8e177c81a/divergence.json":
-            "a444560641ac2fe10eb17f7652b84eb523a15c73970e06eda43e9ec867b6682d",
+        "branch-d88bb682fb/branch.jsonl":
+            "6a08ac28c894eed051a924ad5d56ffe9cdced210ec53fea0c5f21bdc2b2f08d2",
+        "branch-d88bb682fb/config.json":
+            "14d43e53d94bd7cbc0809c8f3bb104ed10d4050feef75f3b83ec74340baa97dd",
     }),
     "pullin-alpha": (0, {
         "pullin-92438e5b30/config.json":
