@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from mems4 import NoConvergentVoltage
 from mems4.closed_forms import (
     BoundaryPair,
     boundary_extension,
@@ -72,11 +73,6 @@ class DivergenceReport:
     lam: float
     reason: str
     last_max: float
-
-
-class NoConvergentVoltage(RuntimeError):
-    """pull_in_voltage found no voltage above its 1e-12 floor at which the
-    solver converges, so it has no bracket to report."""
 
 
 @dataclass
@@ -146,9 +142,10 @@ def pull_in_ceiling(ws: Workspace) -> float:
     supersolution of the homogeneous problem at lam / (1 - alpha)^3.  With
     the Green positivity the monotone phase assumes, lam* <= (1 - alpha)^3
     4 nu1 / 27 <= (1 - alpha)^3 4 R / 27, R >= nu1 the Rayleigh quotient of
-    (1 - r^2)^2 on the mesh.  The search starts at 1.02 * 4 nu1 / 27 and
-    ends below GROWTH lam*, so it stays under GROWTH max(1, (1 - alpha)^3)
-    4 R / 27, computed exactly since (1 - alpha)^3 can overflow a float.
+    (1 - r^2)^2 on the mesh.  The search starts at 1.02 max(1, (1 - alpha)^3)
+    4 nu1 / 27 and ends there or below GROWTH lam*, so it stays under
+    GROWTH max(1, (1 - alpha)^3) 4 R / 27, computed exactly since
+    (1 - alpha)^3 can overflow a float.
     Half the largest float keeps the bisection's lo + hi and Newton's
     2 lam finite."""
     op = ws.op
@@ -296,7 +293,9 @@ def pull_in_voltage(bp: BoundaryPair, grid: RadialGrid, rel_width: float = 1e-6)
     if nu1_gap > NU1_FLOOR_REL:
         notes.append(f"nu1 accuracy floor: eigensolvers differ by {nu1_gap:.1e} relative")
 
-    hi = upper_nu * 1.02
+    # lam* <= max(1, (1 - alpha)^3) 4 nu1 / 27 (pull_in_ceiling); the factor
+    # is a finite float once the ceiling is.
+    hi = upper_nu * 1.02 * float(max(1, (1 - bp.alpha) ** 3))
     out = _solve_at(ws, hi)
     flagged = not isinstance(out, DivergenceReport)
     while not isinstance(out, DivergenceReport):

@@ -56,7 +56,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from mems4 import certify
+from mems4 import NoConvergentVoltage, certify
 from mems4.certify import MAX_CHECK_DEGREE, MAX_DIMENSION
 from mems4.closed_forms import (
     BoundaryPair,
@@ -370,20 +370,12 @@ def _write_profile(path: Path, profile: RadialField) -> None:
     write_csv(path, ["r", "u"], rows)
 
 
-class Diverged(Exception):
-    """A float command found no convergent voltage to work from; main
-    reports it on one line and exits 1."""
-
-
 def _pull_in_voltage(cfg: dict, dim: int, rel_width: float):
-    """branch.pull_in_voltage on the run's boundary data and mesh;
-    raises Diverged when no voltage converges."""
+    """branch.pull_in_voltage on the run's boundary data and mesh; it raises
+    NoConvergentVoltage, which main reports, when no voltage converges."""
     from mems4 import branch
 
-    try:
-        return branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=rel_width)
-    except branch.NoConvergentVoltage as exc:
-        raise Diverged(exc) from None
+    return branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=rel_width)
 
 
 def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
@@ -630,7 +622,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"mems4 {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Diverged as exc:
+    except NoConvergentVoltage as exc:
         print(f"mems4 {args.command}: diverged: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     except OSError as exc:

@@ -135,25 +135,15 @@ class PowerSum:
     def constant(c: Rational) -> "PowerSum":
         return PowerSum.of((c, 0))
 
-    def __add__(self, other: "PowerSum") -> "PowerSum":
-        return self._combine(other, 1)
-
     def __sub__(self, other: "PowerSum") -> "PowerSum":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "PowerSum", sign: int) -> "PowerSum":
-        """self + sign * other."""
         d1, q1, p1 = self.integer_form
         d2, q2, p2 = other.integer_form
         den, qden = lcm(d1, d2), lcm(q1, q2)
         return PowerSum((den, qden, (
             (a * c, k * f)
-            for pairs, c, f in ((p1, den // d1, qden // q1), (p2, sign * (den // d2), qden // q2))
+            for pairs, c, f in ((p1, den // d1, qden // q1), (p2, -(den // d2), qden // q2))
             for a, k in pairs
         )))
-
-    def __neg__(self) -> "PowerSum":
-        return self.scale(-1)
 
     def __mul__(self, other: "PowerSum") -> "PowerSum":
         d1, q1, p1 = self.integer_form

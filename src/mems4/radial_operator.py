@@ -10,8 +10,10 @@ definite in the cell-volume inner product, so Green-matrix positivity and
 the eigenvalue problems inherit clean linear algebra.
 
 Only this module knows how A is stored; callers reach A through its
-solves, its eigenvalues and ``OperatorMatrix.residual`` (the Newton
-residual and its componentwise backward error).  Building an
+clamped action ``apply`` (fields with other boundary data are applied
+minus their boundary extension, whose bilaplacian is zero), its solves,
+its eigenvalues and ``OperatorMatrix.residual`` (the Newton residual and
+its componentwise backward error).  Building an
 ``OperatorMatrix`` assembles A and factors it by banded Cholesky, so an
 operator that exists is positive definite on its mesh; every back-solve
 (the clamped solve and the nu1 inverse iteration) calls LAPACK pbtrs on
@@ -202,18 +204,12 @@ class OperatorMatrix:
         out[-1] += self.flux[-1] * bv
         return out / self.cells
 
-    def boundary_laplacian(self, v: np.ndarray, bv: float = 0.0, bs: float = 0.0) -> float:
-        """Discrete Laplacian at r = 1 via the reflected ghost node."""
-        return (
-            2.0 * (v[-1] - bv) / self.delta**2
-            + 2.0 * bs / self.delta
-            + (self.dim - 1.0) * bs
-        )
-
-    def apply(self, v: np.ndarray, bv: float = 0.0, bs: float = 0.0) -> np.ndarray:
-        """Discrete bilaplacian of a sampled field with boundary data
-        (bv, bs) at r = 1; (0, 0) is the clamped operator action."""
-        return self.laplacian(self.laplacian(v, bv), self.boundary_laplacian(v, bv, bs))
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Clamped bilaplacian W^-1 A v of a sampled field: the Laplacian of
+        its Laplacian, whose value at r = 1 is 2 v_n / delta^2 by the
+        reflected ghost node of u(1) = u'(1) = 0.  A field with other
+        boundary data is applied as v - Phi, Phi its boundary extension."""
+        return self.laplacian(self.laplacian(v), 2.0 * v[-1] / self.delta**2)
 
     def _back_solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs from the Cholesky factor, overwriting rhs (callers pass a
@@ -252,7 +248,7 @@ class OperatorMatrix:
         _check_info(info, "gbsv")
         return x
 
-    def _lowest_eigenvalue(self, weight: np.ndarray | None) -> float:
+    def _lowest_eigenvalue(self, weight: np.ndarray) -> float:
         """Lowest eigenvalue of the symmetric-banded similarity transform
         W^-1/2 (A - W diag(weight)) W^-1/2 (no eigenvectors, so no dense
         band-reduction matrix)."""
@@ -261,8 +257,7 @@ class OperatorMatrix:
         ab[2, :] /= self.cells
         ab[1, 1:] /= sq[1:] * sq[:-1]
         ab[0, 2:] /= sq[2:] * sq[:-2]
-        if weight is not None:
-            ab[2, :] -= weight
+        ab[2, :] -= weight
         # eig_banded(ab, select="i", select_range=(0, 0), eigvals_only=True)
         lapack = self._lapack
         w, _, m, _, info = lapack.dsbevx(ab, 0.0, 1.0, 1, 1, compute_v=0, range=2, lower=0,
@@ -281,7 +276,7 @@ class OperatorMatrix:
         comes from inverse iteration on the Cholesky factor of A,
         started from the constant: O(n) per step, at most NU1_MAX_ITER
         steps, fewer where the step stalls at round-off."""
-        value = self._lowest_eigenvalue(None)
+        value = self._lowest_eigenvalue(np.zeros(self.grid.n))
         phi = self._w_normalized(np.ones(self.grid.n))
         smallest, stalled = np.inf, 0
         for _ in range(NU1_MAX_ITER):

@@ -327,9 +327,12 @@ def test_constant_boundary_value_scales_the_pull_in_voltage(alpha, grid12, homog
     # With beta = 0, Phi = alpha is constant and v = (1 - alpha) w maps the
     # discrete homogeneous problem at lam / (1 - alpha)^3 onto the problem
     # at alpha, so the brackets scale exactly by (1 - alpha)^3.
-    lo = pull_in_voltage(BoundaryPair(alpha, F(0)), grid12, rel_width=1e-8).lambda_lo
+    # The upward search starts at 1.02 max(1, (1 - alpha)^3) 4 nu1 / 27,
+    # above lam*, so nothing is flagged for alpha < 0 either.
+    est = pull_in_voltage(BoundaryPair(alpha, F(0)), grid12, rel_width=1e-8)
     expected = float((1 - alpha) ** 3) * homogeneous12
-    assert abs(lo / expected - 1) < 2e-6
+    assert abs(est.lambda_lo / expected - 1) < 2e-6
+    assert not est.flagged
 
 
 @pytest.mark.xfail(

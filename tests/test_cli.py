@@ -585,15 +585,15 @@ def test_pullin_json(tmp_path):
     )
 
 
-def test_pullin_grown_upper_end_exits_two(tmp_path):
-    # At alpha = -1e102 the pull-in voltage is past the analytic start of
-    # the upward search, so the bracket grows and the oracle is flagged;
-    # its ceiling, 4.65e307, is still a float.
+def test_pullin_far_negative_alpha_exits_zero(tmp_path):
+    # At alpha = -1e102 the upward search starts at (1 - alpha)^3 times the
+    # analytic bound, past the pull-in voltage, so nothing is flagged; the
+    # ceiling, 4.65e307, is still a float.
     code = run_cli("pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e102",
                    "--out", str(tmp_path))
-    assert code == 2
+    assert code == 0
     payload = json.loads(find_one(tmp_path, "pullin.json").read_text())
-    assert "upper end grew past the analytic bound; oracle flagged" in payload["notes"]
+    assert not any("flagged" in note for note in payload["notes"])
     assert payload["consistent"] is None
     assert payload["lambda_hi"] < 4.65e307
 
