@@ -2,26 +2,22 @@
 (a profile is a one-voltage branch), pull-in estimation, and the
 sub-solution search.
 
-Every command runs one chain: resolve the settings it reads (defaults,
-then a --config file, then flags), validate its own inputs, key the run
-directory on the command, those inputs and those settings, write exactly
-that key to config.json, print the run directory, then compute and write
-the artifacts from the checked settings and that key alone: config.json
-is the run's complete input.  A command takes flags and --config keys
-only for the settings it reads (``Command.settings``).  Rational values
-and specs may be negative: "--beta -1/5" and "--alpha-grid -1/3:0:4"
-parse as values.
+Every command runs one chain: validate its own flags, key the run
+directory on the command and those checked inputs, write exactly that
+key to config.json ({"command", **inputs}), print the run directory,
+then compute and write the artifacts from that key alone: config.json is
+the run's complete input.  Rational values and specs may be negative:
+"--beta -1/5" and "--alpha-grid -1/3:0:4" parse as values.
 
 Exit codes, which each runner returns from its engine's decisions: 0
 success/verified, 1 falsified or diverged, 2 inconclusive or flagged
 (only ``pullin``: exit 2 comes from the float engine, since the exact
 engine verifies or falsifies every claim), 3+ usage and I/O errors.
-Usage errors include a flag the command does not take, a --config key
-that is not one of its settings, --mesh outside 16..16384, a mesh and
-dimension on which the operator cannot be built (a cell volume near the
-origin underflows, or the operator is not numerically positive
-definite), boundary data whose extension comes within 1e-6 of the
-contact plane (branch.CEILING), ``pullin`` data whose
+Usage errors include a flag the command does not take, --mesh outside
+16..16384, a mesh and dimension on which the operator cannot be built (a
+cell volume near the origin underflows, or the operator is not
+numerically positive definite), boundary data whose extension comes
+within 1e-6 of the contact plane (branch.CEILING), ``pullin`` data whose
 pull-in voltage may pass half the largest float
 (branch.pull_in_ceiling), --rel-width outside [1e-15, 1)
 (branch.MIN_REL_WIDTH: above the float spacing, so the bisection ends),
@@ -29,13 +25,14 @@ a dimension range outside 1..64 or below its claim's floor, a search
 --dim outside 1..64, a float command's --dim below 1 or above the
 largest float (1.8e308), a voltage that is NaN, negative or above the
 largest float (1.8e308), an --alpha or --beta of magnitude above it, a
-rational with a decimal exponent past 4300 (closed_forms.MAX_EXPONENT), a
-search --lambda whose numerator and denominator have more than 600
-digits together (MAX_VOLTAGE_DIGITS), a grid count, --profiles or search
-candidate count above 4096, a search grid flag missing for --family or
-given for the other family, a candidate outside its family (m > 0, m !=
-4/3; alpha, beta > 0), and a candidate whose checks pass
-certify.MAX_CHECK_DEGREE.
+rational with a decimal exponent past 4300 (closed_forms.MAX_EXPONENT)
+or a numerator or denominator of more than 4300 digits
+(closed_forms.MAX_DIGITS), a search --lambda whose numerator and
+denominator have more than 600 digits together (MAX_VOLTAGE_DIGITS), a
+grid count, --profiles or search candidate count above 4096, a search
+grid flag missing for --family or given for the other family, a
+candidate outside its family (m > 0, m != 4/3; alpha, beta > 0), and a
+candidate whose checks pass certify.MAX_CHECK_DEGREE.
 
 This module never loads numpy (``_linspace`` builds its grids) and its
 import loads no float engine (mems4.branch, mems4.radial_operator).
@@ -48,7 +45,6 @@ their inputs and run them, and call mems4.branch's functions through it.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -61,7 +57,6 @@ from mems4.certify import MAX_CHECK_DEGREE, MAX_DIMENSION
 from mems4.closed_forms import (
     BoundaryPair,
     format_rational,
-    is_admissible,
     parse_rational,
     quadratic_lower_bound,
     rational_to_decimal,
@@ -77,7 +72,7 @@ from mems4.store import (
 )
 
 if TYPE_CHECKING:
-    from mems4.branch import BranchPoint
+    from mems4.branch import BranchPoint, Workspace
     from mems4.radial_operator import RadialField, RadialGrid
 
 EXIT_OK = 0
@@ -136,95 +131,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class Setting:
-    """One run setting: flag --<name>, its default, the parser of flag
-    text and --config values, and the check every value must pass."""
-
-    name: str
-    default: object
-    parse: Callable[[str], object]
-    valid: Callable[[object], bool]
-    help: str
-
-    @property
-    def flag(self) -> str:
-        return "--" + self.name.replace("_", "-")
+def _boundary(inputs: dict) -> BoundaryPair:
+    return BoundaryPair(Fraction(inputs["alpha"]), Fraction(inputs["beta"]))
 
 
-def _branch_check(name: str) -> Callable[[object], bool]:
-    """The Setting check mems4.branch's ``name`` makes (it raises
-    ValueError), imported when a float command resolves the setting."""
-    def valid(value) -> bool:
-        from mems4 import branch
-
-        getattr(branch, name)(value)
-        return True
-
-    return valid
-
-
-SETTINGS = {s.name: s for s in (
-    Setting("mesh", 512, int, lambda v: 16 <= v <= MAX_MESH, f"interior node count, 16..{MAX_MESH}"),
-    Setting("rel_width", 1e-6, float, _branch_check("check_rel_width"),
-            "pull-in bracket relative width, in [1e-15, 1)"),
-    # The float engine samples alpha and beta in doubles.
-    Setting("alpha", Fraction(0), parse_rational, lambda v: abs(v) <= sys.float_info.max,
-            "boundary value at r=1, exact rational of magnitude at most 1.8e308"),
-    Setting("beta", Fraction(0), parse_rational, lambda v: abs(v) <= sys.float_info.max,
-            "boundary slope at r=1, exact rational of magnitude at most 1.8e308"),
-)}
-_SOLVER_SETTINGS = ("mesh", "alpha", "beta")
-
-
-def resolve_settings(names: tuple[str, ...], given: dict) -> dict:
-    """Checked values of the settings ``names``: ``given`` (flag text or
-    --config values, by setting name) over the defaults.  A key outside
-    ``names`` is an error, so no misspelt or foreign key is dropped."""
-    unknown = sorted(set(given) - set(names))
-    if unknown:
-        raise ValueError(f"unknown setting {', '.join(unknown)}; "
-                         f"this command reads {', '.join(names) or 'none'}")
-    values = {}
-    for name in names:
-        s = SETTINGS[name]
-        try:
-            value = s.parse(str(given[name])) if name in given else s.default
-            ok = s.valid(value)
-        except (ValueError, ZeroDivisionError):
-            ok = False
-        if not ok:
-            raise ValueError(f"{s.flag}: {s.help}, not {given[name]!r}")
-        values[name] = value
-    if "alpha" in values and not is_admissible(_boundary(values)):
-        raise ValueError("boundary pair is not admissible")
-    return values
-
-
-def _settings_json(values: dict) -> dict:
-    """The JSON form of settings that config.json's config block holds
-    and --config reads back."""
-    return {k: format_rational(v) if isinstance(v, Fraction) else v for k, v in values.items()}
-
-
-def _load_settings(command: Command, args) -> dict:
-    given = json.loads(args.config.read_text()) if getattr(args, "config", None) else {}
-    if not isinstance(given, dict):
-        raise ValueError("--config must hold a JSON object")
-    for name in command.settings:
-        if getattr(args, name) is not None:
-            given[name] = getattr(args, name)
-    return resolve_settings(command.settings, given)
-
-
-def _boundary(cfg: dict) -> BoundaryPair:
-    return BoundaryPair(cfg["alpha"], cfg["beta"])
-
-
-def _grid(cfg: dict, dim: int) -> RadialGrid:
+def _grid(inputs: dict) -> RadialGrid:
     from mems4.radial_operator import build_grid
 
-    return build_grid(cfg["mesh"], dim)
+    return build_grid(inputs["mesh"], inputs["dim"])
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -278,16 +192,44 @@ def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
 
 
 _DIM = _arg("--dim", type=int, required=True)
+# The float commands' mesh and boundary data at r = 1.
+_SOLVER_ARGS = (
+    _arg("--mesh", type=int, default=512, help=f"interior node count, 16..{MAX_MESH}"),
+    _arg("--alpha", default="0",
+         help="boundary value at r=1, exact rational of magnitude at most 1.8e308"),
+    _arg("--beta", default="0",
+         help="boundary slope at r=1, exact rational of magnitude at most 1.8e308"),
+)
 
 
-def _solver_dim(args, cfg) -> int:
-    """--dim, once the solver workspace of the run builds: branch.Workspace
-    rejects a dimension below 1, a grading too strong or a mesh too fine
-    for the dimension, and boundary data that grazes the contact plane."""
+def _boundary_value(args, name: str) -> str:
+    """--alpha or --beta as format_rational text: an exact rational of
+    magnitude at most the largest float, since the float engine samples
+    it in doubles."""
+    text = getattr(args, name)
+    try:
+        value = parse_rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--{name}: zero denominator, not {text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"--{name}: {exc}") from None
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"--{name}: magnitude above the largest float (1.8e308), not {text!r}")
+    return format_rational(value)
+
+
+def _solver_inputs(args) -> tuple[dict, Workspace]:
+    """--dim, --mesh, --alpha and --beta, once the solver workspace of the
+    run builds: branch.Workspace rejects an inadmissible boundary pair, a
+    dimension below 1, a grading too strong or a mesh too fine for the
+    dimension, and boundary data that grazes the contact plane."""
     from mems4.branch import Workspace
 
-    Workspace(_boundary(cfg), _grid(cfg, args.dim))
-    return args.dim
+    if not 16 <= args.mesh <= MAX_MESH:
+        raise ValueError(f"--mesh: interior node count in 16..{MAX_MESH}, not {args.mesh}")
+    inputs = {"dim": args.dim, "mesh": args.mesh,
+              "alpha": _boundary_value(args, "alpha"), "beta": _boundary_value(args, "beta")}
+    return inputs, Workspace(_boundary(inputs), _grid(inputs))
 
 
 def _dimension_range(text: str, claim: str) -> list[int]:
@@ -309,7 +251,7 @@ _BOUNDS_COLUMNS = (
 )
 
 
-def _bounds_inputs(args, cfg) -> dict:
+def _bounds_inputs(args) -> dict:
     return {"n": _dimension_range(args.n, "thresholds")}
 
 
@@ -324,7 +266,7 @@ def _csv_fields(row: dict) -> list[tuple[str, object]]:
     return fields
 
 
-def _run_bounds(cfg, inputs, run) -> int:
+def _run_bounds(inputs, run) -> int:
     n_min, n_max = inputs["n"]
     rows = [
         {"n": row.dimension, **{name: value(row) for name, value in _BOUNDS_COLUMNS}}
@@ -336,11 +278,11 @@ def _run_bounds(cfg, inputs, run) -> int:
     return EXIT_OK
 
 
-def _certify_inputs(args, cfg) -> dict:
+def _certify_inputs(args) -> dict:
     return {"claim": args.claim, "n": _dimension_range(args.n, args.claim)}
 
 
-def _run_certify(cfg, inputs, run) -> int:
+def _run_certify(inputs, run) -> int:
     claim, (n_min, n_max) = inputs["claim"], inputs["n"]
     if claim == "thresholds":
         certs = [(f"thresholds-{n_min}-{n_max}", certify.certify_thresholds(n_min, n_max))]
@@ -370,41 +312,40 @@ def _write_profile(path: Path, profile: RadialField) -> None:
     write_csv(path, ["r", "u"], rows)
 
 
-def _pull_in_voltage(cfg: dict, dim: int, rel_width: float):
+def _pull_in_voltage(inputs: dict, rel_width: float):
     """branch.pull_in_voltage on the run's boundary data and mesh; it raises
     NoConvergentVoltage, which main reports, when no voltage converges."""
     from mems4 import branch
 
-    return branch.pull_in_voltage(_boundary(cfg), _grid(cfg, dim), rel_width=rel_width)
+    return branch.pull_in_voltage(_boundary(inputs), _grid(inputs), rel_width=rel_width)
 
 
-def _auto_lambda_grid(cfg: dict, dim: int, count: int = 12) -> list[float]:
-    est = _pull_in_voltage(cfg, dim, 1e-3)
+def _auto_lambda_grid(inputs: dict, count: int = 12) -> list[float]:
+    est = _pull_in_voltage(inputs, 1e-3)
     return _linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count)
 
 
-def _branch_inputs(args, cfg) -> dict:
+def _branch_inputs(args) -> dict:
     if not 0 <= args.profiles <= MAX_GRID:
         raise ValueError(f"--profiles must be in 0..{MAX_GRID}")
-    dim = _solver_dim(args, cfg)
+    inputs, _ = _solver_inputs(args)
     lambdas = parse_lambda_spec(args.lam)
     if lambdas is None:
-        lambdas = _auto_lambda_grid(cfg, dim)
+        lambdas = _auto_lambda_grid(inputs)
     from mems4.branch import check_voltage_grid  # finite, nonnegative, increasing
 
     check_voltage_grid(lambdas)
-    inputs = {"dim": dim, "lambdas": lambdas}
+    inputs["lambdas"] = lambdas
     # Keyed only when asked for, so runs without profiles keep their names.
     if args.profiles:
         inputs["profiles"] = args.profiles
     return inputs
 
 
-def _run_branch(cfg, inputs, run) -> int:
+def _run_branch(inputs, run) -> int:
     from mems4 import branch
 
-    grid = _grid(cfg, inputs["dim"])
-    result = branch.continue_branch(_boundary(cfg), grid, inputs["lambdas"])
+    result = branch.continue_branch(_boundary(inputs), _grid(inputs), inputs["lambdas"])
     records = [_branch_record(pt) for pt in result.points]
     div = result.divergence
     if div is not None:
@@ -421,21 +362,26 @@ def _run_branch(cfg, inputs, run) -> int:
     return EXIT_OK
 
 
-def _pullin_inputs(args, cfg) -> dict:
-    """--dim, as _solver_dim checks it, with branch.pull_in_ceiling too."""
+def _pullin_inputs(args) -> dict:
+    """The solver inputs, as _solver_inputs checks them, with
+    branch.pull_in_ceiling too, and --rel-width."""
     from mems4 import branch
 
-    branch.pull_in_ceiling(branch.Workspace(_boundary(cfg), _grid(cfg, args.dim)))
-    return {"dim": args.dim}
+    try:
+        branch.check_rel_width(args.rel_width)
+    except ValueError as exc:
+        raise ValueError(f"--rel-width: {exc}") from None
+    inputs, ws = _solver_inputs(args)
+    branch.pull_in_ceiling(ws)
+    return {**inputs, "rel_width": args.rel_width}
 
 
-def _run_pullin(cfg, inputs, run) -> int:
+def _run_pullin(inputs, run) -> int:
     from mems4 import branch
 
-    dim = inputs["dim"]
-    est = _pull_in_voltage(cfg, dim, cfg["rel_width"])
+    est = _pull_in_voltage(inputs, inputs["rel_width"])
     payload = {
-        "dim": dim,
+        "dim": inputs["dim"],
         "lambda_lo": est.lambda_lo,
         "lambda_hi": est.lambda_hi,
         "method": "bisection-on-convergence",
@@ -469,7 +415,7 @@ def _search_params(args) -> list:
     return parse_fraction_grid(args.m)
 
 
-def _search_inputs(args, cfg) -> dict:
+def _search_inputs(args) -> dict:
     dim = args.dim
     certify.check_dimensions("search-subsolution", dim, dim)
     if not 9 <= dim <= 16:
@@ -495,7 +441,7 @@ def _search_inputs(args, cfg) -> dict:
     return inputs
 
 
-def _run_search(cfg, inputs, run) -> int:
+def _run_search(inputs, run) -> int:
     """Stream the search into search.json: each candidate's report is
     written, then released, before the next one is checked."""
     n, family, params = inputs["dim"], inputs["family"], inputs["params"]
@@ -525,28 +471,25 @@ def _run_search(cfg, inputs, run) -> int:
 class Command:
     """One subcommand.
 
-    ``settings`` names the entries of SETTINGS the command reads: only
-    they get a flag, a --config key and a place in the run key.
-    ``inputs`` validates the command's own arguments and returns the
-    fields that, with the settings, key the run directory; config.json
-    records exactly that key, the run's whole input.  ``run`` writes the
-    artifacts from the settings and those fields alone and returns the
-    exit code, read from the decisions the engines made.
+    ``inputs`` validates the command's flags and returns the fields that
+    key the run directory; config.json records exactly that key with the
+    command's name, the run's whole input.  ``run`` writes the artifacts
+    from those fields alone and returns the exit code, read from the
+    decisions the engines made.
     """
 
     name: str
     help: str
     arguments: tuple
-    settings: tuple[str, ...]
-    inputs: Callable[[argparse.Namespace, dict], dict]
-    run: Callable[[dict, dict, Path], int]
+    inputs: Callable[[argparse.Namespace], dict]
+    run: Callable[[dict, Path], int]
 
 
 COMMANDS = (
     Command(
         "bounds", "exact bound and threshold table",
         (_arg("--n", default="1..40", help=f"dimension range within 1..{MAX_DIMENSION}"),),
-        (), _bounds_inputs, _run_bounds,
+        _bounds_inputs, _run_bounds,
     ),
     Command(
         "certify", "exact-arithmetic certificates",
@@ -554,7 +497,7 @@ COMMANDS = (
             _arg("claim", choices=CLAIM_SELECTORS),
             _arg("--n", default="17..30", help=f"dimension range within 1..{MAX_DIMENSION}"),
         ),
-        (), _certify_inputs, _run_certify,
+        _certify_inputs, _run_certify,
     ),
     Command(
         "branch", "minimal-branch sweep",
@@ -563,12 +506,18 @@ COMMANDS = (
             _arg("--lambda", dest="lam", default="auto",
                  help="a voltage, start:stop:count or auto"),
             _arg("--profiles", type=int, default=0, help=f"dump k profiles, 0..{MAX_GRID}"),
+            *_SOLVER_ARGS,
         ),
-        _SOLVER_SETTINGS, _branch_inputs, _run_branch,
+        _branch_inputs, _run_branch,
     ),
     Command(
-        "pullin", "pull-in voltage bracket", (_DIM,),
-        (*_SOLVER_SETTINGS, "rel_width"),
+        "pullin", "pull-in voltage bracket",
+        (
+            _DIM,
+            *_SOLVER_ARGS,
+            _arg("--rel-width", type=float, default=1e-6,
+                 help="pull-in bracket relative width, in [1e-15, 1)"),
+        ),
         _pullin_inputs, _run_pullin,
     ),
     Command(
@@ -581,20 +530,19 @@ COMMANDS = (
             _arg("--m", help="profile parameters, single value or start:stop:count"),
             _arg("--lambda", dest="lam", help="voltage (exact rational); default H_N/2"),
         ),
-        (), _search_inputs, _run_search,
+        _search_inputs, _run_search,
     ),
 )
 
 
 def _execute(command: Command, args) -> int:
-    cfg = _load_settings(command, args)
-    inputs = command.inputs(args, cfg)
-    record = {"command": command.name, **inputs, "config": _settings_json(cfg)}
+    inputs = command.inputs(args)
+    record = {"command": command.name, **inputs}
     out_root = Path(args.out) if args.out else default_out_root()
     run = run_directory(out_root, command.name, record)
     write_json(run / "config.json", record)
     print(run)
-    return command.run(cfg, inputs, run)
+    return command.run(inputs, run)
 
 
 def build_parser() -> _Parser:
@@ -605,12 +553,6 @@ def build_parser() -> _Parser:
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)
         p.add_argument("--out", type=Path, help="output root (default $MEMS4_OUT or ./mems4-out)")
-        if command.settings:
-            p.add_argument("--config", type=Path,
-                           help="JSON object of settings, as in config.json's config block; "
-                                "flags override")
-        for name in command.settings:
-            p.add_argument(SETTINGS[name].flag, help=SETTINGS[name].help)
         p.set_defaults(spec=command)
     return parser
 

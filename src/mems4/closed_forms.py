@@ -19,10 +19,16 @@ from typing import NamedTuple, Union
 
 Rational = Union[Fraction, int]
 
-# Largest decimal exponent parse_rational reads: Python turns no integer
-# of more than 4300 digits into text, so no artifact can write a larger one.
+# Most digits in the numerator or denominator of a rational that
+# parse_rational reads: Python turns no integer of more than 4300 digits
+# into text, so no artifact can write a larger one.
+MAX_DIGITS = 4300
+# Largest decimal exponent parse_rational expands.  It is checked on the
+# text first, so "1e10000000" is refused at once; a mantissa adds digits
+# ("1234567e4299"), so the digit count is checked after it as well.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_DIGIT_BOUND = 10**MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
 
 FOUR_THIRDS = Fraction(4, 3)
 
@@ -284,12 +290,17 @@ def touchdown_profile(m: Rational) -> PowerSum:
 def parse_rational(text: str) -> Fraction:
     """Fraction(text) for a rational read from outside the program, but a
     decimal exponent of magnitude above MAX_EXPONENT raises ValueError
-    before Fraction expands it, which takes seconds to minutes.  A value
-    that is not text (a number read from JSON) goes to Fraction as it is."""
+    before Fraction expands it, which takes seconds to minutes, and so
+    does a value whose numerator or denominator has more than MAX_DIGITS
+    digits.  A value that is not text (a number read from JSON) goes to
+    Fraction as it is."""
     exponent = _EXPONENT.search(text) if isinstance(text, str) else None
     if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent above {MAX_EXPONENT}")
-    return Fraction(text)
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
+        raise ValueError(f"numerator or denominator of more than {MAX_DIGITS} digits")
+    return value
 
 
 def format_rational(x: Fraction) -> str:

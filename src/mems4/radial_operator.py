@@ -37,16 +37,12 @@ import numpy as np
 from mems4.closed_forms import PowerSum
 
 # Inverse iteration for the nu1 eigenfunction stops once the W-norm of a
-# step falls below NU1_STEP_TOL; dims 1..17 take 9..27 steps.  Where A is
-# too ill-conditioned (dims 2 and 3 at n = 16384) the step stalls at
-# 2e-12..1.2e-11 from about step 12 on, and pull_in_voltage notes nu1's
-# accuracy floor.  The iteration then stops once NU1_STALL_STEPS steps in
-# a row have not fallen below the smallest step so far, or after
-# NU1_MAX_ITER steps.  Up to n = 8192 (dims 1..17, 20, 24, 31, 32, 40,
-# 64, where the operator builds) no run goes more than 6 steps without a
-# new smallest step before it converges, so there the stall never ends one.
+# step falls below NU1_STEP_TOL, or after NU1_MAX_ITER steps; dims 1..17
+# take 9..27 steps.  Where A is too ill-conditioned (dims 2 and 3 at
+# n = 16384) the step stalls at round-off above the tolerance, the
+# iteration runs to the cap, and pull_in_voltage notes nu1's accuracy
+# floor.
 NU1_STEP_TOL = 1e-12
-NU1_STALL_STEPS = 16
 NU1_MAX_ITER = 200
 GRADING = 1.5  # mesh nodes (i/(n+1))^GRADING, i = 1..n
 
@@ -275,19 +271,14 @@ class OperatorMatrix:
         inner product, with its (one-signed) eigenfunction.  The function
         comes from inverse iteration on the Cholesky factor of A,
         started from the constant: O(n) per step, at most NU1_MAX_ITER
-        steps, fewer where the step stalls at round-off."""
+        steps."""
         value = self._lowest_eigenvalue(np.zeros(self.grid.n))
         phi = self._w_normalized(np.ones(self.grid.n))
-        smallest, stalled = np.inf, 0
         for _ in range(NU1_MAX_ITER):
             nxt = self._w_normalized(self._back_solve(self.cells * phi))
             step = nxt - phi
             phi = nxt
-            size = np.sum(self.cells * step * step)
-            if size < NU1_STEP_TOL**2:
-                break
-            smallest, stalled = (size, 0) if size < smallest else (smallest, stalled + 1)
-            if stalled == NU1_STALL_STEPS:
+            if np.sum(self.cells * step * step) < NU1_STEP_TOL**2:
                 break
         if phi[np.argmax(np.abs(phi))] < 0:
             phi = -phi

@@ -13,7 +13,6 @@ import pytest
 
 from mems4.branch import CEILING, MIN_REL_WIDTH, pull_in_voltage
 from mems4.cli import (
-    COMMANDS,
     MAX_GRID,
     MAX_MESH,
     MAX_VOLTAGE_DIGITS,
@@ -22,7 +21,6 @@ from mems4.cli import (
     parse_fraction_grid,
     parse_lambda_spec,
     parse_range,
-    resolve_settings,
 )
 from mems4 import certify
 from mems4.certify import search_candidates, search_setup
@@ -72,45 +70,32 @@ def test_parse_helpers():
         assert [x.hex() for x in got] == [float(x).hex() for x in want], (start, stop, count)
 
 
-SETTINGS_OF = {command.name: command.settings for command in COMMANDS}
-
-
 def test_config_round_trip(tmp_path):
-    # The config block of a run's config.json, passed back through
-    # --config, reproduces the run in the same directory.
+    # A run's config.json is {"command", **inputs}: its inputs, passed
+    # back as flags, reproduce the run in the same directory, and the
+    # two spellings of one rational key one run.
     flags = ["pullin", "--dim", "3", "--mesh", "64", "--rel-width", "1e-3",
-             "--alpha=1/10", "--beta=-1/2"]
+             "--alpha=0.1", "--beta=-1/2"]
     assert run_cli(*flags, "--out", str(tmp_path)) == 0
     first = find_one(tmp_path, "config.json")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(json.loads(first.read_text())["config"]))
-    assert run_cli("pullin", "--dim", "3", "--config", str(cfg_path), "--out", str(tmp_path)) == 0
+    config = json.loads(first.read_text())
+    assert set(config) == {"command", "dim", "mesh", "alpha", "beta", "rel_width",
+                           "schema_version"}
+    assert (config["alpha"], config["beta"]) == ("1/10", "-1/2")
+    argv = [config["command"]]
+    for key in ("dim", "mesh", "alpha", "beta", "rel_width"):
+        argv.append(f"--{key.replace('_', '-')}={config[key]}")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
     assert sorted(tmp_path.rglob("config.json")) == [first]
 
 
 def test_config_validation():
-    pullin, bounds = SETTINGS_OF["pullin"], SETTINGS_OF["bounds"]
-    with pytest.raises(ValueError):
-        resolve_settings(pullin, {"mesh": 4})
-    with pytest.raises(ValueError):
-        resolve_settings(pullin, {"alpha": "2", "beta": "0"})  # inadmissible
-    # bounds writes one CSV table and reads no setting.
-    with pytest.raises(ValueError, match="unknown setting format"):
-        resolve_settings(bounds, {"format": "csv"})
-    with pytest.raises(ValueError):
-        resolve_settings(pullin, {"mesh": MAX_MESH + 1})
-    # The Newton threshold is the constant branch.TOL, not a setting.
-    with pytest.raises(ValueError, match="unknown setting tol"):
-        resolve_settings(pullin, {"tol": 1e-10})
-    # Nor is the mesh grading, radial_operator.GRADING.
-    with pytest.raises(ValueError, match="unknown setting gamma"):
-        resolve_settings(pullin, {"gamma": 1.5})
-    # The float engine's own bound: branch.check_rel_width.
-    for rel_width in (0.0, -1e-3, 1.0, 2.0**-52, math.nextafter(MIN_REL_WIDTH, 0), math.nan):
-        with pytest.raises(ValueError):
-            resolve_settings(pullin, {"rel_width": rel_width})
-    assert resolve_settings(pullin, {"rel_width": MIN_REL_WIDTH})["rel_width"] == MIN_REL_WIDTH
-    assert resolve_settings(pullin, {"mesh": MAX_MESH})["mesh"] == MAX_MESH
+    # The edges of --mesh and --rel-width are accepted; the values past
+    # them are test_bad_run_config_exits_before_solving cases.
+    args = build_parser().parse_args(["pullin", "--dim", "3", "--mesh", str(MAX_MESH),
+                                      "--rel-width", repr(MIN_REL_WIDTH)])
+    inputs = args.spec.inputs(args)
+    assert (inputs["mesh"], inputs["rel_width"]) == (MAX_MESH, MIN_REL_WIDTH)
 
 
 SEARCH_W3 = ["search-subsolution", "--dim", "17", "--family", "touchdown-m", "--m", "3"]
@@ -123,6 +108,13 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
     [
         ["pullin", "--dim", "3", "--rel-width", "0"],
         ["pullin", "--dim", "3", "--rel-width=-1e-3"],
+        # The float engine's own bound: branch.check_rel_width.
+        ["pullin", "--dim", "3", "--mesh", "16", "--rel-width", "1.0"],
+        ["pullin", "--dim", "3", "--mesh", "16", "--rel-width", repr(2.0**-52)],
+        ["pullin", "--dim", "3", "--mesh", "16", "--rel-width",
+         repr(math.nextafter(MIN_REL_WIDTH, 0))],
+        ["pullin", "--dim", "3", "--mesh", "16", "--rel-width", "nan"],
+        ["pullin", "--dim", "3", "--mesh", "4"],
         ["pullin", "--dim", "3", "--tol", "-1"],  # --tol is no flag (see below)
         ["pullin", "--dim", "3", "--mesh", str(MAX_MESH + 1)],
         ["branch", "--dim", "3", "--lambda", "nan"],
@@ -176,9 +168,8 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         SEARCH_W3[:-1] + ["121"],
         SEARCH_W3[:-1] + ["100000"],
         SEARCH_W3[:-1] + ["1e400"],
-        # Boundary values beyond the largest float, by flag and by --config.
+        # Boundary values beyond the largest float.
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=-1e400"],
-        ["pullin", "--dim", "3", "--mesh", "16", "--config", {"alpha": "-1e400"}],
         # Admissible, with alpha inside the float range.
         ["branch", "--dim", "3", "--lambda", "1", "--mesh", "16",
          "--alpha=-1.7e308", "--beta=-3e308"],
@@ -196,23 +187,16 @@ SEARCH_PT = ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdow
         # bisection's midpoint stops moving.
         ["pullin", "--dim", "1", "--mesh", "16", "--rel-width", "1e-17"],
         # The Newton threshold is the constant branch.TOL, so --tol is no
-        # flag and tol no --config key: a config block written when it was
-        # a setting still exits 3, as an unknown setting.
+        # flag.
         ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-300"],
         ["branch", "--dim", "2", "--lambda", "1", "--mesh", "16", "--tol", "1e-300"],
-        ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"tol": 1e-16}],
         # The mesh grading is the constant radial_operator.GRADING, so
-        # --gamma and a gamma --config key exit 3 the same way.
+        # --gamma exits 3 the same way.
         ["pullin", "--dim", "2", "--mesh", "16", "--gamma", "2"],
         ["branch", "--dim", "2", "--lambda", "1", "--mesh", "16", "--gamma", "2"],
-        ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--config", {"gamma": 1.5}],
     ],
 )
-def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
-    if isinstance(flags[-1], dict):  # the contents of a --config file
-        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
-        cfg.write_text(json.dumps(flags[-1]))
-        flags = [*flags[:-1], str(cfg)]
+def test_bad_run_config_exits_before_solving(tmp_path, flags):
     assert exit_code(*flags, "--out", str(tmp_path)) == 3  # argparse's usage errors too
     assert not any(tmp_path.iterdir())
 
@@ -222,26 +206,51 @@ def test_bad_run_config_exits_before_solving(tmp_path, tmp_path_factory, flags):
     [
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=1e10000000"],
         ["pullin", "--dim", "3", "--mesh", "16", "--beta=-1e-30000000"],
-        ["pullin", "--dim", "3", "--mesh", "16", "--config", {"alpha": "1e10000000"}],
         ["search-subsolution", "--dim", "9", "--family", "touchdown-m", "--m", "1e10000000"],
         ["search-subsolution", "--dim", "9", "--family", "touchdown-m", "--m", "1:1e10000000:2"],
         ["search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
          "--alpha-grid", "1", "--beta-grid", "1e-10000000:1:2"],
         SEARCH_W3 + ["--lambda", "1e10000000"],
     ],
-    ids=["alpha", "beta", "config-alpha", "m", "m-grid", "beta-grid", "lambda"],
+    ids=["alpha", "beta", "m", "m-grid", "beta-grid", "lambda"],
 )
-def test_huge_decimal_exponent_exits_at_once(tmp_path, tmp_path_factory, flags):
+def test_huge_decimal_exponent_exits_at_once(tmp_path, flags):
     # Fraction("1e10000000") builds a number of ten million digits, which
     # takes seconds; the exponent is refused before that.
-    if isinstance(flags[-1], dict):  # the contents of a --config file
-        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
-        cfg.write_text(json.dumps(flags[-1]))
-        flags = [*flags[:-1], str(cfg)]
     start = time.perf_counter()
     assert exit_code(*flags, "--out", str(tmp_path)) == 3
     assert time.perf_counter() - start < 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--alpha", "1/0"), ("--beta", "abc"), ("--alpha", "-1e400"), ("--mesh", "4"),
+     ("--rel-width", "0")],
+)
+def test_float_input_refusal_names_its_flag(tmp_path, capsys, flag, value):
+    assert run_cli("pullin", "--dim", "3", "--mesh", "16", f"{flag}={value}",
+                   "--out", str(tmp_path)) == 3
+    assert capsys.readouterr().err.startswith(f"mems4 pullin: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["pullin", "--dim", "3", "--mesh", "16", "--alpha=1e-4300"],
+        ["pullin", "--dim", "3", "--mesh", "16", "--beta=1234567e4299"],
+        SEARCH_W3 + ["--lambda=1e-4300"],
+        SEARCH_W3[:-1] + ["1e4300"],
+    ],
+    ids=["alpha", "beta", "lambda", "m"],
+)
+def test_rational_past_the_digit_limit_exits_three(tmp_path, capsys, flags):
+    # 10^4300 has 4301 digits, which Python writes as no text, so a run
+    # could not key or write it; it is refused, with the limit named,
+    # before any run directory.
+    assert run_cli(*flags, "--out", str(tmp_path)) == 3
+    assert not any(tmp_path.iterdir())
+    assert "more than 4300 digits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -349,12 +358,13 @@ def exit_code(*argv) -> int:
         ["certify", "m2-subsolution", "--n", "3..4", "--jobs", "2"],
         SEARCH_W3 + ["--tol", "1e-3"],
         SEARCH_W3 + ["--alpha", "1/2"],  # not a prefix of --alpha-grid
+        # A run's inputs are its flags: no command takes --config.
         ["certify", "m3-gap", "--n", "17", "--config", "cfg.json"],
         # No command reads a solver tolerance: Newton's is branch.TOL.
         ["pullin", "--dim", "2", "--mesh", "16", "--tol", "1e-10"],
         ["branch", "--dim", "2", "--lambda", "1:2:2", "--mesh", "16", "--tol", "1e-10"],
         # A profile is a one-voltage branch, and bounds writes one CSV
-        # table from no settings.
+        # table.
         ["profile", "--dim", "3", "--lambda", "1"],
         ["bounds", "--n", "1..3", "--format", "json"],
         ["bounds", "--n", "1..3", "--config", "cfg.json"],
@@ -383,10 +393,15 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, flags):
     ids=["misspelt", "foreign", "whole-file", "bad-value", "not-an-object"],
 )
 def test_config_file_rejects_unknown_keys(tmp_path, config):
+    # There is no --config: a float command's inputs are its flags.  A
+    # file of settings, or a whole config.json of the time runs had a
+    # config block, exits 3 as an unknown argument before any run
+    # directory, whatever it holds.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert run_cli("pullin", "--dim", "2", "--config", str(cfg_path), "--out", str(out)) == 3
+    for command in (["pullin", "--dim", "2"], ["branch", "--dim", "2", "--lambda", "1"]):
+        assert exit_code(*command, "--config", str(cfg_path), "--out", str(out)) == 3
     assert not out.exists()
 
 
@@ -397,7 +412,7 @@ def test_negative_rationals_parse_as_values(tmp_path):
     )
     assert code == 0
     config = json.loads(find_one(tmp_path, "config.json").read_text())
-    assert config["config"]["beta"] == "-1/5"
+    assert config["beta"] == "-1/5"
     args = build_parser().parse_args([
         "search-subsolution", "--dim", "9", "--family", "perturbed-touchdown",
         "--alpha-grid", "-1/3:0:4", "--beta-grid", "-1", "--lambda", "-1/2",
@@ -811,20 +826,6 @@ def test_determinism_byte_identical(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
-
-
-def test_config_file_and_flag_override(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"mesh": 64}))
-    code = run_cli(
-        "branch", "--dim", "3", "--lambda", "1.0", "--profiles", "1",
-        "--config", str(cfg_path), "--mesh", "128",
-        "--out", str(tmp_path),
-    )
-    assert code == 0
-    # flag override wins: 128 interior rows + header
-    prof = find_one(tmp_path, "lambda-1.0.csv")
-    assert len(prof.read_text().splitlines()) == 129
 
 
 def test_env_var_out_root(tmp_path, monkeypatch):

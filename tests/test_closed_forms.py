@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mems4.closed_forms import (
+    MAX_DIGITS,
     BoundaryPair,
     PowerSum,
     apply_bilaplacian,
@@ -34,9 +35,19 @@ rationals = st.fractions(
 dimensions = st.integers(min_value=1, max_value=40)
 
 
-@pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "-1/5", "0.5", "1e-3", " 2e+3 ", "7"])
+@pytest.mark.parametrize("text", ["1e4299", "-1E-4299", "-1/5", "0.5", "1e-3", " 2e+3 ", "7"])
 def test_parse_rational_is_fraction_up_to_the_exponent_limit(text):
     assert parse_rational(text) == F(text)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "1234567e4299", "0.5e-4300"])
+def test_parse_rational_refuses_more_digits_than_python_writes(text):
+    # Within the exponent limit, but 10^4300 has 4301 digits, and Python
+    # turns no integer of more than 4300 digits into text.
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        parse_rational(text)
+    # The largest numerator and denominator that are written.
+    assert parse_rational("9" * MAX_DIGITS + "/" + "9" * (MAX_DIGITS - 1) + "8")
 
 
 @pytest.mark.parametrize("text", ["1e4301", "-2.5e-4301", "1e10000000", "1e" + "9" * 5000])
