@@ -22,6 +22,7 @@ from mems4 import NoConvergentVoltage
 from mems4.closed_forms import (
     BoundaryPair,
     boundary_extension,
+    format_rational,
     hardy_rellich,
     is_admissible,
     quadratic_lower_bound,
@@ -124,7 +125,8 @@ class Workspace:
 
     def __init__(self, bp: BoundaryPair, grid: RadialGrid):
         if not is_admissible(bp):
-            raise ValueError(f"boundary pair {bp} is not admissible")
+            raise ValueError(f"alpha {format_rational(bp.alpha)}, beta {format_rational(bp.beta)} "
+                             "are not admissible: need beta <= 0 and alpha - beta/2 < 1")
         self.bp = bp
         self.grid = grid
         self.op = OperatorMatrix(grid)

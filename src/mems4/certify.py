@@ -155,10 +155,11 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     """
     a, b = Fraction(0), Fraction(1)
     _check_degree_cap(p.degree)
+    den, cs = p.integer_form
     base_claim = {
         **(claim or {}),
         "kind": "polynomial-nonneg",
-        "polynomial": [format_rational(c) for c in p.coeffs],
+        "polynomial": [format_rational(Fraction(c, den)) for c in cs],
         "interval": [format_rational(a), format_rational(b)],
         "closed": False,
     }
@@ -292,14 +293,10 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
 
 
 def _power_sum_claim(ps: PowerSum, label: str) -> dict:
-    return {
-        "kind": "power-sum-nonneg",
-        "label": label,
-        "terms": [
-            [format_rational(t.coeff), format_rational(t.exponent)] for t in ps.terms
-        ],
-        "domain": "(0,1)",
-    }
+    den, qden, pairs = ps.integer_form
+    terms = [[format_rational(Fraction(a, den)), format_rational(Fraction(k, qden))]
+             for a, k in pairs]
+    return {"kind": "power-sum-nonneg", "label": label, "terms": terms, "domain": "(0,1)"}
 
 
 def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:

@@ -25,14 +25,15 @@ a dimension range outside 1..64 or below its claim's floor, a search
 --dim outside 1..64, a float command's --dim below 1 or above the
 largest float (1.8e308), a voltage that is NaN, negative or above the
 largest float (1.8e308), an --alpha or --beta of magnitude above it, a
-rational with a decimal exponent past 4300 (closed_forms.MAX_EXPONENT)
-or a numerator or denominator of more than 4300 digits
-(closed_forms.MAX_DIGITS), a search --lambda whose numerator and
+rational with a decimal exponent past 4300 (closed_forms.MAX_EXPONENT),
+a zero denominator, or a numerator or denominator of more than 4300
+digits (closed_forms.MAX_DIGITS), a search --lambda whose numerator and
 denominator have more than 600 digits together (MAX_VOLTAGE_DIGITS), a
 grid count, --profiles or search candidate count above 4096, a search
 grid flag missing for --family or given for the other family, a
 candidate outside its family (m > 0, m != 4/3; alpha, beta > 0), and a
-candidate whose checks pass certify.MAX_CHECK_DEGREE.
+candidate whose checks pass certify.MAX_CHECK_DEGREE.  A refusal of a
+rational, grid or voltage reads "--flag: reason".
 
 This module never loads numpy (``_linspace`` builds its grids) and its
 import loads no float engine (mems4.branch, mems4.radial_operator).
@@ -55,6 +56,7 @@ from typing import TYPE_CHECKING, Callable
 from mems4 import NoConvergentVoltage, certify
 from mems4.certify import MAX_CHECK_DEGREE, MAX_DIMENSION
 from mems4.closed_forms import (
+    MAX_DIGITS,
     BoundaryPair,
     format_rational,
     parse_rational,
@@ -141,12 +143,19 @@ def _grid(inputs: dict) -> RadialGrid:
     return build_grid(inputs["mesh"], inputs["dim"])
 
 
+def _int(text: str) -> int:
+    """int(text), refusing a text longer than Python reads as an integer."""
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"integer of more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def parse_range(text: str) -> tuple[int, int]:
     """Dimension ranges like "17..30" or a single "9"."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
+        return _int(lo), _int(hi)
+    v = _int(text)
     return v, v
 
 
@@ -170,7 +179,7 @@ def _parse_grid(text: str, value: Callable[[str], object], usage: str) -> list:
         return [value(text)]
     if len(parts) != 3:
         raise ValueError(usage)
-    start, stop, count = value(parts[0]), value(parts[1]), int(parts[2])
+    start, stop, count = value(parts[0]), value(parts[1]), _int(parts[2])
     if not 1 <= count <= MAX_GRID:
         raise ValueError(f"count must be in 1..{MAX_GRID}")
     return _linspace(start, stop, count)
@@ -202,17 +211,20 @@ _SOLVER_ARGS = (
 )
 
 
+def _flag(flag: str, check: Callable, value):
+    """check(value), its ValueError prefixed by the flag that gave the value."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _boundary_value(args, name: str) -> str:
     """--alpha or --beta as format_rational text: an exact rational of
     magnitude at most the largest float, since the float engine samples
     it in doubles."""
     text = getattr(args, name)
-    try:
-        value = parse_rational(text)
-    except ZeroDivisionError:
-        raise ValueError(f"--{name}: zero denominator, not {text!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"--{name}: {exc}") from None
+    value = _flag(f"--{name}", parse_rational, text)
     if abs(value) > sys.float_info.max:
         raise ValueError(f"--{name}: magnitude above the largest float (1.8e308), not {text!r}")
     return format_rational(value)
@@ -327,14 +339,14 @@ def _auto_lambda_grid(inputs: dict, count: int = 12) -> list[float]:
 
 def _branch_inputs(args) -> dict:
     if not 0 <= args.profiles <= MAX_GRID:
-        raise ValueError(f"--profiles must be in 0..{MAX_GRID}")
+        raise ValueError(f"--profiles: must be in 0..{MAX_GRID}")
     inputs, _ = _solver_inputs(args)
-    lambdas = parse_lambda_spec(args.lam)
+    lambdas = _flag("--lambda", parse_lambda_spec, args.lam)
     if lambdas is None:
         lambdas = _auto_lambda_grid(inputs)
     from mems4.branch import check_voltage_grid  # finite, nonnegative, increasing
 
-    check_voltage_grid(lambdas)
+    _flag("--lambda", check_voltage_grid, lambdas)
     inputs["lambdas"] = lambdas
     # Keyed only when asked for, so runs without profiles keep their names.
     if args.profiles:
@@ -367,10 +379,7 @@ def _pullin_inputs(args) -> dict:
     branch.pull_in_ceiling too, and --rel-width."""
     from mems4 import branch
 
-    try:
-        branch.check_rel_width(args.rel_width)
-    except ValueError as exc:
-        raise ValueError(f"--rel-width: {exc}") from None
+    _flag("--rel-width", branch.check_rel_width, args.rel_width)
     inputs, ws = _solver_inputs(args)
     branch.pull_in_ceiling(ws)
     return {**inputs, "rel_width": args.rel_width}
@@ -407,12 +416,12 @@ def _search_params(args) -> list:
                 verb = "needs" if family == args.family else "does not read"
                 raise ValueError(f"--family {args.family} {verb} --{dest.replace('_', '-')}")
     if args.family == "perturbed-touchdown":
-        alphas = parse_fraction_grid(args.alpha_grid)
-        betas = parse_fraction_grid(args.beta_grid)
+        alphas = _flag("--alpha-grid", parse_fraction_grid, args.alpha_grid)
+        betas = _flag("--beta-grid", parse_fraction_grid, args.beta_grid)
         if len(alphas) * len(betas) > MAX_GRID:
             raise ValueError(f"{len(alphas)} x {len(betas)} candidates exceed {MAX_GRID}")
         return [(a, b) for a in alphas for b in betas]
-    return parse_fraction_grid(args.m)
+    return _flag("--m", parse_fraction_grid, args.m)
 
 
 def _search_inputs(args) -> dict:
@@ -430,10 +439,10 @@ def _search_inputs(args) -> dict:
     inputs = {"dim": dim, "family": args.family, "params": params}
     # Given only with --lambda; the search's own default is H_N/2.
     if args.lam is not None:
-        lam = parse_rational(args.lam)
+        lam = _flag("--lambda", parse_rational, args.lam)
         # Every artifact writes a float decimal of its voltage.
         if not 0 <= lam <= sys.float_info.max:
-            raise ValueError("--lambda must be nonnegative and at most the largest float (1.8e308)")
+            raise ValueError("--lambda: must be nonnegative and at most the largest float (1.8e308)")
         if len(str(lam.numerator)) + len(str(lam.denominator)) > MAX_VOLTAGE_DIGITS:
             raise ValueError(f"--lambda: its numerator and denominator exceed "
                              f"{MAX_VOLTAGE_DIGITS} digits together")
@@ -561,7 +570,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _execute(args.spec, args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"mems4 {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoConvergentVoltage as exc:

@@ -13,16 +13,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import NamedTuple, Union
+from typing import Union
 
 Rational = Union[Fraction, int]
 
 # Most digits in the numerator or denominator of a rational that
 # parse_rational reads: Python turns no integer of more than 4300 digits
-# into text, so no artifact can write a larger one.
+# into text, so no artifact can write a larger one.  Nor does it read
+# one, so a literal with a longer run of digits is refused on its text.
 MAX_DIGITS = 4300
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 # Largest decimal exponent parse_rational expands.  It is checked on the
 # text first, so "1e10000000" is refused at once; a mantissa adds digits
 # ("1234567e4299"), so the digit count is checked after it as well.
@@ -82,13 +83,6 @@ def bilaplacian_power_coeff(s: Rational, n: int) -> Fraction:
     return laplacian_power_coeff(s, n) * laplacian_power_coeff(s - 2, n)
 
 
-class PowerTerm(NamedTuple):
-    """One term c * r^s with exact rational coefficient and exponent."""
-
-    coeff: Fraction
-    exponent: Fraction
-
-
 @dataclass(frozen=True)
 class PowerSum:
     """A finite sum of rational powers of r with rational coefficients.
@@ -100,8 +94,7 @@ class PowerSum:
     pairs sorted by exponent, and den and qden divided by their gcd with
     the numerators, so that they are the lcm of the terms' coefficient
     and exponent denominators.  Equal sums then compare and hash equal
-    however they were built.  All arithmetic computes on the form; the
-    Fraction terms are read from it on demand.
+    however they were built.  All arithmetic computes on the form.
     """
 
     integer_form: tuple[int, int, tuple[tuple[int, int], ...]]
@@ -118,16 +111,9 @@ class PowerSum:
             den // g, qden // h, tuple((merged[k] // g, k // h) for k in ks)
         ))
 
-    @cached_property
-    def terms(self) -> tuple[PowerTerm, ...]:
-        """The terms in exponent order, with Fraction coefficient and
-        exponent.  Computed once per instance."""
-        den, qden, pairs = self.integer_form
-        return tuple(PowerTerm(Fraction(a, den), Fraction(k, qden)) for a, k in pairs)
-
     @staticmethod
     def of(*pairs: tuple[Rational, Rational]) -> "PowerSum":
-        """Build from (coefficient, exponent) pairs, PowerTerms included."""
+        """Build from rational (coefficient, exponent) pairs."""
         cs = [Fraction(c) for c, _ in pairs]
         es = [Fraction(e) for _, e in pairs]
         den = lcm(*(c.denominator for c in cs))
@@ -288,16 +274,25 @@ def touchdown_profile(m: Rational) -> PowerSum:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text) for a rational read from outside the program, but a
-    decimal exponent of magnitude above MAX_EXPONENT raises ValueError
-    before Fraction expands it, which takes seconds to minutes, and so
-    does a value whose numerator or denominator has more than MAX_DIGITS
-    digits.  A value that is not text (a number read from JSON) goes to
-    Fraction as it is."""
-    exponent = _EXPONENT.search(text) if isinstance(text, str) else None
-    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-        raise ValueError(f"decimal exponent above {MAX_EXPONENT}")
-    value = Fraction(text)
+    """Fraction(text) for a rational read from outside the program, but
+    every refusal is a ValueError with its reason: a decimal exponent of
+    magnitude above MAX_EXPONENT, refused before Fraction expands it,
+    which takes seconds to minutes; a literal with a run of more than
+    MAX_DIGITS digits, or a value whose numerator or denominator has
+    more; and a zero denominator.  A value that is not text (a number
+    read from JSON) goes to Fraction as it is."""
+    if isinstance(text, str):
+        exponent = _EXPONENT.search(text)
+        if exponent and (len(exponent[1]) > MAX_DIGITS or abs(int(exponent[1])) > MAX_EXPONENT):
+            raise ValueError(f"decimal exponent above {MAX_EXPONENT}")
+        if len(text) > MAX_DIGITS and any(
+            len(run.replace("_", "")) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)
+        ):
+            raise ValueError(f"numerator or denominator of more than {MAX_DIGITS} digits")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator, not {text!r}") from None
     if max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
         raise ValueError(f"numerator or denominator of more than {MAX_DIGITS} digits")
     return value

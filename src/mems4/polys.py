@@ -63,12 +63,6 @@ class RationalPolynomial:
         den = lcm(*(c.denominator for c in fs))
         return RationalPolynomial((den, (c.numerator * (den // c.denominator) for c in fs)))
 
-    @cached_property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The Fraction coefficients, read once per instance."""
-        den, cs = self.integer_form
-        return tuple(Fraction(c, den) for c in cs)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -113,9 +113,10 @@ class RadialField:
 
 def sample_power_sum(ps: PowerSum, radii: np.ndarray) -> np.ndarray:
     """Float samples of an exact power sum at the given radii."""
+    den, qden, pairs = ps.integer_form
     out = np.zeros_like(radii, dtype=float)
-    for t in ps.terms:
-        out += float(t.coeff) * radii ** float(t.exponent)
+    for a, k in pairs:
+        out += a / den * radii ** (k / qden)
     return out
 
 

@@ -55,7 +55,7 @@ def test_zero_voltage_is_trivial(grid3):
 
 
 def test_rejects_inadmissible_pair(grid3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha 1/1, beta 0/1 are not admissible: need beta <= 0"):
         continue_branch(BoundaryPair(1, 0), grid3, [1.0])
 
 

@@ -72,7 +72,7 @@ def test_gap_polynomial_matches_sympy_expansion():
         B = sympy.Rational(8 * (3 * n - 2) * (3 * n - 8), 45)
         C = sympy.Rational(12 * (n**2 - 1), 5)
         expected = _expand(A - B * (9 - 4 * S) ** 2 - C * S * (9 - 4 * S) ** 2)
-        assert stability_gap_polynomial(n).coeffs == expected.coeffs
+        assert stability_gap_polynomial(n) == expected
 
 
 def test_gap_polynomial_negative_in_low_dimension():
@@ -159,8 +159,8 @@ def test_nonneg_sign_change_multiple_roots():
 def _sympy_nonneg(p: RationalPolynomial) -> bool:
     """sympy's verdict on p >= 0 over the open (0, 1): its sign at the
     midpoint of each gap between sympy's distinct real roots there."""
-    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-                    or [0], S)
+    den, cs = p.integer_form
+    sp = sympy.Poly([sympy.Rational(c, den) for c in reversed(cs)] or [0], S)
     if sp.is_zero:
         return True
     cuts = sorted({0, 1, *(r for r in sp.real_roots() if 0 < r < 1)})
@@ -325,7 +325,8 @@ def test_bernstein_trail_verifies_and_falsifies():
 @given(st.fractions(min_value=F(1, 100), max_value=F(100), max_denominator=100))
 def test_rescaling_invariance(c):
     p = stability_gap_polynomial(12)
-    scaled = P(*(c * a for a in p.coeffs))
+    den, cs = p.integer_form
+    scaled = RationalPolynomial((den * c.denominator, [c.numerator * a for a in cs]))
     assert certify_nonneg(p).status == certify_nonneg(scaled).status
 
 

@@ -235,14 +235,57 @@ def test_float_input_refusal_names_its_flag(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (SEARCH_W3, "--lambda", "1/0"),
+        (SEARCH_W3[:-2], "--m", "1/0"),
+        (SEARCH_W3[:-2], "--m", "1:2:x"),
+        (SEARCH_PT[:-2], "--beta-grid", "1/0"),
+        (SEARCH_PT[:-4] + SEARCH_PT[-2:], "--alpha-grid", "1:1/0:2"),
+        (SEARCH_PT[:-2], "--beta-grid", "1:2:0"),
+        (["branch", "--dim", "3", "--mesh", "16"], "--lambda", "1:2:0"),
+        (["branch", "--dim", "3", "--mesh", "16"], "--lambda", "2:1:2"),
+    ],
+    ids=["lambda", "m", "m-count", "beta-grid", "alpha-grid", "beta-count", "branch-count",
+         "branch-decreasing"],
+)
+def test_search_and_voltage_refusal_names_its_flag(tmp_path, capsys, command, flag, value):
+    # A zero denominator is a ValueError of parse_rational, reported in
+    # the "--flag: reason" form, not as a bare Fraction(1, 0).
+    assert run_cli(*command, flag, value, "--out", str(tmp_path)) == 3
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert f"mems4 {command[0]}: {flag}: " in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, reason",
+    [("--alpha=2", "alpha 2/1, beta 0/1 are not admissible"),
+     ("--beta=1/2", "alpha 0/1, beta 1/2 are not admissible")],
+)
+def test_inadmissible_boundary_pair_names_its_values(tmp_path, capsys, flag, reason):
+    assert run_cli("pullin", "--dim", "3", "--mesh", "16", flag, "--out", str(tmp_path)) == 3
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert f"mems4 pullin: {reason}: need beta <= 0 and alpha - beta/2 < 1" in err
+    assert "BoundaryPair(" not in err
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["pullin", "--dim", "3", "--mesh", "16", "--alpha=1e-4300"],
         ["pullin", "--dim", "3", "--mesh", "16", "--beta=1234567e4299"],
         SEARCH_W3 + ["--lambda=1e-4300"],
         SEARCH_W3[:-1] + ["1e4300"],
+        # Literals whose own digits pass the limit, which Python's integer
+        # parser refuses with its own advice.
+        ["pullin", "--dim", "3", "--mesh", "16", "--alpha=" + "1" * 4301],
+        SEARCH_W3[:-1] + ["1" * 4301],
+        SEARCH_W3[:-1] + ["1:2:" + "1" * 4301],
+        ["bounds", "--n", "1.." + "1" * 4301],
     ],
-    ids=["alpha", "beta", "lambda", "m"],
+    ids=["alpha", "beta", "lambda", "m", "alpha-literal", "m-literal", "m-count", "n-range"],
 )
 def test_rational_past_the_digit_limit_exits_three(tmp_path, capsys, flags):
     # 10^4300 has 4301 digits, which Python writes as no text, so a run
@@ -250,7 +293,8 @@ def test_rational_past_the_digit_limit_exits_three(tmp_path, capsys, flags):
     # before any run directory.
     assert run_cli(*flags, "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
-    assert "more than 4300 digits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "more than 4300 digits" in err and "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(
