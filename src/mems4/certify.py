@@ -163,19 +163,11 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
         "interval": [format_rational(a), format_rational(b)],
         "closed": False,
     }
-    trail: list[dict] = [
-        {"step": "input", "degree": p.degree, "closed": False}
-    ]
+    trail: list[dict] = [{"step": "input", "degree": p.degree}]
 
     if p.is_zero():
         trail.append({"step": "conclusion", "note": "zero polynomial"})
         return Certificate(base_claim, VERIFIED, None, trail)
-
-    # Recorded in the trail; an open interval puts no condition on them.
-    for pt in (a, b):
-        trail.append(
-            {"step": "endpoint-value", "point": format_rational(pt), **_value_entry(p(pt))}
-        )
 
     def sign_point(x: Fraction, where: str) -> Certificate | None:
         v = p(x)
@@ -312,7 +304,6 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
         "step": "power-substitution",
         "multiplier_exponent": format_rational(-e_min),
         "substitution_order": q,
-        "polynomial": inner.claim["polynomial"],
     }
     trail = [reduction_step] + inner.trail
     witness = None

@@ -33,7 +33,9 @@ grid count, --profiles or search candidate count above 4096, a search
 grid flag missing for --family or given for the other family, a
 candidate outside its family (m > 0, m != 4/3; alpha, beta > 0), and a
 candidate whose checks pass certify.MAX_CHECK_DEGREE.  A refusal of a
-rational, grid or voltage reads "--flag: reason".
+rational, grid, voltage, dimension or candidate reads "--flag: reason";
+a candidate's flag is its family's grid flags, "--m" or
+"--alpha-grid/--beta-grid".
 
 This module never loads numpy (``_linspace`` builds its grids) and its
 import loads no float engine (mems4.branch, mems4.radial_operator).
@@ -95,11 +97,11 @@ MAX_GRID = 4096
 # together.  Python turns no integer of more than 4300 digits into text.
 # A trail writes exact values past certify.MAX_VALUE_BITS as signs, so
 # the voltage's digits reach a certificate through its claim's
-# coefficients and endpoint values, and a witness near r = 0 has digits
-# that grow with the voltage's magnitude, not its digits.  600 admits
-# every float written to 17 significant digits (1.7976931348623157e308
-# has 309 + 1) and bounds what Sturm isolation's exact arithmetic, which
-# slows with the voltage's digits, has to carry.
+# coefficients and its sign-evaluation values, and a witness near r = 0
+# has digits that grow with the voltage's magnitude, not its digits.  600
+# admits every float written to 17 significant digits
+# (1.7976931348623157e308 has 309 + 1) and bounds what Sturm isolation's
+# exact arithmetic, which slows with the voltage's digits, has to carry.
 MAX_VOLTAGE_DIGITS = 600
 
 CLAIM_SELECTORS = (*certify.CLAIMS, "thresholds")
@@ -211,10 +213,11 @@ _SOLVER_ARGS = (
 )
 
 
-def _flag(flag: str, check: Callable, value):
-    """check(value), its ValueError prefixed by the flag that gave the value."""
+def _flag(flag: str, check: Callable, *values):
+    """check(*values), its ValueError prefixed by the flag that gave the
+    values."""
     try:
-        return check(value)
+        return check(*values)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
@@ -241,7 +244,7 @@ def _solver_inputs(args) -> tuple[dict, Workspace]:
         raise ValueError(f"--mesh: interior node count in 16..{MAX_MESH}, not {args.mesh}")
     inputs = {"dim": args.dim, "mesh": args.mesh,
               "alpha": _boundary_value(args, "alpha"), "beta": _boundary_value(args, "beta")}
-    return inputs, Workspace(_boundary(inputs), _grid(inputs))
+    return inputs, Workspace(_boundary(inputs), _flag("--dim", _grid, inputs))
 
 
 def _dimension_range(text: str, claim: str) -> list[int]:
@@ -264,7 +267,7 @@ _BOUNDS_COLUMNS = (
 
 
 def _bounds_inputs(args) -> dict:
-    return {"n": _dimension_range(args.n, "thresholds")}
+    return {"n": _flag("--n", _dimension_range, args.n, "thresholds")}
 
 
 def _csv_fields(row: dict) -> list[tuple[str, object]]:
@@ -291,7 +294,7 @@ def _run_bounds(inputs, run) -> int:
 
 
 def _certify_inputs(args) -> dict:
-    return {"claim": args.claim, "n": _dimension_range(args.n, args.claim)}
+    return {"claim": args.claim, "n": _flag("--n", _dimension_range, args.n, args.claim)}
 
 
 def _run_certify(inputs, run) -> int:
@@ -419,22 +422,22 @@ def _search_params(args) -> list:
         alphas = _flag("--alpha-grid", parse_fraction_grid, args.alpha_grid)
         betas = _flag("--beta-grid", parse_fraction_grid, args.beta_grid)
         if len(alphas) * len(betas) > MAX_GRID:
-            raise ValueError(f"{len(alphas)} x {len(betas)} candidates exceed {MAX_GRID}")
+            raise ValueError(f"--alpha-grid/--beta-grid: {len(alphas)} x {len(betas)} "
+                             f"candidates exceed {MAX_GRID}")
         return [(a, b) for a in alphas for b in betas]
     return _flag("--m", parse_fraction_grid, args.m)
 
 
 def _search_inputs(args) -> dict:
     dim = args.dim
-    certify.check_dimensions("search-subsolution", dim, dim)
-    if not 9 <= dim <= 16:
-        print(f"search-subsolution: dimension {dim} outside the open range 9..16 "
-              "(treating as a sanity run)", file=sys.stderr)
+    _flag("--dim", certify.check_dimensions, "search-subsolution", dim, dim)
+    grids = "/".join(f"--{dest.replace('_', '-')}" for dest in FAMILY_GRIDS[args.family])
     params = []
     for k, p in enumerate(_search_params(args), 1):
-        _, w = certify.candidate_profile(args.family, p)  # alpha, beta > 0; m > 0, m != 4/3
+        # alpha, beta > 0; m > 0, m != 4/3
+        _, w = _flag(grids, certify.candidate_profile, args.family, p)
         if certify.check_degree(w) > MAX_CHECK_DEGREE:
-            raise ValueError(f"candidate {k}: its checks exceed degree {MAX_CHECK_DEGREE}")
+            raise ValueError(f"{grids}: candidate {k}: its checks exceed degree {MAX_CHECK_DEGREE}")
         params.append(list(map(format_rational, p)) if isinstance(p, tuple) else format_rational(p))
     inputs = {"dim": dim, "family": args.family, "params": params}
     # Given only with --lambda; the search's own default is H_N/2.

@@ -206,10 +206,8 @@ def test_negative_probe_falsifies_without_isolation():
     p = P(F(-1, 2), 1)
     cert = certify_nonneg(p)
     assert cert.status == "falsified" and cert.witness == F(1, 4)
-    assert [t["step"] for t in cert.trail] == [
-        "input", "endpoint-value", "endpoint-value", "sign-evaluation", "conclusion",
-    ]
-    assert cert.trail[3] == {"step": "sign-evaluation", "where": "probe",
+    assert [t["step"] for t in cert.trail] == ["input", "sign-evaluation", "conclusion"]
+    assert cert.trail[1] == {"step": "sign-evaluation", "where": "probe",
                              "point": "1/4", "value": "-1/4"}
     assert "_remainders" not in p.__dict__
 
@@ -224,7 +222,7 @@ def test_negative_set_between_probes_falsifies_through_isolation():
     steps = [t["step"] for t in cert.trail]
     assert {"step": "interior-root-count", "count": 2} in cert.trail
     assert all(t.get("where") != "probe" for t in cert.trail)
-    assert steps[:4] == ["input", "endpoint-value", "endpoint-value", "interior-root-count"]
+    assert steps[:2] == ["input", "interior-root-count"]
 
 
 def test_probe_witness_replays_and_an_edited_one_does_not():
@@ -424,7 +422,8 @@ EDITS = {
     "m3-gap-root-count": ("m3-gap", _set_step("interior-root-count", "count", 7)),
     "m3-gap-sign-value": ("m3-gap", _set_step("sign-evaluation", "value", "-1/1")),
     "m3-gap-dimension": ("m3-gap", _set_claim("dimension", 4)),
-    "power-sum-substitution": ("power-sum", _set_step("power-substitution", "polynomial", ["1/1"])),
+    "power-sum-substitution": ("power-sum",
+                               _set_step("power-substitution", "substitution_order", 6)),
     "thresholds-hardy": ("thresholds", _set_step("compare", "hardy", "0/1", which=20)),
     "thresholds-onset": ("thresholds", _set_pattern_onset),
     "m2-description": ("m2", _set_claim("description", "anything")),
@@ -436,7 +435,7 @@ EDITS = {
     "m3-gap-4-witness-number": ("m3-gap-4", _set_field("witness", 0.5)),
     "m3-gap-4-extra-key": ("m3-gap-4", _set_field("extra", None)),
     # Values that == takes for the rebuilt ones: 0 == False, 3.0 == 3.
-    "m3-gap-closed-as-zero": ("m3-gap", _set_step("input", "closed", 0)),
+    "m3-gap-closed-as-zero": ("m3-gap", _set_claim("closed", 0)),
     "m3-gap-degree-as-float": ("m3-gap", _set_step("input", "degree", 3.0)),
 }
 
@@ -767,10 +766,10 @@ def test_check_degree_bounds_every_check(family, params):
     assert bound == 3 * reduce_power_sum(w)[0].degree
     reached = 0
     for cert in check_candidate(w, 9, hardy_rellich(9) / 2, pd).checks.values():
-        step = cert.trail[0]
+        substitution, cleared = cert.trail[:2]
         exponents = [F(e) for _, e in cert.claim["terms"]]
-        reached = max(reached, len(step["polynomial"]) - 1,
-                      max(exponents) * step["substitution_order"])
+        reached = max(reached, cleared["degree"],
+                      max(exponents) * substitution["substitution_order"])
     assert reached <= bound
 
 

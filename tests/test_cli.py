@@ -259,6 +259,39 @@ def test_search_and_voltage_refusal_names_its_flag(tmp_path, capsys, command, fl
 
 
 @pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["bounds", "--n", "1..0"], "--n"),
+        (["certify", "m3-gap", "--n", "0..3"], "--n"),
+        (["bounds", "--n", "1.." + "1" * 4301], "--n"),
+        (["search-subsolution", "--dim", "70", "--family", "touchdown-m", "--m", "3"], "--dim"),
+        (SEARCH_W3[:-1] + ["4/3"], "--m"),
+        (SEARCH_W3[:-1] + ["301/3"], "--m"),
+        (SEARCH_PT[:-3] + ["0:1:2", "--beta-grid", "1"], "--alpha-grid/--beta-grid"),
+        (SEARCH_PT[:-3] + ["1", "--beta-grid", "298/3"], "--alpha-grid/--beta-grid"),
+        (SEARCH_PT[:-3] + ["1:2:64", "--beta-grid", "1:2:65"], "--alpha-grid/--beta-grid"),
+        (["pullin", "--dim", "0", "--mesh", "16"], "--dim"),
+    ],
+    ids=["bounds-n", "certify-n", "n-literal", "search-dim", "m-pole", "m-degree",
+         "alpha-grid", "beta-grid-degree", "grid-count", "pullin-dim"],
+)
+def test_dimension_and_candidate_refusal_names_its_flag(tmp_path, capsys, flags, flag):
+    # A candidate's flag is its family's grid flags.
+    assert run_cli(*flags, "--out", str(tmp_path)) == 3
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith(f"mems4 {flags[0]}: {flag}: ") and err.count("\n") == 1
+
+
+def test_refused_search_prints_no_note(tmp_path, capsys):
+    # Dimension 17 lies outside 9..16, which search.json's notes record;
+    # a refused run prints its refusal alone.
+    assert run_cli(*SEARCH_W3, "--lambda", "1/0", "--out", str(tmp_path)) == 3
+    assert capsys.readouterr().err == (
+        "mems4 search-subsolution: --lambda: zero denominator, not '1/0'\n")
+
+
+@pytest.mark.parametrize(
     "flag, reason",
     [("--alpha=2", "alpha 2/1, beta 0/1 are not admissible"),
      ("--beta=1/2", "alpha 0/1, beta 1/2 are not admissible")],
@@ -804,7 +837,7 @@ def test_streamed_search_equals_the_materialized_report(tmp_path, capsys, argv):
 
 
 def test_search_memory_does_not_grow_with_the_candidates(tmp_path, capsys):
-    # 256 copies of one candidate: a search holds one candidate's report
+    # 384 copies of one candidate: a search holds one candidate's report
     # at a time, so its peak stays far below the file it writes.  A
     # one-candidate search first pays what any first search allocates
     # once and keeps (first-call state, CPython's tuple free lists).
@@ -813,13 +846,13 @@ def test_search_memory_does_not_grow_with_the_candidates(tmp_path, capsys):
                    "--out", str(tmp_path / "warm")) == 0
     tracemalloc.start()
     try:
-        code = run_cli("search-subsolution", *grid, "--alpha-grid", "5/6:5/6:256",
+        code = run_cli("search-subsolution", *grid, "--alpha-grid", "5/6:5/6:384",
                        "--out", str(tmp_path / "big"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert "candidates: 256, passing: 0" in capsys.readouterr().out
+    assert "candidates: 384, passing: 0" in capsys.readouterr().out
     size = find_one(tmp_path / "big", "search.json").stat().st_size
     assert size > 1_800_000
     assert peak < size / 2

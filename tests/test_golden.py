@@ -86,37 +86,37 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "certify-m2-subsolution": (0, {
         "certify-11b7a6112a/certificates/m2-subsolution-30.json":
-            "bce0566d40d2562907311be03fcac537445afd532dfbcf052daa6864c51d215c",
+            "cc0f0b3c4b1645c47dc667de80dbf0a3c14d0258c3606d5940041d52da0744e1",
         "certify-11b7a6112a/certificates/m2-subsolution-31.json":
-            "37a1ceed51715e79d65c1a20290ecf385fe5a4cbfb4d37bbfc4a25efa7eb522d",
+            "3b62718c9f0fb2c1f12005e2bd2ac8e068886e1a1053b2edd71c792c8c1d2c9c",
         "certify-11b7a6112a/certificates/m2-subsolution-32.json":
-            "1fe0ca1399f61802a5a22e4af9425f3fb520bc728e213dc9a3f8fa90f4d79cab",
+            "fe4864bc859bfe046f78e7dae6269c32f7ae8175388c4619a5a13e6530da6073",
         "certify-11b7a6112a/config.json":
             "73bd0fd71a7a6c85953804cc3a6064ba1d235300b2a546d9d7628a0ca4ea894f",
     }),
     "certify-m3-gap": (1, {
         "certify-700159371f/certificates/m3-gap-16.json":
-            "17507646017e67fcc53df8c826df0f1c3a5ed116db1f51ef66a0909fd6499644",
+            "6cb5067eb0b11fa5f15f5e2c4b61e08f428e050435ee3242bd008b867efdd84a",
         "certify-700159371f/certificates/m3-gap-17.json":
-            "b6b6428dc8c60a88ba37023bfdcccbc042eb885e1980690d3d47c006375a8c62",
+            "2888650fcfc20ae69adc8578ffa693dce94c341ce675b403f6960c9e06673f8e",
         "certify-700159371f/certificates/m3-gap-18.json":
-            "3201965889816d0565cfcc2a61e61d15756a50ff873adfc3f1c20e0949a8bea9",
+            "4fa38a140b5b3b28e3df40e988e1fbc7aa1cf0c9d5dc34e5cc3472ce239b9ddf",
         "certify-700159371f/config.json":
             "63ad310bfa431a15908840775206633d0ce3283fc693250726d4f573e0d8925e",
     }),
     "certify-m3-gap-falsified": (1, {
         "certify-60dce54d88/certificates/m3-gap-4.json":
-            "206e386d84acbc89e1ecd46bd9f1826995b8494a72dc19abc4bde9db65e03490",
+            "334e4a321a7659a5c5b34cfdee480bb8a0fdcf0822408371116254c5a3882ab6",
         "certify-60dce54d88/config.json":
             "9418c600643ea4e8a697cc27d0e063dcc2fc44244d318371776c4aa7d076b8d4",
     }),
     "certify-m3-stability": (0, {
         "certify-70a2883d43/certificates/m3-stability-5.json":
-            "a88680074d279dd630f2d954707e40300cd3644ef3975deef3ac558cc1d18269",
+            "0b92489edda29803c5e47594ed86ccfb072b4477f3dbf7d4e038582b15eda0ac",
         "certify-70a2883d43/certificates/m3-stability-6.json":
-            "6d1ebd5e4715eb3f597cc6ec680cf6afc8d3a089c011b27126c4588eb2255479",
+            "ee95ab62982778c1bb894006514c44da22cf7770ed2e4d09f05482e9d3f8c9e8",
         "certify-70a2883d43/certificates/m3-stability-7.json":
-            "33971b6fbe866e465d6af7bbb474966ee99a1d92bb447a8a5fccc16410b3c1ae",
+            "92fdb77ee96e47ded98cc4da065d64804d280fa81840ebdb70b0daaf62fd00d9",
         "certify-70a2883d43/config.json":
             "1c0b7d2b29815ceb5803e880163b791c3afec0529490b18fc6f262a8dfcfcfbb",
     }),
@@ -168,19 +168,19 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         "search-subsolution-015caeed4a/config.json":
             "26c59f0dba63112128d7eb9bc36c94f978b6818cedff348128f446205e609887",
         "search-subsolution-015caeed4a/search.json":
-            "7339ea941a41352017f61bca3462259326b9960f980aaae03c7d116363a2a84a",
+            "ece4648f4adbb1f4136bc7c9d1653b6c9b87995d13c81cb7ebf0c9c20f92f939",
     }),
     "search-perturbed-touchdown": (0, {
         "search-subsolution-faf9d8980e/config.json":
             "d754b521eece4f12d7d117e789c13fe13f3a065065cd675ed25f82ebc0981aaa",
         "search-subsolution-faf9d8980e/search.json":
-            "e269561af1975b59c053bb4df8252c141730115b0b277026a20c3143016388f3",
+            "00bd88e818c1af1ca96dfd4ae7cfff6a70e8d8c09749662a40ee24d60531d162",
     }),
     "search-touchdown-m": (0, {
         "search-subsolution-c1e93e36e3/config.json":
             "9777e0cd740be13bd31a475e310391457249d4f88a0edb81512036af0315101b",
         "search-subsolution-c1e93e36e3/search.json":
-            "59f2c15772531e3aa6c47db9d010f4829c5eb3f5c4d3e6d7a0e2cbdfdd1382ff",
+            "ce5974f7668907eddc9cf98efccd0e2e8eff6cc1670133232710f0d552c8d9ed",
     }),
 }
 
