@@ -147,8 +147,9 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     negative point is the witness.  Up to STURM_DEGREE, or when a piece
     keeps two sign variations past polys.BERNSTEIN_DEPTH halvings (a repeated
     root), isolate every distinct interior root by Sturm bisection, then
-    determine the sign of p at each isolating-interval edge and each gap
-    midpoint by exact evaluation; this covers the whole open interval.
+    determine the sign of p at each isolating-interval edge, or at the
+    midpoint 1/2 when there is no interior root, by exact evaluation;
+    this covers the whole open interval.
     Raises ValueError above MAX_CHECK_DEGREE.  ``claim`` adds keys to the
     claim record; it cannot change the kind, the polynomial or the
     interval.
@@ -166,7 +167,6 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     trail: list[dict] = [{"step": "input", "degree": p.degree}]
 
     if p.is_zero():
-        trail.append({"step": "conclusion", "note": "zero polynomial"})
         return Certificate(base_claim, VERIFIED, None, trail)
 
     def sign_point(x: Fraction, where: str) -> Certificate | None:
@@ -180,12 +180,10 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
             }
         )
         if v < 0:
-            trail.append({"step": "conclusion", "status": FALSIFIED})
             return Certificate(base_claim, FALSIFIED, x, trail)
         return None
 
     # A negative probe falsifies p without its Sturm chain.
-    _, cs = p.integer_form
     for x in PROBES:
         if sign_at(cs, x) < 0:
             return sign_point(x, "probe")
@@ -198,28 +196,18 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
             return sign_point(witness, "bernstein")
         trail.append({"step": "bernstein",
                       "pieces": [[format_rational(lo), format_rational(hi)] for lo, hi in pieces]})
-        trail.append({"step": "conclusion", "status": VERIFIED})
         return Certificate(base_claim, VERIFIED, None, trail)
 
     # Every distinct interior root lands in exactly one isolating interval
-    # whose edges are interior non-roots; the sign of p is constant on the
-    # complementary gaps and on either side of each isolated root.
+    # whose edges are interior non-roots: p has one sign on each gap the
+    # roots leave in (0, 1), and each gap holds an edge or is (0, 1) itself.
     ivs = p.isolate_roots(a, b)
     trail.append({"step": "interior-root-count", "count": len(ivs)})
-
-    for lo, hi in ivs:
-        for x in (lo, hi):
-            bad = sign_point(x, "isolating-interval-edge")
-            if bad:
-                return bad
-    gap_edges = [a] + [x for iv in ivs for x in iv] + [b]
-    for u, v in zip(gap_edges[::2], gap_edges[1::2]):
-        if u >= v:
-            continue
-        bad = sign_point((u + v) / 2, "gap-midpoint")
+    points = [(x, "isolating-interval-edge") for iv in ivs for x in iv]
+    for x, where in points or [((a + b) / 2, "gap-midpoint")]:
+        bad = sign_point(x, where)
         if bad:
             return bad
-    trail.append({"step": "conclusion", "status": VERIFIED})
     return Certificate(base_claim, VERIFIED, None, trail)
 
 
@@ -297,7 +285,7 @@ def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     witness t0 becomes the radius t0^q."""
     claim = _power_sum_claim(ps, label)
     if ps.is_zero():
-        return Certificate(claim, VERIFIED, None, [{"step": "conclusion", "note": "zero power sum"}])
+        return Certificate(claim, VERIFIED, None, [])
     poly, e_min, q = reduce_power_sum(ps)
     inner = certify_nonneg(poly)
     reduction_step = {
@@ -440,7 +428,6 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
         if not ok and status == VERIFIED:
             status = FALSIFIED
             witness = Fraction(row.dimension)
-    trail.append({"step": "conclusion", "status": status})
     return Certificate(claim, status, witness, trail)
 
 

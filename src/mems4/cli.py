@@ -580,7 +580,7 @@ def main(argv=None) -> int:
         print(f"mems4 {args.command}: diverged: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     except OSError as exc:
-        print(f"mems4: I/O error: {exc}", file=sys.stderr)
+        print(f"mems4 {args.command}: I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -362,6 +362,26 @@ def test_nu1_accuracy_floor_note(monkeypatch):
     assert not any(n.startswith("nu1 accuracy floor") for n in coarse.notes)
 
 
+def test_pull_in_grows_the_bracket_past_a_low_analytic_bound(monkeypatch):
+    # With 4 nu1 / 27 halved, the start solve converges: the search grows
+    # the upper end until a solve diverges, flags the oracle, and still
+    # brackets the same pull-in voltage.
+    grid = build_grid(64, 3)
+    plain = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-6)
+    bounds = mems4.branch.analytic_pull_in_bounds
+
+    def halved(op):
+        lower, upper, gap = bounds(op)
+        return lower, upper / 2, gap
+
+    monkeypatch.setattr(mems4.branch, "analytic_pull_in_bounds", halved)
+    est = pull_in_voltage(HOMOGENEOUS, grid, rel_width=1e-6)
+    assert not plain.flagged and plain.consistent is True
+    assert est.flagged and est.consistent is False
+    assert "upper end grew past the analytic bound; oracle flagged" in est.notes
+    assert est.lambda_lo <= plain.lambda_hi and plain.lambda_lo <= est.lambda_hi
+
+
 @pytest.mark.parametrize("dim", [1, 2, 6, 17])
 def test_pull_in_at_the_smallest_rel_width_ends(dim):
     # Above the float spacing 2^-52 every midpoint moves an end, so the

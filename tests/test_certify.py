@@ -133,7 +133,14 @@ def test_nonneg_falsified_with_witness():
 def test_nonneg_zero_polynomial():
     cert = certify_nonneg(P())
     assert cert.status == "verified"
-    assert any("zero" in str(t.get("note", "")) for t in cert.trail)
+    assert cert.trail == [{"step": "input", "degree": -1}]
+
+
+def test_zero_power_sum_is_verified_with_an_empty_trail():
+    cert = power_sum_nonneg(PowerSum.of())
+    assert cert.status == "verified" and cert.witness is None
+    assert cert.trail == []
+    assert replay_certificate(_round_trip(cert))
 
 
 def test_nonneg_touching_zero_inside():
@@ -206,7 +213,7 @@ def test_negative_probe_falsifies_without_isolation():
     p = P(F(-1, 2), 1)
     cert = certify_nonneg(p)
     assert cert.status == "falsified" and cert.witness == F(1, 4)
-    assert [t["step"] for t in cert.trail] == ["input", "sign-evaluation", "conclusion"]
+    assert [t["step"] for t in cert.trail] == ["input", "sign-evaluation"]
     assert cert.trail[1] == {"step": "sign-evaluation", "where": "probe",
                              "point": "1/4", "value": "-1/4"}
     assert "_remainders" not in p.__dict__
@@ -268,6 +275,11 @@ def test_nonneg_at_degree_cap_with_many_touching_roots():
     assert p.degree == 64
     cert = certify_nonneg(p)
     assert cert.status == "verified"
+    # Each double root's interval gives two edge evaluations, which decide
+    # every gap: no gap midpoint is evaluated.
+    wheres = [t.get("where") for t in cert.trail]
+    assert wheres.count("isolating-interval-edge") == 64 and "gap-midpoint" not in wheres
+    assert replay_certificate(_round_trip(cert))
     # flipping one factor to odd multiplicity produces a witness
     q = _expand(sympy.Mul(*factors[:-1], S - sympy.Rational(32, 33)))
     cert2 = certify_nonneg(q)
@@ -315,7 +327,7 @@ def test_bernstein_trail_verifies_and_falsifies():
     p = _expand(lift * (S - sympy.Rational(5, 8)) * (S - sympy.Rational(11, 16)))
     cert = certify_nonneg(p)
     assert cert.status == "falsified" and cert.witness == F(21, 32) and p(cert.witness) < 0
-    assert cert.trail[-2]["where"] == "bernstein"
+    assert cert.trail[-1]["where"] == "bernstein"
     assert replay_certificate(_round_trip(cert))
 
 
@@ -379,6 +391,10 @@ def test_replay_accepts_every_kind_after_json_round_trip():
         d = json.loads(json.dumps(cert.to_json_dict()))
         assert replay_certificate(d), cert.claim
         assert replay_certificate(Certificate.from_json_dict(d)), cert.claim
+        # A trail is evidence: the status alone is the verdict, also in
+        # the components of a composite claim.
+        trails = [d["trail"]] + [c["trail"] for c in d["claim"].get("components", [])]
+        assert all(t["step"] != "conclusion" for trail in trails for t in trail), cert.claim
 
 
 def _range_upper() -> Certificate:
@@ -827,7 +843,7 @@ def test_high_degree_witness_that_does_not_confirm_raises(monkeypatch):
     # power sum that is not negative there must stop the engine.
     ps = _m_eleven_halves("subsolution")
     assert reduce_power_sum(ps)[0].degree == 75
-    assert power_sum_nonneg(ps).trail[-3]["where"] == "bernstein"
+    assert power_sum_nonneg(ps).trail[-2]["where"] == "bernstein"
     monkeypatch.setattr(PowerSum, "evaluate_exact", lambda self, r: F(0))
     with pytest.raises(ArithmeticError, match="witness does not confirm"):
         power_sum_nonneg(ps)
@@ -859,7 +875,7 @@ def test_witness_values_past_the_bit_limit_are_written_as_signs():
     pd, w = candidate_profile("perturbed-touchdown", (F(5, 4), F(5)))
     cert = check_candidate(w, 17, F(1.7976931348623157e308), pd).checks["subsolution"]
     assert cert.status == "falsified"
-    evaluation, _, confirmation = cert.trail[-3:]
+    evaluation, confirmation = cert.trail[-2:]
     assert evaluation["where"] == "bernstein"
     for step in (evaluation, confirmation):
         assert step["sign"] == -1 and "value" not in step

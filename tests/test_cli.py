@@ -245,17 +245,23 @@ def test_float_input_refusal_names_its_flag(tmp_path, capsys, flag, value):
         (SEARCH_PT[:-2], "--beta-grid", "1:2:0"),
         (["branch", "--dim", "3", "--mesh", "16"], "--lambda", "1:2:0"),
         (["branch", "--dim", "3", "--mesh", "16"], "--lambda", "2:1:2"),
+        (["branch", "--dim", "3", "--mesh", "16"], "--lambda", "1:2"),
+        (SEARCH_W3[:-2], "--m", "1:2:3:4"),
+        (SEARCH_PT[:-4] + SEARCH_PT[-2:], "--alpha-grid", "1:2"),
     ],
     ids=["lambda", "m", "m-count", "beta-grid", "alpha-grid", "beta-count", "branch-count",
-         "branch-decreasing"],
+         "branch-decreasing", "branch-two-parts", "m-four-parts", "alpha-grid-two-parts"],
 )
 def test_search_and_voltage_refusal_names_its_flag(tmp_path, capsys, command, flag, value):
     # A zero denominator is a ValueError of parse_rational, reported in
-    # the "--flag: reason" form, not as a bare Fraction(1, 0).
+    # the "--flag: reason" form, not as a bare Fraction(1, 0).  A spec of
+    # two or four parts is refused by its usage line.
     assert run_cli(*command, flag, value, "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err
     assert f"mems4 {command[0]}: {flag}: " in err and "Fraction(" not in err
+    if value.count(":") in (1, 3):
+        assert "spec must be" in err
 
 
 @pytest.mark.parametrize(
@@ -281,6 +287,16 @@ def test_dimension_and_candidate_refusal_names_its_flag(tmp_path, capsys, flags,
     assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err
     assert err.startswith(f"mems4 {flags[0]}: {flag}: ") and err.count("\n") == 1
+
+
+def test_io_error_names_its_command(tmp_path, capsys):
+    # An --out that is a regular file cannot hold a run directory.
+    out = tmp_path / "file"
+    out.write_text("")
+    assert run_cli("certify", "m3-gap", "--n", "17", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mems4 certify: I/O error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == ""
 
 
 def test_refused_search_prints_no_note(tmp_path, capsys):
@@ -688,6 +704,22 @@ def test_pullin_far_negative_alpha_exits_zero(tmp_path):
     assert not any("flagged" in note for note in payload["notes"])
     assert payload["consistent"] is None
     assert payload["lambda_hi"] < 4.65e307
+
+
+def test_pullin_flags_the_low_nu1_of_a_fine_dim_1_mesh(tmp_path):
+    # At dim 1, n = 4096, eig_banded's nu1 is 28% low (analytic_upper
+    # 2.977 against lambda_lo 3.879), so the start solve converges and the
+    # upward search flags the oracle: exit 2, with both notes.  The
+    # continuum pull-in voltage is 4.381 (ROADMAP item 13), so the value is
+    # not asserted, only the detector.  ROADMAP item 1's factored operator
+    # will unflag this case.
+    code = run_cli("pullin", "--dim", "1", "--mesh", "4096", "--out", str(tmp_path))
+    assert code == 2
+    payload = json.loads(find_one(tmp_path, "pullin.json").read_text())
+    assert payload["consistent"] is False
+    assert any(n.startswith("nu1 accuracy floor") and n.endswith("2.8e-01 relative")
+               for n in payload["notes"])
+    assert "upper end grew past the analytic bound; oracle flagged" in payload["notes"]
 
 
 def test_one_voltage_branch_writes_its_profile(tmp_path):

@@ -86,43 +86,43 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "certify-m2-subsolution": (0, {
         "certify-11b7a6112a/certificates/m2-subsolution-30.json":
-            "cc0f0b3c4b1645c47dc667de80dbf0a3c14d0258c3606d5940041d52da0744e1",
+            "6a4452cc07e3d08592b5bebf5b694a301c3d66682e02f45c9783415b760c2eeb",
         "certify-11b7a6112a/certificates/m2-subsolution-31.json":
-            "3b62718c9f0fb2c1f12005e2bd2ac8e068886e1a1053b2edd71c792c8c1d2c9c",
+            "5c09c45b7acf787d3e5aa47b4f4fb0ec0da85e96dcc091793ae693656e611702",
         "certify-11b7a6112a/certificates/m2-subsolution-32.json":
-            "fe4864bc859bfe046f78e7dae6269c32f7ae8175388c4619a5a13e6530da6073",
+            "5d40b4e1287af9c60cb3ffe1561699e09407770564e58c062b7a60c8b55e2a83",
         "certify-11b7a6112a/config.json":
             "73bd0fd71a7a6c85953804cc3a6064ba1d235300b2a546d9d7628a0ca4ea894f",
     }),
     "certify-m3-gap": (1, {
         "certify-700159371f/certificates/m3-gap-16.json":
-            "6cb5067eb0b11fa5f15f5e2c4b61e08f428e050435ee3242bd008b867efdd84a",
+            "4a12d029d85c5bb2471f29c49cab7fa10aa7a6adb333f39713ad8871f515d2c3",
         "certify-700159371f/certificates/m3-gap-17.json":
-            "2888650fcfc20ae69adc8578ffa693dce94c341ce675b403f6960c9e06673f8e",
+            "50badd2bd39364b695a815a7369e31e6036c329a290c172a671dbc4438af31cc",
         "certify-700159371f/certificates/m3-gap-18.json":
-            "4fa38a140b5b3b28e3df40e988e1fbc7aa1cf0c9d5dc34e5cc3472ce239b9ddf",
+            "9d59af0101766ffde44ec689efb532449011af6446f49d34dc092fe0804d9e30",
         "certify-700159371f/config.json":
             "63ad310bfa431a15908840775206633d0ce3283fc693250726d4f573e0d8925e",
     }),
     "certify-m3-gap-falsified": (1, {
         "certify-60dce54d88/certificates/m3-gap-4.json":
-            "334e4a321a7659a5c5b34cfdee480bb8a0fdcf0822408371116254c5a3882ab6",
+            "9161b99609d338ae6b753a55760e42375de7e33312d022c415943d38b0a9183a",
         "certify-60dce54d88/config.json":
             "9418c600643ea4e8a697cc27d0e063dcc2fc44244d318371776c4aa7d076b8d4",
     }),
     "certify-m3-stability": (0, {
         "certify-70a2883d43/certificates/m3-stability-5.json":
-            "0b92489edda29803c5e47594ed86ccfb072b4477f3dbf7d4e038582b15eda0ac",
+            "b9b90256d25453b4c9461eede1af27164644f0df3da59d74f10940392a633b68",
         "certify-70a2883d43/certificates/m3-stability-6.json":
-            "ee95ab62982778c1bb894006514c44da22cf7770ed2e4d09f05482e9d3f8c9e8",
+            "17c037530cc8467d039432c4677fdd48afff2962e087ebe42fb5a4c21c68cc53",
         "certify-70a2883d43/certificates/m3-stability-7.json":
-            "92fdb77ee96e47ded98cc4da065d64804d280fa81840ebdb70b0daaf62fd00d9",
+            "911ae046666edf272b849023d3a9f83497957cc61d351695739248b5d91dcd3e",
         "certify-70a2883d43/config.json":
             "1c0b7d2b29815ceb5803e880163b791c3afec0529490b18fc6f262a8dfcfcfbb",
     }),
     "certify-thresholds": (0, {
         "certify-207ed4d381/certificates/thresholds-1-40.json":
-            "afe16facb031fd0cb49640ab8e310ec049461991619461cf16cc25a0d635128c",
+            "6ec7b5114d79418dbdb55376f2779c7bf4e5097647467d2c06935fe533342aa1",
         "certify-207ed4d381/config.json":
             "611980a8f75343fee054fb13f64af783432fe1bfd44170f4bc13bee80a006b2b",
     }),
@@ -168,19 +168,19 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         "search-subsolution-015caeed4a/config.json":
             "26c59f0dba63112128d7eb9bc36c94f978b6818cedff348128f446205e609887",
         "search-subsolution-015caeed4a/search.json":
-            "ece4648f4adbb1f4136bc7c9d1653b6c9b87995d13c81cb7ebf0c9c20f92f939",
+            "5553c7bb3490c5e963d58c0b85289b9ceae2de64667c4fc1933518c23c052b31",
     }),
     "search-perturbed-touchdown": (0, {
         "search-subsolution-faf9d8980e/config.json":
             "d754b521eece4f12d7d117e789c13fe13f3a065065cd675ed25f82ebc0981aaa",
         "search-subsolution-faf9d8980e/search.json":
-            "00bd88e818c1af1ca96dfd4ae7cfff6a70e8d8c09749662a40ee24d60531d162",
+            "90d15beae5fe65e7f4e088c4a9bc3290df4c378400f01daedae3f5533921e9d8",
     }),
     "search-touchdown-m": (0, {
         "search-subsolution-c1e93e36e3/config.json":
             "9777e0cd740be13bd31a475e310391457249d4f88a0edb81512036af0315101b",
         "search-subsolution-c1e93e36e3/search.json":
-            "ce5974f7668907eddc9cf98efccd0e2e8eff6cc1670133232710f0d552c8d9ed",
+            "83372b09507d5d2b3489ad893336c85a9fef728c44b84b7b616025d01a79a936",
     }),
 }
 
