@@ -7,14 +7,15 @@ one of a few fixed probe points falsifies at once; otherwise, up to
 degree 64, Sturm-sequence root isolation finds every sign change, and
 above it a Bernstein sign test (Vincent-Collins-Akritas bisection)
 decides, handing a repeated root to Sturm isolation.  Every claim comes
-out verified or falsified.  A Certificate carries its claim and the full
-evaluation trail; "falsified" always comes with an exact rational
-witness.  A Certificate is exactly its file: from_json_dict reads no
-other.  Replay rebuilds it from its claim with this same engine and makes
-one comparison, of sorted-key JSON texts, with the certificate or the
-JSON value read from its file, every key included.  It answers False,
-never an exception, for a value that is not a certificate, and it
-catches an edited file, not an engine bug.
+out verified or falsified.  A Certificate carries its claim and a trail
+of the exact values its verdict read that the claim does not fix;
+"falsified" always comes with an exact rational witness.  A Certificate
+is exactly its file: from_json_dict reads no other.  Replay rebuilds it
+from its claim with this same engine and makes one comparison, of
+sorted-key JSON texts, with the certificate or the JSON value read from
+its file, every key included.  It answers False, never an exception,
+for a value that is not a certificate, and it catches an edited file,
+not an engine bug.
 """
 
 from __future__ import annotations
@@ -149,7 +150,10 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     root), isolate every distinct interior root by Sturm bisection, then
     determine the sign of p at each isolating-interval edge, or at the
     midpoint 1/2 when there is no interior root, by exact evaluation;
-    this covers the whole open interval.
+    this covers the whole open interval; an edge shared by two intervals
+    is evaluated once.  The trail records these evaluations, nothing the
+    claim fixes (the degree is its polynomial's length less one), so a
+    zero polynomial's trail is empty.
     Raises ValueError above MAX_CHECK_DEGREE.  ``claim`` adds keys to the
     claim record; it cannot change the kind, the polynomial or the
     interval.
@@ -164,7 +168,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
         "interval": [format_rational(a), format_rational(b)],
         "closed": False,
     }
-    trail: list[dict] = [{"step": "input", "degree": p.degree}]
+    trail: list[dict] = []
 
     if p.is_zero():
         return Certificate(base_claim, VERIFIED, None, trail)
@@ -203,7 +207,7 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     # roots leave in (0, 1), and each gap holds an edge or is (0, 1) itself.
     ivs = p.isolate_roots(a, b)
     trail.append({"step": "interior-root-count", "count": len(ivs)})
-    points = [(x, "isolating-interval-edge") for iv in ivs for x in iv]
+    points = [(x, "isolating-interval-edge") for x in dict.fromkeys(x for iv in ivs for x in iv)]
     for x, where in points or [((a + b) / 2, "gap-midpoint")]:
         bad = sign_point(x, where)
         if bad:
@@ -282,23 +286,16 @@ def _power_sum_claim(ps: PowerSum, label: str) -> dict:
 def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     """Certify that a rational power sum is >= 0 on (0, 1): certify_nonneg
     on the cleared polynomial (ValueError above MAX_CHECK_DEGREE), whose
-    witness t0 becomes the radius t0^q."""
+    witness t0 becomes the radius t0^q.  The claim's terms fix e_min and
+    q, so the trail is the cleared polynomial's."""
     claim = _power_sum_claim(ps, label)
-    if ps.is_zero():
-        return Certificate(claim, VERIFIED, None, [])
-    poly, e_min, q = reduce_power_sum(ps)
+    poly, _, q = reduce_power_sum(ps)
     inner = certify_nonneg(poly)
-    reduction_step = {
-        "step": "power-substitution",
-        "multiplier_exponent": format_rational(-e_min),
-        "substitution_order": q,
-    }
-    trail = [reduction_step] + inner.trail
     witness = None
     if inner.status == FALSIFIED:
         witness, step = _witness_confirmation(ps, inner.witness, q)
-        trail.append(step)
-    return Certificate(claim, inner.status, witness, trail)
+        inner.trail.append(step)
+    return Certificate(claim, inner.status, witness, inner.trail)
 
 
 def _witness_confirmation(ps: PowerSum, t0: Fraction, q: int) -> tuple[Fraction, dict]:
@@ -387,7 +384,8 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
     27*lb <= H_N/2 holds exactly for N >= 31, within the given range.
 
     In N <= 2 the voltage is negative and both comparisons are vacuously
-    true; those rows are recorded but excluded from the pattern.
+    true; those rows are recorded but excluded from the pattern.  A row
+    records lb and H_N, the values its comparisons read.
     """
     rows = threshold_table(n_min, n_max)
     pattern = {
@@ -401,45 +399,26 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
         "range": [n_min, n_max],
         "pattern": pattern,
     }
-    trail = []
-    witness = None
-    status = VERIFIED
-    for row in rows:
-        trail.append(
-            {
-                "step": "compare",
-                "dimension": row.dimension,
-                "double_voltage": format_rational(2 * row.singular_voltage),
-                "hardy": format_rational(row.hardy),
-                "voltage27": format_rational(27 * row.singular_voltage),
-                "half_hardy": format_rational(row.hardy / 2),
-                "double_voltage_le_hardy": row.double_voltage_le_hardy,
-                "voltage27_le_half_hardy": row.voltage27_le_half_hardy,
-                "voltage_positive": row.voltage_positive,
-            }
-        )
-        if not row.voltage_positive:
-            continue
-        ok = row.double_voltage_le_hardy == (
-            row.dimension >= pattern["double_voltage_le_hardy_from"]
-        ) and row.voltage27_le_half_hardy == (
-            row.dimension >= pattern["voltage27_le_half_hardy_from"]
-        )
-        if not ok and status == VERIFIED:
-            status = FALSIFIED
-            witness = Fraction(row.dimension)
-    return Certificate(claim, status, witness, trail)
+    trail = [
+        {"step": "compare", "dimension": row.dimension,
+         "singular_voltage": format_rational(row.singular_voltage),
+         "hardy": format_rational(row.hardy)}
+        for row in rows
+    ]
+    # The witness is the first dimension of positive voltage off the pattern.
+    witness = next((Fraction(row.dimension) for row in rows if row.voltage_positive and (
+        row.double_voltage_le_hardy != (row.dimension >= pattern["double_voltage_le_hardy_from"])
+        or row.voltage27_le_half_hardy != (row.dimension >= pattern["voltage27_le_half_hardy_from"])
+    )), None)
+    return Certificate(claim, VERIFIED if witness is None else FALSIFIED, witness, trail)
 
 
-def _composite(
-    name: str, n: int, description: str, parts: list[Certificate], trail: list[dict],
-    side_ok: bool = True,
-) -> Certificate:
-    """A composite claim is falsified if any part (or the side condition)
-    fails, else verified; its witness is the first falsified part's."""
-    failed = not side_ok or any(c.status == FALSIFIED for c in parts)
-    status = FALSIFIED if failed else VERIFIED
+def _composite(name: str, n: int, description: str, parts: list[Certificate]) -> Certificate:
+    """A composite claim is falsified if any part is, else verified; its
+    witness is the first falsified part's.  Its parts are its evidence,
+    so its trail is empty."""
     witness = next((c.witness for c in parts if c.status == FALSIFIED), None)
+    status = FALSIFIED if any(c.status == FALSIFIED for c in parts) else VERIFIED
     claim = {
         "kind": "composite",
         "name": name,
@@ -447,7 +426,7 @@ def _composite(
         "description": description,
         "components": [c.to_json_dict() for c in parts],
     }
-    return Certificate(claim, status, witness, trail)
+    return Certificate(claim, status, witness, [])
 
 
 def certify_m2_subsolution(n: int) -> Certificate:
@@ -458,16 +437,17 @@ def certify_m2_subsolution(n: int) -> Certificate:
     * sub-solution inequality, reduced with t = r^(2/3) after dividing by
       the positive factor 3*lb (lb > 0 needs N >= 3): 9 - (3-2t)^2 >= 0;
     * the perturbation 2(r^(4/3) - r^2) is nonnegative, i.e. the profile
-      stays below the pure touchdown shape;
-    * exact clamped boundary values.
+      stays below the pure touchdown shape.
 
-    Raises ValueError below N = 3, where lb < 0 flips the reduction.
+    Raises ValueError below N = 3, where lb < 0 flips the reduction, and
+    ArithmeticError if the profile is not exactly clamped or its
+    bilaplacian is not 3*lb r^(-8/3) (the engine contradicts itself).
     """
     check_dimensions("m2-subsolution", n, n)
     w2 = touchdown_profile(2)
-    bilap = apply_bilaplacian(w2, n)
-    # Structural identities recorded exactly.
-    if bilap != PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3))):
+    if w2.evaluate_exact(1) != 0 or w2.derivative().evaluate_exact(1) != 0:
+        raise ArithmeticError("the m = 2 profile is not clamped at r = 1")
+    if apply_bilaplacian(w2, n) != PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3))):
         raise ArithmeticError("bilaplacian of the m = 2 profile is not 3*lb r^(-8/3)")
     sub_poly = RationalPolynomial.of(0, 12, -4)  # 9 - (3-2t)^2 = 12t - 4t^2
     c_sub = certify_nonneg(
@@ -486,17 +466,12 @@ def certify_m2_subsolution(n: int) -> Certificate:
             "description": "2(r^(4/3) - r^2) >= 0 with t = r^(2/3)",
         },
     )
-    boundary_ok = w2.evaluate_exact(1) == 0 and w2.derivative().evaluate_exact(1) == 0
-    trail = [
-        {"step": "bilaplacian-identity", "value": "3*lb * r^(-8/3)"},
-        {"step": "boundary-values", "value": boundary_ok},
-    ]
     description = (
         "m=2 touchdown profile is a singular semi-stable sub-solution at "
         "27x the singular voltage; reduction divides by 3*lb, positive "
         "for N >= 3"
     )
-    return _composite("m2-subsolution", n, description, [c_sub, c_pert], trail, boundary_ok)
+    return _composite("m2-subsolution", n, description, [c_sub, c_pert])
 
 
 def certify_m3_stability(n: int) -> Certificate:
@@ -524,16 +499,12 @@ def certify_m3_stability(n: int) -> Certificate:
             "description": "12(9-4s)^2 >= 0 on (0,1)",
         },
     )
-    trail = [
-        {"step": "value-at-0", "value": format_rational(Fraction(125, 729))},
-        {"step": "value-at-1", "value": format_rational(Fraction(125, 125))},
-    ]
     description = (
         "sup over (0,1) of 125/(9-4s)^3 equals 1; with the optimal "
         "Hardy-Rellich constant this makes the m=3 profile semi-stable "
         "at voltage H_N/2"
     )
-    return _composite("m3-stability", n, description, [c_bound, c_mono], trail)
+    return _composite("m3-stability", n, description, [c_bound, c_mono])
 
 
 # Per-dimension certifiers by claim name ("thresholds" certifies a range).

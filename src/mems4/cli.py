@@ -154,11 +154,11 @@ def _int(text: str) -> int:
 
 def parse_range(text: str) -> tuple[int, int]:
     """Dimension ranges like "17..30" or a single "9"."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return _int(lo), _int(hi)
-    v = _int(text)
-    return v, v
+    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
+    if match is None:
+        raise ValueError(f"range must be N or N..M, not {text!r}")
+    lo, hi = match.groups()
+    return _int(lo), _int(hi or lo)
 
 
 def _linspace(start, stop, count: int) -> list:
@@ -267,7 +267,7 @@ _BOUNDS_COLUMNS = (
 
 
 def _bounds_inputs(args) -> dict:
-    return {"n": _flag("--n", _dimension_range, args.n, "thresholds")}
+    return {"n": _flag("--n", _dimension_range, args.n, "bounds")}
 
 
 def _csv_fields(row: dict) -> list[tuple[str, object]]:

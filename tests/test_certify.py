@@ -133,7 +133,7 @@ def test_nonneg_falsified_with_witness():
 def test_nonneg_zero_polynomial():
     cert = certify_nonneg(P())
     assert cert.status == "verified"
-    assert cert.trail == [{"step": "input", "degree": -1}]
+    assert cert.trail == []
 
 
 def test_zero_power_sum_is_verified_with_an_empty_trail():
@@ -213,8 +213,8 @@ def test_negative_probe_falsifies_without_isolation():
     p = P(F(-1, 2), 1)
     cert = certify_nonneg(p)
     assert cert.status == "falsified" and cert.witness == F(1, 4)
-    assert [t["step"] for t in cert.trail] == ["input", "sign-evaluation"]
-    assert cert.trail[1] == {"step": "sign-evaluation", "where": "probe",
+    assert [t["step"] for t in cert.trail] == ["sign-evaluation"]
+    assert cert.trail[0] == {"step": "sign-evaluation", "where": "probe",
                              "point": "1/4", "value": "-1/4"}
     assert "_remainders" not in p.__dict__
 
@@ -229,7 +229,7 @@ def test_negative_set_between_probes_falsifies_through_isolation():
     steps = [t["step"] for t in cert.trail]
     assert {"step": "interior-root-count", "count": 2} in cert.trail
     assert all(t.get("where") != "probe" for t in cert.trail)
-    assert steps[:2] == ["input", "interior-root-count"]
+    assert steps[0] == "interior-root-count"
 
 
 def test_probe_witness_replays_and_an_edited_one_does_not():
@@ -275,10 +275,11 @@ def test_nonneg_at_degree_cap_with_many_touching_roots():
     assert p.degree == 64
     cert = certify_nonneg(p)
     assert cert.status == "verified"
-    # Each double root's interval gives two edge evaluations, which decide
-    # every gap: no gap midpoint is evaluated.
+    # The 32 double roots' intervals have 33 distinct edges, each evaluated
+    # once, which decide every gap: no gap midpoint is evaluated.
     wheres = [t.get("where") for t in cert.trail]
-    assert wheres.count("isolating-interval-edge") == 64 and "gap-midpoint" not in wheres
+    assert wheres.count("isolating-interval-edge") == 33 and "gap-midpoint" not in wheres
+    assert len({t["point"] for t in cert.trail if "point" in t}) == 33
     assert replay_certificate(_round_trip(cert))
     # flipping one factor to odd multiplicity produces a witness
     q = _expand(sympy.Mul(*factors[:-1], S - sympy.Rational(32, 33)))
@@ -395,6 +396,16 @@ def test_replay_accepts_every_kind_after_json_round_trip():
         # the components of a composite claim.
         trails = [d["trail"]] + [c["trail"] for c in d["claim"].get("components", [])]
         assert all(t["step"] != "conclusion" for trail in trails for t in trail), cert.claim
+        # Nor does it hold what its claim fixes, and it evaluates a point once.
+        assert not {t["step"] for trail in trails for t in trail} & REMOVED_STEPS, cert.claim
+        for trail in trails:
+            points = [t["point"] for t in trail if "point" in t]
+            assert len(points) == len(set(points)), cert.claim
+
+
+# Steps that restated a claim, a verdict or a literal no engine computed.
+REMOVED_STEPS = {"input", "power-substitution", "value-at-0", "value-at-1",
+                 "bilaplacian-identity", "boundary-values"}
 
 
 def _range_upper() -> Certificate:
@@ -419,6 +430,10 @@ def _set_pattern_onset(d):
     d["claim"]["pattern"]["double_voltage_le_hardy_from"] = 3
 
 
+def _set_component_status(d):
+    d["claim"]["components"][0]["status"] = "falsified"
+
+
 def _set_field(key: str, value):
     def edit(d):
         d[key] = value
@@ -438,13 +453,12 @@ EDITS = {
     "m3-gap-root-count": ("m3-gap", _set_step("interior-root-count", "count", 7)),
     "m3-gap-sign-value": ("m3-gap", _set_step("sign-evaluation", "value", "-1/1")),
     "m3-gap-dimension": ("m3-gap", _set_claim("dimension", 4)),
-    "power-sum-substitution": ("power-sum",
-                               _set_step("power-substitution", "substitution_order", 6)),
+    "power-sum-sign-value": ("power-sum", _set_step("sign-evaluation", "value", "-1/1")),
     "thresholds-hardy": ("thresholds", _set_step("compare", "hardy", "0/1", which=20)),
     "thresholds-onset": ("thresholds", _set_pattern_onset),
     "m2-description": ("m2", _set_claim("description", "anything")),
     "m2-dimension": ("m2", _set_claim("dimension", 2)),
-    "m2-boundary-values": ("m2", _set_step("boundary-values", "value", False)),
+    "m2-component-status": ("m2", _set_component_status),
     # Fields that from_json_dict does not keep and to_json_dict rebuilds.
     "m3-gap-4-witness-decimal": ("m3-gap-4", _set_field("witness_decimal", "0.999")),
     "m3-gap-4-schema-version": ("m3-gap-4", _set_field("schema_version", 7)),
@@ -452,7 +466,7 @@ EDITS = {
     "m3-gap-4-extra-key": ("m3-gap-4", _set_field("extra", None)),
     # Values that == takes for the rebuilt ones: 0 == False, 3.0 == 3.
     "m3-gap-closed-as-zero": ("m3-gap", _set_claim("closed", 0)),
-    "m3-gap-degree-as-float": ("m3-gap", _set_step("input", "degree", 3.0)),
+    "m3-gap-count-as-float": ("m3-gap", _set_step("interior-root-count", "count", 0.0)),
 }
 
 
@@ -671,6 +685,21 @@ def test_threshold_first_true_dimensions():
     assert replay_certificate(cert)
 
 
+def test_threshold_off_the_pattern_falsifies_at_its_first_dimension(monkeypatch):
+    # H_8 doubled puts 2*lb_8 = 5632/81 below it, and H_12 = 0 puts 2*lb_12
+    # above it: both rows break the pattern, the first is the witness, and
+    # every row is still recorded with the values its comparisons read.
+    hardy = certify_mod.hardy_rellich
+    monkeypatch.setattr(certify_mod, "hardy_rellich",
+                        lambda n: {8: 2 * hardy(8), 12: F(0)}.get(n, hardy(n)))
+    cert = certify_thresholds(1, 40)
+    assert cert.status == "falsified" and cert.witness == 8
+    assert [t["dimension"] for t in cert.trail] == list(range(1, 41))
+    assert cert.trail[7] == {"step": "compare", "dimension": 8,
+                             "singular_voltage": "2816/81", "hardy": "128/1"}
+    assert replay_certificate(_round_trip(cert))
+
+
 # --- named profile claims -------------------------------------------------
 
 
@@ -686,10 +715,29 @@ def test_m3_stability_verified(n):
     cert = certify_m3_stability(n)
     assert cert.status == "verified"
     assert replay_certificate(cert)
-    # trail records the exact endpoint values 125/729 and 1
-    values = {t.get("step"): t.get("value") for t in cert.trail}
-    assert values["value-at-0"] == "125/729"
-    assert values["value-at-1"] == "1/1"
+    # A composite's evidence is its parts: both are verified, and its own
+    # trail is empty.
+    assert cert.trail == []
+    assert [c["status"] for c in cert.claim["components"]] == ["verified", "verified"]
+
+
+def test_composite_with_a_falsified_part_carries_its_witness(monkeypatch):
+    # (9-4s)^3 - 126 is negative near s = 1: the bound part is falsified,
+    # and so is the composite, with that part's witness and no trail.
+    certify_nonneg = certify_mod.certify_nonneg
+
+    def lowered_bound(p, claim=None):
+        if claim and claim["name"] == "m3-stability-bound":
+            p = P(603, -972, 432, -64)
+        return certify_nonneg(p, claim)
+
+    monkeypatch.setattr(certify_mod, "certify_nonneg", lowered_bound)
+    cert = certify_m3_stability(5)
+    bound, mono = (Certificate.from_json_dict(c) for c in cert.claim["components"])
+    assert (bound.status, mono.status) == ("falsified", "verified")
+    assert cert.status == "falsified" and cert.witness == bound.witness
+    assert cert.trail == []
+    assert replay_certificate(_round_trip(cert))
 
 
 def test_m3_stability_requires_dimension_five():
@@ -782,10 +830,9 @@ def test_check_degree_bounds_every_check(family, params):
     assert bound == 3 * reduce_power_sum(w)[0].degree
     reached = 0
     for cert in check_candidate(w, 9, hardy_rellich(9) / 2, pd).checks.values():
-        substitution, cleared = cert.trail[:2]
-        exponents = [F(e) for _, e in cert.claim["terms"]]
-        reached = max(reached, cleared["degree"],
-                      max(exponents) * substitution["substitution_order"])
+        terms = [(F(c), F(e)) for c, e in cert.claim["terms"]]
+        cleared, _, q = reduce_power_sum(PowerSum.of(*terms))
+        reached = max(reached, cleared.degree, max(e for _, e in terms) * q)
     assert reached <= bound
 
 
@@ -881,6 +928,17 @@ def test_witness_values_past_the_bit_limit_are_written_as_signs():
         assert step["sign"] == -1 and "value" not in step
     assert cert.witness.denominator.bit_length() < certify_mod.MAX_VALUE_BITS
     assert replay_certificate(_round_trip(cert))
+
+
+def test_m2_unclamped_profile_raises(monkeypatch):
+    # w2 - 1/2 has w2's bilaplacian but the value -1/2 at r = 1.
+    profile = certify_mod.touchdown_profile
+    monkeypatch.setattr(certify_mod, "touchdown_profile",
+                        lambda m: profile(m) - PowerSum.constant(F(1, 2)))
+    assert certify_mod.apply_bilaplacian(certify_mod.touchdown_profile(2), 5) == \
+        certify_mod.apply_bilaplacian(profile(2), 5)
+    with pytest.raises(ArithmeticError, match="not clamped"):
+        certify_m2_subsolution(5)
 
 
 def test_m2_bilaplacian_identity_failure_raises(monkeypatch):

@@ -44,6 +44,9 @@ def find_one(root: Path, pattern: str) -> Path:
 def test_parse_helpers():
     assert parse_range("17..30") == (17, 30)
     assert parse_range("9") == (9, 9)
+    for text in ("17..", "..3", "1..2..3", "x"):
+        with pytest.raises(ValueError, match="^range must be N or N..M, not "):
+            parse_range(text)
     assert parse_lambda_spec("1:10:10") == pytest.approx(
         [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     )
@@ -265,28 +268,36 @@ def test_search_and_voltage_refusal_names_its_flag(tmp_path, capsys, command, fl
 
 
 @pytest.mark.parametrize(
-    "flags, flag",
+    "flags, flag, reason",
     [
-        (["bounds", "--n", "1..0"], "--n"),
-        (["certify", "m3-gap", "--n", "0..3"], "--n"),
-        (["bounds", "--n", "1.." + "1" * 4301], "--n"),
-        (["search-subsolution", "--dim", "70", "--family", "touchdown-m", "--m", "3"], "--dim"),
-        (SEARCH_W3[:-1] + ["4/3"], "--m"),
-        (SEARCH_W3[:-1] + ["301/3"], "--m"),
-        (SEARCH_PT[:-3] + ["0:1:2", "--beta-grid", "1"], "--alpha-grid/--beta-grid"),
-        (SEARCH_PT[:-3] + ["1", "--beta-grid", "298/3"], "--alpha-grid/--beta-grid"),
-        (SEARCH_PT[:-3] + ["1:2:64", "--beta-grid", "1:2:65"], "--alpha-grid/--beta-grid"),
-        (["pullin", "--dim", "0", "--mesh", "16"], "--dim"),
+        (["bounds", "--n", "1..0"], "--n", "need integers 1 <= nmin <= nmax <= 64 for bounds"),
+        (["certify", "m3-gap", "--n", "0..3"], "--n",
+         "need integers 1 <= nmin <= nmax <= 64 for m3-gap"),
+        (["bounds", "--n", "1.." + "1" * 4301], "--n", "integer of more than 4300 digits"),
+        (["bounds", "--n", "0"], "--n", "need integers 1 <= nmin <= nmax <= 64 for bounds"),
+        (["certify", "m3-gap", "--n", "17.."], "--n", "range must be N or N..M, not '17..'"),
+        (["search-subsolution", "--dim", "70", "--family", "touchdown-m", "--m", "3"], "--dim",
+         "need integers 1 <= nmin <= nmax <= 64 for search-subsolution"),
+        (SEARCH_W3[:-1] + ["4/3"], "--m", "m = 4/3 is a coefficient pole"),
+        (SEARCH_W3[:-1] + ["301/3"], "--m", "candidate 1: its checks exceed degree 900"),
+        (SEARCH_PT[:-3] + ["0:1:2", "--beta-grid", "1"], "--alpha-grid/--beta-grid",
+         "need alpha > 0 and beta > 0"),
+        (SEARCH_PT[:-3] + ["1", "--beta-grid", "298/3"], "--alpha-grid/--beta-grid",
+         "candidate 1: its checks exceed degree 900"),
+        (SEARCH_PT[:-3] + ["1:2:64", "--beta-grid", "1:2:65"], "--alpha-grid/--beta-grid",
+         "64 x 65 candidates exceed 4096"),
+        (["pullin", "--dim", "0", "--mesh", "16"], "--dim", "dimension must be >= 1"),
     ],
-    ids=["bounds-n", "certify-n", "n-literal", "search-dim", "m-pole", "m-degree",
-         "alpha-grid", "beta-grid-degree", "grid-count", "pullin-dim"],
+    ids=["bounds-n", "certify-n", "n-literal", "bounds-n-floor", "n-open-range", "search-dim",
+         "m-pole", "m-degree", "alpha-grid", "beta-grid-degree", "grid-count", "pullin-dim"],
 )
-def test_dimension_and_candidate_refusal_names_its_flag(tmp_path, capsys, flags, flag):
-    # A candidate's flag is its family's grid flags.
+def test_dimension_and_candidate_refusal_names_its_flag(tmp_path, capsys, flags, flag, reason):
+    # A candidate's flag is its family's grid flags; a --n range is
+    # checked for the command that reads it.
     assert run_cli(*flags, "--out", str(tmp_path)) == 3
     assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err
-    assert err.startswith(f"mems4 {flags[0]}: {flag}: ") and err.count("\n") == 1
+    assert err.startswith(f"mems4 {flags[0]}: {flag}: {reason}") and err.count("\n") == 1
 
 
 def test_io_error_names_its_command(tmp_path, capsys):
@@ -869,7 +880,7 @@ def test_streamed_search_equals_the_materialized_report(tmp_path, capsys, argv):
 
 
 def test_search_memory_does_not_grow_with_the_candidates(tmp_path, capsys):
-    # 384 copies of one candidate: a search holds one candidate's report
+    # 480 copies of one candidate: a search holds one candidate's report
     # at a time, so its peak stays far below the file it writes.  A
     # one-candidate search first pays what any first search allocates
     # once and keeps (first-call state, CPython's tuple free lists).
@@ -878,13 +889,13 @@ def test_search_memory_does_not_grow_with_the_candidates(tmp_path, capsys):
                    "--out", str(tmp_path / "warm")) == 0
     tracemalloc.start()
     try:
-        code = run_cli("search-subsolution", *grid, "--alpha-grid", "5/6:5/6:384",
+        code = run_cli("search-subsolution", *grid, "--alpha-grid", "5/6:5/6:480",
                        "--out", str(tmp_path / "big"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert "candidates: 384, passing: 0" in capsys.readouterr().out
+    assert "candidates: 480, passing: 0" in capsys.readouterr().out
     size = find_one(tmp_path / "big", "search.json").stat().st_size
     assert size > 1_800_000
     assert peak < size / 2

@@ -86,43 +86,43 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "certify-m2-subsolution": (0, {
         "certify-11b7a6112a/certificates/m2-subsolution-30.json":
-            "6a4452cc07e3d08592b5bebf5b694a301c3d66682e02f45c9783415b760c2eeb",
+            "b3e16e3dfecd2642348877766766fda451e008f81f830036c42e597e1c9db600",
         "certify-11b7a6112a/certificates/m2-subsolution-31.json":
-            "5c09c45b7acf787d3e5aa47b4f4fb0ec0da85e96dcc091793ae693656e611702",
+            "c0b3e0499fe5ce61c9db0c07ddb2cbdc96ce414c909de3b09e2f3a4b43a5e7c6",
         "certify-11b7a6112a/certificates/m2-subsolution-32.json":
-            "5d40b4e1287af9c60cb3ffe1561699e09407770564e58c062b7a60c8b55e2a83",
+            "9041deb819eb9044e65c0c0ba2c37798b87b468ba3ee9a4c6f59d8e56ee05781",
         "certify-11b7a6112a/config.json":
             "73bd0fd71a7a6c85953804cc3a6064ba1d235300b2a546d9d7628a0ca4ea894f",
     }),
     "certify-m3-gap": (1, {
         "certify-700159371f/certificates/m3-gap-16.json":
-            "4a12d029d85c5bb2471f29c49cab7fa10aa7a6adb333f39713ad8871f515d2c3",
+            "30255101dcef09284c867738e5cf2b0040e6d69bb29f7cceb06d62533d3983fb",
         "certify-700159371f/certificates/m3-gap-17.json":
-            "50badd2bd39364b695a815a7369e31e6036c329a290c172a671dbc4438af31cc",
+            "f0b42a5913365c31e477e6cf6d2f1390d29a97d6f9a1548c0bf72e39afa382c9",
         "certify-700159371f/certificates/m3-gap-18.json":
-            "9d59af0101766ffde44ec689efb532449011af6446f49d34dc092fe0804d9e30",
+            "d80e7e5fd12977383b6f52aa6a53154f71d21ef753b9fc603362df35965c3b1c",
         "certify-700159371f/config.json":
             "63ad310bfa431a15908840775206633d0ce3283fc693250726d4f573e0d8925e",
     }),
     "certify-m3-gap-falsified": (1, {
         "certify-60dce54d88/certificates/m3-gap-4.json":
-            "9161b99609d338ae6b753a55760e42375de7e33312d022c415943d38b0a9183a",
+            "950e7961fd3783502ef399c5e052111f40d0d5d497b42e8840495927b577d54a",
         "certify-60dce54d88/config.json":
             "9418c600643ea4e8a697cc27d0e063dcc2fc44244d318371776c4aa7d076b8d4",
     }),
     "certify-m3-stability": (0, {
         "certify-70a2883d43/certificates/m3-stability-5.json":
-            "b9b90256d25453b4c9461eede1af27164644f0df3da59d74f10940392a633b68",
+            "6b2089d5fd707a3ef8e4c043b88d408b51b3f35539acebb0297bcb480628590e",
         "certify-70a2883d43/certificates/m3-stability-6.json":
-            "17c037530cc8467d039432c4677fdd48afff2962e087ebe42fb5a4c21c68cc53",
+            "165b9a0695e77a0b5cef088d939f2c76b5a4ead36c3a1c5365d6e1c4d7e61e8f",
         "certify-70a2883d43/certificates/m3-stability-7.json":
-            "911ae046666edf272b849023d3a9f83497957cc61d351695739248b5d91dcd3e",
+            "d0a9403b5426598d40025e38c4bd8d979f7b10de101e0f01c9b10c5757f66841",
         "certify-70a2883d43/config.json":
             "1c0b7d2b29815ceb5803e880163b791c3afec0529490b18fc6f262a8dfcfcfbb",
     }),
     "certify-thresholds": (0, {
         "certify-207ed4d381/certificates/thresholds-1-40.json":
-            "6ec7b5114d79418dbdb55376f2779c7bf4e5097647467d2c06935fe533342aa1",
+            "a6f0ee0d0603af55f5249e4bb49f3c146355994eaa2ff374bf3d2cf00d52d1cf",
         "certify-207ed4d381/config.json":
             "611980a8f75343fee054fb13f64af783432fe1bfd44170f4bc13bee80a006b2b",
     }),
@@ -168,19 +168,19 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         "search-subsolution-015caeed4a/config.json":
             "26c59f0dba63112128d7eb9bc36c94f978b6818cedff348128f446205e609887",
         "search-subsolution-015caeed4a/search.json":
-            "5553c7bb3490c5e963d58c0b85289b9ceae2de64667c4fc1933518c23c052b31",
+            "38ddc7d90c28188cf1cb5fc623d2c86241af8006aa68e45f29e4fef8515fee58",
     }),
     "search-perturbed-touchdown": (0, {
         "search-subsolution-faf9d8980e/config.json":
             "d754b521eece4f12d7d117e789c13fe13f3a065065cd675ed25f82ebc0981aaa",
         "search-subsolution-faf9d8980e/search.json":
-            "90d15beae5fe65e7f4e088c4a9bc3290df4c378400f01daedae3f5533921e9d8",
+            "d1a33f0a33bace2125dab0de1ac07b2fb8d6d7680d7dfa42d703f320a9fc1592",
     }),
     "search-touchdown-m": (0, {
         "search-subsolution-c1e93e36e3/config.json":
             "9777e0cd740be13bd31a475e310391457249d4f88a0edb81512036af0315101b",
         "search-subsolution-c1e93e36e3/search.json":
-            "83372b09507d5d2b3489ad893336c85a9fef728c44b84b7b616025d01a79a936",
+            "00d1f3fce9042f46a0de8bd8a46fe3ba36ae17a4fbf4401ce549db5f6d67ea92",
     }),
 }
 
