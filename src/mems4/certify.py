@@ -16,6 +16,14 @@ sorted-key JSON texts, with the certificate or the JSON value read from
 its file, every key included.  It answers False, never an exception,
 for a value that is not a certificate, and it catches an edited file,
 not an engine bug.
+
+Each exact value is decided once.  The four parts of m2-subsolution and
+m3-stability whose polynomials do not depend on N are certified once per
+process, on first use, and kept as JSON text (_PARTS), from which every
+composite reads fresh objects.  Replay still rebuilds every part that
+depends on N (the dimension check, the m = 2 guards, the reduced
+inequality's dimension, the composite claim) and compares the whole
+text, so an edited component does not replay.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator
 
 from mems4.closed_forms import (
@@ -36,13 +45,14 @@ from mems4.closed_forms import (
     touchdown_profile,
     touchdown_shape,
 )
-from mems4.polys import RationalPolynomial, bernstein_sign, sign_at
+from mems4.polys import RationalPolynomial, bernstein_sign, homogeneous_horner
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
 
 # Points of (0, 1) where certify_nonneg tests the sign of p, in this
-# order, before it isolates any root.
+# order, before it isolates any root; the first is the midpoint whose
+# value a polynomial without interior roots records.
 PROBES = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
 # Largest degree that certify_nonneg hands straight to Sturm isolation;
 # above it the Bernstein sign test runs first.
@@ -138,7 +148,32 @@ def _check_degree_cap(degree: int) -> None:
 
 
 def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certificate:
-    """Certify p >= 0 on the open interval (0, 1).
+    """Certify p >= 0 on the open interval (0, 1): _decide's verdict on p,
+    under a claim that records p's coefficients.  Raises ValueError above
+    MAX_CHECK_DEGREE.  ``claim`` adds keys to the claim record; it cannot
+    change the kind, the polynomial or the interval.
+    """
+    status, witness, trail = _decide(p)
+    den, cs = p.integer_form
+    base_claim = {
+        **(claim or {}),
+        "kind": "polynomial-nonneg",
+        "polynomial": [_ratio(c, den) for c in cs],
+        "interval": ["0/1", "1/1"],
+        "closed": False,
+    }
+    return Certificate(base_claim, status, witness, trail)
+
+
+def _ratio(a: int, b: int) -> str:
+    """format_rational(Fraction(a, b)) for b > 0, without the Fraction."""
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}"
+
+
+def _decide(p: RationalPolynomial) -> tuple[str, Fraction | None, list[dict]]:
+    """Whether p >= 0 on (0, 1), decided on p's integer form: its status,
+    its witness and its trail.
 
     Exact procedure: probes falsify first.  The exact sign of p at each
     of PROBES, in order, needs no Sturm chain; the first negative probe
@@ -154,27 +189,16 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
     is evaluated once.  The trail records these evaluations, nothing the
     claim fixes (the degree is its polynomial's length less one), so a
     zero polynomial's trail is empty.
-    Raises ValueError above MAX_CHECK_DEGREE.  ``claim`` adds keys to the
-    claim record; it cannot change the kind, the polynomial or the
-    interval.
+    Raises ValueError above MAX_CHECK_DEGREE.
     """
-    a, b = Fraction(0), Fraction(1)
     _check_degree_cap(p.degree)
     den, cs = p.integer_form
-    base_claim = {
-        **(claim or {}),
-        "kind": "polynomial-nonneg",
-        "polynomial": [format_rational(Fraction(c, den)) for c in cs],
-        "interval": [format_rational(a), format_rational(b)],
-        "closed": False,
-    }
     trail: list[dict] = []
 
     if p.is_zero():
-        return Certificate(base_claim, VERIFIED, None, trail)
+        return VERIFIED, None, trail
 
-    def sign_point(x: Fraction, where: str) -> Certificate | None:
-        v = p(x)
+    def sign_point(x: Fraction, where: str, v: Fraction):
         trail.append(
             {
                 "step": "sign-evaluation",
@@ -183,36 +207,44 @@ def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certific
                 **_value_entry(v),
             }
         )
-        if v < 0:
-            return Certificate(base_claim, FALSIFIED, x, trail)
-        return None
+        return (FALSIFIED, x, trail) if v < 0 else None
 
-    # A negative probe falsifies p without its Sturm chain.
+    def from_sum(x: Fraction, acc: int) -> Fraction:
+        # p(x) from acc, homogeneous_horner's sum at x (den x.den^d p(x)).
+        return Fraction(acc, den * x.denominator ** p.degree)
+
+    # A negative probe falsifies p without its Sturm chain.  The sum at
+    # the first probe, 1/2, gives the gap-midpoint value below.
+    sums = []
     for x in PROBES:
-        if sign_at(cs, x) < 0:
-            return sign_point(x, "probe")
+        sums.append(homogeneous_horner(cs, x))
+        if sums[-1] < 0:
+            return sign_point(x, "probe", from_sum(x, sums[-1]))
 
     # None (Sturm isolation below) up to STURM_DEGREE or for a repeated root.
     decided = bernstein_sign(cs) if p.degree > STURM_DEGREE else None
     if decided is not None:
         pieces, witness = decided
         if witness is not None:
-            return sign_point(witness, "bernstein")
+            return sign_point(witness, "bernstein", p(witness))
         trail.append({"step": "bernstein",
                       "pieces": [[format_rational(lo), format_rational(hi)] for lo, hi in pieces]})
-        return Certificate(base_claim, VERIFIED, None, trail)
+        return VERIFIED, None, trail
 
     # Every distinct interior root lands in exactly one isolating interval
     # whose edges are interior non-roots: p has one sign on each gap the
     # roots leave in (0, 1), and each gap holds an edge or is (0, 1) itself.
-    ivs = p.isolate_roots(a, b)
+    ivs = p.isolate_roots(Fraction(0), Fraction(1))
     trail.append({"step": "interior-root-count", "count": len(ivs)})
-    points = [(x, "isolating-interval-edge") for x in dict.fromkeys(x for iv in ivs for x in iv)]
-    for x, where in points or [((a + b) / 2, "gap-midpoint")]:
-        bad = sign_point(x, where)
+    if not ivs:
+        # One sign on (0, 1), that of p(1/2) > 0 (1/2 is no root).
+        sign_point(PROBES[0], "gap-midpoint", from_sum(PROBES[0], sums[0]))
+        return VERIFIED, None, trail
+    for x in dict.fromkeys(x for iv in ivs for x in iv):
+        bad = sign_point(x, "isolating-interval-edge", p(x))
         if bad:
             return bad
-    return Certificate(base_claim, VERIFIED, None, trail)
+    return VERIFIED, None, trail
 
 
 def replay_certificate(cert: Certificate | dict) -> bool:
@@ -278,24 +310,21 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
 
 def _power_sum_claim(ps: PowerSum, label: str) -> dict:
     den, qden, pairs = ps.integer_form
-    terms = [[format_rational(Fraction(a, den)), format_rational(Fraction(k, qden))]
-             for a, k in pairs]
+    terms = [[_ratio(a, den), _ratio(k, qden)] for a, k in pairs]
     return {"kind": "power-sum-nonneg", "label": label, "terms": terms, "domain": "(0,1)"}
 
 
 def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
-    """Certify that a rational power sum is >= 0 on (0, 1): certify_nonneg
-    on the cleared polynomial (ValueError above MAX_CHECK_DEGREE), whose
+    """Certify that a rational power sum is >= 0 on (0, 1): _decide on
+    the cleared polynomial (ValueError above MAX_CHECK_DEGREE), whose
     witness t0 becomes the radius t0^q.  The claim's terms fix e_min and
     q, so the trail is the cleared polynomial's."""
-    claim = _power_sum_claim(ps, label)
     poly, _, q = reduce_power_sum(ps)
-    inner = certify_nonneg(poly)
-    witness = None
-    if inner.status == FALSIFIED:
-        witness, step = _witness_confirmation(ps, inner.witness, q)
-        inner.trail.append(step)
-    return Certificate(claim, inner.status, witness, inner.trail)
+    status, witness, trail = _decide(poly)
+    if status == FALSIFIED:
+        witness, step = _witness_confirmation(ps, witness, q)
+        trail.append(step)
+    return Certificate(_power_sum_claim(ps, label), status, witness, trail)
 
 
 def _witness_confirmation(ps: PowerSum, t0: Fraction, q: int) -> tuple[Fraction, dict]:
@@ -413,20 +442,40 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
     return Certificate(claim, VERIFIED if witness is None else FALSIFIED, witness, trail)
 
 
-def _composite(name: str, n: int, description: str, parts: list[Certificate]) -> Certificate:
-    """A composite claim is falsified if any part is, else verified; its
+def _composite(name: str, n: int, description: str, components: list[dict]) -> Certificate:
+    """A composite claim, whose components are the JSON objects of its
+    parts' certificates, is falsified if any part is, else verified; its
     witness is the first falsified part's.  Its parts are its evidence,
     so its trail is empty."""
-    witness = next((c.witness for c in parts if c.status == FALSIFIED), None)
-    status = FALSIFIED if any(c.status == FALSIFIED for c in parts) else VERIFIED
+    witness = next((Fraction(c["witness"]) for c in components if c["status"] == FALSIFIED), None)
     claim = {
         "kind": "composite",
         "name": name,
         "dimension": n,
         "description": description,
-        "components": [c.to_json_dict() for c in parts],
+        "components": components,
     }
-    return Certificate(claim, status, witness, [])
+    return Certificate(claim, VERIFIED if witness is None else FALSIFIED, witness, [])
+
+
+# Claim name -> the JSON text of a part's certificate that no dimension
+# changes, certified on the process's first use of the part.
+_PARTS: dict[str, str] = {}
+
+
+def _part(name: str, description: str, cs: tuple[int, ...], n: int | None = None) -> dict:
+    """The JSON object of the certificate that the polynomial with integer
+    coefficients cs (ascending) is >= 0 on (0, 1), under claim ``name``:
+    read afresh from _PARTS, so that no two certificates share an object,
+    with the dimension n added to its claim if given."""
+    if name not in _PARTS:
+        poly = RationalPolynomial((1, cs))
+        cert = certify_nonneg(poly, {"name": name, "description": description})
+        _PARTS[name] = _text(cert.to_json_dict())
+    d = json.loads(_PARTS[name])
+    if n is not None:
+        d["claim"]["dimension"] = n
+    return d
 
 
 def certify_m2_subsolution(n: int) -> Certificate:
@@ -449,22 +498,16 @@ def certify_m2_subsolution(n: int) -> Certificate:
         raise ArithmeticError("the m = 2 profile is not clamped at r = 1")
     if apply_bilaplacian(w2, n) != PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3))):
         raise ArithmeticError("bilaplacian of the m = 2 profile is not 3*lb r^(-8/3)")
-    sub_poly = RationalPolynomial.of(0, 12, -4)  # 9 - (3-2t)^2 = 12t - 4t^2
-    c_sub = certify_nonneg(
-        sub_poly,
-        claim={
-            "name": "m2-subsolution-reduced",
-            "dimension": n,
-            "description": "9 - (3-2t)^2 >= 0 with t = r^(2/3)",
-        },
+    c_sub = _part(
+        "m2-subsolution-reduced",
+        "9 - (3-2t)^2 >= 0 with t = r^(2/3)",
+        (0, 12, -4),  # 9 - (3-2t)^2 = 12t - 4t^2
+        n,
     )
-    pert_poly = RationalPolynomial.of(0, 0, 2, -2)  # 2 t^2 (1 - t)
-    c_pert = certify_nonneg(
-        pert_poly,
-        claim={
-            "name": "m2-perturbation-nonneg",
-            "description": "2(r^(4/3) - r^2) >= 0 with t = r^(2/3)",
-        },
+    c_pert = _part(
+        "m2-perturbation-nonneg",
+        "2(r^(4/3) - r^2) >= 0 with t = r^(2/3)",
+        (0, 0, 2, -2),  # 2 t^2 (1 - t)
     )
     description = (
         "m=2 touchdown profile is a singular semi-stable sub-solution at "
@@ -481,23 +524,17 @@ def certify_m3_stability(n: int) -> Certificate:
     Hardy-Rellich step it feeds (ValueError below)."""
     check_dimensions("m3-stability", n, n)
     # (9-4s)^3 - 125 >= 0 on (0,1); root exactly at s = 1.
-    bound_poly = RationalPolynomial.of(604, -972, 432, -64)
-    c_bound = certify_nonneg(
-        bound_poly,
-        claim={
-            "name": "m3-stability-bound",
-            "description": "(9-4s)^3 - 125 >= 0 on (0,1)",
-        },
+    c_bound = _part(
+        "m3-stability-bound",
+        "(9-4s)^3 - 125 >= 0 on (0,1)",
+        (604, -972, 432, -64),
     )
     # Monotonicity: d/ds (9-4s)^3 = -12(9-4s)^2 <= 0, so 125/(9-4s)^3 is
     # increasing; certify 12(9-4s)^2 = 972 - 864s + 192s^2 >= 0.
-    mono_poly = RationalPolynomial.of(972, -864, 192)
-    c_mono = certify_nonneg(
-        mono_poly,
-        claim={
-            "name": "m3-stability-monotone",
-            "description": "12(9-4s)^2 >= 0 on (0,1)",
-        },
+    c_mono = _part(
+        "m3-stability-monotone",
+        "12(9-4s)^2 >= 0 on (0,1)",
+        (972, -864, 192),
     )
     description = (
         "sup over (0,1) of 125/(9-4s)^3 equals 1; with the optimal "
@@ -600,6 +637,7 @@ def check_candidate(
     if not boundary_exact:
         notes.append("boundary values are not exactly clamped")
     one_minus_w = PowerSum.constant(1) - w
+    square = one_minus_w * one_minus_w
     singular_at_origin = w.evaluate_exact(0) == 1
     if not singular_at_origin:
         notes.append("profile does not touch the contact plane at the origin")
@@ -608,11 +646,11 @@ def check_candidate(
         "range-lower": power_sum_nonneg(w, "w >= 0"),
         "range-upper": power_sum_nonneg(one_minus_w, "1 - w >= 0"),
         "subsolution": power_sum_nonneg(
-            PowerSum.constant(lam) - apply_bilaplacian(w, n) * one_minus_w * one_minus_w,
+            PowerSum.constant(lam) - apply_bilaplacian(w, n) * square,
             "lam - bilap(w)(1-w)^2 >= 0",
         ),
         "semistable": power_sum_nonneg(
-            (one_minus_w * one_minus_w * one_minus_w).scale(hn)
+            (square * one_minus_w).scale(hn)
             - PowerSum.of((2 * lam, 4)),
             "H_N (1-w)^3 - 2 lam r^4 >= 0",
         ),

@@ -8,13 +8,14 @@ and f', once, and keeps it: the square-free part divides f by that gcd
 exactly, and the Sturm chain (a list of integer coefficient lists) is
 the square-free part's own sequence with the signs +, +, -, -.
 The value or the sign of a polynomial at a rational a/b comes from the
-integer sum c_i a^i b^(d-i).  Isolation counts on the square-free
-part's chain, through roots at the interval's ends (a root is simple
-there, so its zero sign counts as just past it), and refines by
-bisection with these exact sign tests, so every interval endpoint
-reported here is a rational number whose sign data can be replayed
-independently.  The Bernstein sign test needs no remainder sequence:
-Descartes' rule on one Taylor shift per piece, over integers.
+integer sum c_i a^i b^(d-i); a Sturm chain's signs at 0 and 1 are
+those of its members' constant terms and coefficient sums.  Isolation
+counts on the square-free part's chain, through roots at the interval's
+ends (a root is simple there, so its zero sign counts as just past it),
+and refines by bisection with these exact sign tests, so every interval
+endpoint reported here is a rational number whose sign data can be
+replayed independently.  The Bernstein sign test needs no remainder
+sequence: Descartes' rule on one Taylor shift per piece, over integers.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class RationalPolynomial:
         x = Fraction(x)
         den, cs = self.integer_form
         b = x.denominator
-        return Fraction(_homogeneous_horner(cs, x) * b, den * b ** len(cs))
+        return Fraction(homogeneous_horner(cs, x) * b, den * b ** len(cs))
 
     @cached_property
     def _remainders(self) -> list[list[int]]:
@@ -152,7 +153,7 @@ class RationalPolynomial:
                 mid = (x + mid) / 2
             return mid
 
-        total = count(a, b) - (sign_at(f, b) == 0)
+        total = count(a, b) - (_chain_values([f], b)[0] == 0)
         if total == 0:
             return []
         found: list[tuple[Fraction, Fraction]] = []
@@ -229,7 +230,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return _primitive(r)
 
 
-def _homogeneous_horner(cs: Sequence[int], x: Fraction) -> int:
+def homogeneous_horner(cs: Sequence[int], x: Fraction) -> int:
     """sum c_i a^i b^(d-i) for integer coefficients cs (ascending, degree
     d) and x = a/b, b > 0: b^d times the polynomial's value at x."""
     a, b = x.numerator, x.denominator
@@ -243,7 +244,7 @@ def _homogeneous_horner(cs: Sequence[int], x: Fraction) -> int:
 def sign_at(cs: Sequence[int], x: Fraction) -> int:
     """Sign at x of the polynomial with integer coefficients cs
     (ascending)."""
-    acc = _homogeneous_horner(cs, x)
+    acc = homogeneous_horner(cs, x)
     return (acc > 0) - (acc < 0)
 
 
@@ -321,7 +322,18 @@ def _negative_dyadic(cs: Sequence[int], lo: Fraction, hi: Fraction, right: bool)
     return end + step / 2**k
 
 
+def _chain_values(chain: Sequence[Sequence[int]], x: Fraction) -> list[int]:
+    """One integer per member of chain (integer coefficient lists, none
+    empty) with the sign of its value at x: its constant term at 0, its
+    coefficient sum at 1, its homogeneous Horner sum elsewhere."""
+    if x == 0:
+        return [p[0] for p in chain]
+    if x == 1:
+        return [sum(p) for p in chain]
+    return [homogeneous_horner(p, x) for p in chain]
+
+
 def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = [s for s in (sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
+    signs = [v > 0 for v in _chain_values(chain, x) if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 

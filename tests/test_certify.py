@@ -430,8 +430,15 @@ def _set_pattern_onset(d):
     d["claim"]["pattern"]["double_voltage_le_hardy_from"] = 3
 
 
-def _set_component_status(d):
-    d["claim"]["components"][0]["status"] = "falsified"
+def _set_component_status(d, which: int = 0):
+    d["claim"]["components"][which]["status"] = "falsified"
+
+
+def _set_component_step(step: str, key: str, value, which: int = 0):
+    # An edit of a step in the trail of a composite's component.
+    def edit(d):
+        _set_step(step, key, value)(d["claim"]["components"][which])
+    return edit
 
 
 def _set_field(key: str, value):
@@ -448,6 +455,7 @@ ORIGINALS = {
     "power-sum": _range_upper,
     "thresholds": lambda: certify_thresholds(1, 40),
     "m2": lambda: certify_m2_subsolution(31),
+    "m3": lambda: certify_m3_stability(17),
 }
 EDITS = {
     "m3-gap-root-count": ("m3-gap", _set_step("interior-root-count", "count", 7)),
@@ -459,6 +467,14 @@ EDITS = {
     "m2-description": ("m2", _set_claim("description", "anything")),
     "m2-dimension": ("m2", _set_claim("dimension", 2)),
     "m2-component-status": ("m2", _set_component_status),
+    # Each component is certified once per process and read afresh for
+    # each composite; by the time a composite is built for the edit,
+    # its parts exist, and replay still compares every component.
+    "m2-component-sign-value": ("m2", _set_component_step("sign-evaluation", "value", "6/1")),
+    "m2-fixed-component-sign-value": ("m2", _set_component_step(
+        "sign-evaluation", "value", "1/1", which=1)),
+    "m3-component-status": ("m3", lambda d: _set_component_status(d, which=1)),
+    "m3-component-sign-value": ("m3", _set_component_step("sign-evaluation", "value", "-1/1")),
     # Fields that from_json_dict does not keep and to_json_dict rebuilds.
     "m3-gap-4-witness-decimal": ("m3-gap-4", _set_field("witness_decimal", "0.999")),
     "m3-gap-4-schema-version": ("m3-gap-4", _set_field("schema_version", 7)),
@@ -721,6 +737,39 @@ def test_m3_stability_verified(n):
     assert [c["status"] for c in cert.claim["components"]] == ["verified", "verified"]
 
 
+def _mutables(cert: Certificate) -> set[int]:
+    """The ids of every dict and list that cert's claim and trail reach."""
+    ids, stack = set(), [cert.claim, cert.trail]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (dict, list)):
+            ids.add(id(obj))
+            stack.extend(obj.values() if isinstance(obj, dict) else obj)
+    return ids
+
+
+@pytest.mark.parametrize("certifier, dims", [
+    (certify_m2_subsolution, (3, 40)),
+    (certify_m3_stability, (5, 40)),
+], ids=["m2", "m3"])
+def test_certificates_of_two_dimensions_share_no_mutable_object(certifier, dims):
+    # The parts that no dimension changes are certified once per process,
+    # yet each certificate holds claim and trail objects of its own: an
+    # edit of one certificate changes no other, nor the next one built.
+    first, second = (certifier(n) for n in dims)
+    assert not _mutables(first) & _mutables(second)
+    expected = json.dumps(second.to_json_dict(), sort_keys=True)
+    for c in first.claim["components"]:
+        c["claim"]["polynomial"].append("1/1")
+        c["trail"].clear()
+        c["status"] = "falsified"
+    assert json.dumps(second.to_json_dict(), sort_keys=True) == expected
+    rebuilt = certifier(dims[1])
+    assert json.dumps(rebuilt.to_json_dict(), sort_keys=True) == expected
+    assert not _mutables(rebuilt) & (_mutables(first) | _mutables(second))
+    assert replay_certificate(second)
+
+
 def test_composite_with_a_falsified_part_carries_its_witness(monkeypatch):
     # (9-4s)^3 - 126 is negative near s = 1: the bound part is falsified,
     # and so is the composite, with that part's witness and no trail.
@@ -732,6 +781,9 @@ def test_composite_with_a_falsified_part_carries_its_witness(monkeypatch):
         return certify_nonneg(p, claim)
 
     monkeypatch.setattr(certify_mod, "certify_nonneg", lowered_bound)
+    # The parts are certified once per process: start from none, and
+    # leave those already certified as they were.
+    monkeypatch.setattr(certify_mod, "_PARTS", {})
     cert = certify_m3_stability(5)
     bound, mono = (Certificate.from_json_dict(c) for c in cert.claim["components"])
     assert (bound.status, mono.status) == ("falsified", "verified")
@@ -868,10 +920,7 @@ def test_candidate_vs_w2_at_31():
 def test_witness_that_does_not_confirm_raises(monkeypatch):
     # A falsified inner certificate whose witness is not a violation of
     # the power sum must stop the engine, also under python -O.
-    monkeypatch.setattr(
-        certify_mod, "certify_nonneg",
-        lambda p: Certificate({"polynomial": []}, "falsified", F(1, 2), []),
-    )
+    monkeypatch.setattr(certify_mod, "_decide", lambda p: ("falsified", F(1, 2), []))
     with pytest.raises(ArithmeticError, match="witness does not confirm"):
         power_sum_nonneg(PowerSum.of((1, 0), (1, 1)))
 

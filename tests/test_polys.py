@@ -354,6 +354,51 @@ def test_integer_form_matches_the_fraction_oracles(raw, roots, k, zeros):
         assert ivs == []
 
 
+def _sign_at_values(chain, x):
+    # The chain's signs at x by sign_at at every point, 0 and 1 included.
+    return [sign_at(q, x) for q in chain]
+
+
+def _sign_at_variations(chain, x):
+    signs = [s for s in _sign_at_values(chain, x) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_ROOTS, st.integers(1, 3)), max_size=5),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.none() | st.fractions(min_value=F(1, 9), max_value=F(2), max_denominator=9),
+    st.fractions(min_value=F(-7), max_value=F(7), max_denominator=5).filter(bool),
+)
+@example(roots=[], at_zero=1, at_one=0, square=None, lead=F(1))
+@example(roots=[(F(1, 2), 2)], at_zero=3, at_one=2, square=F(1, 4), lead=F(-2, 3))
+def test_chain_signs_at_zero_and_one_match_sign_at(roots, at_zero, at_one, square, lead):
+    # A zero constant term (a root at 0), a zero coefficient sum (a root
+    # at 1), each of multiplicity up to 3, and repeated roots elsewhere:
+    # the sign variations at 0 and 1 read from constant terms and
+    # coefficient sums equal sign_at's on the chain and on the chain of
+    # the separate loops, and isolate_roots(0, 1) finds the same
+    # intervals as with sign_at at every point.
+    factors = [P(-r, 1) for r, k in [*roots, (F(0), at_zero), (F(1), at_one)] for _ in range(k)]
+    if square is not None:
+        factors.append(P(-square, 0, 1))
+    p = _product(P(lead), *factors)
+    assume(p.degree >= 1)
+    chain = p.sturm_sequence()
+    loop_chain = _loop_sturm_sequence(_coeffs(p))
+    for x in (F(0), F(1)):
+        expected = _sign_at_variations(chain, x)
+        assert polys._sign_variations(chain, x) == expected == _sign_at_variations(loop_chain, x)
+    ivs = p.isolate_roots(0, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "_chain_values", _sign_at_values)
+        assert RationalPolynomial(p.integer_form).isolate_roots(0, 1) == ivs
+    sp = _sympy_poly(p)
+    assert len(ivs) == sp.count_roots(0, 1) - (p(F(0)) == 0) - (p(F(1)) == 0)
+
+
 def test_square_free_isolation_builds_one_remainder_sequence(monkeypatch):
     # (x - 1/3)(x - 1/2)(x - 2/3)(x + 1)(x - 2): square free, no root at 0
     # or 1, remainder degrees 5, 4, ..., 0.  The square-free part, the
