@@ -16,14 +16,6 @@ sorted-key JSON texts, with the certificate or the JSON value read from
 its file, every key included.  It answers False, never an exception,
 for a value that is not a certificate, and it catches an edited file,
 not an engine bug.
-
-Each exact value is decided once.  The four parts of m2-subsolution and
-m3-stability whose polynomials do not depend on N are certified once per
-process, on first use, and kept as JSON text (_PARTS), from which every
-composite reads fresh objects.  Replay still rebuilds every part that
-depends on N (the dimension check, the m = 2 guards, the reduced
-inequality's dimension, the composite claim) and compares the whole
-text, so an edited component does not replay.
 """
 
 from __future__ import annotations
@@ -70,9 +62,9 @@ MAX_VALUE_BITS = 14_000
 # Largest dimension of a claim or a threshold range: a range is certified
 # one dimension at a time, so the cap bounds the work a claim can ask for.
 MAX_DIMENSION = 64
-# Smallest dimension of each claim that has one: the m = 2 reduction
-# divides by 3*lb, positive only for N >= 3, and the m = 3 stability step
-# uses the Hardy-Rellich bound, N >= 5.
+# Smallest dimension of each claim that has one: m2-subsolution's voltage
+# 27*lb is positive only for N >= 3, and the m = 3 stability step uses the
+# Hardy-Rellich bound, N >= 5.
 DIMENSION_FLOORS = {"m2-subsolution": 3, "m3-stability": 5}
 
 
@@ -442,11 +434,19 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
     return Certificate(claim, VERIFIED if witness is None else FALSIFIED, witness, trail)
 
 
-def _composite(name: str, n: int, description: str, components: list[dict]) -> Certificate:
-    """A composite claim, whose components are the JSON objects of its
-    parts' certificates, is falsified if any part is, else verified; its
-    witness is the first falsified part's.  Its parts are its evidence,
-    so its trail is empty."""
+def _composite(name: str, n: int, m: int, lam: Fraction, checks: tuple[str, ...],
+               description: str) -> Certificate:
+    """The composite claim that touchdown_profile(m) passes the named
+    checks of check_candidate in dimension n at voltage lam: its
+    components are those checks' certificates as JSON objects.  It is
+    falsified if any component is, with the first falsified component's
+    witness, else verified; its components are its evidence, so its trail
+    is empty.  Raises ArithmeticError if the profile is not exactly
+    clamped (the engine contradicts itself)."""
+    w = touchdown_profile(m)
+    if not _clamped(w):
+        raise ArithmeticError(f"the m = {m} profile is not clamped at r = 1")
+    components = [c.to_json_dict() for c in _profile_checks(w, n, lam, checks).values()]
     witness = next((Fraction(c["witness"]) for c in components if c["status"] == FALSIFIED), None)
     claim = {
         "kind": "composite",
@@ -458,90 +458,34 @@ def _composite(name: str, n: int, description: str, components: list[dict]) -> C
     return Certificate(claim, VERIFIED if witness is None else FALSIFIED, witness, [])
 
 
-# Claim name -> the JSON text of a part's certificate that no dimension
-# changes, certified on the process's first use of the part.
-_PARTS: dict[str, str] = {}
-
-
-def _part(name: str, description: str, cs: tuple[int, ...], n: int | None = None) -> dict:
-    """The JSON object of the certificate that the polynomial with integer
-    coefficients cs (ascending) is >= 0 on (0, 1), under claim ``name``:
-    read afresh from _PARTS, so that no two certificates share an object,
-    with the dimension n added to its claim if given."""
-    if name not in _PARTS:
-        poly = RationalPolynomial((1, cs))
-        cert = certify_nonneg(poly, {"name": name, "description": description})
-        _PARTS[name] = _text(cert.to_json_dict())
-    d = json.loads(_PARTS[name])
-    if n is not None:
-        d["claim"]["dimension"] = n
-    return d
-
-
 def certify_m2_subsolution(n: int) -> Certificate:
-    """Certify the reduced claims that make the m = 2 profile a singular
-    semi-stable sub-solution at voltage 27*lb (for dimensions where
-    27*lb <= H_N/2 also holds, see the thresholds certificate):
-
-    * sub-solution inequality, reduced with t = r^(2/3) after dividing by
-      the positive factor 3*lb (lb > 0 needs N >= 3): 9 - (3-2t)^2 >= 0;
-    * the perturbation 2(r^(4/3) - r^2) is nonnegative, i.e. the profile
-      stays below the pure touchdown shape.
-
-    Raises ValueError below N = 3, where lb < 0 flips the reduction, and
-    ArithmeticError if the profile is not exactly clamped or its
-    bilaplacian is not 3*lb r^(-8/3) (the engine contradicts itself).
-    """
+    """Certify that the m = 2 touchdown profile is a singular sub-solution
+    at voltage 27*lb: check_candidate's range-lower, range-upper and
+    subsolution checks of touchdown_profile(2) there.  It is semi-stable
+    where 27*lb <= H_N/2 also holds (see the thresholds certificate).
+    Raises ValueError below N = 3, where lb < 0."""
     check_dimensions("m2-subsolution", n, n)
-    w2 = touchdown_profile(2)
-    if w2.evaluate_exact(1) != 0 or w2.derivative().evaluate_exact(1) != 0:
-        raise ArithmeticError("the m = 2 profile is not clamped at r = 1")
-    if apply_bilaplacian(w2, n) != PowerSum.of((3 * singular_voltage(n), Fraction(-8, 3))):
-        raise ArithmeticError("bilaplacian of the m = 2 profile is not 3*lb r^(-8/3)")
-    c_sub = _part(
-        "m2-subsolution-reduced",
-        "9 - (3-2t)^2 >= 0 with t = r^(2/3)",
-        (0, 12, -4),  # 9 - (3-2t)^2 = 12t - 4t^2
-        n,
-    )
-    c_pert = _part(
-        "m2-perturbation-nonneg",
-        "2(r^(4/3) - r^2) >= 0 with t = r^(2/3)",
-        (0, 0, 2, -2),  # 2 t^2 (1 - t)
-    )
     description = (
-        "m=2 touchdown profile is a singular semi-stable sub-solution at "
-        "27x the singular voltage; reduction divides by 3*lb, positive "
-        "for N >= 3"
+        "m=2 touchdown profile is a singular sub-solution at 27x the "
+        "singular voltage lb: 0 <= w <= 1 and lam - bilap(w)(1-w)^2 >= 0 "
+        "on (0,1), lam = 27*lb, positive for N >= 3"
     )
-    return _composite("m2-subsolution", n, description, [c_sub, c_pert])
+    return _composite("m2-subsolution", n, 2, 27 * singular_voltage(n),
+                      ("range-lower", "range-upper", "subsolution"), description)
 
 
 def certify_m3_stability(n: int) -> Certificate:
-    """Certify that sup over (0,1) of 125/(9-4s)^3, s = r^(5/3), equals 1
-    (attained only in the limit s -> 1), which is the semi-stability
-    reduction for the m = 3 profile; requires N >= 5 for the
-    Hardy-Rellich step it feeds (ValueError below)."""
+    """Certify that the m = 3 touchdown profile is semi-stable at voltage
+    H_N/2: check_candidate's semistable check of touchdown_profile(3)
+    there, which uses the optimal Hardy-Rellich constant H_N and so needs
+    N >= 5 (ValueError below)."""
     check_dimensions("m3-stability", n, n)
-    # (9-4s)^3 - 125 >= 0 on (0,1); root exactly at s = 1.
-    c_bound = _part(
-        "m3-stability-bound",
-        "(9-4s)^3 - 125 >= 0 on (0,1)",
-        (604, -972, 432, -64),
-    )
-    # Monotonicity: d/ds (9-4s)^3 = -12(9-4s)^2 <= 0, so 125/(9-4s)^3 is
-    # increasing; certify 12(9-4s)^2 = 972 - 864s + 192s^2 >= 0.
-    c_mono = _part(
-        "m3-stability-monotone",
-        "12(9-4s)^2 >= 0 on (0,1)",
-        (972, -864, 192),
-    )
     description = (
-        "sup over (0,1) of 125/(9-4s)^3 equals 1; with the optimal "
-        "Hardy-Rellich constant this makes the m=3 profile semi-stable "
-        "at voltage H_N/2"
+        "m=3 touchdown profile is semi-stable at voltage H_N/2: "
+        "H_N (1-w)^3 - 2 lam r^4 >= 0 on (0,1), lam = H_N/2, with the "
+        "optimal Hardy-Rellich constant H_N"
     )
-    return _composite("m3-stability", n, description, [c_bound, c_mono])
+    return _composite("m3-stability", n, 3, hardy_rellich(n) / 2, ("semistable",), description)
 
 
 # Per-dimension certifiers by claim name ("thresholds" certifies a range).
@@ -620,41 +564,56 @@ class CandidateReport:
         }
 
 
-def check_candidate(
-    w: PowerSum, n: int, lam: Fraction, params: dict
-) -> CandidateReport:
-    """Run the four feasibility checks on one candidate profile.
+def _clamped(w: PowerSum) -> bool:
+    """Whether w(1) = w'(1) = 0 exactly."""
+    return w.evaluate_exact(1) == 0 and w.derivative().evaluate_exact(1) == 0
 
-    (i) exact clamped boundary values; (ii) 0 <= w <= 1 with w(0) = 1;
-    (iii) sub-solution inequality bilap(w) <= lam/(1-w)^2, cleared to
-    lam - bilap(w)(1-w)^2 >= 0; (iv) semi-stability sufficient condition
+
+def _profile_checks(w: PowerSum, n: int, lam: Fraction,
+                    names: tuple[str, ...]) -> dict[str, Certificate]:
+    """The certificates of the named power-sum checks of profile w in
+    dimension n at voltage lam, in the order of names; (1-w)^2 is built
+    only for subsolution or semistable.
+
+    range-lower: w >= 0; range-upper: 1 - w >= 0; subsolution:
+    bilap(w) <= lam/(1-w)^2, cleared to lam - bilap(w)(1-w)^2 >= 0;
+    semistable: the semi-stability sufficient condition
     2 lam/(1-w)^3 <= H_N/r^4, cleared to H_N (1-w)^3 - 2 lam r^4 >= 0.
     """
-    notes: list[str] = []
-    boundary_exact = (
-        w.evaluate_exact(1) == 0 and w.derivative().evaluate_exact(1) == 0
-    )
-    if not boundary_exact:
-        notes.append("boundary values are not exactly clamped")
     one_minus_w = PowerSum.constant(1) - w
-    square = one_minus_w * one_minus_w
-    singular_at_origin = w.evaluate_exact(0) == 1
-    if not singular_at_origin:
-        notes.append("profile does not touch the contact plane at the origin")
-    hn = hardy_rellich(n)
-    checks = {
-        "range-lower": power_sum_nonneg(w, "w >= 0"),
-        "range-upper": power_sum_nonneg(one_minus_w, "1 - w >= 0"),
-        "subsolution": power_sum_nonneg(
+    square = one_minus_w * one_minus_w if {"subsolution", "semistable"} & set(names) else None
+    claims = {
+        "range-lower": lambda: (w, "w >= 0"),
+        "range-upper": lambda: (one_minus_w, "1 - w >= 0"),
+        "subsolution": lambda: (
             PowerSum.constant(lam) - apply_bilaplacian(w, n) * square,
             "lam - bilap(w)(1-w)^2 >= 0",
         ),
-        "semistable": power_sum_nonneg(
-            (square * one_minus_w).scale(hn)
-            - PowerSum.of((2 * lam, 4)),
+        "semistable": lambda: (
+            (square * one_minus_w).scale(hardy_rellich(n)) - PowerSum.of((2 * lam, 4)),
             "H_N (1-w)^3 - 2 lam r^4 >= 0",
         ),
     }
+    return {name: power_sum_nonneg(*claims[name]()) for name in names}
+
+
+def check_candidate(
+    w: PowerSum, n: int, lam: Fraction, params: dict
+) -> CandidateReport:
+    """Run the feasibility checks on one candidate profile: (i) exact
+    clamped boundary values; (ii) w(0) = 1; and _profile_checks' four
+    power-sum checks, 0 <= w <= 1, the sub-solution inequality and the
+    semi-stability sufficient condition.
+    """
+    notes: list[str] = []
+    boundary_exact = _clamped(w)
+    if not boundary_exact:
+        notes.append("boundary values are not exactly clamped")
+    singular_at_origin = w.evaluate_exact(0) == 1
+    if not singular_at_origin:
+        notes.append("profile does not touch the contact plane at the origin")
+    names = ("range-lower", "range-upper", "subsolution", "semistable")
+    checks = _profile_checks(w, n, lam, names)
     passed = (
         boundary_exact
         and singular_at_origin

@@ -23,10 +23,12 @@ from mems4.branch import (
     pull_in_voltage,
     regularity_verdict,
 )
+from mems4.certify import check_candidate
 from mems4.closed_forms import (
     HOMOGENEOUS,
     BoundaryPair,
     singular_voltage,
+    touchdown_profile,
     touchdown_shape,
 )
 from mems4.radial_operator import OperatorMatrix, build_grid, sample_power_sum
@@ -429,3 +431,18 @@ def test_regularity_verdict_synthetic_cases(grid3):
         residual=pt.residual, energy_h2=pt.energy_h2, energy_cubed=pt.energy_cubed,
     )
     assert regularity_verdict(replace(est, near_fold=middling)) == "inconclusive"
+
+
+def test_a_subsolution_that_is_not_semistable_does_not_bound_the_pull_in_voltage():
+    # The clamped singular profile (1 - r^(4/3))^2 (m = 8/3) is an exact
+    # sub-solution at voltage 85 in dimension 5, yet 85 lies below the
+    # pull-in voltage (about 89.1): a singular sub-solution at lam gives
+    # lam* <= lam only with semi-stability, and this one's pointwise
+    # semistable check is falsified.
+    report = check_candidate(touchdown_profile(F(8, 3)), 5, F(85), {})
+    assert report.boundary_exact
+    assert {k: c.status for k, c in report.checks.items()} == {
+        "range-lower": "verified", "range-upper": "verified",
+        "subsolution": "verified", "semistable": "falsified",
+    }
+    assert 85 < pull_in_voltage(HOMOGENEOUS, build_grid(128, 5), rel_width=1e-4).lambda_lo

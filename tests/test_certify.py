@@ -467,13 +467,12 @@ EDITS = {
     "m2-description": ("m2", _set_claim("description", "anything")),
     "m2-dimension": ("m2", _set_claim("dimension", 2)),
     "m2-component-status": ("m2", _set_component_status),
-    # Each component is certified once per process and read afresh for
-    # each composite; by the time a composite is built for the edit,
-    # its parts exist, and replay still compares every component.
+    # Replay compares every component, also range-upper, which no
+    # dimension changes.
     "m2-component-sign-value": ("m2", _set_component_step("sign-evaluation", "value", "6/1")),
     "m2-fixed-component-sign-value": ("m2", _set_component_step(
         "sign-evaluation", "value", "1/1", which=1)),
-    "m3-component-status": ("m3", lambda d: _set_component_status(d, which=1)),
+    "m3-component-status": ("m3", _set_component_status),
     "m3-component-sign-value": ("m3", _set_component_step("sign-evaluation", "value", "-1/1")),
     # Fields that from_json_dict does not keep and to_json_dict rebuilds.
     "m3-gap-4-witness-decimal": ("m3-gap-4", _set_field("witness_decimal", "0.999")),
@@ -731,10 +730,11 @@ def test_m3_stability_verified(n):
     cert = certify_m3_stability(n)
     assert cert.status == "verified"
     assert replay_certificate(cert)
-    # A composite's evidence is its parts: both are verified, and its own
-    # trail is empty.
+    # A composite's evidence is its one component, the semistable check,
+    # and its own trail is empty.
     assert cert.trail == []
-    assert [c["status"] for c in cert.claim["components"]] == ["verified", "verified"]
+    assert [(c["claim"]["label"], c["status"]) for c in cert.claim["components"]] == [
+        ("H_N (1-w)^3 - 2 lam r^4 >= 0", "verified")]
 
 
 def _mutables(cert: Certificate) -> set[int]:
@@ -753,14 +753,13 @@ def _mutables(cert: Certificate) -> set[int]:
     (certify_m3_stability, (5, 40)),
 ], ids=["m2", "m3"])
 def test_certificates_of_two_dimensions_share_no_mutable_object(certifier, dims):
-    # The parts that no dimension changes are certified once per process,
-    # yet each certificate holds claim and trail objects of its own: an
-    # edit of one certificate changes no other, nor the next one built.
+    # Each certificate holds claim and trail objects of its own: an edit
+    # of one certificate changes no other, nor the next one built.
     first, second = (certifier(n) for n in dims)
     assert not _mutables(first) & _mutables(second)
     expected = json.dumps(second.to_json_dict(), sort_keys=True)
     for c in first.claim["components"]:
-        c["claim"]["polynomial"].append("1/1")
+        c["claim"]["terms"].append(["1/1", "1/1"])
         c["trail"].clear()
         c["status"] = "falsified"
     assert json.dumps(second.to_json_dict(), sort_keys=True) == expected
@@ -771,23 +770,18 @@ def test_certificates_of_two_dimensions_share_no_mutable_object(certifier, dims)
 
 
 def test_composite_with_a_falsified_part_carries_its_witness(monkeypatch):
-    # (9-4s)^3 - 126 is negative near s = 1: the bound part is falsified,
-    # and so is the composite, with that part's witness and no trail.
-    certify_nonneg = certify_mod.certify_nonneg
+    # One above H_N/2, the semistable check of the m = 3 profile fails near
+    # r = 1, where H_N (1-w)^3 - 2 lam r^4 tends to -2: the component is
+    # falsified, and so is the composite, with its witness and no trail.
+    def raised_voltage(n):
+        return certify_mod._composite("m3-stability", n, 3, hardy_rellich(n) / 2 + 1,
+                                      ("semistable",), "m3 one above H_N/2")
 
-    def lowered_bound(p, claim=None):
-        if claim and claim["name"] == "m3-stability-bound":
-            p = P(603, -972, 432, -64)
-        return certify_nonneg(p, claim)
-
-    monkeypatch.setattr(certify_mod, "certify_nonneg", lowered_bound)
-    # The parts are certified once per process: start from none, and
-    # leave those already certified as they were.
-    monkeypatch.setattr(certify_mod, "_PARTS", {})
-    cert = certify_m3_stability(5)
-    bound, mono = (Certificate.from_json_dict(c) for c in cert.claim["components"])
-    assert (bound.status, mono.status) == ("falsified", "verified")
-    assert cert.status == "falsified" and cert.witness == bound.witness
+    monkeypatch.setitem(certify_mod.CLAIMS, "m3-stability", raised_voltage)
+    cert = raised_voltage(5)
+    (semistable,) = (Certificate.from_json_dict(c) for c in cert.claim["components"])
+    assert semistable.status == "falsified" and F(1, 2) < semistable.witness < 1
+    assert cert.status == "falsified" and cert.witness == semistable.witness
     assert cert.trail == []
     assert replay_certificate(_round_trip(cert))
 
@@ -804,7 +798,7 @@ def test_m3_stability_requires_dimension_five():
 )
 def test_named_claims_reject_dimensions_outside_their_range(certifier, n):
     # Below N = 3 the singular voltage is negative (-40/81 at N = 1), so
-    # dividing the m = 2 reduction by 3*lb would flip the inequality.
+    # 27*lb is no voltage for the m = 2 profile.
     with pytest.raises(ValueError):
         certifier(n)
 
@@ -979,18 +973,28 @@ def test_witness_values_past_the_bit_limit_are_written_as_signs():
     assert replay_certificate(_round_trip(cert))
 
 
-def test_m2_unclamped_profile_raises(monkeypatch):
-    # w2 - 1/2 has w2's bilaplacian but the value -1/2 at r = 1.
+@pytest.mark.parametrize("certifier", [certify_m2_subsolution, certify_m3_stability],
+                         ids=["m2", "m3"])
+def test_unclamped_profile_raises(certifier, monkeypatch):
+    # w - 1/2 has w's bilaplacian but the value -1/2 at r = 1.
     profile = certify_mod.touchdown_profile
     monkeypatch.setattr(certify_mod, "touchdown_profile",
                         lambda m: profile(m) - PowerSum.constant(F(1, 2)))
-    assert certify_mod.apply_bilaplacian(certify_mod.touchdown_profile(2), 5) == \
-        certify_mod.apply_bilaplacian(profile(2), 5)
     with pytest.raises(ArithmeticError, match="not clamped"):
-        certify_m2_subsolution(5)
+        certifier(5)
 
 
-def test_m2_bilaplacian_identity_failure_raises(monkeypatch):
-    monkeypatch.setattr(certify_mod, "apply_bilaplacian", lambda w, n: PowerSum.of((1, 0)))
-    with pytest.raises(ArithmeticError, match="bilaplacian of the m = 2 profile"):
-        certify_m2_subsolution(5)
+@pytest.mark.parametrize("certifier, m, lam, names, dims", [
+    (certify_m2_subsolution, 2, lambda n: 27 * singular_voltage(n),
+     ("range-lower", "range-upper", "subsolution"), range(3, MAX_DIMENSION + 1)),
+    (certify_m3_stability, 3, lambda n: hardy_rellich(n) / 2,
+     ("semistable",), range(5, MAX_DIMENSION + 1)),
+], ids=["m2", "m3"])
+def test_composite_components_are_the_search_checks(certifier, m, lam, names, dims):
+    # A composite states its profile at its voltage as a search candidate
+    # does: its components are check_candidate's named checks, in every
+    # dimension of its range.
+    for n in dims:
+        checks = check_candidate(touchdown_profile(m), n, lam(n), {}).checks
+        expected = json.dumps([checks[k].to_json_dict() for k in names], sort_keys=True)
+        assert json.dumps(certifier(n).claim["components"], sort_keys=True) == expected, n

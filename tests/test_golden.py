@@ -86,11 +86,11 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "certify-m2-subsolution": (0, {
         "certify-11b7a6112a/certificates/m2-subsolution-30.json":
-            "b3e16e3dfecd2642348877766766fda451e008f81f830036c42e597e1c9db600",
+            "5c4d303240cfa1bc61bc420a8708c1e956291f386ac50b2bd88c1d1871939e12",
         "certify-11b7a6112a/certificates/m2-subsolution-31.json":
-            "c0b3e0499fe5ce61c9db0c07ddb2cbdc96ce414c909de3b09e2f3a4b43a5e7c6",
+            "327f64821dfdacf805a179331c1fd729e290e353375f76fe1469fc01927285d6",
         "certify-11b7a6112a/certificates/m2-subsolution-32.json":
-            "9041deb819eb9044e65c0c0ba2c37798b87b468ba3ee9a4c6f59d8e56ee05781",
+            "e932a2bd9a6f24b16eded19644450119a217dad2217b21eec3425a36b0c77aac",
         "certify-11b7a6112a/config.json":
             "73bd0fd71a7a6c85953804cc3a6064ba1d235300b2a546d9d7628a0ca4ea894f",
     }),
@@ -112,11 +112,11 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "certify-m3-stability": (0, {
         "certify-70a2883d43/certificates/m3-stability-5.json":
-            "6b2089d5fd707a3ef8e4c043b88d408b51b3f35539acebb0297bcb480628590e",
+            "da586f59d11ab450fa58c74e13b76197175e677a8f802fdc181dd08a89d99b8f",
         "certify-70a2883d43/certificates/m3-stability-6.json":
-            "165b9a0695e77a0b5cef088d939f2c76b5a4ead36c3a1c5365d6e1c4d7e61e8f",
+            "b0f3370c950c300c7836a1b61f643ed348f5a5d6e4c9fd73eb5a72fe32a44a9c",
         "certify-70a2883d43/certificates/m3-stability-7.json":
-            "d0a9403b5426598d40025e38c4bd8d979f7b10de101e0f01c9b10c5757f66841",
+            "16768da4f40b3a390a4bad62299669835cfd3fb03020465c1830ac27af2ca9e1",
         "certify-70a2883d43/config.json":
             "1c0b7d2b29815ceb5803e880163b791c3afec0529490b18fc6f262a8dfcfcfbb",
     }),
