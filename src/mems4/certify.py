@@ -21,7 +21,7 @@ not an engine bug.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
@@ -139,22 +139,21 @@ def _check_degree_cap(degree: int) -> None:
         raise ValueError(f"degree {degree} exceeds {MAX_CHECK_DEGREE}")
 
 
-def certify_nonneg(p: RationalPolynomial, claim: dict | None = None) -> Certificate:
+def certify_nonneg(p: RationalPolynomial) -> Certificate:
     """Certify p >= 0 on the open interval (0, 1): _decide's verdict on p,
-    under a claim that records p's coefficients.  Raises ValueError above
-    MAX_CHECK_DEGREE.  ``claim`` adds keys to the claim record; it cannot
-    change the kind, the polynomial or the interval.
+    under a claim built from p alone, of four keys: its kind, p's
+    coefficients, the interval and closed.  Raises ValueError above
+    MAX_CHECK_DEGREE.
     """
     status, witness, trail = _decide(p)
     den, cs = p.integer_form
-    base_claim = {
-        **(claim or {}),
+    claim = {
         "kind": "polynomial-nonneg",
         "polynomial": [_ratio(c, den) for c in cs],
         "interval": ["0/1", "1/1"],
         "closed": False,
     }
-    return Certificate(base_claim, status, witness, trail)
+    return Certificate(claim, status, witness, trail)
 
 
 def _ratio(a: int, b: int) -> str:
@@ -268,7 +267,7 @@ def _recompute(claim: dict) -> Certificate:
         # A claim's list has no trailing zero, so its length gives the degree.
         _check_degree_cap(len(claim["polynomial"]) - 1)
         coeffs = map(parse_rational, claim["polynomial"])
-        return certify_nonneg(RationalPolynomial.of(*coeffs), claim)
+        return certify_nonneg(RationalPolynomial.of(*coeffs))
     raise ValueError("unknown claim")
 
 
@@ -358,20 +357,14 @@ def certify_m3_gap(n: int) -> Certificate:
     """Certify the sub-solution gap of the m = 3 profile at voltage H_N/2:
     P_N(s) >= 0 on (0,1) in exact arithmetic."""
     check_dimensions("m3-gap", n, n)
-    p = stability_gap_polynomial(n)
-    cert = certify_nonneg(
-        p,
-        claim={
-            "name": "m3-gap",
-            "dimension": n,
-            "description": (
-                "sub-solution gap polynomial of the m=3 touchdown profile at "
-                "voltage H_N/2, in s = r^(5/3); nonnegativity on (0,1) makes "
-                "the profile a singular semi-stable sub-solution"
-            ),
-        },
+    cert = certify_nonneg(stability_gap_polynomial(n))
+    description = (
+        "sub-solution gap polynomial of the m=3 touchdown profile at "
+        "voltage H_N/2, in s = r^(5/3); nonnegativity on (0,1) makes "
+        "the profile a singular semi-stable sub-solution"
     )
-    return cert
+    return replace(cert, claim={**cert.claim, "name": "m3-gap", "dimension": n,
+                                "description": description})
 
 
 @dataclass(frozen=True)
@@ -590,7 +583,8 @@ def _profile_checks(w: PowerSum, n: int, lam: Fraction,
             "lam - bilap(w)(1-w)^2 >= 0",
         ),
         "semistable": lambda: (
-            (square * one_minus_w).scale(hardy_rellich(n)) - PowerSum.of((2 * lam, 4)),
+            PowerSum.constant(hardy_rellich(n)) * square * one_minus_w
+            - PowerSum.of((2 * lam, 4)),
             "H_N (1-w)^3 - 2 lam r^4 >= 0",
         ),
     }

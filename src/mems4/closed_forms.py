@@ -145,11 +145,6 @@ class PowerSum:
         p2 = [(b, l * f2) for b, l in p2]
         return PowerSum((d1 * d2, qden, ((a * b, k * f1 + l) for a, k in p1 for b, l in p2)))
 
-    def scale(self, c: Rational) -> "PowerSum":
-        c = Fraction(c)
-        den, qden, pairs = self.integer_form
-        return PowerSum((den * c.denominator, qden, ((a * c.numerator, k) for a, k in pairs)))
-
     def derivative(self) -> "PowerSum":
         """d/dr (a/den) r^(k/q) = (a k/(den q)) r^((k - q)/q)."""
         den, q, pairs = self.integer_form

@@ -139,7 +139,7 @@ class RationalPolynomial:
         a, b = Fraction(a), Fraction(b)
         if self.degree <= 0 or a >= b:
             return []
-        chain = self.squarefree_part().sturm_sequence()
+        chain = self.sturm_sequence()
         # The square-free part has the roots of self, so its zero test
         # serves both.
         f = chain[0]

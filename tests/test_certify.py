@@ -426,6 +426,13 @@ def _set_claim(key: str, value):
     return edit
 
 
+def _unname_as(dimension: int):
+    def edit(d):
+        del d["claim"]["name"]
+        d["claim"]["dimension"] = dimension
+    return edit
+
+
 def _set_pattern_onset(d):
     d["claim"]["pattern"]["double_voltage_le_hardy_from"] = 3
 
@@ -456,6 +463,7 @@ ORIGINALS = {
     "thresholds": lambda: certify_thresholds(1, 40),
     "m2": lambda: certify_m2_subsolution(31),
     "m3": lambda: certify_m3_stability(17),
+    "polynomial": lambda: certify_nonneg(P(0, 1, -1)),
 }
 EDITS = {
     "m3-gap-root-count": ("m3-gap", _set_step("interior-root-count", "count", 7)),
@@ -482,6 +490,11 @@ EDITS = {
     # Values that == takes for the rebuilt ones: 0 == False, 3.0 == 3.
     "m3-gap-closed-as-zero": ("m3-gap", _set_claim("closed", 0)),
     "m3-gap-count-as-float": ("m3-gap", _set_step("interior-root-count", "count", 0.0)),
+    # Replay copies no claim field from the file: without its name the
+    # N = 17 file is a bare polynomial claim, and a bare polynomial claim
+    # has no dimension.
+    "m3-gap-unnamed": ("m3-gap", _unname_as(16)),
+    "polynomial-extra-key": ("polynomial", _set_claim("dimension", 5)),
 }
 
 
