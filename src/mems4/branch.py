@@ -30,7 +30,6 @@ from mems4.closed_forms import (
 )
 from mems4.radial_operator import (
     OperatorMatrix,
-    RadialField,
     RadialGrid,
     sample_power_sum,
 )
@@ -56,10 +55,11 @@ MIN_REL_WIDTH = 1e-15
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One converged point of the minimal branch."""
+    """One converged point of the minimal branch; u is the deflection at
+    the grid's nodes."""
 
     lam: float
-    field: RadialField
+    u: np.ndarray
     max_value: float
     mu1: float
     residual: float
@@ -111,8 +111,7 @@ def analytic_pull_in_bounds(op: OperatorMatrix) -> tuple[Fraction, float, float]
     (x, W x) / (x, W A^-1 W x) of its eigenfunction x (one back-solve)."""
     n = op.dim
     lower = max(quadratic_lower_bound(n), singular_voltage(n))
-    nu1, phi = op.nu1()
-    x = phi.values
+    nu1, x = op.nu1()
     rayleigh = float(np.sum(op.cells * x * x) / np.sum(op.cells * x * op.solve(x)))
     return lower, 4.0 * nu1 / 27.0, abs(nu1 - rayleigh) / rayleigh
 
@@ -235,7 +234,7 @@ def _make_point(ws: Workspace, lam: float, v: np.ndarray, residual: float) -> Br
     energy_cubed = float(np.sum(op.cells / cubed))
     return BranchPoint(
         lam=lam,
-        field=RadialField(ws.grid, u),
+        u=u,
         max_value=float(np.max(u)),
         mu1=op.smallest_weighted_eigenvalue(2.0 * lam / cubed),
         residual=residual,

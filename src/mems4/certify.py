@@ -32,6 +32,7 @@ from mems4.closed_forms import (
     format_rational,
     hardy_rellich,
     parse_rational,
+    quadratic_lower_bound,
     rational_to_decimal,
     singular_voltage,
     touchdown_profile,
@@ -367,32 +368,29 @@ def certify_m3_gap(n: int) -> Certificate:
                                 "description": description})
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
-    """One exact dimension-threshold comparison."""
-
-    dimension: int
-    singular_voltage: Fraction
-    hardy: Fraction
-    double_voltage_le_hardy: bool  # 2*lb <= H_N
-    voltage27_le_half_hardy: bool  # 27*lb <= H_N/2
-    voltage_positive: bool  # lb > 0, i.e. N >= 3; comparisons are vacuous below
-
-
-def threshold_table(n_min: int, n_max: int) -> list[ThresholdRow]:
-    """Exact rational threshold comparisons for each dimension in range."""
+def threshold_table(n_min: int, n_max: int) -> list[dict]:
+    """One row per dimension in range, keyed by bounds.csv's columns in
+    its order: the exact bounds and both threshold comparisons, 2*lb <=
+    H_N and 27*lb <= H_N/2."""
     check_dimensions("thresholds", n_min, n_max)
     rows = []
     for n in range(n_min, n_max + 1):
         lb = singular_voltage(n)
         h = hardy_rellich(n)
-        rows.append(
-            ThresholdRow(n, lb, h, 2 * lb <= h, 27 * lb <= h / 2, lb > 0)
-        )
+        rows.append({
+            "n": n,
+            "lower_quadratic": quadratic_lower_bound(n),
+            "singular_voltage": lb,
+            "hardy": h,
+            "half_hardy": h / 2,
+            "voltage_27": 27 * lb,
+            "double_voltage_le_hardy": 2 * lb <= h,
+            "voltage27_le_half_hardy": 27 * lb <= h / 2,
+        })
     return rows
 
 
-def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
+def certify_thresholds(n_min: int, n_max: int) -> Certificate:
     """Certify the threshold pattern: among dimensions with positive
     singular voltage (N >= 3), 2*lb <= H_N holds exactly for N >= 9 and
     27*lb <= H_N/2 holds exactly for N >= 31, within the given range.
@@ -414,15 +412,15 @@ def certify_thresholds(n_min: int = 1, n_max: int = 40) -> Certificate:
         "pattern": pattern,
     }
     trail = [
-        {"step": "compare", "dimension": row.dimension,
-         "singular_voltage": format_rational(row.singular_voltage),
-         "hardy": format_rational(row.hardy)}
+        {"step": "compare", "dimension": row["n"],
+         "singular_voltage": format_rational(row["singular_voltage"]),
+         "hardy": format_rational(row["hardy"])}
         for row in rows
     ]
     # The witness is the first dimension of positive voltage off the pattern.
-    witness = next((Fraction(row.dimension) for row in rows if row.voltage_positive and (
-        row.double_voltage_le_hardy != (row.dimension >= pattern["double_voltage_le_hardy_from"])
-        or row.voltage27_le_half_hardy != (row.dimension >= pattern["voltage27_le_half_hardy_from"])
+    witness = next((Fraction(row["n"]) for row in rows if row["singular_voltage"] > 0 and (
+        row["double_voltage_le_hardy"] != (row["n"] >= pattern["double_voltage_le_hardy_from"])
+        or row["voltage27_le_half_hardy"] != (row["n"] >= pattern["voltage27_le_half_hardy_from"])
     )), None)
     return Certificate(claim, VERIFIED if witness is None else FALSIFIED, witness, trail)
 

@@ -62,7 +62,6 @@ from mems4.closed_forms import (
     BoundaryPair,
     format_rational,
     parse_rational,
-    quadratic_lower_bound,
     rational_to_decimal,
 )
 from mems4.store import (
@@ -76,8 +75,10 @@ from mems4.store import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from mems4.branch import BranchPoint, Workspace
-    from mems4.radial_operator import RadialField, RadialGrid
+    from mems4.radial_operator import RadialGrid
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -253,24 +254,13 @@ def _dimension_range(text: str, claim: str) -> list[int]:
     return [n_min, n_max]
 
 
-# (column, exact value from the dimension's certify.ThresholdRow);
-# Fractions render as num/den plus a decimal column.
-_BOUNDS_COLUMNS = (
-    ("lower_quadratic", lambda row: quadratic_lower_bound(row.dimension)),
-    ("singular_voltage", lambda row: row.singular_voltage),
-    ("hardy", lambda row: row.hardy),
-    ("half_hardy", lambda row: row.hardy / 2),
-    ("voltage_27", lambda row: 27 * row.singular_voltage),
-    ("double_voltage_le_hardy", lambda row: row.double_voltage_le_hardy),
-    ("voltage27_le_half_hardy", lambda row: row.voltage27_le_half_hardy),
-)
-
-
 def _bounds_inputs(args) -> dict:
     return {"n": _flag("--n", _dimension_range, args.n, "bounds")}
 
 
 def _csv_fields(row: dict) -> list[tuple[str, object]]:
+    """A row's (column, cell) pairs: a Fraction renders as num/den plus a
+    decimal column."""
     fields = []
     for name, value in row.items():
         if isinstance(value, Fraction):
@@ -283,10 +273,7 @@ def _csv_fields(row: dict) -> list[tuple[str, object]]:
 
 def _run_bounds(inputs, run) -> int:
     n_min, n_max = inputs["n"]
-    rows = [
-        {"n": row.dimension, **{name: value(row) for name, value in _BOUNDS_COLUMNS}}
-        for row in certify.threshold_table(n_min, n_max)
-    ]
+    rows = certify.threshold_table(n_min, n_max)
     header = [name for name, _ in _csv_fields(rows[0])]
     cells = [[value for _, value in _csv_fields(row)] for row in rows]
     write_csv(run / "tables" / "bounds.csv", header, cells)
@@ -322,21 +309,18 @@ def _branch_record(pt: BranchPoint) -> dict:
     }
 
 
-def _write_profile(path: Path, profile: RadialField) -> None:
-    rows = [[f"{r:.17g}", f"{u:.17g}"] for r, u in zip(profile.grid.nodes, profile.values)]
+def _write_profile(path: Path, nodes: np.ndarray, values: np.ndarray) -> None:
+    rows = [[f"{r:.17g}", f"{u:.17g}"] for r, u in zip(nodes, values)]
     write_csv(path, ["r", "u"], rows)
 
 
-def _pull_in_voltage(inputs: dict, rel_width: float):
-    """branch.pull_in_voltage on the run's boundary data and mesh; it raises
-    NoConvergentVoltage, which main reports, when no voltage converges."""
+def _auto_lambda_grid(inputs: dict, count: int = 12) -> list[float]:
+    """``count`` voltages up to 0.98 of a coarse pull-in voltage.
+    branch.pull_in_voltage raises NoConvergentVoltage, which main reports,
+    when no voltage converges."""
     from mems4 import branch
 
-    return branch.pull_in_voltage(_boundary(inputs), _grid(inputs), rel_width=rel_width)
-
-
-def _auto_lambda_grid(inputs: dict, count: int = 12) -> list[float]:
-    est = _pull_in_voltage(inputs, 1e-3)
+    est = branch.pull_in_voltage(_boundary(inputs), _grid(inputs), rel_width=1e-3)
     return _linspace(est.lambda_lo / count, 0.98 * est.lambda_lo, count)
 
 
@@ -360,7 +344,8 @@ def _branch_inputs(args) -> dict:
 def _run_branch(inputs, run) -> int:
     from mems4 import branch
 
-    result = branch.continue_branch(_boundary(inputs), _grid(inputs), inputs["lambdas"])
+    grid = _grid(inputs)
+    result = branch.continue_branch(_boundary(inputs), grid, inputs["lambdas"])
     records = [_branch_record(pt) for pt in result.points]
     div = result.divergence
     if div is not None:
@@ -373,7 +358,7 @@ def _run_branch(inputs, run) -> int:
     for pt in [result.points[i] for i in sorted({int(x) for x in picks})]:
         # Named by the voltage's shortest round-trip repr, so distinct
         # voltages never share a file.
-        _write_profile(run / "profiles" / f"lambda-{pt.lam!r}.csv", pt.field)
+        _write_profile(run / "profiles" / f"lambda-{pt.lam!r}.csv", grid.nodes, pt.u)
     return EXIT_OK
 
 
@@ -391,7 +376,8 @@ def _pullin_inputs(args) -> dict:
 def _run_pullin(inputs, run) -> int:
     from mems4 import branch
 
-    est = _pull_in_voltage(inputs, inputs["rel_width"])
+    grid = _grid(inputs)
+    est = branch.pull_in_voltage(_boundary(inputs), grid, rel_width=inputs["rel_width"])
     payload = {
         "dim": inputs["dim"],
         "lambda_lo": est.lambda_lo,
@@ -406,7 +392,7 @@ def _run_pullin(inputs, run) -> int:
         "notes": est.notes,
     }
     write_json(run / "pullin.json", payload)
-    _write_profile(run / "profiles" / "near-fold.csv", est.near_fold.field)
+    _write_profile(run / "profiles" / "near-fold.csv", grid.nodes, est.near_fold.u)
     return EXIT_INCONCLUSIVE if est.consistent is False or est.flagged else EXIT_OK
 
 

@@ -97,20 +97,6 @@ def build_grid(n_nodes: int, dim: int) -> RadialGrid:
     return RadialGrid((i / (n_nodes + 1)) ** GRADING, dim)
 
 
-@dataclass(frozen=True)
-class RadialField:
-    """Sampled radial function: one value per interior grid node."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != self.grid.n:
-            raise ValueError("value vector does not match the grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
-
-
 def sample_power_sum(ps: PowerSum, radii: np.ndarray) -> np.ndarray:
     """Float samples of an exact power sum at the given radii."""
     den, qden, pairs = ps.integer_form
@@ -267,12 +253,12 @@ class OperatorMatrix:
     def _w_normalized(self, v: np.ndarray) -> np.ndarray:
         return v / np.sqrt(np.sum(self.cells * v * v))
 
-    def nu1(self) -> tuple[float, RadialField]:
+    def nu1(self) -> tuple[float, np.ndarray]:
         """Smallest eigenvalue of the clamped bilaplacian in the weighted
-        inner product, with its (one-signed) eigenfunction.  The function
-        comes from inverse iteration on the Cholesky factor of A,
-        started from the constant: O(n) per step, at most NU1_MAX_ITER
-        steps."""
+        inner product, with its (one-signed) eigenfunction as an array on
+        the grid's nodes.  The function comes from inverse iteration on
+        the Cholesky factor of A, started from the constant: O(n) per
+        step, at most NU1_MAX_ITER steps."""
         value = self._lowest_eigenvalue(np.zeros(self.grid.n))
         phi = self._w_normalized(np.ones(self.grid.n))
         for _ in range(NU1_MAX_ITER):
@@ -283,7 +269,7 @@ class OperatorMatrix:
                 break
         if phi[np.argmax(np.abs(phi))] < 0:
             phi = -phi
-        return value, RadialField(self.grid, phi)
+        return value, phi
 
     def smallest_weighted_eigenvalue(self, weight: np.ndarray) -> float:
         """Smallest eigenvalue of bilaplacian - diag(weight) in the

@@ -77,10 +77,10 @@ def test_criterion_1_thresholds(tmp_path):
     elapsed = time.perf_counter() - t0
     rows = threshold_table(1, 40)
     first_a = min(
-        r.dimension for r in rows if r.voltage_positive and r.double_voltage_le_hardy
+        r["n"] for r in rows if r["singular_voltage"] > 0 and r["double_voltage_le_hardy"]
     )
     first_b = min(
-        r.dimension for r in rows if r.voltage_positive and r.voltage27_le_half_hardy
+        r["n"] for r in rows if r["singular_voltage"] > 0 and r["voltage27_le_half_hardy"]
     )
     cert = certify_thresholds(1, 40)
     ok = (
@@ -195,16 +195,16 @@ def test_criterion_6_branch_properties_n3():
     run = continue_branch(HOMOGENEOUS, grid, lambdas)
     ok = len(run.points) == 10
     for p, q in zip(run.points, run.points[1:]):
-        ok = ok and bool(np.all(q.field.values >= p.field.values - 10 * TOL))
+        ok = ok and bool(np.all(q.u >= p.u - 10 * TOL))
     for p in run.points:
-        ok = ok and bool(np.all(np.diff(p.field.values) <= 10 * TOL))
+        ok = ok and bool(np.all(np.diff(p.u) <= 10 * TOL))
         ok = ok and p.mu1 > 0
     # Stability-route inequality 2 int u^2/(1-u)^3 <= int u/(1-u)^2 (Phi = 0
     # for homogeneous data), up to a relative quadrature tolerance of 1e-6.
     cells = OperatorMatrix(grid).cells
     margins = []
     for p in run.points:
-        u = p.field.values
+        u = p.u
         lhs = 2.0 * float(np.sum(cells * u**2 / (1.0 - u) ** 3))
         rhs = float(np.sum(cells * u / (1.0 - u) ** 2))
         margins.append(rhs - lhs)
@@ -221,17 +221,17 @@ def test_criterion_6_branch_properties_n3():
 
 def test_criterion_7_singular_regime_bounds(pullin_estimates):
     est = pullin_estimates[17]
-    grid = est.near_fold.field.grid
+    grid = build_grid(ACCEPT_MESH, 17)
     lb = float(singular_voltage(17))
     lambdas = list(np.linspace(20.0, 0.98 * lb, 6)) + [est.lambda_lo * 0.9]
     run = continue_branch(HOMOGENEOUS, grid, sorted(lambdas))
     points = run.points + [est.near_fold]
     ub = sample_power_sum(touchdown_shape(), grid.nodes)
-    worst = max(float(np.max(p.field.values - ub)) for p in points)
+    worst = max(float(np.max(p.u - ub)) for p in points)
     ok = len(run.points) == 7 and worst <= 10 * TOL
     c0 = (est.lambda_hi / lb) ** (1.0 / 3.0)
     envelope = 1.0 - c0 * grid.nodes ** (4.0 / 3.0)
-    margin = float(np.min(est.near_fold.field.values - envelope))
+    margin = float(np.min(est.near_fold.u - envelope))
     ok = ok and margin >= -0.02
     report(
         7,

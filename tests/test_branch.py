@@ -92,7 +92,7 @@ def test_single_solve_below_lower_bound(grid3):
     (pt,) = continue_branch(HOMOGENEOUS, grid3, [0.9 * 32.0 / 3.0]).points
     assert pt.max_value < 1.0
     assert pt.residual <= 1e-10
-    assert np.all(np.diff(pt.field.values) <= 1e-12)  # radially decreasing
+    assert np.all(np.diff(pt.u) <= 1e-12)  # radially decreasing
 
 
 def test_monotone_iterates_nondecreasing(grid3, monkeypatch):
@@ -143,7 +143,7 @@ def test_branch_pointwise_monotone_in_voltage(branch3):
     assert len(branch3.points) == 10
     assert branch3.divergence is None
     for p, q in zip(branch3.points, branch3.points[1:]):
-        assert np.all(q.field.values >= p.field.values - 1e-12)
+        assert np.all(q.u >= p.u - 1e-12)
 
 
 def test_branch_stability_eigenvalues(branch3):
@@ -154,7 +154,7 @@ def test_branch_stability_eigenvalues(branch3):
 
 def test_branch_fields_radially_decreasing(branch3):
     for p in branch3.points:
-        assert np.all(np.diff(p.field.values) <= 1e-12)
+        assert np.all(np.diff(p.u) <= 1e-12)
 
 
 def test_branch_diagnostics(branch3):
@@ -233,7 +233,7 @@ def test_nonhomogeneous_branch_below_touchdown():
     lb = float(singular_voltage(9))
     (pt,) = continue_branch(bp, grid, [0.99 * lb]).points
     ub = sample_power_sum(touchdown_shape(), grid.nodes)
-    assert np.max(pt.field.values - ub) <= 1e-9
+    assert np.max(pt.u - ub) <= 1e-9
     assert pt.mu1 > 0
 
 
@@ -247,7 +247,7 @@ def test_nonhomogeneous_at_exact_fold_is_edge_case():
     run = continue_branch(bp, grid, [lb])
     if run.points:
         ub = sample_power_sum(touchdown_shape(), grid.nodes)
-        assert np.max(run.points[0].field.values - ub) <= 1e-6
+        assert np.max(run.points[0].u - ub) <= 1e-6
     else:
         assert run.divergence.reason
 
@@ -259,7 +259,7 @@ def test_n17_profiles_below_touchdown_shape():
     assert len(run.points) == 8
     ub = sample_power_sum(touchdown_shape(), grid.nodes)
     for pt in run.points:
-        assert np.max(pt.field.values - ub) <= 10 * 1e-10
+        assert np.max(pt.u - ub) <= 10 * 1e-10
 
 
 def test_pull_in_bracket_n2():
@@ -340,7 +340,7 @@ def test_constant_boundary_value_scales_the_pull_in_voltage(alpha, grid12, homog
 def test_near_fold_point_is_a_fixed_point(dim):
     grid = build_grid(256, dim)
     est = pull_in_voltage(HOMOGENEOUS, grid)
-    u = est.near_fold.field.values
+    u = est.near_fold.u
     step = OperatorMatrix(grid).solve(est.lambda_lo / (1.0 - u) ** 2)
     assert np.max(np.abs(step - u)) < 1e-6
 
@@ -417,7 +417,7 @@ def test_regularity_verdict_synthetic_cases(grid3):
     est = pull_in_voltage(HOMOGENEOUS, grid3, rel_width=1e-3)
     pt = est.near_fold
     nearly_touching = BranchPoint(
-        lam=pt.lam, field=pt.field, max_value=0.9995, mu1=0.1,
+        lam=pt.lam, u=pt.u, max_value=0.9995, mu1=0.1,
         residual=pt.residual, energy_h2=pt.energy_h2, energy_cubed=pt.energy_cubed,
     )
     # below dimension 9 no bracket condition applies
@@ -427,7 +427,7 @@ def test_regularity_verdict_synthetic_cases(grid3):
     singular17 = replace(est, near_fold=nearly_touching, dim=17)
     assert regularity_verdict(singular17) == "singular-consistent"
     middling = BranchPoint(
-        lam=pt.lam, field=pt.field, max_value=0.985, mu1=0.1,
+        lam=pt.lam, u=pt.u, max_value=0.985, mu1=0.1,
         residual=pt.residual, energy_h2=pt.energy_h2, energy_cubed=pt.energy_cubed,
     )
     assert regularity_verdict(replace(est, near_fold=middling)) == "inconclusive"

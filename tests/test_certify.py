@@ -673,19 +673,19 @@ def test_power_sum_falsified_witness_is_exact():
 
 
 def test_threshold_rows_exact():
-    rows = {r.dimension: r for r in threshold_table(1, 40)}
-    assert 2 * rows[8].singular_voltage == F(5632, 81)
-    assert rows[8].hardy == 64
-    assert not rows[8].double_voltage_le_hardy
-    assert 2 * rows[9].singular_voltage == F(7600, 81)
-    assert rows[9].hardy == F(2025, 16)
-    assert rows[9].double_voltage_le_hardy
-    assert 27 * rows[30].singular_voltage == F(57728, 3)
-    assert rows[30].hardy / 2 == F(608400, 32)
-    assert not rows[30].voltage27_le_half_hardy
-    assert 27 * rows[31].singular_voltage == F(61880, 3)
-    assert rows[31].hardy / 2 == F(700569, 32)
-    assert rows[31].voltage27_le_half_hardy
+    rows = {r["n"]: r for r in threshold_table(1, 40)}
+    assert 2 * rows[8]["singular_voltage"] == F(5632, 81)
+    assert rows[8]["hardy"] == 64
+    assert not rows[8]["double_voltage_le_hardy"]
+    assert 2 * rows[9]["singular_voltage"] == F(7600, 81)
+    assert rows[9]["hardy"] == F(2025, 16)
+    assert rows[9]["double_voltage_le_hardy"]
+    assert 27 * rows[30]["singular_voltage"] == F(57728, 3)
+    assert rows[30]["hardy"] / 2 == F(608400, 32)
+    assert not rows[30]["voltage27_le_half_hardy"]
+    assert 27 * rows[31]["singular_voltage"] == F(61880, 3)
+    assert rows[31]["hardy"] / 2 == F(700569, 32)
+    assert rows[31]["voltage27_le_half_hardy"]
 
 
 def test_threshold_first_true_dimensions():
@@ -693,20 +693,20 @@ def test_threshold_first_true_dimensions():
     # Comparisons are vacuously true where the singular voltage is
     # negative (N <= 2); the meaningful onset is over N >= 3.
     assert min(
-        r.dimension for r in rows if r.voltage_positive and r.double_voltage_le_hardy
+        r["n"] for r in rows if r["singular_voltage"] > 0 and r["double_voltage_le_hardy"]
     ) == 9
     assert min(
-        r.dimension for r in rows if r.voltage_positive and r.voltage27_le_half_hardy
+        r["n"] for r in rows if r["singular_voltage"] > 0 and r["voltage27_le_half_hardy"]
     ) == 31
     assert all(
-        r.double_voltage_le_hardy == (r.dimension >= 9)
+        r["double_voltage_le_hardy"] == (r["n"] >= 9)
         for r in rows
-        if r.voltage_positive
+        if r["singular_voltage"] > 0
     )
     assert all(
-        r.voltage27_le_half_hardy == (r.dimension >= 31)
+        r["voltage27_le_half_hardy"] == (r["n"] >= 31)
         for r in rows
-        if r.voltage_positive
+        if r["singular_voltage"] > 0
     )
     cert = certify_thresholds(1, 40)
     assert cert.status == "verified"

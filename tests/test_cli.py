@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, file schemas, determinism."""
 
+import csv
 import gc
 import json
 import math
@@ -567,6 +568,24 @@ def test_certify_thresholds(tmp_path):
     assert cert["status"] == "verified"
     # Its compare steps hold the threshold table, as does bounds.csv.
     assert not any(tmp_path.rglob("tables"))
+
+
+def test_bounds_csv_and_thresholds_certificate_read_one_table(tmp_path):
+    assert run_cli("bounds", "--n", "1..64", "--out", str(tmp_path)) == 0
+    assert run_cli("certify", "thresholds", "--n", "1..64", "--out", str(tmp_path)) == 0
+    with find_one(tmp_path, "bounds.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cert = json.loads(find_one(tmp_path, "thresholds-1-64.json").read_text())
+    assert [row["n"] for row in rows] == [str(n) for n in range(1, 65)]
+    assert [t["dimension"] for t in cert["trail"]] == list(range(1, 65))
+    for row, step in zip(rows, cert["trail"]):
+        n = int(row["n"])
+        assert (row["singular_voltage"], row["hardy"]) == (step["singular_voltage"], step["hardy"])
+        # Vacuously true in N <= 2, where the singular voltage is negative.
+        assert row["double_voltage_le_hardy"] == str(n <= 2 or n >= 9)
+        assert row["voltage27_le_half_hardy"] == str(n <= 2 or n >= 31)
+    assert sum(row["double_voltage_le_hardy"] == "True" for row in rows) == 58
+    assert sum(row["voltage27_le_half_hardy"] == "True" for row in rows) == 36
 
 
 def test_certify_unknown_claim(tmp_path, capsys):

@@ -11,6 +11,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded, solve_ba
 from scipy.optimize import brentq
 from scipy.special import iv, jv
 
+from continuum_oracle import continuum_nu1
+
 from mems4.closed_forms import (
     BoundaryPair,
     PowerSum,
@@ -26,7 +28,6 @@ from mems4.radial_operator import (
     NU1_MAX_ITER,
     NU1_STEP_TOL,
     OperatorMatrix,
-    RadialField,
     RadialGrid,
     build_grid,
     sample_power_sum,
@@ -93,14 +94,6 @@ def test_build_grid_validation():
         build_grid(8, 3)
     with pytest.raises(ValueError):
         build_grid(64, 0)
-
-
-def test_radial_field_validation():
-    grid = build_grid(32, 2)
-    with pytest.raises(ValueError):
-        RadialField(grid, np.zeros(5))
-    with pytest.raises(ValueError):
-        RadialField(grid, np.full(32, np.nan))
 
 
 def _clamped(ps, bp, nodes):
@@ -212,7 +205,7 @@ def test_nu1_beam_oracle():
     oracle = beam_nu1()
     assert oracle == pytest.approx(31.2852, abs=2e-4)
     assert abs(val - oracle) / oracle < 1e-3
-    assert np.all(phi.values > 0)
+    assert np.all(phi > 0)
 
 
 def test_nu1_disk_oracle():
@@ -222,7 +215,39 @@ def test_nu1_disk_oracle():
     oracle = disk_nu1()
     assert oracle == pytest.approx(104.363, abs=2e-3)
     assert abs(val - oracle) / oracle < 1e-2
-    assert np.all(phi.values > 0)
+    assert np.all(phi > 0)
+
+
+# continuum_nu1 (tests/continuum_oracle.py) at its default K = 16.
+CONTINUUM_NU1 = {1: 31.2852438588, 5: 769.963483242, 9: 3604.87854492, 17: 23672.4707825}
+
+
+@pytest.mark.parametrize("dim", sorted(CONTINUUM_NU1))
+def test_continuum_oracle_converged_in_its_degree(dim):
+    coarse, fine = continuum_nu1(dim, 12), continuum_nu1(dim, 16)
+    assert abs(coarse - fine) <= 1e-10 * fine
+    assert fine == pytest.approx(CONTINUUM_NU1[dim], rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", sorted(CONTINUUM_NU1))
+def test_nu1_matches_continuum_oracle(dim):
+    # Measured at n = 512: 1.1e-5, 2.7e-5, 5.3e-5 and 1.45e-4 relative.
+    nu = OperatorMatrix(build_grid(512, dim)).nu1()[0]
+    oracle = continuum_nu1(dim)
+    assert abs(nu - oracle) <= 2e-4 * oracle
+
+
+@pytest.mark.xfail(
+    reason=(
+        "eig_banded's nu1 of the assembled A reaches a round-off floor: at "
+        "dim 1, n = 4096 it reads 20.096, 36% below the continuum 31.285"
+    ),
+    strict=True,
+)
+def test_nu1_matches_continuum_oracle_at_4096_nodes():
+    nu = OperatorMatrix(build_grid(4096, 1)).nu1()[0]
+    oracle = continuum_nu1(1)
+    assert abs(nu - oracle) <= 1e-3 * oracle
 
 
 def test_nu1_monotone_in_dimension():
@@ -261,8 +286,8 @@ def test_weighted_eigenvalue_is_rayleigh_minimum():
 def test_nu1_eigenfunction_matches_dense_ground_state(dim):
     op = OperatorMatrix(build_grid(128, dim))
     _, phi = op.nu1()
-    assert np.all(phi.values > 0)
-    x = phi.values / np.sqrt(np.sum(op.cells * phi.values**2))
+    assert np.all(phi > 0)
+    x = phi / np.sqrt(np.sum(op.cells * phi**2))
     diff = x - dense_ground_state(op, np.zeros(op.grid.n))
     assert np.sqrt(np.sum(op.cells * diff * diff)) < 1e-8
 
@@ -458,7 +483,7 @@ def test_nu1_eigenfunction_matches_cho_solve_banded_iteration(dim):
             break
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
-    assert np.array_equal(op.nu1()[1].values, phi)
+    assert np.array_equal(op.nu1()[1], phi)
 
 
 def _general_band(op: OperatorMatrix, shift: np.ndarray) -> np.ndarray:
