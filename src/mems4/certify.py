@@ -300,37 +300,27 @@ def reduce_power_sum(ps: PowerSum) -> tuple[RationalPolynomial, Fraction, int]:
     return RationalPolynomial((den, coeffs)), Fraction(k_min, q), q
 
 
-def _power_sum_claim(ps: PowerSum, label: str) -> dict:
-    den, qden, pairs = ps.integer_form
-    terms = [[_ratio(a, den), _ratio(k, qden)] for a, k in pairs]
-    return {"kind": "power-sum-nonneg", "label": label, "terms": terms, "domain": "(0,1)"}
-
-
 def power_sum_nonneg(ps: PowerSum, label: str = "") -> Certificate:
     """Certify that a rational power sum is >= 0 on (0, 1): _decide on
     the cleared polynomial (ValueError above MAX_CHECK_DEGREE), whose
-    witness t0 becomes the radius t0^q.  The claim's terms fix e_min and
-    q, so the trail is the cleared polynomial's."""
+    witness t0 becomes the radius t0^q, and a witness-confirmation step
+    records the power sum's exact value there.  The claim's terms fix
+    e_min and q, so the trail is otherwise the cleared polynomial's.
+    Raises ArithmeticError when that value is not negative (the engine
+    contradicts itself; an assert would vanish under -O)."""
     poly, _, q = reduce_power_sum(ps)
     status, witness, trail = _decide(poly)
     if status == FALSIFIED:
-        witness, step = _witness_confirmation(ps, witness, q)
-        trail.append(step)
-    return Certificate(_power_sum_claim(ps, label), status, witness, trail)
-
-
-def _witness_confirmation(ps: PowerSum, t0: Fraction, q: int) -> tuple[Fraction, dict]:
-    """The radius r = t0^q of a witness t0 of the cleared polynomial, and
-    the trail step that confirms the violation by the power sum's exact
-    value there.  Raises ArithmeticError when that value is not negative
-    (the engine contradicts itself; an assert would vanish under -O)."""
-    radius = t0**q
-    value = ps.evaluate_exact(radius)
-    if not value < 0:
-        raise ArithmeticError("witness does not confirm the violation")
-    step = {"step": "witness-confirmation", "radius": format_rational(radius),
-            **_value_entry(value)}
-    return radius, step
+        witness = witness**q
+        value = ps.evaluate_exact(witness)
+        if not value < 0:
+            raise ArithmeticError("witness does not confirm the violation")
+        trail.append({"step": "witness-confirmation", "radius": format_rational(witness),
+                      **_value_entry(value)})
+    den, qden, pairs = ps.integer_form
+    terms = [[_ratio(a, den), _ratio(k, qden)] for a, k in pairs]
+    claim = {"kind": "power-sum-nonneg", "label": label, "terms": terms, "domain": "(0,1)"}
+    return Certificate(claim, status, witness, trail)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +422,15 @@ def _composite(name: str, n: int, m: int, lam: Fraction, checks: tuple[str, ...]
     components are those checks' certificates as JSON objects.  It is
     falsified if any component is, with the first falsified component's
     witness, else verified; its components are its evidence, so its trail
-    is empty.  Raises ArithmeticError if the profile is not exactly
-    clamped (the engine contradicts itself)."""
-    w = touchdown_profile(m)
-    if not _clamped(w):
-        raise ArithmeticError(f"the m = {m} profile is not clamped at r = 1")
-    components = [c.to_json_dict() for c in _profile_checks(w, n, lam, checks).values()]
-    witness = next((Fraction(c["witness"]) for c in components if c["status"] == FALSIFIED), None)
+    is empty."""
+    certs = check_candidate(touchdown_profile(m), n, lam, {}, checks).checks.values()
+    witness = next((c.witness for c in certs if c.status == FALSIFIED), None)
     claim = {
         "kind": "composite",
         "name": name,
         "dimension": n,
         "description": description,
-        "components": components,
+        "components": [c.to_json_dict() for c in certs],
     }
     return Certificate(claim, VERIFIED if witness is None else FALSIFIED, witness, [])
 
@@ -497,7 +483,8 @@ def perturbed_touchdown(alpha: Fraction, beta: Fraction) -> PowerSum:
 
     The coefficient 4/(3 beta) makes the profile exactly clamped (zero
     value and slope at r = 1) for every alpha, beta > 0; at alpha = 4/3
-    the family reproduces touchdown_profile(alpha + beta ... ) members.
+    it is the m-profile family: perturbed_touchdown(4/3, beta) ==
+    touchdown_profile(4/3 + beta).
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 0 or beta <= 0:
@@ -540,7 +527,6 @@ class CandidateReport:
     """Per-candidate outcome of the sub-solution search."""
 
     params: dict
-    boundary_exact: bool
     checks: dict[str, Certificate]
     passed: bool
     notes: list[str] = field(default_factory=list)
@@ -548,31 +534,38 @@ class CandidateReport:
     def to_json_dict(self) -> dict:
         return {
             "params": {k: format_rational(Fraction(v)) for k, v in self.params.items()},
-            "boundary_exact": self.boundary_exact,
+            # check_candidate refuses a profile that is not exactly clamped.
+            "boundary_exact": True,
             "checks": {k: c.to_json_dict() for k, c in self.checks.items()},
             "passed": self.passed,
             "notes": self.notes,
         }
 
 
-def _clamped(w: PowerSum) -> bool:
-    """Whether w(1) = w'(1) = 0 exactly."""
-    return w.evaluate_exact(1) == 0 and w.derivative().evaluate_exact(1) == 0
+# The search's checks of a candidate, in the order its report lists them.
+CANDIDATE_CHECKS = ("range-lower", "range-upper", "subsolution", "semistable")
 
 
-def _profile_checks(w: PowerSum, n: int, lam: Fraction,
-                    names: tuple[str, ...]) -> dict[str, Certificate]:
-    """The certificates of the named power-sum checks of profile w in
-    dimension n at voltage lam, in the order of names; (1-w)^2 is built
-    only for subsolution or semistable.
+def check_candidate(
+    w: PowerSum, n: int, lam: Fraction, params: dict, names: tuple[str, ...] = CANDIDATE_CHECKS
+) -> CandidateReport:
+    """The report of profile w in dimension n at voltage lam: the
+    certificates of the named power-sum checks, in the order of names,
+    and whether every one is verified.
 
     range-lower: w >= 0; range-upper: 1 - w >= 0; subsolution:
     bilap(w) <= lam/(1-w)^2, cleared to lam - bilap(w)(1-w)^2 >= 0;
     semistable: the semi-stability sufficient condition
     2 lam/(1-w)^3 <= H_N/r^4, cleared to H_N (1-w)^3 - 2 lam r^4 >= 0.
+    Raises ArithmeticError unless w(1) = w'(1) = 0 and w(0) = 1 exactly,
+    which every profile of both search families and every
+    touchdown_profile(m) meet by construction.
     """
+    if not (w.evaluate_exact(1) == 0 and w.derivative().evaluate_exact(1) == 0
+            and w.evaluate_exact(0) == 1):
+        raise ArithmeticError("profile is not clamped with w(0) = 1")
     one_minus_w = PowerSum.constant(1) - w
-    square = one_minus_w * one_minus_w if {"subsolution", "semistable"} & set(names) else None
+    square = one_minus_w * one_minus_w
     claims = {
         "range-lower": lambda: (w, "w >= 0"),
         "range-upper": lambda: (one_minus_w, "1 - w >= 0"),
@@ -586,32 +579,8 @@ def _profile_checks(w: PowerSum, n: int, lam: Fraction,
             "H_N (1-w)^3 - 2 lam r^4 >= 0",
         ),
     }
-    return {name: power_sum_nonneg(*claims[name]()) for name in names}
-
-
-def check_candidate(
-    w: PowerSum, n: int, lam: Fraction, params: dict
-) -> CandidateReport:
-    """Run the feasibility checks on one candidate profile: (i) exact
-    clamped boundary values; (ii) w(0) = 1; and _profile_checks' four
-    power-sum checks, 0 <= w <= 1, the sub-solution inequality and the
-    semi-stability sufficient condition.
-    """
-    notes: list[str] = []
-    boundary_exact = _clamped(w)
-    if not boundary_exact:
-        notes.append("boundary values are not exactly clamped")
-    singular_at_origin = w.evaluate_exact(0) == 1
-    if not singular_at_origin:
-        notes.append("profile does not touch the contact plane at the origin")
-    names = ("range-lower", "range-upper", "subsolution", "semistable")
-    checks = _profile_checks(w, n, lam, names)
-    passed = (
-        boundary_exact
-        and singular_at_origin
-        and all(c.status == VERIFIED for c in checks.values())
-    )
-    return CandidateReport(params, boundary_exact, checks, passed, notes)
+    checks = {name: power_sum_nonneg(*claims[name]()) for name in names}
+    return CandidateReport(params, checks, all(c.status == VERIFIED for c in checks.values()))
 
 
 def search_setup(n: int, family: str, lam: Fraction | None = None) -> tuple[Fraction, list[str]]:

@@ -838,7 +838,7 @@ def test_search_w3_passes_at_17():
     assert lam == hardy_rellich(17) / 2
     assert [c.passed for c in candidates] == [True]
     cand = candidates[0]
-    assert cand.boundary_exact
+    assert cand.to_json_dict()["boundary_exact"]
     assert all(c.status == "verified" for c in cand.checks.values())
 
 
@@ -986,8 +986,14 @@ def test_witness_values_past_the_bit_limit_are_written_as_signs():
     assert replay_certificate(_round_trip(cert))
 
 
-@pytest.mark.parametrize("certifier", [certify_m2_subsolution, certify_m3_stability],
-                         ids=["m2", "m3"])
+@pytest.mark.parametrize("certifier", [
+    certify_m2_subsolution,
+    certify_m3_stability,
+    # w = 1 - r: w'(1) = -1.
+    lambda n: check_candidate(PowerSum.of((1, 0), (-1, 1)), n, F(1), {}),
+    # w = (1 - r^2)^2 / 2: clamped, but w(0) = 1/2.
+    lambda n: check_candidate(PowerSum.of((F(1, 2), 0), (-1, 2), (F(1, 2), 4)), n, F(1), {}),
+], ids=["m2", "m3", "slope", "origin"])
 def test_unclamped_profile_raises(certifier, monkeypatch):
     # w - 1/2 has w's bilaplacian but the value -1/2 at r = 1.
     profile = certify_mod.touchdown_profile
@@ -995,6 +1001,22 @@ def test_unclamped_profile_raises(certifier, monkeypatch):
                         lambda m: profile(m) - PowerSum.constant(F(1, 2)))
     with pytest.raises(ArithmeticError, match="not clamped"):
         certifier(5)
+
+
+_SMALL_POSITIVE = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("perturbed-touchdown"), st.tuples(_SMALL_POSITIVE, _SMALL_POSITIVE)),
+    st.tuples(st.just("touchdown-m"), _SMALL_POSITIVE.filter(lambda m: m != F(4, 3))),
+))
+def test_every_admitted_candidate_is_clamped(case):
+    # Every profile that candidate_profile admits is exactly clamped with
+    # w(0) = 1, so check_candidate's precondition (an ArithmeticError)
+    # never refuses CLI input.
+    pd, w = candidate_profile(*case)
+    assert check_candidate(w, 9, F(1), pd, ()).checks == {}
 
 
 @pytest.mark.parametrize("certifier, m, lam, names, dims", [
